@@ -92,6 +92,9 @@ func TestLinkFailureBothEngines(t *testing.T) {
 			if rep.DARDShifts == 0 {
 				t.Error("DARD made no path shifts around the failure")
 			}
+			if rep.DARDRounds == 0 {
+				t.Error("report counts no DARD scheduling rounds")
+			}
 			tr := rec.Take()
 			counts := trace.NewAggregator(tr).EventCounts()
 			if counts[trace.KindLinkFail] == 0 || counts[trace.KindLinkRecover] == 0 {

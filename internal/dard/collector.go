@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"dard/internal/ctlmsg"
+	"dard/internal/flowsim"
 	"dard/internal/fpcmp"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
 )
@@ -22,18 +24,7 @@ type PathState struct {
 	BoNF float64
 }
 
-// Env is the engine surface path-state collection runs on: simulated
-// time, timers, and the switch-state view the agents answer from. Both
-// flowsim.Sim and psim.Runtime satisfy it, which is what lets the two
-// engines share one control-plane implementation.
-type Env interface {
-	ctlmsg.StateSource
-	Now() float64
-	After(d float64, fn func())
-}
-
-// Collector assembles one monitor's per-link switch state (§2.4.2),
-// shared by the flow-level and packet-level DARD implementations. With a
+// Collector assembles one monitor's per-link switch state (§2.4.2). With a
 // reliable control plane it resolves synchronously, exactly like the
 // original monitors. With ctlmsg faults enabled it becomes a small
 // asynchronous protocol: every switch exchange that loses a message is
@@ -43,7 +34,7 @@ type Env interface {
 // presumed dead — its ports report zero bandwidth, which collapses the
 // covered paths' BoNF to zero and makes Algorithm 1 route around them.
 type Collector struct {
-	env       Env
+	env       sched.Host
 	monitorID uint64
 	switches  []topology.NodeID
 	agents    map[topology.NodeID]*ctlmsg.SwitchAgent
@@ -68,7 +59,7 @@ type Collector struct {
 // NewCollector builds the collector for one monitor over its covering
 // switches. The switch list must be in stable (sorted) order; the
 // collector launches exchanges in that order so runs are deterministic.
-func NewCollector(env Env, monitorID uint64, switches []topology.NodeID, opts Options) *Collector {
+func NewCollector(env sched.Host, monitorID uint64, switches []topology.NodeID, opts Options) *Collector {
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
@@ -209,15 +200,17 @@ func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytes
 			panic(fmt.Sprintf("dard: collector: reply from switch %d: %v", sw, err))
 		}
 		deliver := func() { resolve(reply.Ports, bytes, true) }
+		// Delivery and retry timers carry no checkpoint descriptor:
+		// runs with faults refuse to snapshot (snapshot.go).
 		if ch.Delay() > 0 {
-			c.env.After(ch.Delay(), deliver)
+			c.env.AfterRef(ch.Delay(), flowsim.TimerRef{}, deliver)
 		} else {
 			deliver()
 		}
 		return
 	}
 	if attempt < c.retryMax {
-		c.env.After(ch.Delay()+ctlmsg.Backoff(c.backoff, attempt), func() {
+		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(c.backoff, attempt), flowsim.TimerRef{}, func() {
 			c.collectSwitch(sw, seq, attempt+1, bytes, resolve)
 		})
 		return
@@ -267,28 +260,13 @@ func (c *Collector) channel(sw topology.NodeID) *ctlmsg.Channel {
 	return ch
 }
 
-// FoldPV folds the per-link port state into the path state vector PV:
-// each path takes the state of its most congested link, with a
-// zero-capacity (failed or dead-switch) link collapsing the path's BoNF
-// to zero. Shared by both engines so their DARD implementations read
-// identical semantics from the same wire state.
-func FoldPV(paths []topology.Path, linkState map[topology.LinkID]ctlmsg.PortState) ([]PathState, error) {
-	pv := make([]PathState, len(paths))
-	for i, p := range paths {
-		st, err := foldPathState(p.Links, linkState)
-		if err != nil {
-			return nil, err
-		}
-		pv[i] = st
-	}
-	return pv, nil
-}
-
-// FoldPVInto is FoldPV over an implicit path set, folding into pv's
-// backing array (resized to ps.Len()) with buf as link scratch, so a
-// monitor's steady-state query tick allocates nothing once warm. It
-// returns the folded pv and the (possibly grown) buf; neither retains
-// linkState.
+// FoldPVInto folds the per-link port state into the path state vector
+// PV over an implicit path set: each path takes the state of its most
+// congested link, with a zero-capacity (failed or dead-switch) link
+// collapsing the path's BoNF to zero. It folds into pv's backing array
+// (resized to ps.Len()) with buf as link scratch, so a monitor's
+// steady-state query tick allocates nothing once warm. It returns the
+// folded pv and the (possibly grown) buf; neither retains linkState.
 func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, linkState map[topology.LinkID]ctlmsg.PortState) ([]PathState, []topology.LinkID, error) {
 	n := ps.Len()
 	if cap(pv) < n {

@@ -208,10 +208,10 @@ func TestMonitorLifecycle(t *testing.T) {
 		if h := ctl.hosts[s.Flow(0).Src]; h != nil {
 			midMonitors = len(h.monitors)
 			for key, m := range h.monitors {
-				if key == sharedKey(s.Flow(3).DstToR) {
+				if key == monitorKey(s.Flow(3).DstToR) {
 					sameToRMonitors++
 				}
-				if key == sharedKey(s.Flow(0).DstToR) && len(m.flows) != 2 {
+				if key == monitorKey(s.Flow(0).DstToR) && len(m.flows) != 2 {
 					t.Errorf("shared monitor tracks %d flows, want 2", len(m.flows))
 				}
 			}

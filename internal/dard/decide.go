@@ -16,9 +16,6 @@ type Decision struct {
 // the target (estimated as bandwidth/(flows+1) of the target's bottleneck)
 // still beats the current minimum by more than delta. The second result
 // is false when no shift should happen.
-//
-// Decide is shared by the flow-level and packet-level DARD controllers so
-// both substrates run the identical scheduling rule.
 func Decide(pv []PathState, fv []int, delta float64) (Decision, bool) {
 	if len(pv) != len(fv) || len(pv) < 2 {
 		return Decision{}, false

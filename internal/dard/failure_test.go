@@ -111,30 +111,38 @@ func TestDARDSurvivesLossyControlPlane(t *testing.T) {
 // on: a zero-capacity link collapses its path's BoNF to zero no matter
 // what the other links report, and a link nobody reported is an error.
 func TestFoldPVFailedLink(t *testing.T) {
-	paths := []topology.Path{
-		{Links: []topology.LinkID{1, 2}},
-		{Links: []topology.LinkID{3, 4}},
+	ft := fatTree(t)
+	ps := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))
+	// Every path link reports 1 Gbps shared by four elephants, except
+	// path 0's aggregation-to-core hop, which no other path uses: it has
+	// failed and reports zero bandwidth.
+	state := map[topology.LinkID]ctlmsg.PortState{}
+	var links []topology.LinkID
+	for i := 0; i < ps.Len(); i++ {
+		links = ps.AppendLinks(i, links[:0])
+		for _, l := range links {
+			state[l] = ctlmsg.PortState{LinkID: uint32(l), BandwidthMbps: 1000, ElephantFlows: 4}
+		}
 	}
-	state := map[topology.LinkID]ctlmsg.PortState{
-		1: {LinkID: 1, BandwidthMbps: 1000, ElephantFlows: 1},
-		2: {LinkID: 2}, // failed: zero bandwidth
-		3: {LinkID: 3, BandwidthMbps: 1000, ElephantFlows: 4},
-		4: {LinkID: 4, BandwidthMbps: 1000, ElephantFlows: 2},
-	}
-	pv, err := FoldPV(paths, state)
+	failed := ps.AppendLinks(0, nil)[1]
+	state[failed] = ctlmsg.PortState{LinkID: uint32(failed)}
+	pv, _, err := FoldPVInto(nil, nil, ps, state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fpcmp.IsZero(pv[0].BoNF) {
 		t.Errorf("path over failed link has BoNF %g, want 0", pv[0].BoNF)
 	}
-	if want := 250e6; !fpcmp.Eq(pv[1].BoNF, want) {
-		t.Errorf("live path BoNF %g, want %g", pv[1].BoNF, want)
+	for i := 1; i < len(pv); i++ {
+		if want := 250e6; !fpcmp.Eq(pv[i].BoNF, want) {
+			t.Errorf("live path %d BoNF %g, want %g", i, pv[i].BoNF, want)
+		}
 	}
 	if !fpcmp.IsZero(MinBoNF(pv)) {
 		t.Errorf("MinBoNF %g, want 0 with a dead path", MinBoNF(pv))
 	}
-	if _, err := FoldPV([]topology.Path{{Links: []topology.LinkID{9}}}, state); err == nil {
+	delete(state, failed)
+	if _, _, err := FoldPVInto(pv, nil, ps, state); err == nil {
 		t.Error("unreported link folded without error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"dard/internal/ctlmsg"
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
 )
@@ -15,9 +16,9 @@ import (
 // Path state is assembled by exchanging marshaled ctlmsg queries and
 // replies with per-switch agents — the OpenFlow statistics interface of
 // the prototype — so control-byte accounting reflects real wire sizes.
-// The exchange itself lives in the Collector, shared with the
-// packet-level engine, which also gives this monitor retry/backoff and
-// dead-switch detection when control-channel faults are enabled.
+// The exchange itself lives in the Collector, which also gives this
+// monitor retry/backoff and dead-switch detection when control-channel
+// faults are enabled.
 //
 //dardsnap:fields encoder=Controller.SnapshotState decoder=Controller.restoreMonitor
 type monitor struct {
@@ -28,8 +29,8 @@ type monitor struct {
 	// handle instead of materialized paths.
 	//dardlint:snapfield pure function of the topology; newMonitor recomputes the implicit path set
 	ps topology.PathSet
-	// flows holds the host's elephant flows towards dstToR, by flow ID.
-	flows map[int]*flowsim.Flow
+	// flows holds the IDs of the host's elephant flows towards dstToR.
+	flows map[int]struct{}
 	// pv is the path state vector assembled at the last completed query
 	// round; nil until the first round completes. An incomplete round
 	// (faults, no cached state yet) leaves the previous pv in place.
@@ -44,6 +45,12 @@ type monitor struct {
 	fv      []int             //dardlint:snapfield scratch, overwritten before every use
 	linkBuf []topology.LinkID //dardlint:snapfield scratch, overwritten before every use
 
+	// lastAcked and stalls track each elephant's cumulative-ACK point and
+	// zero-progress round count for stall detection; nil unless the host
+	// offers FlowProgress.
+	lastAcked map[int]int //dardlint:snapfield only hosts with FlowProgress fill it, and the packet runtime, the one such host, has no checkpoints
+	stalls    map[int]int //dardlint:snapfield only hosts with FlowProgress fill it, and the packet runtime, the one such host, has no checkpoints
+
 	// serial is the monitor's run-unique identity, carried by its query
 	// timers in checkpoints. Issued by Controller.monitorSeq; overwritten
 	// from the snapshot on restore.
@@ -52,25 +59,23 @@ type monitor struct {
 	released bool //dardlint:snapfield released monitors are dropped from the host map and never serialized; a restored monitor is live by construction
 }
 
-func newMonitor(s *flowsim.Sim, c *Controller, srcHost, srcToR, dstToR topology.NodeID) *monitor {
+func newMonitor(env sched.Host, c *Controller, srcHost, srcToR, dstToR topology.NodeID) *monitor {
 	c.monitorSeq++
 	m := &monitor{
 		ctl:     c,
 		srcHost: srcHost,
 		srcToR:  srcToR,
 		dstToR:  dstToR,
-		ps:      s.PathSet(srcToR, dstToR),
-		flows:   make(map[int]*flowsim.Flow),
+		ps:      env.PathSet(srcToR, dstToR),
+		flows:   make(map[int]struct{}),
 		serial:  c.monitorSeq,
 	}
-	m.coll = NewCollector(s, m.entity(), CoveringSwitches(s.Net().Graph(), m.ps), c.opts)
+	m.coll = NewCollector(env, m.entity(), CoveringSwitches(env.Topo().Graph(), m.ps), c.opts)
 	return m
 }
 
 // CoveringSwitches returns the sorted upstream endpoints of every path
-// link of the set: exactly the four switch groups of §2.4.2. Shared
-// with the packet-level DARD policy, whose monitors query the same
-// switches.
+// link of the set: exactly the four switch groups of §2.4.2.
 func CoveringSwitches(g *topology.Graph, ps topology.PathSet) []topology.NodeID {
 	seen := make(map[topology.NodeID]bool)
 	var buf []topology.LinkID
@@ -94,9 +99,9 @@ func (m *monitor) entity() uint64 { return uint64(m.srcHost)<<32 | uint64(m.dstT
 // scheduleQuery arms the periodic path-state assembly. The first query
 // fires after a uniform random fraction of the interval so monitors
 // across hosts are not synchronized.
-func (m *monitor) scheduleQuery(s *flowsim.Sim) {
-	first := s.Rand().Float64() * m.ctl.opts.QueryInterval
-	s.AfterRef(first, m.tickRef(), m.tickFn(s))
+func (m *monitor) scheduleQuery(env sched.Host) {
+	first := env.Rand().Float64() * m.ctl.opts.QueryInterval
+	env.AfterRef(first, m.tickRef(), m.tickFn(env))
 }
 
 func (m *monitor) tickRef() flowsim.TimerRef {
@@ -105,17 +110,17 @@ func (m *monitor) tickRef() flowsim.TimerRef {
 
 // tickFn builds one firing of the monitor's query chain; restore rebinds
 // a pending tick to its monitor by serial (snapshot.go).
-func (m *monitor) tickFn(s *flowsim.Sim) func() {
+func (m *monitor) tickFn(env sched.Host) func() {
 	var tick func()
 	tick = func() {
 		if m.released {
 			return
 		}
-		if err := m.assemble(s); err != nil {
+		if err := m.assemble(env); err != nil {
 			// A malformed control exchange is a bug, not an input error.
 			panic(fmt.Sprintf("dard: path state assembling: %v", err))
 		}
-		s.AfterRef(m.ctl.opts.QueryInterval, m.tickRef(), tick)
+		env.AfterRef(m.ctl.opts.QueryInterval, m.tickRef(), tick)
 	}
 	return tick
 }
@@ -123,9 +128,9 @@ func (m *monitor) tickFn(s *flowsim.Sim) func() {
 // assemble runs one round of Path State Assembling (§2.4.2) through the
 // shared collector and folds the per-port states into the path state
 // vector when the round completes.
-func (m *monitor) assemble(s *flowsim.Sim) error {
+func (m *monitor) assemble(env sched.Host) error {
 	return m.coll.Assemble(func(linkState map[topology.LinkID]ctlmsg.PortState, wireBytes int, complete bool) {
-		s.RecordControl(float64(wireBytes))
+		env.RecordControl(float64(wireBytes))
 		if m.released || !complete {
 			return // keep the previous pv until a full round lands
 		}
@@ -134,34 +139,35 @@ func (m *monitor) assemble(s *flowsim.Sim) error {
 			panic(fmt.Sprintf("dard: path state assembling: %v", err))
 		}
 		m.pv, m.linkBuf = pv, buf
-		m.dead = MarkDeadPaths(s.Tracer(), s.Now(), int64(m.entity()), pv, m.dead)
-		if tr := s.Tracer(); tr.Enabled() {
+		m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), pv, m.dead)
+		if tr := env.Tracer(); tr.Enabled() {
 			// One congestion signal per monitor and tick: the worst
 			// path's BoNF.
-			tr.Sample(trace.MetricMinBoNF, int64(m.entity()), s.Now(), MinBoNF(pv))
+			tr.Sample(trace.MetricMinBoNF, int64(m.entity()), env.Now(), MinBoNF(pv))
 		}
-		m.ctl.evacuate(s, m)
+		m.ctl.evacuate(env, m)
 	})
 }
 
 // victimOn picks the monitor's lowest-ID active flow on a path.
-func (m *monitor) victimOn(s *flowsim.Sim, path int) *flowsim.Flow {
-	var victim *flowsim.Flow
+func (m *monitor) victimOn(env sched.Host, path int) (int, bool) {
+	victim, found := 0, false
 	//dardlint:ordered victim choice is order-free: guarded min over unique flow IDs
-	for _, f := range m.flows {
-		if f.PathIdx == path && s.IsActive(f) {
-			if victim == nil || f.ID < victim.ID { // deterministic choice
-				victim = f
+	for id := range m.flows {
+		if env.FlowPath(id) == path && env.FlowActive(id) {
+			if !found || id < victim { // deterministic choice
+				victim, found = id, true
 			}
 		}
 	}
-	return victim
+	return victim, found
 }
 
 // flowVector builds FV: the number of the monitor's elephant flows on
-// each path (§2.5). The returned slice is the monitor's scratch, valid
-// until the next call.
-func (m *monitor) flowVector(n int) []int {
+// each of its len(pv) paths (§2.5). The returned slice is the monitor's
+// scratch, valid until the next call.
+func (m *monitor) flowVector(env sched.Host) []int {
+	n := len(m.pv)
 	if cap(m.fv) < n {
 		m.fv = make([]int, n)
 	}
@@ -169,9 +175,9 @@ func (m *monitor) flowVector(n int) []int {
 	for i := range fv {
 		fv[i] = 0
 	}
-	for _, f := range m.flows {
-		if f.PathIdx >= 0 && f.PathIdx < n {
-			fv[f.PathIdx]++
+	for id := range m.flows {
+		if p := env.FlowPath(id); p >= 0 && p < n {
+			fv[p]++
 		}
 	}
 	return fv

@@ -182,11 +182,10 @@ func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostSt
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		f := s.Flow(id)
-		if f == nil {
+		if s.Flow(id) == nil {
 			return fmt.Errorf("dard: snapshot monitor references unknown flow %d", id)
 		}
-		m.flows[id] = f
+		m.flows[id] = struct{}{}
 	}
 	hasPV := dec.Bool()
 	if err := dec.Err(); err != nil {

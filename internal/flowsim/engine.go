@@ -374,6 +374,25 @@ func (s *Sim) Flow(id int) *Flow {
 // IsActive reports whether the flow is still transferring.
 func (s *Sim) IsActive(f *Flow) bool { return f.active }
 
+// FlowPath returns the path index of the flow with the given ID.
+func (s *Sim) FlowPath(id int) int { return s.flows[id].PathIdx }
+
+// FlowActive reports whether the flow with the given ID is still
+// transferring (false before its arrival).
+func (s *Sim) FlowActive(id int) bool {
+	f := s.Flow(id)
+	return f != nil && f.active
+}
+
+// SetFlowPath is SetPath by flow ID.
+func (s *Sim) SetFlowPath(id, pathIdx int) error {
+	f := s.Flow(id)
+	if f == nil {
+		return fmt.Errorf("flowsim: no flow %d", id)
+	}
+	return s.SetPath(f, pathIdx)
+}
+
 // After schedules fn to run d seconds from now. Timers fire in timestamp
 // order (FIFO among equal timestamps) and are dropped once the workload
 // has drained. Timer events are pool-allocated: fired timers are

@@ -28,7 +28,7 @@ func TestPacketEngineOnClos(t *testing.T) {
 	}
 	rt, err := NewRuntime(Config{
 		Topo:        cl,
-		Policy:      NewDARD(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5}),
+		Policy:      dard.New(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5}),
 		Flows:       flows,
 		Seed:        8,
 		ElephantAge: 0.5,
@@ -58,7 +58,7 @@ func TestPacketEngineDeterministic(t *testing.T) {
 		ft := fatTree(t)
 		rt, err := NewRuntime(Config{
 			Topo:        ft,
-			Policy:      NewDARD(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5}),
+			Policy:      dard.New(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5}),
 			Flows:       flows,
 			Seed:        31,
 			ElephantAge: 0.25,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dard/internal/dard"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -31,7 +32,7 @@ func TestDARDPacketLevelRoutesAroundFailure(t *testing.T) {
 		{ID: 3, Src: 10, Dst: 7, SizeBits: mb(20), Arrival: 0},
 	}
 	link := failedLink(ft)
-	d := NewDARD(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Delta: 1e6})
+	d := dard.New(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Delta: 1e6})
 	rt, err := NewRuntime(Config{
 		Topo: ft, Policy: pinnedDARD{d}, Flows: flows, Seed: 3, ElephantAge: 0.25, MaxTime: 300,
 		LinkEvents: []LinkEvent{
@@ -75,7 +76,7 @@ func TestECMPPacketLevelRecoversAfterRepair(t *testing.T) {
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 4, SizeBits: mb(4), Arrival: 0}}
 	link := failedLink(ft)
 	rt, err := NewRuntime(Config{
-		Topo: ft, Policy: pinnedDARD{NewDARD(dard.Options{ScheduleInterval: 1e6})}, Flows: flows,
+		Topo: ft, Policy: pinnedDARD{dard.New(dard.Options{ScheduleInterval: 1e6})}, Flows: flows,
 		Seed: 3, ElephantAge: 1e6, MaxTime: 300,
 		LinkEvents: []LinkEvent{
 			{At: 0.1, Link: link, Down: true},
@@ -100,7 +101,7 @@ func TestECMPPacketLevelRecoversAfterRepair(t *testing.T) {
 func TestLinkEventValidation(t *testing.T) {
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 0}}
-	base := Config{Topo: ft, Policy: ECMP{}, Flows: flows, MaxTime: 10}
+	base := Config{Topo: ft, Policy: sched.ECMP{}, Flows: flows, MaxTime: 10}
 	cases := []struct {
 		name string
 		ev   LinkEvent
