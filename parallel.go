@@ -103,11 +103,3 @@ func CellSeed(base int64, topo *Topology, pat Pattern) int64 {
 	}
 	return parallel.Seed(base, topo.Name()+"/"+string(pat))
 }
-
-// Prewarm is a no-op kept for API compatibility. It used to fill the
-// materialized per-ToR-pair path cache — O(p^4) bytes per warm pair on a
-// fat-tree — so that concurrent scenarios would not contend on its lock.
-// Paths now resolve through implicit per-topology index tables built at
-// construction (topology.PathSet): there is nothing left to warm, and
-// nothing for concurrent runs to contend on.
-func (t *Topology) Prewarm() {}
