@@ -55,16 +55,24 @@ func goldenBase() Scenario {
 	}
 }
 
+// goldenAnnealingFileMB is the file size of the SimulatedAnnealing
+// cells. The centralized round period is fixed at 5 s, so the base's
+// 4 MB files would all finish before the first round; 32 MB keeps
+// elephants alive through several rounds on every family.
+const goldenAnnealingFileMB = 32
+
 // goldenCells is the control-plane golden matrix: both engines x three
-// families x every scheduler the engine runs (TeXCP on the packet engine
-// only) x the three patterns, the fail-then-repair schedule on both
-// engines, and DARD over a lossy, duplicating control channel on both
-// engines.
+// families x every scheduler the engine runs (SimulatedAnnealing on the
+// flow engine only, TeXCP on the packet engine only) x the three
+// patterns, the fail-then-repair schedule on both engines, and DARD over
+// a lossy, duplicating control channel on both engines.
 func goldenCells() map[string]Scenario {
 	cells := map[string]Scenario{}
 	for _, engine := range []Engine{EngineFlow, EnginePacket} {
 		schedulers := []Scheduler{SchedulerECMP, SchedulerPVLB, SchedulerDARD}
-		if engine == EnginePacket {
+		if engine == EngineFlow {
+			schedulers = append(schedulers, SchedulerAnnealing)
+		} else {
 			schedulers = append(schedulers, SchedulerTeXCP)
 		}
 		for _, topo := range goldenTopologies {
@@ -76,6 +84,9 @@ func goldenCells() map[string]Scenario {
 					s.RatePerHost = topo.rate
 					s.Scheduler = sch
 					s.Pattern = pat
+					if sch == SchedulerAnnealing {
+						s.FileSizeMB = goldenAnnealingFileMB
+					}
 					cells[string(engine)+"_"+topo.name+"_"+string(sch)+"_"+string(pat)] = s
 				}
 			}
@@ -90,23 +101,38 @@ func goldenCells() map[string]Scenario {
 	return cells
 }
 
-// goldenCheckpointEvents is the fixed event at which the checkpoint cell
-// pauses its DARD session.
-const goldenCheckpointEvents = 150
+// goldenCheckpoints are the checkpoint cells: a flow-engine session of
+// each checkpointing scheduler, paused at a fixed event while its
+// control plane has state to carry. DARD pauses with monitors live,
+// pVLB with re-pick timers pending, and SimulatedAnnealing after its
+// first round (t = 5 s) has filled the path-class memory.
+var goldenCheckpoints = map[string]struct {
+	sched  Scheduler
+	events int64
+}{
+	"flow_checkpoint":                    {SchedulerDARD, 150},
+	"flow_checkpoint_pVLB":               {SchedulerPVLB, 80},
+	"flow_checkpoint_SimulatedAnnealing": {SchedulerAnnealing, 60},
+}
 
-// checkpointCell runs a flow-engine DARD session to a fixed event,
-// snapshots it, and finishes the run from the snapshot bytes. The golden
-// records the snapshot's SHA-256 next to the final report, so any change
-// to the checkpoint format or to the control-plane state it carries
-// shows up as a diff.
-func checkpointCell(t *testing.T) any {
-	sess, err := NewSession(goldenBase())
+// checkpointCell runs a flow-engine session to a fixed event, snapshots
+// it, and finishes the run from the snapshot bytes. The golden records
+// the snapshot's SHA-256 next to the final report, so any change to the
+// checkpoint format or to the control-plane state it carries shows up
+// as a diff.
+func checkpointCell(t *testing.T, sch Scheduler, events int64) any {
+	s := goldenBase()
+	s.Scheduler = sch
+	if sch == SchedulerAnnealing {
+		s.FileSizeMB = goldenAnnealingFileMB
+	}
+	sess, err := NewSession(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.PauseAfter(goldenCheckpointEvents)
+	sess.PauseAfter(events)
 	if _, err := sess.Run(context.Background()); !errors.Is(err, ErrPaused) {
-		t.Fatalf("session did not pause at event %d: %v", goldenCheckpointEvents, err)
+		t.Fatalf("session did not pause at event %d: %v", events, err)
 	}
 	blob, err := sess.Snapshot()
 	if err != nil {
@@ -125,7 +151,7 @@ func checkpointCell(t *testing.T) any {
 		CheckpointEvents int64
 		CheckpointSHA256 string
 		Report           *Report
-	}{goldenCheckpointEvents, hex.EncodeToString(sum[:]), rep}
+	}{events, hex.EncodeToString(sum[:]), rep}
 }
 
 // TestControlPlaneGolden pins every control-plane cell's canonical
@@ -135,8 +161,13 @@ func checkpointCell(t *testing.T) any {
 // when a change in behaviour is intended, and list the changed cells
 // in the commit.
 func TestControlPlaneGolden(t *testing.T) {
-	cells := map[string]func(t *testing.T) any{"flow_checkpoint": checkpointCell}
+	cells := map[string]func(t *testing.T) any{}
+	for name, cp := range goldenCheckpoints {
+		cp := cp
+		cells[name] = func(t *testing.T) any { return checkpointCell(t, cp.sched, cp.events) }
+	}
 	shifted := map[Engine]bool{}
+	annealed := false
 	for name, s := range goldenCells() {
 		s := s
 		cells[name] = func(t *testing.T) any {
@@ -146,6 +177,9 @@ func TestControlPlaneGolden(t *testing.T) {
 			}
 			if s.Scheduler == SchedulerDARD && rep.DARDShifts > 0 {
 				shifted[s.Engine] = true
+			}
+			if s.Scheduler == SchedulerAnnealing && len(rep.PathSwitches) > 0 && rep.PathSwitches[len(rep.PathSwitches)-1] > 0 {
+				annealed = true
 			}
 			return rep
 		}
@@ -188,5 +222,8 @@ func TestControlPlaneGolden(t *testing.T) {
 		if !shifted[engine] {
 			t.Errorf("no DARD cell on the %s engine made a shift", engine)
 		}
+	}
+	if !annealed {
+		t.Error("no SimulatedAnnealing cell moved a flow")
 	}
 }
