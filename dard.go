@@ -43,6 +43,7 @@ import (
 	"dard/internal/sched"
 	"dard/internal/tcp"
 	"dard/internal/texcp"
+	"dard/internal/topology"
 	"dard/internal/trace"
 	"dard/internal/workload"
 )
@@ -383,8 +384,10 @@ func (s Scenario) openArrivals(topo *Topology) (*workload.OpenPoisson, error) {
 	return workload.NewOpenPoisson(topo.layout, s.workloadConfig(pattern))
 }
 
-// flowController builds the flow-engine scheduler for the scenario.
-func (s Scenario) flowController() (flowsim.Controller, error) {
+// policy builds the scenario's path policy, which either engine drives.
+// SimulatedAnnealing runs on the flow engine only and TeXCP on the
+// packet engine only.
+func (s Scenario) policy() (sched.Policy, error) {
 	switch s.Scheduler {
 	case SchedulerECMP:
 		return sched.ECMP{}, nil
@@ -393,19 +396,34 @@ func (s Scenario) flowController() (flowsim.Controller, error) {
 	case SchedulerDARD:
 		return idard.New(s.DARD.options(s.Seed)), nil
 	case SchedulerAnnealing:
+		if s.Engine != EngineFlow {
+			return nil, fmt.Errorf("dard: the centralized scheduler runs on Engine: EngineFlow")
+		}
 		return hedera.New(hedera.Options{}), nil
 	case SchedulerTeXCP:
-		return nil, fmt.Errorf("dard: TeXCP requires Engine: EnginePacket (per-packet splitting)")
+		if s.Engine != EnginePacket {
+			return nil, fmt.Errorf("dard: TeXCP requires Engine: EnginePacket (per-packet splitting)")
+		}
+		return texcp.New(), nil
 	}
 	return nil, fmt.Errorf("dard: unknown scheduler %q", s.Scheduler)
+}
+
+// dardCounters copies the DARD controller's shift and round counts into
+// the report; other policies leave them zero.
+func dardCounters(rep *Report, pol sched.Policy) {
+	if dc, ok := pol.(*idard.Controller); ok {
+		rep.DARDShifts = dc.Shifts
+		rep.DARDRounds = dc.Rounds
+	}
 }
 
 // flowConfig assembles the flow-engine configuration. Exactly one of
 // flows and arrivals is the workload; Run and Session both build their
 // engines from this, so a restored session reconstructs the same run an
 // uninterrupted one executes.
-func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource, tr trace.Tracer) (flowsim.Config, flowsim.Controller, error) {
-	ctl, err := s.flowController()
+func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource, tr trace.Tracer) (flowsim.Config, sched.Policy, error) {
+	ctl, err := s.policy()
 	if err != nil {
 		return flowsim.Config{}, nil, err
 	}
@@ -448,17 +466,14 @@ func (s Scenario) runFlow(ctx context.Context, topo *Topology, flows []workload.
 // finishFlowReport assembles the facade report from a completed flow-run:
 // the base metrics, the controller's DARD counters, and (when a window
 // width is configured) the steady-state windowed metrics.
-func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl flowsim.Controller, generated int) (*Report, error) {
+func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl sched.Policy, generated int) (*Report, error) {
 	rep := flowReport(s, topo, res)
 	rep.Flows = generated
 	if s.Steady {
 		// An open stream has no pre-generated count; report arrivals.
 		rep.Flows = len(res.Flows)
 	}
-	if dc, ok := ctl.(*idard.Controller); ok {
-		rep.DARDShifts = dc.Shifts
-		rep.DARDRounds = dc.Rounds
-	}
+	dardCounters(rep, ctl)
 	if s.WindowSec > 0 {
 		ws, err := steadyWindows(s.WindowSec, res)
 		if err != nil {
@@ -471,12 +486,12 @@ func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl flo
 
 // linkEvents resolves the scenario's named link failures to directed
 // link events (both directions of each duplex link).
-func (s Scenario) linkEvents(topo *Topology) ([]flowsim.LinkEvent, error) {
+func (s Scenario) linkEvents(topo *Topology) ([]topology.LinkEvent, error) {
 	if len(s.LinkFailures) == 0 {
 		return nil, nil
 	}
 	g := topo.net.Graph()
-	var events []flowsim.LinkEvent
+	var events []topology.LinkEvent
 	for _, lf := range s.LinkFailures {
 		if math.IsNaN(lf.AtSec) || math.IsInf(lf.AtSec, 0) || lf.AtSec < 0 {
 			return nil, fmt.Errorf("dard: link failure at invalid time %g", lf.AtSec)
@@ -494,36 +509,21 @@ func (s Scenario) linkEvents(topo *Topology) ([]flowsim.LinkEvent, error) {
 			return nil, fmt.Errorf("dard: no link between %q and %q", lf.From, lf.To)
 		}
 		events = append(events,
-			flowsim.LinkEvent{At: lf.AtSec, Link: l, Down: !lf.Repair},
-			flowsim.LinkEvent{At: lf.AtSec, Link: g.Reverse(l), Down: !lf.Repair},
+			topology.LinkEvent{At: lf.AtSec, Link: l, Down: !lf.Repair},
+			topology.LinkEvent{At: lf.AtSec, Link: g.Reverse(l), Down: !lf.Repair},
 		)
 	}
 	return events, nil
 }
 
 func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workload.Flow, tr trace.Tracer) (*Report, error) {
-	var pol psim.Policy
-	switch s.Scheduler {
-	case SchedulerECMP:
-		pol = sched.ECMP{}
-	case SchedulerPVLB:
-		pol = &sched.PVLB{Interval: s.VLBIntervalSec}
-	case SchedulerDARD:
-		pol = idard.New(s.DARD.options(s.Seed))
-	case SchedulerTeXCP:
-		pol = texcp.New()
-	case SchedulerAnnealing:
-		return nil, fmt.Errorf("dard: the centralized scheduler runs on Engine: EngineFlow")
-	default:
-		return nil, fmt.Errorf("dard: unknown scheduler %q", s.Scheduler)
+	pol, err := s.policy()
+	if err != nil {
+		return nil, err
 	}
 	events, err := s.linkEvents(topo)
 	if err != nil {
 		return nil, err
-	}
-	pevents := make([]psim.LinkEvent, len(events))
-	for i, ev := range events {
-		pevents[i] = psim.LinkEvent{At: ev.At, Link: ev.Link, Down: ev.Down}
 	}
 	rt, err := psim.NewRuntime(psim.Config{
 		Topo:          topo.net,
@@ -532,7 +532,7 @@ func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workloa
 		Seed:          s.Seed,
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
-		LinkEvents:    pevents,
+		LinkEvents:    events,
 		TCP:           tcp.Options{},
 		Tracer:        tr,
 		ProbeInterval: s.probeInterval(),
@@ -546,9 +546,6 @@ func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workloa
 	}
 	rep := packetReport(s, topo, res)
 	rep.Flows = len(flows)
-	if dc, ok := pol.(*idard.Controller); ok {
-		rep.DARDShifts = dc.Shifts
-		rep.DARDRounds = dc.Rounds
-	}
+	dardCounters(rep, pol)
 	return rep, nil
 }

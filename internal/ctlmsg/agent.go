@@ -7,8 +7,9 @@ import (
 )
 
 // StateSource is the view of the network a switch agent answers queries
-// from. Both simulation engines implement it (flowsim.Sim natively;
-// psim.Runtime through its elephant counters).
+// from. Both simulation engines implement it as part of sched.Host, the
+// surface every path policy runs on (flowsim.Sim from its active-flow
+// routes; psim.Runtime through its elephant counters).
 type StateSource interface {
 	// Topo returns the topology.
 	Topo() topology.Network

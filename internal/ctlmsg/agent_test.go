@@ -1,9 +1,13 @@
-package ctlmsg
+// External test package: the agent is exercised on a live flowsim run,
+// and flowsim imports ctlmsg (through sched).
+package ctlmsg_test
 
 import (
 	"testing"
 
+	"dard/internal/ctlmsg"
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -11,9 +15,8 @@ import (
 // nullController keeps flowsim happy for agent tests.
 type nullController struct{}
 
-func (nullController) Name() string                               { return "null" }
-func (nullController) Start(*flowsim.Sim)                         {}
-func (nullController) AssignPath(*flowsim.Sim, *flowsim.Flow) int { return 0 }
+func (nullController) Name() string                           { return "null" }
+func (nullController) InitialPath(sched.Host, sched.Flow) int { return 0 }
 
 func testSim(t *testing.T) (*flowsim.Sim, *topology.FatTree) {
 	t.Helper()
@@ -39,18 +42,18 @@ func TestAgentServesPortStates(t *testing.T) {
 	done := false
 	probeAt := func(sim *flowsim.Sim) {
 		aggr := ft.AggrsOfPod(0)[0]
-		agent, err := NewSwitchAgent(sim, aggr)
+		agent, err := ctlmsg.NewSwitchAgent(sim, aggr)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		qb, _ := Query{SwitchID: uint32(aggr), SeqNo: 7}.MarshalBinary()
+		qb, _ := ctlmsg.Query{SwitchID: uint32(aggr), SeqNo: 7}.MarshalBinary()
 		rb, err := agent.Serve(qb)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		var reply Reply
+		var reply ctlmsg.Reply
 		if err := reply.UnmarshalBinary(rb); err != nil {
 			t.Error(err)
 			return
@@ -98,24 +101,24 @@ func (p *probeController) Name() string { return "probe" }
 func (p *probeController) Start(s *flowsim.Sim) {
 	s.After(1, func() { p.probe(s) })
 }
-func (p *probeController) AssignPath(*flowsim.Sim, *flowsim.Flow) int { return 0 }
+func (p *probeController) InitialPath(sched.Host, sched.Flow) int { return 0 }
 
 func TestAgentValidation(t *testing.T) {
 	s, ft := testSim(t)
-	if _, err := NewSwitchAgent(s, ft.Hosts()[0]); err == nil {
+	if _, err := ctlmsg.NewSwitchAgent(s, ft.Hosts()[0]); err == nil {
 		t.Error("host agent should fail")
 	}
-	if _, err := NewSwitchAgent(s, topology.NodeID(99999)); err == nil {
+	if _, err := ctlmsg.NewSwitchAgent(s, topology.NodeID(99999)); err == nil {
 		t.Error("unknown switch should fail")
 	}
-	agent, err := NewSwitchAgent(s, ft.Cores()[0])
+	agent, err := ctlmsg.NewSwitchAgent(s, ft.Cores()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agent.Serve([]byte("junk")); err == nil {
 		t.Error("junk query should fail")
 	}
-	qb, _ := Query{SwitchID: uint32(ft.Cores()[1])}.MarshalBinary()
+	qb, _ := ctlmsg.Query{SwitchID: uint32(ft.Cores()[1])}.MarshalBinary()
 	if _, err := agent.Serve(qb); err == nil {
 		t.Error("misdelivered query should fail")
 	}

@@ -45,10 +45,29 @@ func TestFaultsEnabled(t *testing.T) {
 	}
 }
 
-// faultRig builds an agent over a live sim plus a marshaled query for it.
+// idleState is the switch state of an idle fabric, what an engine
+// reports before its first event: nominal capacities and no elephants.
+type idleState struct{ *topology.FatTree }
+
+func (s idleState) Topo() topology.Network                 { return s.FatTree }
+func (idleState) ElephantsOnLink(topology.LinkID) int      { return 0 }
+func (s idleState) LinkCapacity(l topology.LinkID) float64 { return s.Graph().Link(l).Capacity }
+
+// idleFabric returns the state of an idle p=4 fat-tree.
+func idleFabric(t *testing.T) (idleState, *topology.FatTree) {
+	t.Helper()
+	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idleState{ft}, ft
+}
+
+// faultRig builds an agent over an idle fabric plus a marshaled query
+// for it.
 func faultRig(t *testing.T) (*SwitchAgent, []byte) {
 	t.Helper()
-	s, ft := testSim(t)
+	s, ft := idleFabric(t)
 	aggr := ft.AggrsOfPod(0)[0]
 	agent, err := NewSwitchAgent(s, aggr)
 	if err != nil {
@@ -158,7 +177,7 @@ func TestBackoffDoubles(t *testing.T) {
 }
 
 func TestAgentLinksStable(t *testing.T) {
-	s, ft := testSim(t)
+	s, ft := idleFabric(t)
 	aggr := ft.AggrsOfPod(0)[0]
 	agent, err := NewSwitchAgent(s, aggr)
 	if err != nil {

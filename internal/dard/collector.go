@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dard/internal/ctlmsg"
-	"dard/internal/flowsim"
 	"dard/internal/fpcmp"
 	"dard/internal/sched"
 	"dard/internal/topology"
@@ -203,14 +202,14 @@ func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytes
 		// Delivery and retry timers carry no checkpoint descriptor:
 		// runs with faults refuse to snapshot (snapshot.go).
 		if ch.Delay() > 0 {
-			c.env.AfterRef(ch.Delay(), flowsim.TimerRef{}, deliver)
+			c.env.AfterRef(ch.Delay(), sched.TimerRef{}, deliver)
 		} else {
 			deliver()
 		}
 		return
 	}
 	if attempt < c.retryMax {
-		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(c.backoff, attempt), flowsim.TimerRef{}, func() {
+		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(c.backoff, attempt), sched.TimerRef{}, func() {
 			c.collectSwitch(sw, seq, attempt+1, bytes, resolve)
 		})
 		return

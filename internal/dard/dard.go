@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"dard/internal/ctlmsg"
-	"dard/internal/flowsim"
 	"dard/internal/fpcmp"
 	"dard/internal/sched"
 	"dard/internal/topology"
@@ -129,10 +128,9 @@ func (o *Options) applyDefaults() {
 
 // Controller is the DARD end-host control plane. Flows start on their
 // ECMP hash path (DARD uses ECMP as the default routing mechanism, §2.4)
-// and elephants are adaptively re-routed by their source host. It is
-// written against sched.Host, so the same controller runs on the flow
-// engine (as a flowsim.Controller) and on the packet runtime (as a
-// psim.Policy and psim.Observer).
+// and elephants are adaptively re-routed by their source host. It is a
+// sched.Policy and sched.Observer written against sched.Host, so the
+// same controller runs on the flow engine and on the packet runtime.
 //
 //dardsnap:fields encoder=Controller.SnapshotState decoder=Controller.RestoreState
 type Controller struct {
@@ -153,9 +151,8 @@ type Controller struct {
 }
 
 var (
-	_ flowsim.Controller       = (*Controller)(nil)
-	_ flowsim.FlowObserver     = (*Controller)(nil)
-	_ flowsim.ElephantObserver = (*Controller)(nil)
+	_ sched.Policy   = (*Controller)(nil)
+	_ sched.Observer = (*Controller)(nil)
 )
 
 // FlowProgress is an optional host capability: per-flow transport
@@ -179,39 +176,23 @@ func New(opts Options) *Controller {
 	}
 }
 
-// Name implements flowsim.Controller and psim.Policy.
+// Name implements sched.Policy.
 func (c *Controller) Name() string { return "DARD" }
 
 // Options returns the effective (defaulted) options.
 func (c *Controller) Options() Options { return c.opts }
 
-// Start implements flowsim.Controller; DARD needs no global setup — all
-// state is created on demand as elephants appear.
-func (c *Controller) Start(*flowsim.Sim) {}
-
-// AssignPath implements flowsim.Controller through InitialPath.
-func (c *Controller) AssignPath(s *flowsim.Sim, f *flowsim.Flow) int {
-	return c.InitialPath(s, sched.FlowOf(f))
-}
-
-// OnArrival implements flowsim.FlowObserver.
-func (c *Controller) OnArrival(*flowsim.Sim, *flowsim.Flow) {}
-
-// OnElephant implements flowsim.ElephantObserver through Elephant.
-func (c *Controller) OnElephant(s *flowsim.Sim, f *flowsim.Flow) { c.Elephant(s, sched.FlowOf(f)) }
-
-// OnDepart implements flowsim.FlowObserver through Departed.
-func (c *Controller) OnDepart(s *flowsim.Sim, f *flowsim.Flow) { c.Departed(s, sched.FlowOf(f)) }
-
-// InitialPath implements psim.Policy with the ECMP default route.
+// InitialPath implements sched.Policy with the ECMP default route. DARD
+// needs no global setup: all state is created on demand as elephants
+// appear.
 func (c *Controller) InitialPath(env sched.Host, f sched.Flow) int {
 	return sched.ECMP{}.InitialPath(env, f)
 }
 
-// Arrived implements psim.Observer; DARD acts on elephants only.
+// Arrived implements sched.Observer; DARD acts on elephants only.
 func (c *Controller) Arrived(sched.Host, sched.Flow) {}
 
-// Elephant implements psim.Observer: it registers the elephant with its
+// Elephant implements sched.Observer: it registers the elephant with its
 // source host's monitor for the destination ToR, creating the monitor on
 // demand (§2.4.1).
 func (c *Controller) Elephant(env sched.Host, f sched.Flow) {
@@ -233,7 +214,7 @@ func (c *Controller) Elephant(env sched.Host, f sched.Flow) {
 	}
 }
 
-// Departed implements psim.Observer: it releases an elephant from its
+// Departed implements sched.Observer: it releases an elephant from its
 // monitor; a monitor with no elephant flows left is released (§2.4.1).
 func (c *Controller) Departed(_ sched.Host, f sched.Flow) {
 	h := c.hosts[f.Src]

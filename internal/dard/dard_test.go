@@ -26,7 +26,7 @@ type path0Controller struct {
 	*Controller
 }
 
-func (path0Controller) AssignPath(*flowsim.Sim, *flowsim.Flow) int { return 0 }
+func (path0Controller) InitialPath(sched.Host, sched.Flow) int { return 0 }
 
 // TestFigure1Convergence reproduces the toy example of §2.2: three
 // elephant flows all forced through core1. DARD's selfish scheduling must
@@ -179,7 +179,6 @@ type hookController struct {
 }
 
 func (h *hookController) Start(s *flowsim.Sim) {
-	h.Controller.Start(s)
 	var tick func()
 	tick = func() {
 		if h.done {
@@ -277,7 +276,7 @@ func TestDARDBeatsStaticCollision(t *testing.T) {
 			ID: i, Src: i, Dst: 8 + i, SizeBits: 20e9, Arrival: 0,
 		})
 	}
-	runWith := func(c flowsim.Controller) float64 {
+	runWith := func(c sched.Policy) float64 {
 		s, err := flowsim.New(flowsim.Config{Net: ft, Controller: c, Flows: flows, Seed: 5, ElephantAge: 0.5})
 		if err != nil {
 			t.Fatal(err)

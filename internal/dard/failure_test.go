@@ -27,7 +27,7 @@ func TestDARDRoutesAroundFailure(t *testing.T) {
 		Flows:       flows,
 		Seed:        1,
 		ElephantAge: 0.25,
-		LinkEvents:  []flowsim.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
 		MaxTime:     30,
 	})
 	if err != nil {
@@ -67,7 +67,7 @@ func lossyRun(t *testing.T, f ctlmsg.Faults) *flowsim.Results {
 		Flows:       flows,
 		Seed:        1,
 		ElephantAge: 0.25,
-		LinkEvents:  []flowsim.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
 		MaxTime:     60,
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dard/internal/ctlmsg"
-	"dard/internal/flowsim"
 	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -104,8 +103,8 @@ func (m *monitor) scheduleQuery(env sched.Host) {
 	env.AfterRef(first, m.tickRef(), m.tickFn(env))
 }
 
-func (m *monitor) tickRef() flowsim.TimerRef {
-	return flowsim.TimerRef{Tag: timerTagQuery, A: m.serial}
+func (m *monitor) tickRef() sched.TimerRef {
+	return sched.TimerRef{Tag: timerTagQuery, A: m.serial}
 }
 
 // tickFn builds one firing of the monitor's query chain; restore rebinds

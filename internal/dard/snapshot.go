@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/snap"
 	"dard/internal/topology"
 )
@@ -33,14 +34,14 @@ import (
 const (
 	// timerTagQuery marks a monitor's periodic query tick; operand A is
 	// the monitor serial.
-	timerTagQuery = flowsim.TagControllerBase
+	timerTagQuery = sched.TagControllerBase
 	// timerTagRound marks a host's selfish-scheduling round; operand A is
 	// the host's node ID.
-	timerTagRound = flowsim.TagControllerBase + 1
+	timerTagRound = sched.TagControllerBase + 1
 )
 
-func roundRef(n topology.NodeID) flowsim.TimerRef {
-	return flowsim.TimerRef{Tag: timerTagRound, A: int64(n)}
+func roundRef(n topology.NodeID) sched.TimerRef {
+	return sched.TimerRef{Tag: timerTagRound, A: int64(n)}
 }
 
 var _ flowsim.SnapshotController = (*Controller)(nil)
@@ -48,7 +49,7 @@ var _ flowsim.SnapshotController = (*Controller)(nil)
 // SnapshotState implements flowsim.SnapshotController. Hosts and
 // monitors are encoded in sorted key order so identical logical states
 // yield identical bytes.
-func (c *Controller) SnapshotState(s *flowsim.Sim, enc *snap.Encoder) error {
+func (c *Controller) SnapshotState(_ sched.Host, enc *snap.Encoder) error {
 	if c.opts.Faults.Enabled() {
 		return fmt.Errorf("%w: DARD with control-channel faults (channel RNG and retry chains cannot be serialized)", flowsim.ErrUnsnapshottable)
 	}
@@ -106,10 +107,10 @@ func (c *Controller) SnapshotState(s *flowsim.Sim, enc *snap.Encoder) error {
 }
 
 // RestoreState implements flowsim.SnapshotController: it rebuilds the
-// host daemons and monitors inside the restored Sim. Timers (round
+// host daemons and monitors inside the restored run. Timers (round
 // chains and query ticks) are restored separately by the engine through
 // RebuildTimer, so no scheduling happens here.
-func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
+func (c *Controller) RestoreState(env sched.Host, dec *snap.Decoder) error {
 	if c.opts.Faults.Enabled() {
 		return fmt.Errorf("%w: DARD with control-channel faults", flowsim.ErrUnsnapshottable)
 	}
@@ -120,7 +121,7 @@ func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	g := s.Net().Graph()
+	g := env.Topo().Graph()
 	nodeMax := topology.NodeID(g.NumNodes())
 	for i := 0; i < nHosts; i++ {
 		n := topology.NodeID(dec.I64())
@@ -138,7 +139,7 @@ func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
 		h := c.host(n)
 		h.roundActive = roundActive
 		for j := 0; j < nMon; j++ {
-			if err := c.restoreMonitor(s, n, h, dec); err != nil {
+			if err := c.restoreMonitor(env, n, h, dec); err != nil {
 				return err
 			}
 		}
@@ -152,7 +153,7 @@ func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
 	return dec.Err()
 }
 
-func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostState, dec *snap.Decoder) error {
+func (c *Controller) restoreMonitor(env sched.Host, n topology.NodeID, h *hostState, dec *snap.Decoder) error {
 	key := monitorKey(dec.I64())
 	serial := dec.I64()
 	dstToR := topology.NodeID(dec.I64())
@@ -160,7 +161,7 @@ func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostSt
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	g := s.Net().Graph()
+	g := env.Topo().Graph()
 	if dstToR < 0 || dstToR >= topology.NodeID(g.NumNodes()) {
 		return fmt.Errorf("dard: snapshot monitor names non-attachment destination %d", dstToR)
 	}
@@ -170,11 +171,11 @@ func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostSt
 	if h.monitors[key] != nil {
 		return fmt.Errorf("dard: snapshot repeats monitor key %d on host %d", key, n)
 	}
-	srcToR := s.Net().ToROf(n)
+	srcToR := env.Topo().ToROf(n)
 	if srcToR == dstToR {
 		return fmt.Errorf("dard: snapshot monitor on host %d covers its own ToR", n)
 	}
-	m := newMonitor(s, c, n, srcToR, dstToR)
+	m := newMonitor(env, c, n, srcToR, dstToR)
 	m.serial = serial
 	h.monitors[key] = m
 	for i := 0; i < nFlows; i++ {
@@ -182,7 +183,7 @@ func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostSt
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if s.Flow(id) == nil {
+		if _, ok := env.FlowByID(id); !ok {
 			return fmt.Errorf("dard: snapshot monitor references unknown flow %d", id)
 		}
 		m.flows[id] = struct{}{}
@@ -226,7 +227,7 @@ func (c *Controller) restoreMonitor(s *flowsim.Sim, n topology.NodeID, h *hostSt
 }
 
 // RebuildTimer implements flowsim.SnapshotController.
-func (c *Controller) RebuildTimer(s *flowsim.Sim, ref flowsim.TimerRef) (func(), error) {
+func (c *Controller) RebuildTimer(env sched.Host, ref sched.TimerRef) (func(), error) {
 	switch ref.Tag {
 	case timerTagQuery:
 		// A serial with no live monitor is a released monitor's stale
@@ -236,7 +237,7 @@ func (c *Controller) RebuildTimer(s *flowsim.Sim, ref flowsim.TimerRef) (func(),
 			//dardlint:ordered serials are run-unique, so at most one monitor matches regardless of iteration order
 			for _, m := range h.monitors {
 				if m.serial == ref.A {
-					return m.tickFn(s), nil
+					return m.tickFn(env), nil
 				}
 			}
 		}
@@ -247,7 +248,7 @@ func (c *Controller) RebuildTimer(s *flowsim.Sim, ref flowsim.TimerRef) (func(),
 		if h == nil {
 			return nil, fmt.Errorf("dard: snapshot round timer references unknown host %d", ref.A)
 		}
-		return c.roundFn(s, n, h), nil
+		return c.roundFn(env, n, h), nil
 	}
 	return nil, fmt.Errorf("dard: unknown timer tag %d", ref.Tag)
 }

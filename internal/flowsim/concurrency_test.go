@@ -35,8 +35,8 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	controllers := func() []flowsim.Controller {
-		return []flowsim.Controller{
+	controllers := func() []sched.Policy {
+		return []sched.Policy{
 			sched.ECMP{},
 			&sched.PVLB{Interval: 2},
 			idard.New(idard.Options{QueryInterval: 0.25, ScheduleInterval: 1, ScheduleJitter: 1}),
@@ -44,7 +44,7 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 		}
 	}
 
-	runOne := func(ctl flowsim.Controller) (*flowsim.Results, error) {
+	runOne := func(ctl sched.Policy) (*flowsim.Results, error) {
 		sim, err := flowsim.New(flowsim.Config{
 			Net:         ft,
 			Controller:  ctl,

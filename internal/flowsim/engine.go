@@ -9,6 +9,7 @@ import (
 
 	"dard/internal/fpcmp"
 	"dard/internal/parallel"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
 	"dard/internal/workload"
@@ -18,24 +19,14 @@ import (
 // an elephant (§3.1's Elephant Flow Detector).
 const DefaultElephantAge = 1.0
 
-// LinkEvent schedules a link failure or repair during the run: at time
-// At, the link's capacity drops to zero (Down) or returns to nominal.
-// Both directions of a duplex link are separate events. Failure injection
-// exercises DARD's adaptivity: a dead link's BoNF collapses to zero, so
-// monitors shift elephants off it within a scheduling round, while static
-// schedulers strand their flows.
-type LinkEvent struct {
-	At   float64
-	Link topology.LinkID
-	Down bool
-}
-
 // Config parameterizes a simulation run.
 type Config struct {
 	// Net is the topology to simulate on.
 	Net topology.Network
-	// Controller is the flow scheduling strategy.
-	Controller Controller
+	// Controller is the flow scheduling policy. The engine notifies it of
+	// flow lifecycle events if it implements sched.Observer, and calls
+	// its Start once before the first event if it implements Starter.
+	Controller sched.Policy
 	// Flows is the workload, sorted by arrival time.
 	Flows []workload.Flow
 	// Arrivals streams an open-ended workload instead of Flows (exactly
@@ -54,7 +45,7 @@ type Config struct {
 	// 1e6 seconds.
 	MaxTime float64
 	// LinkEvents schedules link failures and repairs.
-	LinkEvents []LinkEvent
+	LinkEvents []topology.LinkEvent
 	// Tracer receives structured events (flow lifecycle, path switches,
 	// link failures, control messages) and probe samples. Nil disables
 	// tracing.
@@ -93,8 +84,9 @@ func (c Config) intraWorkers() int {
 	return parallel.Workers(c.IntraWorkers)
 }
 
-// Sim is one simulation run. Controllers receive it in their callbacks to
-// inspect state, reroute flows, and schedule timers.
+// Sim is one simulation run. It implements sched.Host: policies receive
+// it in their callbacks to inspect state, reroute flows, and schedule
+// timers.
 //
 // The directive below registers Sim with the snapfield analyzer: every
 // field must be referenced by the snapshot encoder or restore decoder
@@ -106,6 +98,9 @@ func (c Config) intraWorkers() int {
 //dardsnap:fields encoder=Sim.Snapshot decoder=Sim.restore
 type Sim struct {
 	cfg Config
+	// obs is the Controller's sched.Observer side, resolved once by New
+	// (nil when the policy observes nothing).
+	obs sched.Observer   //dardlint:snapfield derived from Config.Controller by New; a restored run re-derives it
 	net topology.Network //dardlint:snapfield topology is configuration, not state; restore re-derives it from the run's Config
 	g   *topology.Graph
 	rng *rand.Rand //dardlint:snapfield New rebuilds it around rngSrc; the stream position is rngSrc's draw count
@@ -131,7 +126,7 @@ type Sim struct {
 	timerSeq  int64
 
 	// started latches the one-time Run setup (link-event timers,
-	// Controller.Start) so a paused run can re-enter Run without
+	// Starter.Start) so a paused run can re-enter Run without
 	// re-scheduling them.
 	started bool
 	// events counts dispatched events (completions, arrivals, timers).
@@ -269,6 +264,7 @@ func New(cfg Config) (*Sim, error) {
 		lheap:     newLinkHeap(g.NumLinks()),
 		tracer:    trace.OrNop(cfg.Tracer),
 	}
+	s.obs, _ = cfg.Controller.(sched.Observer)
 	if cfg.Arrivals != nil {
 		s.arrivals = cfg.Arrivals
 	} else {
@@ -326,10 +322,7 @@ func (s *Sim) growFlows(n int) {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Net returns the topology.
-func (s *Sim) Net() topology.Network { return s.net }
-
-// Topo returns the topology (alias satisfying ctlmsg.StateSource).
+// Topo returns the topology (ctlmsg.StateSource).
 func (s *Sim) Topo() topology.Network { return s.net }
 
 // Rand returns the run's deterministic random source.
@@ -371,8 +364,15 @@ func (s *Sim) Flow(id int) *Flow {
 	return s.flows[id]
 }
 
-// IsActive reports whether the flow is still transferring.
-func (s *Sim) IsActive(f *Flow) bool { return f.active }
+// FlowByID returns the identity of the flow with the given ID
+// (sched.Host); ok is false before its arrival.
+func (s *Sim) FlowByID(id int) (sched.Flow, bool) {
+	f := s.Flow(id)
+	if f == nil {
+		return sched.Flow{}, false
+	}
+	return f.Flow, true
+}
 
 // FlowPath returns the path index of the flow with the given ID.
 func (s *Sim) FlowPath(id int) int { return s.flows[id].PathIdx }
@@ -402,12 +402,13 @@ func (s *Sim) SetFlowPath(id, pathIdx int) error {
 // Snapshot fails while one is pending. Control loops that must survive
 // a checkpoint schedule through AfterRef instead.
 func (s *Sim) After(d float64, fn func()) {
-	s.AfterRef(d, TimerRef{}, fn)
+	s.AfterRef(d, sched.TimerRef{}, fn)
 }
 
-// AfterRef schedules fn like After and records a TimerRef describing
-// how to rebuild the closure on restore (see SnapshotController).
-func (s *Sim) AfterRef(d float64, ref TimerRef, fn func()) {
+// AfterRef schedules fn like After and records a sched.TimerRef
+// describing how to rebuild the closure on restore (see
+// SnapshotController).
+func (s *Sim) AfterRef(d float64, ref sched.TimerRef, fn func()) {
 	if d < 0 {
 		d = 0
 	}
@@ -435,7 +436,7 @@ func (s *Sim) newTimer() *timer {
 // so the free list never pins controller state.
 func (s *Sim) freeTimer(tm *timer) {
 	tm.fn = nil
-	tm.ref = TimerRef{}
+	tm.ref = sched.TimerRef{}
 	s.timerFree = append(s.timerFree, tm)
 }
 
@@ -659,7 +660,9 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			ev := ev
 			s.AfterRef(ev.At-s.now, linkEventRef(ev), func() { s.SetLinkDown(ev.Link, ev.Down) })
 		}
-		s.cfg.Controller.Start(s)
+		if st, ok := s.cfg.Controller.(Starter); ok {
+			st.Start(s)
+		}
 	}
 	for {
 		_, hasPending := s.arrivals.Peek()
@@ -794,10 +797,12 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.growFlows(wf.ID + 1)
 	s.arrived = wf.ID + 1
 	f := s.flowAt(wf.ID)
+	src, dst := hosts[wf.Src], hosts[wf.Dst]
 	*f = Flow{
-		ID:       wf.ID,
-		Src:      hosts[wf.Src],
-		Dst:      hosts[wf.Dst],
+		Flow: sched.Flow{
+			ID: wf.ID, Src: src, Dst: dst,
+			SrcToR: s.net.ToROf(src), DstToR: s.net.ToROf(dst),
+		},
 		SizeBits: wf.SizeBits,
 		Arrival:  s.now,
 		Finish:   math.NaN(),
@@ -812,12 +817,10 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.finishAt[wf.ID] = math.Inf(1)
 	s.activeIdx[wf.ID] = -1
 	s.heapIdx[wf.ID] = -1
-	f.SrcToR = s.net.ToROf(f.Src)
-	f.DstToR = s.net.ToROf(f.Dst)
 	s.flows[wf.ID] = f
 
 	ps := s.net.PathSet(f.SrcToR, f.DstToR)
-	idx := s.cfg.Controller.AssignPath(s, f)
+	idx := s.cfg.Controller.InitialPath(s, f.Flow)
 	if idx < 0 || idx >= ps.Len() {
 		idx = 0
 	}
@@ -850,8 +853,8 @@ func (s *Sim) arrive(wf workload.Flow) {
 			})
 		}
 	}
-	if obs, ok := s.cfg.Controller.(FlowObserver); ok {
-		obs.OnArrival(s, f)
+	if s.obs != nil {
+		s.obs.Arrived(s, f.Flow)
 	}
 }
 
@@ -865,8 +868,8 @@ func (s *Sim) classifyElephant(f *Flow) {
 		s.peakElephants = s.curElephants
 	}
 	s.stateVersion++ // elephant link counts changed
-	if obs, ok := s.cfg.Controller.(ElephantObserver); ok {
-		obs.OnElephant(s, f)
+	if s.obs != nil {
+		s.obs.Elephant(s, f.Flow)
 	}
 }
 
@@ -898,7 +901,7 @@ func (s *Sim) complete(f *Flow) {
 		s.done.remove(int32(f.ID))
 	}
 	s.markStateChanged()
-	if obs, ok := s.cfg.Controller.(FlowObserver); ok {
-		obs.OnDepart(s, f)
+	if s.obs != nil {
+		s.obs.Departed(s, f.Flow)
 	}
 }

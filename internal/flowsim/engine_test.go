@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
 
 // staticController always assigns path 0 and provides hooks for tests.
 type staticController struct {
-	pathIdx   func(s *Sim, f *Flow) int
+	pathIdx   func(s *Sim, f sched.Flow) int
 	onStart   func(s *Sim)
 	arrivals  int
 	departs   int
@@ -26,16 +27,16 @@ func (c *staticController) Start(s *Sim) {
 	}
 }
 
-func (c *staticController) AssignPath(s *Sim, f *Flow) int {
+func (c *staticController) InitialPath(h sched.Host, f sched.Flow) int {
 	if c.pathIdx != nil {
-		return c.pathIdx(s, f)
+		return c.pathIdx(h.(*Sim), f)
 	}
 	return 0
 }
 
-func (c *staticController) OnArrival(*Sim, *Flow)  { c.arrivals++ }
-func (c *staticController) OnDepart(*Sim, *Flow)   { c.departs++ }
-func (c *staticController) OnElephant(*Sim, *Flow) { c.elephants++ }
+func (c *staticController) Arrived(sched.Host, sched.Flow)  { c.arrivals++ }
+func (c *staticController) Departed(sched.Host, sched.Flow) { c.departs++ }
+func (c *staticController) Elephant(sched.Host, sched.Flow) { c.elephants++ }
 
 func testFatTree(t *testing.T) *topology.FatTree {
 	t.Helper()
@@ -96,7 +97,7 @@ func TestMaxMinUnevenBottlenecks(t *testing.T) {
 	// Flows 0 and 1 leave host 0 (shared 1 Gbps uplink -> 0.5 each).
 	// Flow 2 leaves host 2 alone and is capped only by its own links, so
 	// max-min gives it the leftover: with distinct paths it gets 1 Gbps.
-	ctl := &staticController{pathIdx: func(s *Sim, f *Flow) int { return f.ID }}
+	ctl := &staticController{pathIdx: func(s *Sim, f sched.Flow) int { return f.ID }}
 	flows := []workload.Flow{
 		{ID: 0, Src: 0, Dst: 8, SizeBits: 1e9, Arrival: 0},
 		{ID: 1, Src: 0, Dst: 12, SizeBits: 1e9, Arrival: 0},
@@ -181,7 +182,7 @@ func TestElephantClassification(t *testing.T) {
 		t.Error("2s flow not classified as elephant")
 	}
 	if ctl.elephants != 1 {
-		t.Errorf("OnElephant fired %d times, want 1", ctl.elephants)
+		t.Errorf("Elephant fired %d times, want 1", ctl.elephants)
 	}
 	if r.PeakElephants != 1 {
 		t.Errorf("PeakElephants = %d, want 1", r.PeakElephants)
@@ -262,7 +263,7 @@ func TestBoNFQueries(t *testing.T) {
 			if !f.Elephant {
 				t.Error("flow should be an elephant by t=1.5")
 			}
-			up := s.Net().HostUplink(f.Src)
+			up := s.Topo().HostUplink(f.Src)
 			if n := s.ElephantsOnLink(up); n != 1 {
 				t.Errorf("elephants on uplink = %d, want 1", n)
 			}
@@ -369,7 +370,7 @@ func TestMaxMinProperty(t *testing.T) {
 			}
 			flows[i] = workload.Flow{ID: i, Src: src, Dst: dst, SizeBits: 1e9, Arrival: 0}
 		}
-		ctl := &staticController{pathIdx: func(s *Sim, f *Flow) int {
+		ctl := &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
 			return rng.Intn(len(s.Paths(f.SrcToR, f.DstToR)))
 		}}
 		var sim *Sim
@@ -405,7 +406,7 @@ func (h *runHelper) run(cfg Config) (*Results, error) {
 
 func checkMaxMin(t *testing.T, s *Sim) {
 	t.Helper()
-	g := s.Net().Graph()
+	g := s.Topo().Graph()
 	load := make(map[topology.LinkID]float64)
 	maxRate := make(map[topology.LinkID]float64)
 	for _, f := range s.Active() {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -63,8 +64,8 @@ func fabricLinks(g *topology.Graph) []topology.LinkID {
 }
 
 // duplexEvent fails (or repairs) both directions of a duplex link.
-func duplexEvent(g *topology.Graph, at float64, l topology.LinkID, down bool) []LinkEvent {
-	return []LinkEvent{
+func duplexEvent(g *topology.Graph, at float64, l topology.LinkID, down bool) []topology.LinkEvent {
+	return []topology.LinkEvent{
 		{At: at, Link: l, Down: down},
 		{At: at, Link: g.Reverse(l), Down: down},
 	}
@@ -114,8 +115,8 @@ func (c *switchingController) Start(s *Sim) {
 	s.After(c.interval, tick)
 }
 
-func (c *switchingController) AssignPath(s *Sim, f *Flow) int {
-	return s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))
+func (c *switchingController) InitialPath(h sched.Host, f sched.Flow) int {
+	return h.Rand().Intn(len(h.(*Sim).Paths(f.SrcToR, f.DstToR)))
 }
 
 // TestReferenceEquivalence runs randomized workloads with path churn and
@@ -128,7 +129,7 @@ func TestReferenceEquivalence(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		flows := randomFlows(rng, 5+rng.Intn(60), 16, 2e9)
-		var events []LinkEvent
+		var events []topology.LinkEvent
 		if trial%2 == 0 {
 			l := fabric[rng.Intn(len(fabric))]
 			events = append(events, duplexEvent(g, 0.5, l, true)...)
@@ -181,8 +182,8 @@ func (c *batchController) Start(s *Sim) {
 	s.After(c.interval, tick)
 }
 
-func (c *batchController) AssignPath(s *Sim, f *Flow) int {
-	return s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))
+func (c *batchController) InitialPath(h sched.Host, f sched.Flow) int {
+	return h.Rand().Intn(len(h.(*Sim).Paths(f.SrcToR, f.DstToR)))
 }
 
 // TestIntraWorkersEquivalence pins the component-parallel recompute's
@@ -196,7 +197,7 @@ func TestIntraWorkersEquivalence(t *testing.T) {
 	fabric := fabricLinks(g)
 	rng := rand.New(rand.NewSource(42))
 	flows := randomFlows(rng, 48, 16, 2e9)
-	var events []LinkEvent
+	var events []topology.LinkEvent
 	l := fabric[rng.Intn(len(fabric))]
 	events = append(events, duplexEvent(g, 0.6, l, true)...)
 	events = append(events, duplexEvent(g, 2.2, l, false)...)
@@ -225,7 +226,7 @@ func TestIntraWorkersEquivalence(t *testing.T) {
 				s.recomputeRates()
 				for id := range flows {
 					f := s.Flow(id)
-					if f == nil || !s.IsActive(f) {
+					if !s.FlowActive(id) {
 						rates = append(rates, ^uint64(0))
 						continue
 					}
@@ -319,7 +320,7 @@ func TestFabricEquivalenceAndFairness(t *testing.T) {
 	fabric := fabricLinks(g)
 	rng := rand.New(rand.NewSource(17))
 	flows := randomFlows(rng, 400, 128, 4e9)
-	var events []LinkEvent
+	var events []topology.LinkEvent
 	for i := 0; i < 3; i++ {
 		events = append(events, duplexEvent(g, 1.0+0.5*float64(i), fabric[rng.Intn(len(fabric))], true)...)
 	}

@@ -3,6 +3,7 @@ package flowsim
 import (
 	"testing"
 
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -18,7 +19,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	runOnce := func() *Results {
-		s, err := New(Config{Net: ft, Controller: &staticController{pathIdx: func(s *Sim, f *Flow) int {
+		s, err := New(Config{Net: ft, Controller: &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
 			return f.ID % 4
 		}}, Flows: flows, Seed: 13})
 		if err != nil {

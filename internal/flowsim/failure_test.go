@@ -17,7 +17,7 @@ func TestLinkFailureStrandsStaticFlow(t *testing.T) {
 		Net:        ft,
 		Controller: &staticController{},
 		Flows:      flows,
-		LinkEvents: []LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents: []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
 		MaxTime:    30,
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func TestLinkRepairResumesFlow(t *testing.T) {
 		Net:        ft,
 		Controller: &staticController{},
 		Flows:      flows,
-		LinkEvents: []LinkEvent{
+		LinkEvents: []topology.LinkEvent{
 			{At: 1, Link: path.Links[1], Down: true},
 			{At: 3, Link: path.Links[1], Down: false},
 		},
@@ -66,13 +66,13 @@ func TestLinkEventValidation(t *testing.T) {
 	ft := testFatTree(t)
 	if _, err := New(Config{
 		Net: ft, Controller: &staticController{},
-		LinkEvents: []LinkEvent{{At: 1, Link: 9999, Down: true}},
+		LinkEvents: []topology.LinkEvent{{At: 1, Link: 9999, Down: true}},
 	}); err == nil {
 		t.Error("out-of-range link should fail")
 	}
 	if _, err := New(Config{
 		Net: ft, Controller: &staticController{},
-		LinkEvents: []LinkEvent{{At: -1, Link: 0, Down: true}},
+		LinkEvents: []topology.LinkEvent{{At: -1, Link: 0, Down: true}},
 	}); err == nil {
 		t.Error("negative event time should fail")
 	}

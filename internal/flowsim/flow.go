@@ -4,15 +4,17 @@
 // TCP with fair queuing approximates. Time advances event by event: flow
 // arrivals, flow completions, and control-plane timers.
 //
-// The simulator carries DARD's control-plane hooks: controllers assign and
-// re-assign per-flow paths, register timers, observe flow lifecycle
-// events, query per-link elephant-flow state (the paper's switch state
-// interface), and account control-message bytes.
+// The simulator implements sched.Host, the surface DARD's control plane
+// and the baselines run on: policies assign and re-assign per-flow
+// paths, register timers, observe flow lifecycle events, query per-link
+// elephant-flow state (the paper's switch state interface), and account
+// control-message bytes.
 package flowsim
 
 import (
 	"math"
 
+	"dard/internal/sched"
 	"dard/internal/topology"
 )
 
@@ -27,13 +29,10 @@ import (
 // contiguous memory instead of chasing per-flow pointers. Rate and
 // Remaining read through to those arrays.
 type Flow struct {
-	// ID is the workload flow ID. IDs are dense: the engine uses them to
-	// index its struct-of-arrays state.
-	ID int
-	// Src and Dst are host node IDs.
-	Src, Dst topology.NodeID
-	// SrcToR and DstToR are the attachment ToRs.
-	SrcToR, DstToR topology.NodeID
+	// Flow is the identity policies see: the workload flow ID and the
+	// endpoint hosts and their attachment ToRs. IDs are dense: the
+	// engine uses them to index its struct-of-arrays state.
+	sched.Flow
 	// SizeBits is the total transfer size.
 	SizeBits float64
 	// PathIdx indexes the equal-cost path set between SrcToR and DstToR.
@@ -75,29 +74,10 @@ func (f *Flow) TransferTime() float64 {
 // it.
 func (f *Flow) Links() []topology.LinkID { return f.links }
 
-// Controller is a flow scheduling strategy: ECMP, pVLB, DARD, or Hedera.
-type Controller interface {
-	// Name identifies the strategy in results and tables.
-	Name() string
-	// Start is called once before the first event; controllers install
-	// their periodic timers here.
+// Starter is an optional sched.Policy extension for flow-engine-only
+// policies: Start is called once before the first event, so a policy
+// can install timers that read engine state no sched.Host exposes
+// (Hedera's centralized rounds walk the global active-flow table).
+type Starter interface {
 	Start(s *Sim)
-	// AssignPath picks the initial path index for a new flow from the
-	// equal-cost set s.PathSet(f.SrcToR, f.DstToR).
-	AssignPath(s *Sim, f *Flow) int
-}
-
-// FlowObserver is an optional Controller extension notified of flow
-// lifecycle events.
-type FlowObserver interface {
-	// OnArrival runs after the flow's initial path assignment.
-	OnArrival(s *Sim, f *Flow)
-	// OnDepart runs when the flow completes.
-	OnDepart(s *Sim, f *Flow)
-}
-
-// ElephantObserver is an optional Controller extension notified when a
-// flow crosses the elephant detection threshold.
-type ElephantObserver interface {
-	OnElephant(s *Sim, f *Flow)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dard/internal/sched"
 	"dard/internal/snap"
 	"dard/internal/topology"
 )
@@ -48,62 +49,48 @@ var ErrPaused = errors.New("flowsim: run paused")
 // pending timer scheduled without a checkpoint descriptor.
 var ErrUnsnapshottable = errors.New("flowsim: state not snapshottable")
 
-// TimerRef describes how to rebuild a timer callback after restore.
-// Closures cannot be serialized, so every checkpointable timer carries a
-// small descriptor: a tag naming the callback kind plus two integer
-// operands. Tags below TagControllerBase belong to the engine (link
-// events, elephant classification); tags at or above it are resolved by
-// the run's SnapshotController.
-type TimerRef struct {
-	Tag  uint8
-	A, B int64
-}
-
-// Engine-owned timer tags. Tag 0 marks a plain After timer, which has
-// no descriptor and blocks Snapshot while pending.
+// Engine-owned timer tags, below sched.TagControllerBase. Tag 0 marks a
+// plain After timer, which has no descriptor and blocks Snapshot while
+// pending.
 const (
 	tagLinkEvent uint8 = 1 // A = link ID, B = 1 for failure, 0 for repair
 	tagClassify  uint8 = 2 // A = flow ID
-
-	// TagControllerBase is the first controller-owned tag: RebuildTimer
-	// resolves everything at or above it.
-	TagControllerBase uint8 = 16
 )
 
-func linkEventRef(ev LinkEvent) TimerRef {
+func linkEventRef(ev topology.LinkEvent) sched.TimerRef {
 	b := int64(0)
 	if ev.Down {
 		b = 1
 	}
-	return TimerRef{Tag: tagLinkEvent, A: int64(ev.Link), B: b}
+	return sched.TimerRef{Tag: tagLinkEvent, A: int64(ev.Link), B: b}
 }
 
-func classifyRef(flowID int) TimerRef {
-	return TimerRef{Tag: tagClassify, A: int64(flowID)}
+func classifyRef(flowID int) sched.TimerRef {
+	return sched.TimerRef{Tag: tagClassify, A: int64(flowID)}
 }
 
-// SnapshotController is implemented by controllers that support
-// checkpointing. Stateless controllers (ECMP, static) need not
-// implement it; any controller that keeps per-run state or schedules
-// timers must, or snapshots of its runs fail (pending undescribed
-// timers) or silently lose state on restore.
+// SnapshotController is implemented by policies that support
+// checkpointing. Stateless policies (ECMP, static) need not implement
+// it; any policy that keeps per-run state or schedules timers must, or
+// snapshots of its runs fail (pending undescribed timers) or silently
+// lose state on restore. The host passed in is the restoring Sim.
 type SnapshotController interface {
-	Controller
-	// SnapshotState encodes the controller's private state. Map-backed
-	// state must be encoded in sorted key order so identical logical
-	// states yield identical bytes.
-	SnapshotState(s *Sim, enc *snap.Encoder) error
-	// RestoreState rebuilds the controller's state inside a restored
-	// Sim. Flows are already restored; timers are not. RestoreState
-	// must not schedule timers or draw from s.Rand — pending timers and
-	// the RNG position are restored separately.
-	RestoreState(s *Sim, dec *snap.Decoder) error
-	// RebuildTimer returns the callback for a pending controller timer
-	// (ref.Tag >= TagControllerBase). It runs after RestoreState. A
-	// timer referencing state that no longer exists (e.g. a released
+	sched.Policy
+	// SnapshotState encodes the policy's private state. Map-backed state
+	// must be encoded in sorted key order so identical logical states
+	// yield identical bytes.
+	SnapshotState(h sched.Host, enc *snap.Encoder) error
+	// RestoreState rebuilds the policy's state inside a restored Sim.
+	// Flows are already restored; timers are not. RestoreState must not
+	// schedule timers or draw from h.Rand — pending timers and the RNG
+	// position are restored separately.
+	RestoreState(h sched.Host, dec *snap.Decoder) error
+	// RebuildTimer returns the callback for a pending policy timer
+	// (ref.Tag >= sched.TagControllerBase). It runs after RestoreState.
+	// A timer referencing state that no longer exists (e.g. a released
 	// monitor's stale tick) must return a no-op, mirroring what the
 	// original closure would have done.
-	RebuildTimer(s *Sim, ref TimerRef) (func(), error)
+	RebuildTimer(h sched.Host, ref sched.TimerRef) (func(), error)
 }
 
 // countedSource wraps math/rand's default source and counts raw draws.
@@ -388,11 +375,10 @@ func (s *Sim) restore(data []byte) error {
 		}
 		f := s.flowAt(id)
 		*f = Flow{
-			ID:           id,
-			Src:          src,
-			Dst:          dst,
-			SrcToR:       s.net.ToROf(src),
-			DstToR:       s.net.ToROf(dst),
+			Flow: sched.Flow{
+				ID: id, Src: src, Dst: dst,
+				SrcToR: s.net.ToROf(src), DstToR: s.net.ToROf(dst),
+			},
 			SizeBits:     sizeBits,
 			PathIdx:      pathIdx,
 			Arrival:      arrival,
@@ -512,7 +498,7 @@ func (s *Sim) restore(data []byte) error {
 	for i := 0; i < nTimers; i++ {
 		at := dec.F64()
 		seq := dec.I64()
-		ref := TimerRef{Tag: dec.U8(), A: dec.I64(), B: dec.I64()}
+		ref := sched.TimerRef{Tag: dec.U8(), A: dec.I64(), B: dec.I64()}
 		if err := dec.Err(); err != nil {
 			return err
 		}
@@ -531,7 +517,7 @@ func (s *Sim) restore(data []byte) error {
 }
 
 // rebuildTimerFn resolves a TimerRef back into a callback.
-func (s *Sim) rebuildTimerFn(ref TimerRef) (func(), error) {
+func (s *Sim) rebuildTimerFn(ref sched.TimerRef) (func(), error) {
 	switch ref.Tag {
 	case tagLinkEvent:
 		l := topology.LinkID(ref.A)
@@ -551,7 +537,7 @@ func (s *Sim) rebuildTimerFn(ref TimerRef) (func(), error) {
 			}
 		}, nil
 	}
-	if ref.Tag >= TagControllerBase {
+	if ref.Tag >= sched.TagControllerBase {
 		sc, ok := s.cfg.Controller.(SnapshotController)
 		if !ok {
 			return nil, fmt.Errorf("snapshot has controller timer tag %d but controller %q cannot rebuild timers", ref.Tag, s.cfg.Controller.Name())

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -37,7 +38,7 @@ func snapFuzzConfig(net topology.Network, g *topology.Graph) Config {
 	events := append(duplexEvent(g, 0.4, fabric[0], true), duplexEvent(g, 1.3, fabric[0], false)...)
 	return Config{
 		Net: net,
-		Controller: &staticController{pathIdx: func(s *Sim, f *Flow) int {
+		Controller: &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
 			return s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))
 		}},
 		Flows:       flows,

@@ -1,5 +1,7 @@
 package flowsim
 
+import "dard/internal/sched"
+
 // timer is one scheduled control-plane callback. ref carries the
 // checkpoint descriptor (snapshot.go): closures cannot be serialized,
 // so a snapshot records (at, seq, ref) and restore rebuilds the closure
@@ -7,7 +9,7 @@ package flowsim
 type timer struct {
 	at  float64
 	seq int64 // tie-breaker for deterministic ordering
-	ref TimerRef
+	ref sched.TimerRef
 	fn  func()
 }
 

@@ -53,7 +53,9 @@ func (o *Options) applyDefaults() {
 // flows, estimates their natural demands, anneals a destination-host ->
 // path-class assignment (a core switch in a fat-tree, an aggregation pair
 // slot plus intermediate in a Clos network, §4.3.2), and installs the
-// result.
+// result. It is a sched.Policy for the flow engine only: its rounds read
+// the engine's global active-flow table, and annealing depends on that
+// table's order, so it installs them through flowsim.Starter.
 type Controller struct {
 	opts Options
 	ecmp sched.ECMP
@@ -68,7 +70,10 @@ type Controller struct {
 	Moves  int
 }
 
-var _ flowsim.Controller = (*Controller)(nil)
+var (
+	_ sched.Policy    = (*Controller)(nil)
+	_ flowsim.Starter = (*Controller)(nil)
+)
 
 // New creates a centralized simulated-annealing controller.
 func New(opts Options) *Controller {
@@ -76,10 +81,16 @@ func New(opts Options) *Controller {
 	return &Controller{opts: opts, viaOf: make(map[topology.NodeID]int)}
 }
 
-// Name implements flowsim.Controller.
+// Name implements sched.Policy.
 func (c *Controller) Name() string { return "SimulatedAnnealing" }
 
-// Start installs the periodic scheduling round.
+// InitialPath implements sched.Policy with the ECMP default route.
+func (c *Controller) InitialPath(h sched.Host, f sched.Flow) int {
+	return c.ecmp.InitialPath(h, f)
+}
+
+// Start implements flowsim.Starter: it installs the periodic scheduling
+// round.
 func (c *Controller) Start(s *flowsim.Sim) {
 	s.AfterRef(c.opts.Interval, roundRef(), c.roundFn(s))
 }
@@ -95,11 +106,6 @@ func (c *Controller) roundFn(s *flowsim.Sim) func() {
 	return round
 }
 
-// AssignPath implements flowsim.Controller with the ECMP default route.
-func (c *Controller) AssignPath(s *flowsim.Sim, f *flowsim.Flow) int {
-	return c.ecmp.AssignPath(s, f)
-}
-
 // runRound is one centralized scheduling pass.
 func (c *Controller) runRound(s *flowsim.Sim) {
 	c.Rounds++
@@ -107,8 +113,8 @@ func (c *Controller) runRound(s *flowsim.Sim) {
 	// Collect elephants with path diversity; each is one ToR report.
 	var elephants []*flowsim.Flow
 	pairs := make(map[Pair]int)
-	hostIdx := make(map[topology.NodeID]int, len(s.Net().Hosts()))
-	for i, h := range s.Net().Hosts() {
+	hostIdx := make(map[topology.NodeID]int, len(s.Topo().Hosts()))
+	for i, h := range s.Topo().Hosts() {
 		hostIdx[h] = i
 	}
 	maxVia := 1
@@ -130,10 +136,10 @@ func (c *Controller) runRound(s *flowsim.Sim) {
 	demands := EstimateDemands(pairs)
 
 	// Normalize demands to bits/s using each flow's host uplink rate.
-	g := s.Net().Graph()
+	g := s.Topo().Graph()
 	demandOf := func(f *flowsim.Flow) float64 {
 		d := demands[Pair{Src: hostIdx[f.Src], Dst: hostIdx[f.Dst]}]
-		return d * g.Link(s.Net().HostUplink(f.Src)).Capacity
+		return d * g.Link(s.Topo().HostUplink(f.Src)).Capacity
 	}
 
 	assignment := c.anneal(s, elephants, demandOf, maxVia)
@@ -162,7 +168,7 @@ func (c *Controller) runRound(s *flowsim.Sim) {
 // anneal searches for a destination-host -> path-class assignment that
 // minimizes estimated overload using Metropolis simulated annealing.
 func (c *Controller) anneal(s *flowsim.Sim, elephants []*flowsim.Flow, demandOf func(*flowsim.Flow) float64, maxVia int) map[topology.NodeID]int {
-	g := s.Net().Graph()
+	g := s.Topo().Graph()
 	rng := s.Rand()
 
 	// Destinations receiving elephants, in deterministic order.

@@ -95,7 +95,7 @@ func fatTree(t *testing.T) *topology.FatTree {
 // annealer must fix.
 type path0 struct{ *Controller }
 
-func (path0) AssignPath(*flowsim.Sim, *flowsim.Flow) int { return 0 }
+func (path0) InitialPath(sched.Host, sched.Flow) int { return 0 }
 
 func TestAnnealingBreaksCollision(t *testing.T) {
 	ft := fatTree(t)
@@ -216,7 +216,7 @@ func TestSAComparableToDARDUnderStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := func(ctl flowsim.Controller) float64 {
+	mean := func(ctl sched.Policy) float64 {
 		s, err := flowsim.New(flowsim.Config{Net: ft, Controller: ctl, Flows: flows, Seed: 10, ElephantAge: 0.5})
 		if err != nil {
 			t.Fatal(err)

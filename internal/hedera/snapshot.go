@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/snap"
 	"dard/internal/topology"
 )
@@ -15,17 +16,17 @@ import (
 // round timer.
 
 // timerTagRound marks the controller's periodic scheduling round.
-const timerTagRound = flowsim.TagControllerBase
+const timerTagRound = sched.TagControllerBase
 
-func roundRef() flowsim.TimerRef {
-	return flowsim.TimerRef{Tag: timerTagRound}
+func roundRef() sched.TimerRef {
+	return sched.TimerRef{Tag: timerTagRound}
 }
 
 var _ flowsim.SnapshotController = (*Controller)(nil)
 
 // SnapshotState implements flowsim.SnapshotController; viaOf is encoded
 // in sorted key order so identical logical states yield identical bytes.
-func (c *Controller) SnapshotState(s *flowsim.Sim, enc *snap.Encoder) error {
+func (c *Controller) SnapshotState(_ sched.Host, enc *snap.Encoder) error {
 	enc.I64(int64(c.Rounds))
 	enc.I64(int64(c.Moves))
 	dsts := make([]topology.NodeID, 0, len(c.viaOf))
@@ -42,14 +43,14 @@ func (c *Controller) SnapshotState(s *flowsim.Sim, enc *snap.Encoder) error {
 }
 
 // RestoreState implements flowsim.SnapshotController.
-func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
+func (c *Controller) RestoreState(h sched.Host, dec *snap.Decoder) error {
 	c.Rounds = int(dec.I64())
 	c.Moves = int(dec.I64())
 	n := dec.Count(8 + 8)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	g := s.Net().Graph()
+	g := h.Topo().Graph()
 	nodeMax := topology.NodeID(g.NumNodes())
 	for i := 0; i < n; i++ {
 		d := topology.NodeID(dec.I64())
@@ -68,10 +69,16 @@ func (c *Controller) RestoreState(s *flowsim.Sim, dec *snap.Decoder) error {
 	return dec.Err()
 }
 
-// RebuildTimer implements flowsim.SnapshotController.
-func (c *Controller) RebuildTimer(s *flowsim.Sim, ref flowsim.TimerRef) (func(), error) {
+// RebuildTimer implements flowsim.SnapshotController. The round chain
+// walks the flow engine's active-flow table, so only a flowsim.Sim can
+// host it.
+func (c *Controller) RebuildTimer(h sched.Host, ref sched.TimerRef) (func(), error) {
 	if ref.Tag != timerTagRound {
 		return nil, fmt.Errorf("hedera: unknown timer tag %d", ref.Tag)
+	}
+	s, ok := h.(*flowsim.Sim)
+	if !ok {
+		return nil, fmt.Errorf("hedera: round timer needs the flow engine, not %T", h)
 	}
 	return c.roundFn(s), nil
 }

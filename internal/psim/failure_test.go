@@ -35,7 +35,7 @@ func TestDARDPacketLevelRoutesAroundFailure(t *testing.T) {
 	d := dard.New(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Delta: 1e6})
 	rt, err := NewRuntime(Config{
 		Topo: ft, Policy: pinnedDARD{d}, Flows: flows, Seed: 3, ElephantAge: 0.25, MaxTime: 300,
-		LinkEvents: []LinkEvent{
+		LinkEvents: []topology.LinkEvent{
 			{At: 1, Link: link, Down: true},
 			{At: 60, Link: link, Down: false},
 		},
@@ -78,7 +78,7 @@ func TestECMPPacketLevelRecoversAfterRepair(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Topo: ft, Policy: pinnedDARD{dard.New(dard.Options{ScheduleInterval: 1e6})}, Flows: flows,
 		Seed: 3, ElephantAge: 1e6, MaxTime: 300,
-		LinkEvents: []LinkEvent{
+		LinkEvents: []topology.LinkEvent{
 			{At: 0.1, Link: link, Down: true},
 			{At: 5, Link: link, Down: false},
 		},
@@ -104,18 +104,18 @@ func TestLinkEventValidation(t *testing.T) {
 	base := Config{Topo: ft, Policy: sched.ECMP{}, Flows: flows, MaxTime: 10}
 	cases := []struct {
 		name string
-		ev   LinkEvent
+		ev   topology.LinkEvent
 	}{
-		{"link out of range", LinkEvent{At: 1, Link: topology.LinkID(1 << 20), Down: true}},
-		{"negative link", LinkEvent{At: 1, Link: -1, Down: true}},
-		{"negative time", LinkEvent{At: -1, Link: failedLink(ft), Down: true}},
-		{"NaN time", LinkEvent{At: math.NaN(), Link: failedLink(ft), Down: true}},
-		{"infinite time", LinkEvent{At: math.Inf(1), Link: failedLink(ft), Down: true}},
+		{"link out of range", topology.LinkEvent{At: 1, Link: topology.LinkID(1 << 20), Down: true}},
+		{"negative link", topology.LinkEvent{At: 1, Link: -1, Down: true}},
+		{"negative time", topology.LinkEvent{At: -1, Link: failedLink(ft), Down: true}},
+		{"NaN time", topology.LinkEvent{At: math.NaN(), Link: failedLink(ft), Down: true}},
+		{"infinite time", topology.LinkEvent{At: math.Inf(1), Link: failedLink(ft), Down: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			cfg.LinkEvents = []LinkEvent{tc.ev}
+			cfg.LinkEvents = []topology.LinkEvent{tc.ev}
 			if _, err := NewRuntime(cfg); err == nil {
 				t.Error("invalid link event accepted")
 			}

@@ -19,7 +19,7 @@ func fatTree(t *testing.T) *topology.FatTree {
 	return ft
 }
 
-func runPolicy(t *testing.T, pol Policy, flows []workload.Flow, seed int64) *Results {
+func runPolicy(t *testing.T, pol sched.Policy, flows []workload.Flow, seed int64) *Results {
 	t.Helper()
 	ft := fatTree(t)
 	rt, err := NewRuntime(Config{

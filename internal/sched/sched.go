@@ -2,16 +2,16 @@
 // compares DARD against (§4): ECMP, which hashes a flow's 4-tuple onto
 // one of the equal-cost paths permanently, and periodic VLB (pVLB),
 // which re-picks a random path every few seconds to break permanent
-// collisions. It also defines Host, the engine surface these baselines
-// and DARD's control plane are written against, so each policy has one
-// implementation that both the flow-level and the packet-level engine
-// run.
+// collisions. It also defines the policy contract both engines drive:
+// Policy and Observer, the Host surface they are written against, and
+// the TimerRef checkpoint descriptor. Each policy has one implementation
+// that the flow-level and the packet-level engine both run, and this
+// package imports neither engine.
 package sched
 
 import (
 	"fmt"
 
-	"dard/internal/flowsim"
 	"dard/internal/snap"
 )
 
@@ -21,18 +21,12 @@ import (
 // stay collided — the failure mode motivating DARD.
 type ECMP struct{}
 
-var _ flowsim.Controller = ECMP{}
+var _ Policy = ECMP{}
 
-// Name implements flowsim.Controller and psim.Policy.
+// Name implements Policy.
 func (ECMP) Name() string { return "ECMP" }
 
-// Start implements flowsim.Controller.
-func (ECMP) Start(*flowsim.Sim) {}
-
-// AssignPath implements flowsim.Controller through InitialPath.
-func (e ECMP) AssignPath(s *flowsim.Sim, f *flowsim.Flow) int { return e.InitialPath(s, FlowOf(f)) }
-
-// InitialPath implements psim.Policy. It hashes the flow's header fields
+// InitialPath implements Policy. It hashes the flow's header fields
 // modulo the path count, the paper's testbed hashing function (§4.2).
 // The per-connection ephemeral ports are derived from the seed and flow
 // ID rather than drawn from the shared RNG, so initial assignments are
@@ -56,37 +50,23 @@ type PVLB struct {
 }
 
 var (
-	_ flowsim.Controller         = (*PVLB)(nil)
-	_ flowsim.FlowObserver       = (*PVLB)(nil)
-	_ flowsim.SnapshotController = (*PVLB)(nil)
+	_ Policy   = (*PVLB)(nil)
+	_ Observer = (*PVLB)(nil)
 )
 
 // timerTagRepick marks a pVLB re-pick timer in a checkpoint; operand A is
 // the flow ID.
-const timerTagRepick = flowsim.TagControllerBase
+const timerTagRepick = TagControllerBase
 
-// Name implements flowsim.Controller and psim.Policy.
+// Name implements Policy.
 func (*PVLB) Name() string { return "pVLB" }
 
-// Start implements flowsim.Controller.
-func (*PVLB) Start(*flowsim.Sim) {}
-
-// AssignPath implements flowsim.Controller through InitialPath.
-func (v *PVLB) AssignPath(s *flowsim.Sim, f *flowsim.Flow) int { return v.InitialPath(s, FlowOf(f)) }
-
-// InitialPath implements psim.Policy with the flow's hash path, like
-// ECMP; randomness enters through the periodic re-picks.
+// InitialPath implements Policy with the flow's hash path, like ECMP;
+// randomness enters through the periodic re-picks.
 func (*PVLB) InitialPath(h Host, f Flow) int { return ECMP{}.InitialPath(h, f) }
 
-// OnArrival implements flowsim.FlowObserver through Arrived.
-func (v *PVLB) OnArrival(s *flowsim.Sim, f *flowsim.Flow) { v.Arrived(s, FlowOf(f)) }
-
-// OnDepart implements flowsim.FlowObserver; the timer chain notices the
-// departure on its next firing.
-func (*PVLB) OnDepart(*flowsim.Sim, *flowsim.Flow) {}
-
-// Arrived implements psim.Observer: it installs the per-flow re-pick
-// timer chain.
+// Arrived implements Observer: it installs the per-flow re-pick timer
+// chain.
 func (v *PVLB) Arrived(h Host, f Flow) {
 	if h.PathSet(f.SrcToR, f.DstToR).Len() <= 1 {
 		return
@@ -94,10 +74,11 @@ func (v *PVLB) Arrived(h Host, f Flow) {
 	h.AfterRef(v.interval(), repickRef(f.ID), v.repickFn(h, f))
 }
 
-// Elephant implements psim.Observer; pVLB treats every flow alike.
+// Elephant implements Observer; pVLB treats every flow alike.
 func (*PVLB) Elephant(Host, Flow) {}
 
-// Departed implements psim.Observer; see OnDepart.
+// Departed implements Observer; the timer chain notices the departure
+// on its next firing.
 func (*PVLB) Departed(Host, Flow) {}
 
 func (v *PVLB) interval() float64 {
@@ -107,8 +88,8 @@ func (v *PVLB) interval() float64 {
 	return v.Interval
 }
 
-func repickRef(id int) flowsim.TimerRef {
-	return flowsim.TimerRef{Tag: timerTagRepick, A: int64(id)}
+func repickRef(id int) TimerRef {
+	return TimerRef{Tag: timerTagRepick, A: int64(id)}
 }
 
 // repickFn builds one firing of a flow's re-pick chain. The closure is
@@ -132,37 +113,34 @@ func (v *PVLB) repickFn(h Host, f Flow) func() {
 
 // SnapshotState implements flowsim.SnapshotController. pVLB keeps no
 // state beyond its pending re-pick timers, which the engine snapshots.
-func (*PVLB) SnapshotState(*flowsim.Sim, *snap.Encoder) error { return nil }
+func (*PVLB) SnapshotState(Host, *snap.Encoder) error { return nil }
 
 // RestoreState implements flowsim.SnapshotController.
-func (*PVLB) RestoreState(*flowsim.Sim, *snap.Decoder) error { return nil }
+func (*PVLB) RestoreState(Host, *snap.Decoder) error { return nil }
 
 // RebuildTimer implements flowsim.SnapshotController: a re-pick timer
 // rebinds to its flow by ID. A departed flow keeps its timer until the
 // next firing (exactly like the live chain), so the rebuilt closure's
 // FlowActive guard reproduces the original no-op.
-func (v *PVLB) RebuildTimer(s *flowsim.Sim, ref flowsim.TimerRef) (func(), error) {
+func (v *PVLB) RebuildTimer(h Host, ref TimerRef) (func(), error) {
 	if ref.Tag != timerTagRepick {
 		return nil, fmt.Errorf("sched: unknown pVLB timer tag %d", ref.Tag)
 	}
-	f := s.Flow(int(ref.A))
-	if f == nil {
+	f, ok := h.FlowByID(int(ref.A))
+	if !ok {
 		return nil, fmt.Errorf("sched: re-pick timer references unknown flow %d", ref.A)
 	}
-	return v.repickFn(s, FlowOf(f)), nil
+	return v.repickFn(h, f), nil
 }
 
 // Static always assigns the first path; a degenerate baseline useful in
 // tests and as the worst case for collision behaviour.
 type Static struct{}
 
-var _ flowsim.Controller = Static{}
+var _ Policy = Static{}
 
-// Name implements flowsim.Controller.
+// Name implements Policy.
 func (Static) Name() string { return "static" }
 
-// Start implements flowsim.Controller.
-func (Static) Start(*flowsim.Sim) {}
-
-// AssignPath implements flowsim.Controller.
-func (Static) AssignPath(*flowsim.Sim, *flowsim.Flow) int { return 0 }
+// InitialPath implements Policy.
+func (Static) InitialPath(Host, Flow) int { return 0 }

@@ -1,10 +1,13 @@
-package sched
+// External test package: the policies run on the flow engine, which
+// imports sched.
+package sched_test
 
 import (
 	"math"
 	"testing"
 
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/workload"
 )
@@ -27,7 +30,7 @@ func TestECMPSpreadsFlows(t *testing.T) {
 		flows = append(flows, workload.Flow{ID: i, Src: 0, Dst: 8, SizeBits: 1e6, Arrival: float64(i)})
 	}
 	counts := make(map[int]int)
-	probe := &probeController{inner: ECMP{}, onAssign: func(idx int) { counts[idx]++ }}
+	probe := &probeController{inner: sched.ECMP{}, onAssign: func(idx int) { counts[idx]++ }}
 	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: probe, Flows: flows, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +54,7 @@ func TestECMPPermanentAssignment(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: 5e9, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: 5e9, Arrival: 0},
 	}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: ECMP{}, Flows: flows, Seed: 2})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Flows: flows, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +71,9 @@ func TestECMPPermanentAssignment(t *testing.T) {
 
 func TestECMPSinglehPathShortcut(t *testing.T) {
 	ft := fatTree(t)
-	// Same-ToR flow has a single path; AssignPath must return 0.
+	// Same-ToR flow has a single path; InitialPath must return 0.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 1, SizeBits: 1e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: ECMP{}, Flows: flows, Seed: 3})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Flows: flows, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestPVLBRepicks(t *testing.T) {
 	// A long flow with a short re-pick interval switches paths several
 	// times but keeps making progress.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 10e9, Arrival: 0}} // 10 s alone
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &PVLB{Interval: 1}, Flows: flows, Seed: 4})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 1}, Flows: flows, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestPVLBRepicks(t *testing.T) {
 }
 
 func TestPVLBDefaultInterval(t *testing.T) {
-	v := &PVLB{}
+	v := &sched.PVLB{}
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 1e9, Arrival: 0}}
 	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: v, Flows: flows, Seed: 5})
@@ -134,7 +137,7 @@ func TestPVLBSamePathNoSwitch(t *testing.T) {
 	ft := fatTree(t)
 	// Same-ToR flows have one path: the repick chain must not install.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 1, SizeBits: 10e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &PVLB{Interval: 0.5}, Flows: flows, Seed: 6})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 0.5}, Flows: flows, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestStatic(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: 1e9, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: 1e9, Arrival: 0},
 	}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: Static{}, Flows: flows})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.Static{}, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +173,18 @@ func TestStatic(t *testing.T) {
 	}
 }
 
-// probeController wraps a controller to observe path assignments.
+// probeController wraps a policy to observe path assignments.
 type probeController struct {
-	inner    flowsim.Controller
+	inner    sched.Policy
 	onAssign func(idx int)
 }
 
-func (p *probeController) Name() string         { return p.inner.Name() }
-func (p *probeController) Start(s *flowsim.Sim) { p.inner.Start(s) }
-func (p *probeController) AssignPath(s *flowsim.Sim, f *flowsim.Flow) int {
-	idx := p.inner.AssignPath(s, f)
+func (p *probeController) Name() string { return p.inner.Name() }
+func (p *probeController) InitialPath(h sched.Host, f sched.Flow) int {
+	idx := p.inner.InitialPath(h, f)
 	p.onAssign(idx)
 	return idx
 }
+
+// pVLB's re-pick timers survive flow-engine checkpoints.
+var _ flowsim.SnapshotController = (*sched.PVLB)(nil)

@@ -2,6 +2,7 @@ package texcp
 
 import (
 	"dard/internal/psim"
+	"dard/internal/sched"
 	"dard/internal/topology"
 )
 
@@ -28,7 +29,7 @@ type FlowletPolicy struct {
 }
 
 var (
-	_ psim.Policy       = (*FlowletPolicy)(nil)
+	_ sched.Policy      = (*FlowletPolicy)(nil)
 	_ psim.PacketRouter = (*FlowletPolicy)(nil)
 )
 
@@ -40,7 +41,7 @@ func NewFlowlet(timeout float64) *FlowletPolicy {
 	return &FlowletPolicy{Policy: New(), Timeout: timeout}
 }
 
-// Name implements psim.Policy.
+// Name implements sched.Policy.
 func (*FlowletPolicy) Name() string { return "TeXCP-flowlet" }
 
 // PacketRoute returns a picker that holds the path within a flowlet and

@@ -44,7 +44,7 @@ type Policy struct {
 }
 
 var (
-	_ psim.Policy       = (*Policy)(nil)
+	_ sched.Policy      = (*Policy)(nil)
 	_ psim.PacketRouter = (*Policy)(nil)
 )
 
@@ -53,10 +53,10 @@ func New() *Policy {
 	return &Policy{agents: make(map[[2]topology.NodeID]*agent)}
 }
 
-// Name implements psim.Policy.
+// Name implements sched.Policy.
 func (*Policy) Name() string { return "TeXCP" }
 
-// InitialPath implements psim.Policy with the ECMP hash; with
+// InitialPath implements sched.Policy with the ECMP hash; with
 // per-packet splitting the sticky index is only a fallback.
 func (p *Policy) InitialPath(h sched.Host, f sched.Flow) int {
 	return sched.ECMP{}.InitialPath(h, f)

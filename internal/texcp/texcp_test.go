@@ -10,7 +10,7 @@ import (
 	"dard/internal/workload"
 )
 
-func run(t *testing.T, pol psim.Policy, flows []workload.Flow, seed int64) *psim.Results {
+func run(t *testing.T, pol sched.Policy, flows []workload.Flow, seed int64) *psim.Results {
 	t.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4, LinkCapacity: 100e6})
 	if err != nil {

@@ -85,6 +85,19 @@ type Link struct {
 	Delay float64
 }
 
+// LinkEvent schedules a link failure or repair during a run: at time
+// At, the directed link fails (Down) or returns to service. Both
+// directions of a duplex link are separate events. Either engine takes
+// the same schedule. The flow engine drops a failed link's capacity to
+// zero. The packet engine flushes its queue and drops arrivals. Both
+// report zero bandwidth for it to switch-state queries, which is how
+// DARD monitors learn of the failure.
+type LinkEvent struct {
+	At   float64
+	Link LinkID
+	Down bool
+}
+
 // Graph is a directed multigraph of nodes and links. The zero value is
 // empty and ready to use.
 type Graph struct {

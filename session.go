@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dard/internal/flowsim"
+	"dard/internal/sched"
 	"dard/internal/trace"
 	"dard/internal/workload"
 )
@@ -29,7 +30,7 @@ type Session struct {
 	scenario Scenario
 	topo     *Topology
 	sim      *flowsim.Sim
-	ctl      flowsim.Controller
+	ctl      sched.Policy
 	flows    []workload.Flow // batch workload; nil in steady mode
 }
 
