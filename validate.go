@@ -23,18 +23,8 @@ func (s Scenario) Validate() error {
 	default:
 		return invalid("Engine", "dard: unknown engine %q", s.Engine)
 	}
-	switch s.Scheduler {
-	case SchedulerECMP, SchedulerPVLB, SchedulerDARD:
-	case SchedulerAnnealing:
-		if s.Engine == EnginePacket {
-			return invalid("Scheduler", "dard: the centralized scheduler runs on Engine: EngineFlow")
-		}
-	case SchedulerTeXCP:
-		if s.Engine == EngineFlow {
-			return invalid("Scheduler", "dard: TeXCP requires Engine: EnginePacket (per-packet splitting)")
-		}
-	default:
-		return invalid("Scheduler", "dard: unknown scheduler %q", s.Scheduler)
+	if _, err := s.policy(); err != nil {
+		return &ValidationError{Field: "Scheduler", Err: err}
 	}
 	switch s.Pattern {
 	case PatternRandom, PatternStaggered, PatternStride:
