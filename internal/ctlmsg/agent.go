@@ -25,6 +25,9 @@ type SwitchAgent struct {
 	src      StateSource
 	switchID topology.NodeID
 	out      []topology.LinkID
+	// ports is the reply's port records, rebuilt by every Serve; it
+	// never leaves the agent except as marshaled bytes.
+	ports []PortState
 }
 
 // NewSwitchAgent builds the agent for a switch.
@@ -36,7 +39,8 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 	if g.Node(switchID).Kind == topology.Host {
 		return nil, fmt.Errorf("ctlmsg: %s is a host, not a switch", g.Node(switchID).Name)
 	}
-	return &SwitchAgent{src: src, switchID: switchID, out: g.Out(switchID)}, nil
+	out := g.Out(switchID)
+	return &SwitchAgent{src: src, switchID: switchID, out: out, ports: make([]PortState, 0, len(out))}, nil
 }
 
 // Links returns the exit links the agent reports on, in stable order.
@@ -44,23 +48,24 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 // zero-bandwidth state for every port it covered.
 func (a *SwitchAgent) Links() []topology.LinkID { return a.out }
 
-// Serve handles one marshaled query and returns the marshaled reply with
-// the current state of every exit port.
-func (a *SwitchAgent) Serve(queryBytes []byte) ([]byte, error) {
+// Serve handles one marshaled query and appends the marshaled reply,
+// carrying the current state of every exit port, to dst. A caller that
+// passes the same buffer back every exchange serves without allocating.
+func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	var q Query
 	if err := q.UnmarshalBinary(queryBytes); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if q.SwitchID != uint32(a.switchID) {
-		return nil, fmt.Errorf("ctlmsg: query for switch %d delivered to %d", q.SwitchID, a.switchID)
+		return dst, fmt.Errorf("ctlmsg: query for switch %d delivered to %d", q.SwitchID, a.switchID)
 	}
-	reply := Reply{SwitchID: q.SwitchID, SeqNo: q.SeqNo, Ports: make([]PortState, 0, len(a.out))}
+	a.ports = a.ports[:0]
 	for _, l := range a.out {
-		reply.Ports = append(reply.Ports, PortState{
+		a.ports = append(a.ports, PortState{
 			LinkID:        uint32(l),
 			BandwidthMbps: uint32(a.src.LinkCapacity(l) / 1e6),
 			ElephantFlows: uint32(a.src.ElephantsOnLink(l)),
 		})
 	}
-	return reply.MarshalBinary()
+	return Reply{SwitchID: q.SwitchID, SeqNo: q.SeqNo, Ports: a.ports}.AppendBinary(dst)
 }

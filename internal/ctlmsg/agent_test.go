@@ -48,7 +48,7 @@ func TestAgentServesPortStates(t *testing.T) {
 			return
 		}
 		qb, _ := ctlmsg.Query{SwitchID: uint32(aggr), SeqNo: 7}.MarshalBinary()
-		rb, err := agent.Serve(qb)
+		rb, err := agent.Serve(nil, qb)
 		if err != nil {
 			t.Error(err)
 			return
@@ -115,11 +115,11 @@ func TestAgentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.Serve([]byte("junk")); err == nil {
+	if _, err := agent.Serve(nil, []byte("junk")); err == nil {
 		t.Error("junk query should fail")
 	}
 	qb, _ := ctlmsg.Query{SwitchID: uint32(ft.Cores()[1])}.MarshalBinary()
-	if _, err := agent.Serve(qb); err == nil {
+	if _, err := agent.Serve(nil, qb); err == nil {
 		t.Error("misdelivered query should fail")
 	}
 }

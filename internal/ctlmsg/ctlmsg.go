@@ -23,6 +23,10 @@ const (
 	PortStateLen = 16
 )
 
+// queryPayloadLen is the length of a query's fields; the rest of its
+// QueryLen bytes is zeroed reserved padding.
+const queryPayloadLen = 28
+
 // Magic numbers distinguishing message kinds.
 const (
 	queryMagic uint32 = 0xDA4DC001
@@ -42,17 +46,22 @@ type Query struct {
 	TimestampMicros uint64
 }
 
+// AppendBinary appends the QueryLen-byte encoding of q to dst and
+// returns the extended slice; it is the query's only encoder.
+func (q Query) AppendBinary(dst []byte) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, queryMagic)
+	dst = binary.BigEndian.AppendUint64(dst, q.MonitorID)
+	dst = binary.BigEndian.AppendUint32(dst, q.SwitchID)
+	dst = binary.BigEndian.AppendUint32(dst, q.SeqNo)
+	dst = binary.BigEndian.AppendUint64(dst, q.TimestampMicros)
+	// Remaining bytes are reserved padding, zeroed.
+	return append(dst, make([]byte, QueryLen-queryPayloadLen)...), nil
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler; the result is
 // exactly QueryLen bytes.
 func (q Query) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, QueryLen)
-	binary.BigEndian.PutUint32(buf[0:], queryMagic)
-	binary.BigEndian.PutUint64(buf[4:], q.MonitorID)
-	binary.BigEndian.PutUint32(buf[12:], q.SwitchID)
-	binary.BigEndian.PutUint32(buf[16:], q.SeqNo)
-	binary.BigEndian.PutUint64(buf[20:], q.TimestampMicros)
-	// Remaining bytes are reserved padding, zeroed.
-	return buf, nil
+	return q.AppendBinary(make([]byte, 0, QueryLen))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -67,7 +76,7 @@ func (q *Query) UnmarshalBinary(data []byte) error {
 	q.SwitchID = binary.BigEndian.Uint32(data[12:])
 	q.SeqNo = binary.BigEndian.Uint32(data[16:])
 	q.TimestampMicros = binary.BigEndian.Uint64(data[20:])
-	for i := 28; i < QueryLen; i++ {
+	for i := queryPayloadLen; i < QueryLen; i++ {
 		if data[i] != 0 {
 			return fmt.Errorf("ctlmsg: query has non-zero reserved byte at offset %d", i)
 		}
@@ -103,28 +112,33 @@ type Reply struct {
 // Size returns the marshaled length of the reply.
 func (r Reply) Size() int { return ReplyHeaderLen + len(r.Ports)*PortStateLen }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r Reply) MarshalBinary() ([]byte, error) {
+// AppendBinary appends the Size()-byte encoding of r to dst and returns
+// the extended slice; it is the reply's only encoder.
+func (r Reply) AppendBinary(dst []byte) ([]byte, error) {
 	if len(r.Ports) > 0xffff {
-		return nil, fmt.Errorf("ctlmsg: too many ports (%d)", len(r.Ports))
+		return dst, fmt.Errorf("ctlmsg: too many ports (%d)", len(r.Ports))
 	}
-	buf := make([]byte, r.Size())
-	binary.BigEndian.PutUint32(buf[0:], replyMagic)
-	binary.BigEndian.PutUint32(buf[4:], r.SwitchID)
-	binary.BigEndian.PutUint32(buf[8:], r.SeqNo)
-	binary.BigEndian.PutUint32(buf[12:], uint32(len(r.Ports)))
-	off := ReplyHeaderLen
+	dst = binary.BigEndian.AppendUint32(dst, replyMagic)
+	dst = binary.BigEndian.AppendUint32(dst, r.SwitchID)
+	dst = binary.BigEndian.AppendUint32(dst, r.SeqNo)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Ports)))
 	for _, p := range r.Ports {
-		binary.BigEndian.PutUint32(buf[off:], p.LinkID)
-		binary.BigEndian.PutUint32(buf[off+4:], p.BandwidthMbps)
-		binary.BigEndian.PutUint32(buf[off+8:], p.ElephantFlows)
-		binary.BigEndian.PutUint32(buf[off+12:], p.QueuedKB)
-		off += PortStateLen
+		dst = binary.BigEndian.AppendUint32(dst, p.LinkID)
+		dst = binary.BigEndian.AppendUint32(dst, p.BandwidthMbps)
+		dst = binary.BigEndian.AppendUint32(dst, p.ElephantFlows)
+		dst = binary.BigEndian.AppendUint32(dst, p.QueuedKB)
 	}
-	return buf, nil
+	return dst, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (r Reply) MarshalBinary() ([]byte, error) {
+	return r.AppendBinary(make([]byte, 0, r.Size()))
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It decodes
+// into r.Ports' backing array when that is large enough, so a Reply
+// reused across exchanges parses without allocating.
 func (r *Reply) UnmarshalBinary(data []byte) error {
 	if len(data) < ReplyHeaderLen {
 		return fmt.Errorf("ctlmsg: reply needs at least %d bytes, have %d", ReplyHeaderLen, len(data))
@@ -139,7 +153,11 @@ func (r *Reply) UnmarshalBinary(data []byte) error {
 	if len(data) != want {
 		return fmt.Errorf("ctlmsg: reply with %d ports must be %d bytes, have %d", n, want, len(data))
 	}
-	r.Ports = make([]PortState, n)
+	if cap(r.Ports) < n {
+		r.Ports = make([]PortState, n)
+	} else {
+		r.Ports = r.Ports[:n]
+	}
 	off := ReplyHeaderLen
 	for i := range r.Ports {
 		r.Ports[i] = PortState{

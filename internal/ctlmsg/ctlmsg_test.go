@@ -1,6 +1,7 @@
 package ctlmsg
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,49 @@ func TestQueryRoundTrip(t *testing.T) {
 			return false
 		}
 		return got == q
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendBinaryAfterPrefix checks both encoders' append contract:
+// encoding after an arbitrary prefix leaves the prefix intact and
+// appends exactly MarshalBinary's bytes, even when the buffer's spare
+// capacity holds garbage (a reused buffer's old contents must not leak
+// into the query's reserved padding).
+func TestAppendBinaryAfterPrefix(t *testing.T) {
+	type appender interface {
+		MarshalBinary() ([]byte, error)
+		AppendBinary([]byte) ([]byte, error)
+	}
+	f := func(prefix []byte, spare uint8, mon uint64, sw, seq uint32, ts uint64, ports []PortState) bool {
+		if len(ports) > 64 {
+			ports = ports[:64]
+		}
+		for _, m := range []appender{
+			Query{MonitorID: mon, SwitchID: sw, SeqNo: seq, TimestampMicros: ts},
+			Reply{SwitchID: sw, SeqNo: seq, Ports: ports},
+		} {
+			want, err := m.MarshalBinary()
+			if err != nil {
+				return false
+			}
+			dst := make([]byte, len(prefix)+int(spare))
+			for i := range dst {
+				dst[i] = 0xa5
+			}
+			dst = dst[:copy(dst, prefix)]
+			out, err := m.AppendBinary(dst)
+			if err != nil {
+				return false
+			}
+			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
+				t.Logf("%T after %d-byte prefix:\n got  %x\n want %x%x", m, len(prefix), out, prefix, want)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

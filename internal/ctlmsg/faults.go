@@ -102,7 +102,7 @@ func (ch *Channel) TryExchange(agent *SwitchAgent, queryBytes []byte) (reply []b
 	if !ch.cross(len(queryBytes)) {
 		return nil, ch.stats.Bytes - before, false, nil
 	}
-	rb, err := agent.Serve(queryBytes)
+	rb, err := agent.Serve(nil, queryBytes)
 	if err != nil {
 		return nil, ch.stats.Bytes - before, false, err
 	}

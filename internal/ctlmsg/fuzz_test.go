@@ -2,6 +2,7 @@ package ctlmsg
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -96,10 +97,32 @@ func FuzzReplyUnmarshal(f *testing.F) {
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff
 	f.Add(huge)
 	f.Add([]byte{})
+	// A reply decoded earlier with more ports than most inputs carry:
+	// decoding into it again reuses its port storage, which must not
+	// leak into the new result.
+	big := Reply{SwitchID: 0xdead, SeqNo: 0xbeef, Ports: make([]PortState, 64)}
+	for i := range big.Ports {
+		big.Ports[i] = PortState{LinkID: uint32(i), BandwidthMbps: 1, ElephantFlows: 2, QueuedKB: 3}
+	}
+	bigBytes, err := big.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r Reply
-		if err := r.UnmarshalBinary(data); err != nil {
+		err := r.UnmarshalBinary(data)
+		var reused Reply
+		if err := reused.UnmarshalBinary(bigBytes); err != nil {
+			t.Fatal(err)
+		}
+		if reusedErr := reused.UnmarshalBinary(data); (reusedErr == nil) != (err == nil) {
+			t.Fatalf("fresh decode error %v, reused decode error %v", err, reusedErr)
+		}
+		if err != nil {
 			return
+		}
+		if reused.SwitchID != r.SwitchID || reused.SeqNo != r.SeqNo || !slices.Equal(reused.Ports, r.Ports) {
+			t.Fatalf("reused decode %+v differs from fresh decode %+v", reused, r)
 		}
 		re, err := r.MarshalBinary()
 		if err != nil {

@@ -36,7 +36,7 @@ type Collector struct {
 	env       sched.Host
 	monitorID uint64
 	switches  []topology.NodeID
-	agents    map[topology.NodeID]*ctlmsg.SwitchAgent
+	shared    *roundScratch
 	channels  map[topology.NodeID]*ctlmsg.Channel
 	faults    ctlmsg.Faults
 	retryMax  int
@@ -46,32 +46,76 @@ type Collector struct {
 	seqNo    uint32
 	inFlight bool
 	misses   map[topology.NodeID]int
-	cache    map[topology.LinkID]ctlmsg.PortState
-	// round is the per-round link-state map, cleared and reused every
-	// round instead of allocated per query tick. Rounds never pipeline
-	// (inFlight skips an overlapping tick; the sync path completes before
-	// returning), and done callbacks fold synchronously without retaining
-	// the map, so one scratch map per collector is safe.
-	round map[topology.LinkID]ctlmsg.PortState
+	// round and cache are the link state of fault rounds, built on the
+	// first one: what the round in flight has assembled, and the last
+	// state each link was reported with. Fault rounds cannot use the
+	// shared scratch because rounds of different collectors interleave
+	// while their retries wait; one collector's rounds never pipeline
+	// (inFlight skips an overlapping tick), so one round table per
+	// collector is enough.
+	round, cache *LinkState
 }
 
-// NewCollector builds the collector for one monitor over its covering
-// switches. The switch list must be in stable (sorted) order; the
-// collector launches exchanges in that order so runs are deterministic.
-func NewCollector(env sched.Host, monitorID uint64, switches []topology.NodeID, opts Options) *Collector {
+// roundScratch is the Controller's buffer set for the fault-free query
+// rounds of all its monitors: the switch agents, indexed by NodeID and
+// built on their first query, the round's link table, the query and
+// reply wire buffers and the decoded reply. Every monitor shares one
+// because a fault-free round runs start to finish inside one Assemble
+// call and the fold retains nothing of it, so no two rounds ever hold
+// the scratch at once.
+type roundScratch struct {
+	env          sched.Host
+	agents       []*ctlmsg.SwitchAgent
+	links        *LinkState
+	query, reply []byte
+	msg          ctlmsg.Reply
+	// covering is CoveringSwitches' gather buffer for new monitors.
+	covering []topology.NodeID
+}
+
+// roundScratch returns the controller's shared scratch for env, building
+// it on first use (and afresh for a new host, whose agents must answer
+// from that host's state).
+func (c *Controller) roundScratch(env sched.Host) *roundScratch {
+	if c.scratch == nil || c.scratch.env != env {
+		c.scratch = &roundScratch{
+			env:    env,
+			agents: make([]*ctlmsg.SwitchAgent, env.Topo().Graph().NumNodes()),
+		}
+	}
+	return c.scratch
+}
+
+func (s *roundScratch) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
+	if int(sw) < len(s.agents) && s.agents[sw] != nil {
+		return s.agents[sw], nil
+	}
+	a, err := ctlmsg.NewSwitchAgent(s.env, sw)
+	if err != nil {
+		return nil, err
+	}
+	s.agents[sw] = a
+	return a, nil
+}
+
+// newCollector builds the collector for one monitor over the switches
+// covering its path set. CoveringSwitches sorts them, and the collector
+// launches exchanges in that order so runs are deterministic.
+func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.PathSet) *Collector {
+	s := c.roundScratch(env)
+	var switches []topology.NodeID
+	switches, s.covering = CoveringSwitches(env.Topo().Graph(), ps, s.covering)
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
 		switches:  switches,
-		agents:    make(map[topology.NodeID]*ctlmsg.SwitchAgent),
+		shared:    s,
 		channels:  make(map[topology.NodeID]*ctlmsg.Channel),
-		faults:    opts.Faults,
-		retryMax:  opts.CtlRetryMax,
-		backoff:   opts.CtlRetryBackoff,
-		deadAfter: opts.DeadAfter,
+		faults:    c.opts.Faults,
+		retryMax:  c.opts.CtlRetryMax,
+		backoff:   c.opts.CtlRetryBackoff,
+		deadAfter: c.opts.DeadAfter,
 		misses:    make(map[topology.NodeID]int),
-		cache:     make(map[topology.LinkID]ctlmsg.PortState),
-		round:     make(map[topology.LinkID]ctlmsg.PortState),
 	}
 }
 
@@ -79,10 +123,11 @@ func NewCollector(env sched.Host, monitorID uint64, switches []topology.NodeID, 
 // wire bytes consumed (retries and duplicates included), and whether
 // every covered link has a usable entry; with faults disabled (or when
 // every exchange succeeds without delay) it is called synchronously.
-// When an earlier round is still retrying, the tick is skipped — the
-// control plane does not pipeline rounds. Errors are protocol-level
-// (marshal/agent bugs), not injected faults.
-func (c *Collector) Assemble(done func(linkState map[topology.LinkID]ctlmsg.PortState, wireBytes int, complete bool)) error {
+// The link state is only valid during the call. When an earlier round is
+// still retrying, the tick is skipped — the control plane does not
+// pipeline rounds. Errors are protocol-level (marshal/agent bugs), not
+// injected faults.
+func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, complete bool)) error {
 	if !c.faults.Enabled() {
 		return c.assembleSync(done)
 	}
@@ -92,8 +137,17 @@ func (c *Collector) Assemble(done func(linkState map[topology.LinkID]ctlmsg.Port
 	c.inFlight = true
 	c.seqNo++
 	seq := c.seqNo
-	clear(c.round)
+	if c.round == nil {
+		n := c.env.Topo().Graph().NumLinks()
+		c.round, c.cache = NewLinkState(n), NewLinkState(n)
+	}
+	c.round.Reset()
 	linkState := c.round
+	set := func(ls *LinkState, p ctlmsg.PortState) {
+		if err := ls.Set(p); err != nil {
+			panic(fmt.Sprintf("dard: collector: %v", err))
+		}
+	}
 	totalBytes := 0
 	complete := true
 	remaining := len(c.switches)
@@ -104,12 +158,12 @@ func (c *Collector) Assemble(done func(linkState map[topology.LinkID]ctlmsg.Port
 			if ok {
 				c.misses[sw] = 0
 				for _, p := range ports {
-					linkState[topology.LinkID(p.LinkID)] = p
-					c.cache[topology.LinkID(p.LinkID)] = p
+					set(linkState, p)
+					set(c.cache, p)
 				}
 			} else {
 				c.misses[sw]++
-				agent, err := c.agent(sw)
+				agent, err := c.shared.agent(sw)
 				if err != nil {
 					panic(fmt.Sprintf("dard: collector: %v", err))
 				}
@@ -117,13 +171,13 @@ func (c *Collector) Assemble(done func(linkState map[topology.LinkID]ctlmsg.Port
 					// Presumed dead: every port it covered reports zero
 					// bandwidth, so the paths through it read BoNF 0.
 					for _, l := range agent.Links() {
-						linkState[l] = ctlmsg.PortState{LinkID: uint32(l)}
+						set(linkState, ctlmsg.PortState{LinkID: uint32(l)})
 					}
 				} else {
 					// Serve the last state it did report, if any.
 					for _, l := range agent.Links() {
-						if p, have := c.cache[l]; have {
-							linkState[l] = p
+						if p, have := c.cache.Get(l); have {
+							set(linkState, p)
 						} else {
 							complete = false
 						}
@@ -141,35 +195,38 @@ func (c *Collector) Assemble(done func(linkState map[topology.LinkID]ctlmsg.Port
 }
 
 // assembleSync is the fault-free fast path: the original monitors'
-// synchronous exchange loop, byte for byte.
-func (c *Collector) assembleSync(done func(map[topology.LinkID]ctlmsg.PortState, int, bool)) error {
+// synchronous exchange loop, byte for byte, run entirely in the
+// controller's shared scratch so a warm round allocates nothing.
+func (c *Collector) assembleSync(done func(*LinkState, int, bool)) error {
+	s := c.shared
+	if s.links == nil {
+		s.links = NewLinkState(c.env.Topo().Graph().NumLinks())
+	}
 	c.seqNo++
-	clear(c.round)
-	linkState := c.round
+	s.links.Reset()
 	totalBytes := 0
 	for _, sw := range c.switches {
-		agent, err := c.agent(sw)
+		agent, err := s.agent(sw)
 		if err != nil {
 			return err
 		}
-		qb, err := c.query(sw).MarshalBinary()
-		if err != nil {
+		if s.query, err = c.query(sw).AppendBinary(s.query[:0]); err != nil {
 			return err
 		}
-		rb, err := agent.Serve(qb)
-		if err != nil {
+		if s.reply, err = agent.Serve(s.reply[:0], s.query); err != nil {
 			return err
 		}
-		totalBytes += len(qb) + len(rb)
-		reply, err := c.parseReply(rb)
-		if err != nil {
+		totalBytes += len(s.query) + len(s.reply)
+		if err := c.parseReply(&s.msg, s.reply); err != nil {
 			return err
 		}
-		for _, p := range reply.Ports {
-			linkState[topology.LinkID(p.LinkID)] = p
+		for _, p := range s.msg.Ports {
+			if err := s.links.Set(p); err != nil {
+				return err
+			}
 		}
 	}
-	done(linkState, totalBytes, true)
+	done(s.links, totalBytes, true)
 	return nil
 }
 
@@ -177,7 +234,7 @@ func (c *Collector) assembleSync(done func(map[topology.LinkID]ctlmsg.PortState,
 // re-attempt after an exponentially backed-off delay until the retry
 // budget runs out. resolve fires exactly once per chain.
 func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytesSoFar int, resolve func(ports []ctlmsg.PortState, bytes int, ok bool)) {
-	agent, err := c.agent(sw)
+	agent, err := c.shared.agent(sw)
 	if err != nil {
 		panic(fmt.Sprintf("dard: collector: %v", err))
 	}
@@ -194,8 +251,8 @@ func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytes
 	}
 	bytes := bytesSoFar + wire
 	if ok {
-		reply, err := c.parseReply(rb)
-		if err != nil {
+		var reply ctlmsg.Reply
+		if err := c.parseReply(&reply, rb); err != nil {
 			panic(fmt.Sprintf("dard: collector: reply from switch %d: %v", sw, err))
 		}
 		deliver := func() { resolve(reply.Ports, bytes, true) }
@@ -226,28 +283,16 @@ func (c *Collector) query(sw topology.NodeID) ctlmsg.Query {
 	}
 }
 
-func (c *Collector) parseReply(rb []byte) (ctlmsg.Reply, error) {
-	var reply ctlmsg.Reply
+// parseReply decodes rb into reply, reusing its port storage, and checks
+// it answers the current query.
+func (c *Collector) parseReply(reply *ctlmsg.Reply, rb []byte) error {
 	if err := reply.UnmarshalBinary(rb); err != nil {
-		return reply, err
+		return err
 	}
 	if reply.SeqNo != c.seqNo {
-		return reply, fmt.Errorf("reply sequence %d for query %d", reply.SeqNo, c.seqNo)
+		return fmt.Errorf("reply sequence %d for query %d", reply.SeqNo, c.seqNo)
 	}
-	return reply, nil
-}
-
-func (c *Collector) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
-	a := c.agents[sw]
-	if a == nil {
-		var err error
-		a, err = ctlmsg.NewSwitchAgent(c.env, sw)
-		if err != nil {
-			return nil, err
-		}
-		c.agents[sw] = a
-	}
-	return a, nil
+	return nil
 }
 
 func (c *Collector) channel(sw topology.NodeID) *ctlmsg.Channel {
@@ -264,9 +309,10 @@ func (c *Collector) channel(sw topology.NodeID) *ctlmsg.Channel {
 // congested link, with a zero-capacity (failed or dead-switch) link
 // collapsing the path's BoNF to zero. It folds into pv's backing array
 // (resized to ps.Len()) with buf as link scratch, so a monitor's
-// steady-state query tick allocates nothing once warm. It returns the
-// folded pv and the (possibly grown) buf; neither retains linkState.
-func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, linkState map[topology.LinkID]ctlmsg.PortState) ([]PathState, []topology.LinkID, error) {
+// steady-state query tick allocates nothing once warm
+// (TestAssembleSteadyStateAllocs). It returns the folded pv and the
+// (possibly grown) buf; neither retains linkState.
+func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, linkState *LinkState) ([]PathState, []topology.LinkID, error) {
 	n := ps.Len()
 	if cap(pv) < n {
 		pv = make([]PathState, n)
@@ -285,10 +331,10 @@ func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, link
 }
 
 // foldPathState reduces one path's links to its bottleneck state.
-func foldPathState(links []topology.LinkID, linkState map[topology.LinkID]ctlmsg.PortState) (PathState, error) {
+func foldPathState(links []topology.LinkID, linkState *LinkState) (PathState, error) {
 	st := PathState{Bandwidth: math.Inf(1), BoNF: math.Inf(1)}
 	for _, l := range links {
-		port, ok := linkState[l]
+		port, ok := linkState.Get(l)
 		if !ok {
 			return st, fmt.Errorf("no switch reported state for link %d", l)
 		}

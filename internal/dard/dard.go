@@ -144,6 +144,10 @@ type Controller struct {
 	// successor.
 	monitorSeq int64
 
+	// scratch is the buffer set all monitors' fault-free query rounds
+	// share (collector.go).
+	scratch *roundScratch //dardlint:snapfield scratch, rebuilt on first use
+
 	// Shifts counts accepted flow moves across the run (observability).
 	Shifts int
 	// Rounds counts executed scheduling rounds across the run.

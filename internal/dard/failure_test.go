@@ -115,17 +115,31 @@ func TestFoldPVFailedLink(t *testing.T) {
 	ps := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))
 	// Every path link reports 1 Gbps shared by four elephants, except
 	// path 0's aggregation-to-core hop, which no other path uses: it has
-	// failed and reports zero bandwidth.
-	state := map[topology.LinkID]ctlmsg.PortState{}
-	var links []topology.LinkID
-	for i := 0; i < ps.Len(); i++ {
-		links = ps.AppendLinks(i, links[:0])
-		for _, l := range links {
-			state[l] = ctlmsg.PortState{LinkID: uint32(l), BandwidthMbps: 1000, ElephantFlows: 4}
+	// failed and reports zero bandwidth — or, with reportFailed false,
+	// reports nothing at all.
+	failed := ps.AppendLinks(0, nil)[1]
+	state := NewLinkState(ft.Graph().NumLinks())
+	fill := func(reportFailed bool) {
+		t.Helper()
+		state.Reset()
+		var links []topology.LinkID
+		for i := 0; i < ps.Len(); i++ {
+			links = ps.AppendLinks(i, links[:0])
+			for _, l := range links {
+				p := ctlmsg.PortState{LinkID: uint32(l), BandwidthMbps: 1000, ElephantFlows: 4}
+				if l == failed {
+					if !reportFailed {
+						continue
+					}
+					p = ctlmsg.PortState{LinkID: uint32(l)}
+				}
+				if err := state.Set(p); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	failed := ps.AppendLinks(0, nil)[1]
-	state[failed] = ctlmsg.PortState{LinkID: uint32(failed)}
+	fill(true)
 	pv, _, err := FoldPVInto(nil, nil, ps, state)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +155,7 @@ func TestFoldPVFailedLink(t *testing.T) {
 	if !fpcmp.IsZero(MinBoNF(pv)) {
 		t.Errorf("MinBoNF %g, want 0 with a dead path", MinBoNF(pv))
 	}
-	delete(state, failed)
+	fill(false)
 	if _, _, err := FoldPVInto(pv, nil, ps, state); err == nil {
 		t.Error("unreported link folded without error")
 	}

@@ -2,9 +2,8 @@ package dard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"dard/internal/ctlmsg"
 	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -69,27 +68,29 @@ func newMonitor(env sched.Host, c *Controller, srcHost, srcToR, dstToR topology.
 		flows:   make(map[int]struct{}),
 		serial:  c.monitorSeq,
 	}
-	m.coll = NewCollector(env, m.entity(), CoveringSwitches(env.Topo().Graph(), m.ps), c.opts)
+	m.coll = c.newCollector(env, m.entity(), m.ps)
 	return m
 }
 
 // CoveringSwitches returns the sorted upstream endpoints of every path
-// link of the set: exactly the four switch groups of §2.4.2.
-func CoveringSwitches(g *topology.Graph, ps topology.PathSet) []topology.NodeID {
-	seen := make(map[topology.NodeID]bool)
-	var buf []topology.LinkID
+// link of the set: exactly the four switch groups of §2.4.2. It gathers
+// the endpoints in buf and returns them as an exact-size copy together
+// with the (possibly grown) buf, so a caller creating many monitors
+// reuses one gather buffer.
+func CoveringSwitches(g *topology.Graph, ps topology.PathSet, buf []topology.NodeID) ([]topology.NodeID, []topology.NodeID) {
+	buf = buf[:0]
+	var links []topology.LinkID
 	for i := 0; i < ps.Len(); i++ {
-		buf = ps.AppendLinks(i, buf[:0])
-		for _, l := range buf {
-			seen[g.Link(l).From] = true
+		links = ps.AppendLinks(i, links[:0])
+		for _, l := range links {
+			buf = append(buf, g.Link(l).From)
 		}
 	}
-	switches := make([]topology.NodeID, 0, len(seen))
-	for sw := range seen {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	return switches
+	slices.Sort(buf)
+	unique := slices.Compact(buf)
+	switches := make([]topology.NodeID, len(unique))
+	copy(switches, unique)
+	return switches, buf
 }
 
 // entity is the monitor's identity in queries and trace records.
@@ -128,7 +129,7 @@ func (m *monitor) tickFn(env sched.Host) func() {
 // shared collector and folds the per-port states into the path state
 // vector when the round completes.
 func (m *monitor) assemble(env sched.Host) error {
-	return m.coll.Assemble(func(linkState map[topology.LinkID]ctlmsg.PortState, wireBytes int, complete bool) {
+	return m.coll.Assemble(func(linkState *LinkState, wireBytes int, complete bool) {
 		env.RecordControl(float64(wireBytes))
 		if m.released || !complete {
 			return // keep the previous pv until a full round lands

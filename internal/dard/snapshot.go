@@ -16,8 +16,9 @@ import (
 // host's round-timer flag and its monitors, each monitor carrying its
 // elephant set, last assembled path state vector, dead-path mask, and
 // collector sequence number. Everything else a monitor holds (paths,
-// covering switches, agents, channels) is a pure function of the
-// topology and is rebuilt by newMonitor.
+// covering switches, channels) is a pure function of the topology and is
+// rebuilt by newMonitor, as is the controller's shared round scratch
+// (switch agents and wire buffers) on first use.
 //
 // Timers: the per-host scheduling round is tagged with the host's node
 // ID; a monitor's query tick is tagged with the monitor's run-unique
