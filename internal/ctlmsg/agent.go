@@ -17,6 +17,10 @@ type StateSource interface {
 	ElephantsOnLink(l topology.LinkID) int
 	// LinkCapacity returns a link's effective bandwidth in bits/s.
 	LinkCapacity(l topology.LinkID) float64
+	// PortStamp returns a switch's port-state stamp. It must change
+	// whenever the elephant count or the capacity of any exit link of sw
+	// changes; agents re-read their ports only when it does.
+	PortStamp(sw topology.NodeID) uint64
 }
 
 // SwitchAgent answers state queries for one switch, the role OpenFlow's
@@ -25,9 +29,13 @@ type SwitchAgent struct {
 	src      StateSource
 	switchID topology.NodeID
 	out      []topology.LinkID
-	// ports is the reply's port records, rebuilt by every Serve; it
-	// never leaves the agent except as marshaled bytes.
-	ports []PortState
+	// records holds the encoded port records, PortStateLen bytes per
+	// exit port, as of the source's stamp; built is false until the first
+	// Serve fills them. The reply header echoes each query, so it is
+	// encoded per Serve and not cached.
+	records []byte
+	stamp   uint64
+	built   bool
 }
 
 // NewSwitchAgent builds the agent for a switch.
@@ -40,7 +48,15 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 		return nil, fmt.Errorf("ctlmsg: %s is a host, not a switch", g.Node(switchID).Name)
 	}
 	out := g.Out(switchID)
-	return &SwitchAgent{src: src, switchID: switchID, out: out, ports: make([]PortState, 0, len(out))}, nil
+	if len(out) > 0xffff {
+		return nil, fmt.Errorf("ctlmsg: switch %d has too many ports (%d)", switchID, len(out))
+	}
+	return &SwitchAgent{
+		src:      src,
+		switchID: switchID,
+		out:      out,
+		records:  make([]byte, len(out)*PortStateLen),
+	}, nil
 }
 
 // Links returns the exit links the agent reports on, in stable order.
@@ -49,8 +65,10 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 func (a *SwitchAgent) Links() []topology.LinkID { return a.out }
 
 // Serve handles one marshaled query and appends the marshaled reply,
-// carrying the current state of every exit port, to dst. A caller that
-// passes the same buffer back every exchange serves without allocating.
+// carrying the current state of every exit port, to dst. The port
+// records are re-read and re-encoded only when the source's PortStamp
+// for this switch has moved since the last Serve. A caller that passes
+// the same buffer back every exchange serves without allocating.
 func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	var q Query
 	if err := q.UnmarshalBinary(queryBytes); err != nil {
@@ -59,13 +77,16 @@ func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	if q.SwitchID != uint32(a.switchID) {
 		return dst, fmt.Errorf("ctlmsg: query for switch %d delivered to %d", q.SwitchID, a.switchID)
 	}
-	a.ports = a.ports[:0]
-	for _, l := range a.out {
-		a.ports = append(a.ports, PortState{
-			LinkID:        uint32(l),
-			BandwidthMbps: uint32(a.src.LinkCapacity(l) / 1e6),
-			ElephantFlows: uint32(a.src.ElephantsOnLink(l)),
-		})
+	if stamp := a.src.PortStamp(a.switchID); !a.built || stamp != a.stamp {
+		for i, l := range a.out {
+			putPortState(a.records[i*PortStateLen:], PortState{
+				LinkID:        uint32(l),
+				BandwidthMbps: uint32(a.src.LinkCapacity(l) / 1e6),
+				ElephantFlows: uint32(a.src.ElephantsOnLink(l)),
+			})
+		}
+		a.stamp, a.built = stamp, true
 	}
-	return Reply{SwitchID: q.SwitchID, SeqNo: q.SeqNo, Ports: a.ports}.AppendBinary(dst)
+	dst = appendReplyHeader(dst, q.SwitchID, q.SeqNo, len(a.out))
+	return append(dst, a.records...), nil
 }

@@ -118,17 +118,31 @@ func (r Reply) AppendBinary(dst []byte) ([]byte, error) {
 	if len(r.Ports) > 0xffff {
 		return dst, fmt.Errorf("ctlmsg: too many ports (%d)", len(r.Ports))
 	}
-	dst = binary.BigEndian.AppendUint32(dst, replyMagic)
-	dst = binary.BigEndian.AppendUint32(dst, r.SwitchID)
-	dst = binary.BigEndian.AppendUint32(dst, r.SeqNo)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Ports)))
-	for _, p := range r.Ports {
-		dst = binary.BigEndian.AppendUint32(dst, p.LinkID)
-		dst = binary.BigEndian.AppendUint32(dst, p.BandwidthMbps)
-		dst = binary.BigEndian.AppendUint32(dst, p.ElephantFlows)
-		dst = binary.BigEndian.AppendUint32(dst, p.QueuedKB)
+	dst = appendReplyHeader(dst, r.SwitchID, r.SeqNo, len(r.Ports))
+	n := len(dst)
+	dst = append(dst, make([]byte, len(r.Ports)*PortStateLen)...)
+	for i, p := range r.Ports {
+		putPortState(dst[n+i*PortStateLen:], p)
 	}
 	return dst, nil
+}
+
+// appendReplyHeader appends a reply's ReplyHeaderLen-byte header to dst.
+// With putPortState it is the reply's one encoder, shared by
+// Reply.AppendBinary and the switch agent's cached port records.
+func appendReplyHeader(dst []byte, switchID, seqNo uint32, nPorts int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, replyMagic)
+	dst = binary.BigEndian.AppendUint32(dst, switchID)
+	dst = binary.BigEndian.AppendUint32(dst, seqNo)
+	return binary.BigEndian.AppendUint32(dst, uint32(nPorts))
+}
+
+// putPortState writes one PortStateLen-byte port record into b.
+func putPortState(b []byte, p PortState) {
+	binary.BigEndian.PutUint32(b[0:], p.LinkID)
+	binary.BigEndian.PutUint32(b[4:], p.BandwidthMbps)
+	binary.BigEndian.PutUint32(b[8:], p.ElephantFlows)
+	binary.BigEndian.PutUint32(b[12:], p.QueuedKB)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -69,8 +69,8 @@ type roundScratch struct {
 	links        *LinkState
 	query, reply []byte
 	msg          ctlmsg.Reply
-	// covering is CoveringSwitches' gather buffer for new monitors.
-	covering []topology.NodeID
+	// covering gathers new monitors' covering switches.
+	covering switchGather
 }
 
 // roundScratch returns the controller's shared scratch for env, building
@@ -99,16 +99,14 @@ func (s *roundScratch) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
 }
 
 // newCollector builds the collector for one monitor over the switches
-// covering its path set. CoveringSwitches sorts them, and the collector
+// covering its path set. coveringSwitches sorts them, and the collector
 // launches exchanges in that order so runs are deterministic.
 func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.PathSet) *Collector {
 	s := c.roundScratch(env)
-	var switches []topology.NodeID
-	switches, s.covering = CoveringSwitches(env.Topo().Graph(), ps, s.covering)
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
-		switches:  switches,
+		switches:  s.covering.coveringSwitches(env.Topo().Graph(), ps),
 		shared:    s,
 		channels:  make(map[topology.NodeID]*ctlmsg.Channel),
 		faults:    c.opts.Faults,

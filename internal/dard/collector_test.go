@@ -16,8 +16,10 @@ import (
 // folding the round into the path state vector exactly as
 // monitor.assemble does every query interval. The host is a finished
 // fault-free flow run, so every exchange marshals, serves and parses
-// real bytes.
-func monitorTick(tb testing.TB, p int) func() {
+// real bytes. churn fails or repairs an exit link of one covering
+// switch, moving its port stamp, so the next tick rebuilds that
+// switch's cached reply instead of replaying it.
+func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 	tb.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: p})
 	if err != nil {
@@ -50,7 +52,7 @@ func monitorTick(tb testing.TB, p int) func() {
 		}
 		pv, buf, foldErr = FoldPVInto(pv[:0], buf, ps, linkState)
 	}
-	tick := func() {
+	tick = func() {
 		if err := coll.Assemble(done); err != nil {
 			tb.Fatal(err)
 		}
@@ -62,28 +64,52 @@ func monitorTick(tb testing.TB, p int) func() {
 	if len(pv) != ps.Len() {
 		tb.Fatalf("folded %d paths, want %d", len(pv), ps.Len())
 	}
-	return tick
+	churned := ft.Graph().Out(coll.switches[0])[0]
+	down := false
+	churn = func() {
+		down = !down
+		s.SetLinkDown(churned, down)
+	}
+	return tick, churn
 }
 
 // TestAssembleSteadyStateAllocs is the alloc gate for DARD's query
 // round: once warm, a fault-free monitor tick — a marshaled query and
-// parsed reply per covering switch, then the fold — must not allocate.
-// At p=32 a tick is ~290 switch exchanges, so one allocation per
-// exchange multiplies into gigabytes per run.
+// parsed reply per covering switch, then the fold — must not allocate,
+// whether every agent replays its cached reply or one rebuilds it after
+// a port-state change. At p=32 a tick is ~290 switch exchanges, so one
+// allocation per exchange multiplies into gigabytes per run.
 func TestAssembleSteadyStateAllocs(t *testing.T) {
-	tick := monitorTick(t, 8)
+	tick, churn := monitorTick(t, 8)
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Fatalf("warm monitor tick allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { churn(); tick() }); allocs != 0 {
+		t.Fatalf("monitor tick after a port-state change allocates %.1f times, want 0", allocs)
 	}
 }
 
 // BenchmarkCollectorAssemble times one p=32 inter-pod monitor tick, the
 // control-plane share of a flow-engine DARD run on the paper's fabric.
+// The host is idle, so every agent replays its cached reply.
 func BenchmarkCollectorAssemble(b *testing.B) {
-	tick := monitorTick(b, 32)
+	tick, _ := monitorTick(b, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tick()
+	}
+}
+
+// BenchmarkCollectorAssembleChurn is BenchmarkCollectorAssemble with one
+// covering switch's port state changed before every tick, so each tick
+// also pays one agent's cache rebuild.
+func BenchmarkCollectorAssembleChurn(b *testing.B) {
+	tick, churn := monitorTick(b, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn()
 		tick()
 	}
 }
@@ -128,10 +154,11 @@ func TestLinkStateReset(t *testing.T) {
 	}
 }
 
-// TestCoveringSwitches checks the sort-and-compact gather against the
+// TestCoveringSwitches checks the mark-and-sort gather against the
 // definition — the set of upstream endpoints of every path link — on a
 // tree and a non-tree family, with one gather buffer reused across
-// pairs so stale entries would show.
+// pairs so stale entries would show, including across the wrap of its
+// mark stamp.
 func TestCoveringSwitches(t *testing.T) {
 	ft := fatTree(t)
 	df, err := topology.NewDragonfly(topology.DragonflyConfig{D: 4, A: 3, P: 2})
@@ -140,7 +167,7 @@ func TestCoveringSwitches(t *testing.T) {
 	}
 	for _, net := range []topology.Network{ft, df} {
 		g := net.Graph()
-		var buf []topology.NodeID
+		var sg switchGather
 		src := net.ToROf(net.Hosts()[0])
 		for _, h := range net.Hosts() {
 			dst := net.ToROf(h)
@@ -154,8 +181,7 @@ func TestCoveringSwitches(t *testing.T) {
 					want[g.Link(l).From] = true
 				}
 			}
-			var got []topology.NodeID
-			got, buf = CoveringSwitches(g, ps, buf)
+			got := sg.coveringSwitches(g, ps)
 			if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
 				t.Fatalf("%s %d->%d: %v is not sorted and unique", net.Name(), src, dst, got)
 			}
@@ -167,6 +193,16 @@ func TestCoveringSwitches(t *testing.T) {
 					t.Fatalf("%s %d->%d: switch %d covers no path link", net.Name(), src, dst, sw)
 				}
 			}
+		}
+		// Wrap the mark stamp after a fresh gather's first call: the
+		// marks that call left hold the stamp the wrap restarts at, and
+		// must not read as current.
+		var wrapped switchGather
+		ps := net.PathSet(src, net.ToROf(net.Hosts()[len(net.Hosts())-1]))
+		want := wrapped.coveringSwitches(g, ps)
+		wrapped.gen = ^uint32(0)
+		if got := wrapped.coveringSwitches(g, ps); !slices.Equal(got, want) {
+			t.Fatalf("%s: after the stamp wrapped got %v, want %v", net.Name(), got, want)
 		}
 	}
 }

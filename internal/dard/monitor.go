@@ -72,25 +72,44 @@ func newMonitor(env sched.Host, c *Controller, srcHost, srcToR, dstToR topology.
 	return m
 }
 
-// CoveringSwitches returns the sorted upstream endpoints of every path
-// link of the set: exactly the four switch groups of §2.4.2. It gathers
-// the endpoints in buf and returns them as an exact-size copy together
-// with the (possibly grown) buf, so a caller creating many monitors
-// reuses one gather buffer.
-func CoveringSwitches(g *topology.Graph, ps topology.PathSet, buf []topology.NodeID) ([]topology.NodeID, []topology.NodeID) {
-	buf = buf[:0]
-	var links []topology.LinkID
+// switchGather is the scratch of coveringSwitches: a generation-stamped
+// mark per node, so each switch is gathered once as it is found and only
+// the unique IDs are sorted, plus the gather and link buffers. A caller
+// creating many monitors reuses one.
+type switchGather struct {
+	mark  []uint32 // mark[n] == gen: n was gathered by the current call
+	gen   uint32
+	nodes []topology.NodeID
+	links []topology.LinkID
+}
+
+// coveringSwitches returns the sorted upstream endpoints of every path
+// link of the set, exactly the four switch groups of §2.4.2, as an
+// exact-size slice the caller owns.
+func (sg *switchGather) coveringSwitches(g *topology.Graph, ps topology.PathSet) []topology.NodeID {
+	if len(sg.mark) != g.NumNodes() {
+		sg.mark, sg.gen = make([]uint32, g.NumNodes()), 0
+	}
+	sg.gen++
+	if sg.gen == 0 {
+		// The stamp wrapped: clear marks from 2^32 calls ago once.
+		clear(sg.mark)
+		sg.gen = 1
+	}
+	sg.nodes = sg.nodes[:0]
 	for i := 0; i < ps.Len(); i++ {
-		links = ps.AppendLinks(i, links[:0])
-		for _, l := range links {
-			buf = append(buf, g.Link(l).From)
+		sg.links = ps.AppendLinks(i, sg.links[:0])
+		for _, l := range sg.links {
+			if n := g.Link(l).From; sg.mark[n] != sg.gen {
+				sg.mark[n] = sg.gen
+				sg.nodes = append(sg.nodes, n)
+			}
 		}
 	}
-	slices.Sort(buf)
-	unique := slices.Compact(buf)
-	switches := make([]topology.NodeID, len(unique))
-	copy(switches, unique)
-	return switches, buf
+	slices.Sort(sg.nodes)
+	switches := make([]topology.NodeID, len(sg.nodes))
+	copy(switches, sg.nodes)
+	return switches
 }
 
 // entity is the monitor's identity in queries and trace records.

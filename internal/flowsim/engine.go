@@ -139,9 +139,13 @@ type Sim struct {
 
 	ratesDirty bool //dardlint:snapfield snapshots are taken at a freshly recomputed boundary, so false on both sides by construction
 
-	eleCounts    []int  //dardlint:snapfield version-tagged cache; a stale eleVersion after restore forces the rebuild
-	eleVersion   uint64 //dardlint:snapfield cache tag for eleCounts; restore leaves it stale on purpose
-	stateVersion uint64 //dardlint:snapfield monotonic invalidation counter; only its inequality to eleVersion is observable
+	// eleCounts is the number of active elephants on each link, kept by
+	// countElephant as flows are classified, moved and completed.
+	eleCounts []int32 //dardlint:snapfield derived from the active elephants' routes; restore recounts it
+	// portStamp is each switch's ctlmsg.StateSource.PortStamp: bumped
+	// whenever the elephant count or capacity of one of its exit links
+	// changes, so switch agents re-encode only the ports that moved.
+	portStamp []uint64 //dardlint:snapfield invalidation counter, only its changes are observable; restore moves every entry on
 
 	controlBytes  float64
 	curElephants  int
@@ -254,7 +258,8 @@ func New(cfg Config) (*Sim, error) {
 		rng:       rand.New(seedSrc),
 		rngSrc:    seedSrc,
 		pauseAt:   -1,
-		eleCounts: make([]int, g.NumLinks()),
+		eleCounts: make([]int32, g.NumLinks()),
+		portStamp: make([]uint64, g.NumNodes()),
 		linkDown:  make([]bool, g.NumLinks()),
 		residual:  make([]float64, g.NumLinks()),
 		unfrozen:  make([]int, g.NumLinks()),
@@ -465,9 +470,11 @@ func (s *Sim) SetPath(f *Flow, pathIdx int) error {
 	}
 	old := f.PathIdx
 	f.PathIdx = pathIdx
+	s.countElephant(f, -1)
 	s.detachLinks(f)
 	s.buildRoute(f, ps, pathIdx)
 	s.attachLinks(f)
+	s.countElephant(f, +1)
 	f.PathSwitches++
 	s.markStateChanged()
 	if s.tracer.Enabled() {
@@ -546,7 +553,19 @@ func (s *Sim) markLinkDirty(l topology.LinkID) {
 
 func (s *Sim) markStateChanged() {
 	s.ratesDirty = true
-	s.stateVersion++
+}
+
+// countElephant adds sign to the elephant count of every link on f's
+// route and bumps the port stamps of the switches those links leave. It
+// counts only active elephants, so callers need not check.
+func (s *Sim) countElephant(f *Flow, sign int32) {
+	if !f.Elephant || !f.active {
+		return
+	}
+	for _, l := range f.links {
+		s.eleCounts[l] += sign
+		s.portStamp[s.g.Link(l).From]++
+	}
 }
 
 // growLinkFlows resizes the membership table to hold n links in a single
@@ -564,23 +583,10 @@ func (s *Sim) growLinkFlows(n int) {
 // ElephantsOnLink returns the number of active elephant flows currently
 // traversing the link: the "flow_numbers" half of the switch state the
 // paper's monitors query (§2.4.2).
-func (s *Sim) ElephantsOnLink(l topology.LinkID) int {
-	if s.eleVersion != s.stateVersion {
-		for i := range s.eleCounts {
-			s.eleCounts[i] = 0
-		}
-		for _, f := range s.active {
-			if !f.Elephant {
-				continue
-			}
-			for _, fl := range f.links {
-				s.eleCounts[fl]++
-			}
-		}
-		s.eleVersion = s.stateVersion
-	}
-	return s.eleCounts[l]
-}
+func (s *Sim) ElephantsOnLink(l topology.LinkID) int { return int(s.eleCounts[l]) }
+
+// PortStamp returns the switch's port-state stamp (ctlmsg.StateSource).
+func (s *Sim) PortStamp(sw topology.NodeID) uint64 { return s.portStamp[sw] }
 
 // LinkCapacity returns a link's effective capacity: zero while failed,
 // nominal otherwise. This is the bandwidth half of the switch state the
@@ -612,6 +618,7 @@ func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
 		return
 	}
 	s.linkDown[l] = down
+	s.portStamp[s.g.Link(l).From]++
 	s.markLinkDirty(l)
 	s.markStateChanged()
 	if s.tracer.Enabled() {
@@ -863,17 +870,18 @@ func (s *Sim) classifyElephant(f *Flow) {
 		return
 	}
 	f.Elephant = true
+	s.countElephant(f, +1)
 	s.curElephants++
 	if s.curElephants > s.peakElephants {
 		s.peakElephants = s.curElephants
 	}
-	s.stateVersion++ // elephant link counts changed
 	if s.obs != nil {
 		s.obs.Elephant(s, f.Flow)
 	}
 }
 
 func (s *Sim) complete(f *Flow) {
+	s.countElephant(f, -1)
 	f.Finish = s.now
 	s.remaining[f.ID] = 0
 	s.syncAt[f.ID] = s.now

@@ -444,8 +444,15 @@ func (s *Sim) restore(data []byte) error {
 	// at a recomputed boundary and the SoA rates above are authoritative.
 	s.clearDirtyLinks()
 	s.ratesDirty = false
-	s.stateVersion = 1 // force the lazy elephant-count cache to rebuild
-	s.eleVersion = 0
+	for _, f := range s.active {
+		s.countElephant(f, +1)
+	}
+	// A restored run's agents are new and build their records on first
+	// Serve; moving every stamp on as well means no stamp from before the
+	// restore can read as current.
+	for i := range s.portStamp {
+		s.portStamp[i]++
+	}
 
 	dec.Expect(secArrivals)
 	kind := dec.U8()

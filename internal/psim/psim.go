@@ -92,7 +92,10 @@ type Runtime struct {
 	flows     []*FlowState
 	remaining int
 
-	eleCounts    []int
+	eleCounts []int
+	// portStamp is each switch's ctlmsg.StateSource.PortStamp, bumped
+	// whenever an exit link's elephant count or capacity changes.
+	portStamp    []uint64
 	controlBytes float64
 	// linkBuf is scratch for resolving a path's links without
 	// materializing the path (elephant accounting on every reroute).
@@ -157,6 +160,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt.net = net
 	rt.obs, _ = cfg.Policy.(sched.Observer)
 	rt.eleCounts = make([]int, rt.g.NumLinks())
+	rt.portStamp = make([]uint64, rt.g.NumNodes())
 	rt.tracer = trace.OrNop(cfg.Tracer)
 	if rt.tracer.Enabled() {
 		rt.net.SetTracer(rt.tracer)
@@ -244,6 +248,9 @@ func (rt *Runtime) RecordControl(bytes float64) {
 // ElephantsOnLink reports the active elephant flows assigned to a link.
 func (rt *Runtime) ElephantsOnLink(l topology.LinkID) int { return rt.eleCounts[l] }
 
+// PortStamp returns the switch's port-state stamp (ctlmsg.StateSource).
+func (rt *Runtime) PortStamp(sw topology.NodeID) uint64 { return rt.portStamp[sw] }
+
 // LinkCapacity returns a link's effective bandwidth: zero while failed,
 // nominal otherwise — the bandwidth half of the switch state monitors
 // query, matching flowsim.Sim.LinkCapacity.
@@ -300,14 +307,17 @@ func (rt *Runtime) SetFlowPath(id, pathIdx int) error {
 	return nil
 }
 
+// countElephant adds sign to the elephant count of every link on f's
+// route and bumps the port stamps of the switches those links leave.
 func (rt *Runtime) countElephant(f *FlowState, sign int) {
 	ps := rt.topo.PathSet(f.SrcToR, f.DstToR)
-	rt.linkBuf = ps.AppendLinks(f.PathIdx, rt.linkBuf[:0])
-	rt.eleCounts[rt.topo.HostUplink(f.Src)] += sign
+	rt.linkBuf = append(rt.linkBuf[:0], rt.topo.HostUplink(f.Src))
+	rt.linkBuf = ps.AppendLinks(f.PathIdx, rt.linkBuf)
+	rt.linkBuf = append(rt.linkBuf, rt.topo.HostDownlink(f.Dst))
 	for _, l := range rt.linkBuf {
 		rt.eleCounts[l] += sign
+		rt.portStamp[rt.g.Link(l).From]++
 	}
-	rt.eleCounts[rt.topo.HostDownlink(f.Dst)] += sign
 }
 
 // Run executes the workload to completion (or MaxTime) and collects
@@ -325,7 +335,10 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 	rt.remaining = len(cfg.Flows)
 	for _, ev := range cfg.LinkEvents {
 		ev := ev
-		rt.net.K.After(ev.At, func() { rt.net.SetLinkDown(ev.Link, ev.Down) })
+		rt.net.K.After(ev.At, func() {
+			rt.net.SetLinkDown(ev.Link, ev.Down)
+			rt.portStamp[rt.g.Link(ev.Link).From]++
+		})
 	}
 	for i := range cfg.Flows {
 		wf := cfg.Flows[i]
