@@ -12,8 +12,6 @@ package dard_test
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"dard"
@@ -298,78 +296,6 @@ func BenchmarkMaxMinScale(b *testing.B) {
 					b.Fatalf("%d unfinished flows", rep.Unfinished)
 				}
 				b.ReportMetric(float64(rep.Flows), "flows")
-			}
-		})
-	}
-}
-
-// p64Topo lazily builds the p=64 switching fabric once per process:
-// topology construction dominates setup at this size, and every
-// intra-worker configuration must measure the same fabric. Paths
-// resolve through the implicit per-topology index tables built at
-// construction (topology.PathSet), so sharing the fabric costs nothing
-// and there is no per-pair cache to fill or contend on.
-var p64Topo = struct {
-	sync.Once
-	topo *dard.Topology
-	err  error
-}{}
-
-func benchP64Topo(b *testing.B) *dard.Topology {
-	b.Helper()
-	p64Topo.Do(func() {
-		p64Topo.topo, p64Topo.err = dard.TopologySpec{Kind: dard.FatTree, P: 64, HostsPerToR: 1}.Build()
-	})
-	if p64Topo.err != nil {
-		b.Fatal(p64Topo.err)
-	}
-	return p64Topo.topo
-}
-
-// p64IntraScenario is the BENCH_pr6 workload: the p=64 fabric under
-// staggered traffic with the simulated-annealing controller, whose
-// central rounds re-place many elephants from a single timer — the
-// event shape that dirties several disjoint sharing-graph components at
-// once and so exercises component-parallel recompute. Output is
-// bit-identical at every IntraWorkers setting (equivalence suite).
-func p64IntraScenario(topo *dard.Topology, workers int) dard.Scenario {
-	return dard.Scenario{
-		Topo:           topo,
-		Scheduler:      dard.SchedulerAnnealing,
-		Pattern:        dard.PatternStaggered,
-		RatePerHost:    0.5,
-		Duration:       5,
-		FileSizeMB:     64,
-		Seed:           7,
-		ElephantAgeSec: 0.5,
-		IntraWorkers:   workers,
-	}
-}
-
-// BenchmarkIntraWorkersP64 compares serial against IntraWorkers=2/4/8
-// on the p=64 fabric, reporting the heap the run allocated and the
-// process footprint after it (runtime.ReadMemStats) alongside the wall
-// clock. Run with -benchtime=1x; TestEmitBenchPR6 records the same
-// comparison into BENCH_pr6.json.
-func BenchmarkIntraWorkersP64(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			topo := benchP64Topo(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				rep, err := p64IntraScenario(topo, w).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				runtime.ReadMemStats(&after)
-				if rep.Unfinished != 0 {
-					b.Fatalf("%d unfinished flows", rep.Unfinished)
-				}
-				b.ReportMetric(float64(rep.Flows), "flows")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6, "allocMB")
-				b.ReportMetric(float64(after.Sys)/1e6, "sysMB")
 			}
 		})
 	}

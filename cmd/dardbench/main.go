@@ -11,20 +11,13 @@
 //	dardbench -scale paper            # close to paper scale (very slow)
 //	dardbench -parallel 1             # serial baseline (identical output)
 //	dardbench -parallel 8             # 8 workers
-//	dardbench -intra-workers 8        # parallelize inside each simulation
 //	dardbench -trace-dir traces       # one JSONL event trace per cell
 //
 // -parallel sizes the worker pool (0, the default, uses every CPU; 1 is
 // serial): experiment cells fan out across it and whole experiments
 // overlap on it. Per-cell seeds are derived from the base seed and the
 // cell identity, so the output is bit-identical for every -parallel
-// value.
-//
-// -intra-workers parallelizes inside each flow-engine simulation
-// (component-parallel max-min recompute): 1, the default, is serial; n
-// uses n workers per run; -1 uses one per CPU. Output is bit-identical
-// for every value. Prefer -parallel when a run has many cells; reach
-// for -intra-workers when one big cell dominates.
+// value. Each simulation itself runs on one goroutine.
 package main
 
 import (
@@ -52,7 +45,6 @@ func run(args []string) error {
 	scale := fs.String("scale", "default", "parameter scale: quick, default, paper")
 	seed := fs.Int64("seed", 0, "override the random seed")
 	par := fs.Int("parallel", 0, "worker pool size: 0 = one per CPU, 1 = serial")
-	intra := fs.Int("intra-workers", 1, "workers inside each flow-engine run: 1 = serial, -1 = one per CPU")
 	traceDir := fs.String("trace-dir", "", "record a JSONL event trace per cell under this directory (see dardtrace)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +72,6 @@ func run(args []string) error {
 		params.Seed = *seed
 	}
 	params.Workers = *par
-	params.IntraWorkers = *intra
 	params.TraceDir = *traceDir
 
 	var entries []experiments.Entry

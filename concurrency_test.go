@@ -142,12 +142,11 @@ func TestLazyAddressPlanConcurrentWithRuns(t *testing.T) {
 	}
 }
 
-// TestIntraWorkersScenariosConcurrently overlaps scenarios that each
-// own an intra-run worker pool (component-parallel recompute) and an
-// event tracer: pools inside sims running inside concurrent goroutines,
-// with tracing on, is the deepest nesting the runner produces. Each
-// traced parallel run must match its serial untraced twin exactly.
-func TestIntraWorkersScenariosConcurrently(t *testing.T) {
+// TestTracedScenariosConcurrently overlaps scenarios that each own an
+// event tracer: traced sims running inside concurrent goroutines is the
+// deepest nesting the runner produces. Each traced concurrent run must
+// match its serial untraced twin exactly.
+func TestTracedScenariosConcurrently(t *testing.T) {
 	topo, err := TopologySpec{Kind: FatTree, P: 4}.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestIntraWorkersScenariosConcurrently(t *testing.T) {
 		}
 		serial[i] = rep
 	}
-	parallelReports := make([]*Report, len(scenarios))
+	traced := make([]*Report, len(scenarios))
 	var wg sync.WaitGroup
 	for i := range scenarios {
 		i := i
@@ -184,14 +183,13 @@ func TestIntraWorkersScenariosConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s := scenarios[i]
-			s.IntraWorkers = 4
 			s.TraceDir = t.TempDir()
 			rep, err := s.Run()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			parallelReports[i] = rep
+			traced[i] = rep
 		}()
 	}
 	wg.Wait()
@@ -200,6 +198,6 @@ func TestIntraWorkersScenariosConcurrently(t *testing.T) {
 	}
 	for i := range scenarios {
 		label := string(scenarios[i].Pattern) + "/" + string(scenarios[i].Scheduler)
-		assertReportsEqual(t, label, serial[i], parallelReports[i])
+		assertReportsEqual(t, label, serial[i], traced[i])
 	}
 }

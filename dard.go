@@ -236,14 +236,6 @@ type Scenario struct {
 	// Report.Windows (flow engine only). Zero means DefaultWindowSec in
 	// steady mode and disabled otherwise; negative disables.
 	WindowSec float64
-	// IntraWorkers parallelizes the inside of a single flow-level run:
-	// disjoint components of the flow/link sharing graph recompute on a
-	// worker pool, merged in stable order so the report stays
-	// byte-identical to serial at every worker count (the equivalence
-	// suite pins this). 0 or 1 is serial, n > 1 uses n workers, negative
-	// uses one per CPU. Ignored by the packet engine. Orthogonal to
-	// RunAll/RunMatrix's Workers, which parallelizes across scenarios.
-	IntraWorkers int
 
 	// flowsimReference selects flowsim's retained reference scheduler
 	// instead of the incremental engine. Both must produce byte-identical
@@ -442,7 +434,6 @@ func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flo
 		LinkEvents:    events,
 		Tracer:        tr,
 		ProbeInterval: s.probeInterval(),
-		IntraWorkers:  s.IntraWorkers,
 		Reference:     s.flowsimReference,
 	}, ctl, nil
 }

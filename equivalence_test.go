@@ -3,7 +3,6 @@ package dard_test
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"dard"
@@ -134,52 +133,6 @@ func TestReportEquivalence(t *testing.T) {
 				t.Errorf("incremental engine diverges from reference:\n  incremental: %s\n  reference:   %s",
 					firstDiff(fastJSON, refJSON), firstDiff(refJSON, fastJSON))
 			}
-		})
-	}
-}
-
-// TestIntraWorkersReportEquivalence is the facade-level bit-identity
-// gate for component-parallel recompute: every equivalence scenario —
-// all patterns, schedulers, and failure cases — must serialize to the
-// same report bytes with IntraWorkers 2, 4, and 8 as with the serial
-// engine, and stay that way when the Go scheduler has 1, 2, or 8 CPUs
-// to play with (GOMAXPROCS changes goroutine interleavings, which must
-// never reach the output).
-func TestIntraWorkersReportEquivalence(t *testing.T) {
-	origProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(origProcs)
-
-	for name, scenario := range equivalenceCases(testing.Short()) {
-		scenario := scenario
-		t.Run(name, func(t *testing.T) {
-			serial, err := scenario.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			serialJSON, err := json.Marshal(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				for _, w := range []int{2, 4, 8} {
-					par := scenario
-					par.IntraWorkers = w
-					rep, err := par.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					parJSON, err := json.Marshal(rep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(parJSON, serialJSON) {
-						t.Errorf("GOMAXPROCS=%d IntraWorkers=%d diverges from serial:\n  parallel: %s\n  serial:   %s",
-							procs, w, firstDiff(parJSON, serialJSON), firstDiff(serialJSON, parJSON))
-					}
-				}
-			}
-			runtime.GOMAXPROCS(origProcs)
 		})
 	}
 }

@@ -54,7 +54,6 @@ func FailureRecovery(p Params) (*Result, error) {
 			Duration:       duration,
 			FileSizeMB:     fileMB,
 			Seed:           p.Seed,
-			IntraWorkers:   p.IntraWorkers,
 			ElephantAgeSec: 0.5,
 			DARD:           quickDARDTuning(),
 			LinkFailures: []dard.LinkFailure{

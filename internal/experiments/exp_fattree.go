@@ -27,7 +27,6 @@ func fatTreeScenario(p Params) dard.Scenario {
 		Duration:       p.Duration,
 		FileSizeMB:     p.FileSizeMB,
 		Seed:           p.Seed,
-		IntraWorkers:   p.IntraWorkers,
 		ElephantAgeSec: 1 * scale,
 		VLBIntervalSec: 5 * scale,
 		DARD: dard.Tuning{

@@ -70,7 +70,6 @@ func DragonflyDCell(p Params) (*Result, error) {
 			Duration:       duration,
 			FileSizeMB:     fileMB,
 			Seed:           p.Seed,
-			IntraWorkers:   p.IntraWorkers,
 			ElephantAgeSec: 0.5,
 			DARD:           quickDARDTuning(),
 			TraceDir:       p.traceDir("dragonfly", c.family, string(c.engine)),

@@ -34,7 +34,6 @@ func Figure15(p Params) (*Result, error) {
 			Duration:       p.Duration,
 			FileSizeMB:     p.FileSizeMB,
 			Seed:           parallel.Seed(p.Seed, fmt.Sprintf("%s/rate=%.2f/random", topo.Name(), rate)),
-			IntraWorkers:   p.IntraWorkers,
 			ElephantAgeSec: 1,
 			// Rate is swept on one topology, so each rate gets its own
 			// subtree to keep trace file names unique.

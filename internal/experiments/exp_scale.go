@@ -35,14 +35,13 @@ func EngineScale(p Params) (*Result, error) {
 			return err
 		}
 		s := dard.Scenario{
-			Topo:         topo,
-			Scheduler:    dard.SchedulerECMP,
-			Pattern:      dard.PatternStride,
-			RatePerHost:  2,
-			Duration:     10,
-			FileSizeMB:   64,
-			Seed:         parallel.Seed(p.Seed, fmt.Sprintf("scale/p=%d", pp)),
-			IntraWorkers: p.IntraWorkers,
+			Topo:        topo,
+			Scheduler:   dard.SchedulerECMP,
+			Pattern:     dard.PatternStride,
+			RatePerHost: 2,
+			Duration:    10,
+			FileSizeMB:  64,
+			Seed:        parallel.Seed(p.Seed, fmt.Sprintf("scale/p=%d", pp)),
 		}
 		start := time.Now()
 		rep, err := s.Run()

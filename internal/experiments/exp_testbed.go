@@ -53,7 +53,6 @@ func Figure4(p Params) (*Result, error) {
 			Duration:       20, // fixed window so each rate has enough flows
 			FileSizeMB:     8,  // ~0.67 s at the 100 Mbps line rate
 			Seed:           p.Seed,
-			IntraWorkers:   p.IntraWorkers,
 			ElephantAgeSec: 0.5,
 			VLBIntervalSec: 2,
 			DARD:           quickDARDTuning(),
@@ -154,7 +153,6 @@ func Figure6(p Params) (*Result, error) {
 		Duration:       p.Duration,
 		FileSizeMB:     p.FileSizeMB / 4,
 		Seed:           p.Seed,
-		IntraWorkers:   p.IntraWorkers,
 		ElephantAgeSec: 0.5,
 		DARD:           quickDARDTuning(),
 		TraceDir:       p.traceDir("figure6"),

@@ -70,12 +70,6 @@ type Params struct {
 	// derived from Seed and the cell identity (dard.CellSeed), so results
 	// are bit-identical for every worker count.
 	Workers int
-	// IntraWorkers parallelizes inside each flow-engine simulation
-	// (component-parallel max-min recompute, see dard.Scenario): 0 or 1
-	// serial, n > 1 uses n workers, negative one per CPU. Results are
-	// bit-identical at every setting. Mostly useful when Workers leaves
-	// cores idle — e.g. a single huge cell dominating a sweep.
-	IntraWorkers int
 	// TraceDir, when non-empty, makes every simulation cell record a
 	// JSONL event trace under TraceDir/<experiment>/ (see
 	// internal/trace). File names are derived from the cell identity, so

@@ -101,17 +101,13 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 	}
 }
 
-// TestIntraWorkersTracedConcurrently is the race gate for
-// component-parallel recompute: several sims, each with its own
-// 8-worker intra-run pool AND an enabled tracer, run on overlapping
-// goroutines. Hedera's central rounds batch-SetPath many elephants per
-// timer, so recomputes really partition into multiple components and
-// really dispatch to the pools. The engine's contract is that fill
-// workers only touch disjoint recompute scratch — all tracer emission
-// and rate installation stays on the event goroutine — so -race must
-// stay silent (trace.Recorder appends unsynchronized) and every run
-// must reproduce the serial single-pool baseline exactly.
-func TestIntraWorkersTracedConcurrently(t *testing.T) {
+// TestTracedSimsConcurrently runs several sims, each with an enabled
+// tracer, on overlapping goroutines over one shared topology. Hedera's
+// central rounds batch-SetPath many elephants per timer, so recomputes
+// partition into multiple components. Sims share no mutable state, so
+// -race must stay silent (trace.Recorder appends unsynchronized) and
+// every run must reproduce the serial traced baseline exactly.
+func TestTracedSimsConcurrently(t *testing.T) {
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +123,7 @@ func TestIntraWorkersTracedConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runOne := func(workers int) (*flowsim.Results, *trace.Recorder, flowsim.IntraStats) {
+	runOne := func() (*flowsim.Results, *trace.Recorder) {
 		rec := trace.NewRecorder(trace.RecorderOptions{})
 		sim, err := flowsim.New(flowsim.Config{
 			Net:           ft,
@@ -137,7 +133,6 @@ func TestIntraWorkersTracedConcurrently(t *testing.T) {
 			ElephantAge:   0.25,
 			Tracer:        rec,
 			ProbeInterval: 0.5,
-			IntraWorkers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -146,13 +141,10 @@ func TestIntraWorkersTracedConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rec, sim.IntraStats()
+		return res, rec
 	}
 
-	serialRes, serialRec, stats := runOne(1)
-	if stats.MultiComponent == 0 {
-		t.Fatalf("no multi-component recomputes; the concurrent fill path is untested (stats %+v)", stats)
-	}
+	serialRes, serialRec := runOne()
 
 	const sims = 4
 	results := make([]*flowsim.Results, sims)
@@ -163,18 +155,10 @@ func TestIntraWorkersTracedConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, rec, st := runOne(8)
-			if st.ParallelDispatches == 0 {
-				t.Errorf("sim %d: pool never dispatched (stats %+v)", i, st)
-			}
-			results[i] = res
-			recs[i] = rec
+			results[i], recs[i] = runOne()
 		}()
 	}
 	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
 	for i := 0; i < sims; i++ {
 		if !reflect.DeepEqual(results[i].TransferTimes().Values(), serialRes.TransferTimes().Values()) {
 			t.Errorf("sim %d: transfer times diverged from the serial traced baseline", i)

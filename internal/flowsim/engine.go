@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"dard/internal/fpcmp"
-	"dard/internal/parallel"
 	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -55,17 +54,6 @@ type Config struct {
 	// of their own, so enabling them cannot perturb the simulation.
 	// Zero or negative disables probing.
 	ProbeInterval float64
-	// IntraWorkers parallelizes the inside of this one run: when a
-	// recompute's dirty links span several disjoint components of the
-	// flow/link sharing graph, each component's progressive fill is
-	// dispatched to a worker pool and the results are merged in stable
-	// component order (see maxmin.go). Components are independent by
-	// construction and the merge order is fixed, so output is
-	// bit-identical to serial for every worker count — the equivalence
-	// suite pins this. 0 or 1 runs serial (the zero value preserves the
-	// historical behavior); n > 1 uses n workers; negative uses one
-	// worker per CPU.
-	IntraWorkers int
 	// Reference selects the retained reference scheduler (reference.go):
 	// rebuild-everything recomputes and linear scans instead of the
 	// incremental engine. Reports must be byte-identical either way —
@@ -73,15 +61,6 @@ type Config struct {
 	// off outside those tests: it restores the O(events x flows)
 	// behavior the incremental engine exists to avoid.
 	Reference bool
-}
-
-// intraWorkers resolves the config knob: 0/1 serial, negative = one per
-// CPU.
-func (c Config) intraWorkers() int {
-	if c.IntraWorkers == 0 || c.Reference {
-		return 1
-	}
-	return parallel.Workers(c.IntraWorkers)
 }
 
 // Sim is one simulation run. It implements sched.Host: policies receive
@@ -185,17 +164,9 @@ type Sim struct {
 	lheap      *linkHeap         //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
 	done       finishHeap        //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
 
-	// Intra-run worker pool (Config.IntraWorkers > 1): component fills
-	// dispatch here during Run; each slot owns one bottleneck heap so
-	// concurrent fills never share mutable heap state. Nil while serial
-	// and outside Run.
-	pool       *parallel.Pool //dardlint:snapfield live only inside Run; a restored run starts its own pool
-	slotHeaps  []*linkHeap    //dardlint:snapfield per-worker scratch heaps owned by the pool's lifetime
-	intraStats IntraStats     //dardlint:snapfield observability counters for the worker pool, not simulation state
+	multiComps int64 //dardlint:snapfield count of recomputes that partitioned into >= 2 components; read only by tests
 
 	// Progressive-filling accumulators, shared by both schedulers.
-	// Disjoint components touch disjoint links, so concurrent component
-	// fills may share these arrays without synchronization.
 	residual []float64         //dardlint:snapfield progressive-filling scratch, overwritten at the start of every fill
 	unfrozen []int             //dardlint:snapfield progressive-filling scratch, overwritten at the start of every fill
 	linkUsed []topology.LinkID //dardlint:snapfield links of the current recompute (doubles as the BFS queue); scratch
@@ -304,8 +275,7 @@ const (
 func (s *Sim) flowAt(id int) *Flow { return &s.slabs[id>>slabShift][id&slabMask] }
 
 // growFlows extends the slab and the struct-of-arrays state to hold at
-// least n flows. Growth happens on the event goroutine only (arrival
-// processing), never concurrently with component fills.
+// least n flows.
 func (s *Sim) growFlows(n int) {
 	for len(s.slabs)*slabChunk < n {
 		s.slabs = append(s.slabs, make([]Flow, slabChunk))
@@ -648,14 +618,6 @@ func (s *Sim) Run() (*Results, error) { return s.RunContext(context.Background()
 // Snapshot the run and/or call RunContext again to continue exactly
 // where it stopped.
 func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
-	if w := s.cfg.intraWorkers(); w > 1 && s.pool == nil {
-		s.pool = parallel.NewPool(w)
-		s.slotHeaps = make([]*linkHeap, s.pool.Workers())
-		defer func() {
-			s.pool.Close()
-			s.pool = nil
-		}()
-	}
 	// Fail fast on an already-canceled context; mid-run the check is
 	// amortized to every 1024th event below.
 	if err := ctx.Err(); err != nil {

@@ -155,10 +155,9 @@ func TestReferenceEquivalence(t *testing.T) {
 // batchController re-routes a whole batch of active flows from a single
 // timer — the recompute shape Hedera-style central rounds produce. One
 // event dirties many flows at once, so the seeds typically partition
-// into several disjoint components, exercising the component partition
-// and (with IntraWorkers > 1) the parallel fill path. All randomness
-// comes from the simulation's seeded RNG, so runs are identical across
-// worker counts.
+// into several disjoint components, exercising the component partition.
+// All randomness comes from the simulation's seeded RNG, so the
+// incremental and reference runs make identical decisions.
 type batchController struct {
 	interval float64
 	batch    int
@@ -186,12 +185,12 @@ func (c *batchController) InitialPath(h sched.Host, f sched.Flow) int {
 	return h.Rand().Intn(len(h.(*Sim).Paths(f.SrcToR, f.DstToR)))
 }
 
-// TestIntraWorkersEquivalence pins the component-parallel recompute's
-// bit-identity at the engine level: a run with IntraWorkers 2, 4, and 8
-// must reproduce the serial run's results AND its mid-run per-flow rate
-// allocations to the exact Float64bits, on a workload whose batched
-// path switches force multi-component recomputes.
-func TestIntraWorkersEquivalence(t *testing.T) {
+// TestBatchReferenceEquivalence pins the component-scoped recompute at
+// the engine level: on a workload whose batched path switches force
+// multi-component recomputes, the incremental engine must reproduce the
+// reference scheduler's results AND its mid-run per-flow rate
+// allocations to the exact Float64bits.
+func TestBatchReferenceEquivalence(t *testing.T) {
 	ft := testFatTree(t)
 	g := ft.Graph()
 	fabric := fabricLinks(g)
@@ -205,16 +204,16 @@ func TestIntraWorkersEquivalence(t *testing.T) {
 	// collect runs the scenario and records, at fixed checkpoints, the
 	// Float64bits of every flow's current rate (inactive flows as a
 	// sentinel), flow-ID major.
-	collect := func(workers int) (*Results, []uint64, IntraStats) {
+	collect := func(reference bool) (*Results, []uint64, int64) {
 		cfg := Config{
-			Net:          ft,
-			Controller:   &batchController{interval: 0.15, batch: 6},
-			Flows:        flows,
-			Seed:         42,
-			ElephantAge:  0.25,
-			MaxTime:      120,
-			LinkEvents:   events,
-			IntraWorkers: workers,
+			Net:         ft,
+			Controller:  &batchController{interval: 0.15, batch: 6},
+			Flows:       flows,
+			Seed:        42,
+			ElephantAge: 0.25,
+			MaxTime:     120,
+			LinkEvents:  events,
+			Reference:   reference,
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -238,31 +237,22 @@ func TestIntraWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rates, s.IntraStats()
+		return res, rates, s.multiComps
 	}
 
-	serialRes, serialRates, serialStats := collect(1)
-	if serialStats.MultiComponent == 0 {
-		t.Fatalf("scenario produced no multi-component recomputes; the parallel path is untested (stats %+v)", serialStats)
+	res, rates, multiComps := collect(false)
+	if multiComps == 0 {
+		t.Fatal("scenario produced no multi-component recomputes; the partition is untested")
 	}
-	for _, w := range []int{2, 4, 8} {
-		res, rates, stats := collect(w)
-		diffResults(t, res, serialRes)
-		if len(rates) != len(serialRates) {
-			t.Fatalf("IntraWorkers=%d: %d rate samples vs %d serial", w, len(rates), len(serialRates))
-		}
-		for i := range rates {
-			if rates[i] != serialRates[i] {
-				t.Fatalf("IntraWorkers=%d: rate sample %d (flow %d) = %x, serial %x",
-					w, i, i%len(flows), rates[i], serialRates[i])
-			}
-		}
-		if stats.ParallelDispatches == 0 {
-			t.Fatalf("IntraWorkers=%d: no recompute was dispatched to the pool (stats %+v)", w, stats)
-		}
-		if stats.Recomputes != serialStats.Recomputes || stats.Components != serialStats.Components ||
-			stats.MultiComponent != serialStats.MultiComponent {
-			t.Fatalf("IntraWorkers=%d: partition shape diverged: %+v vs serial %+v", w, stats, serialStats)
+	refRes, refRates, _ := collect(true)
+	diffResults(t, res, refRes)
+	if len(rates) != len(refRates) {
+		t.Fatalf("%d rate samples vs %d reference", len(rates), len(refRates))
+	}
+	for i := range rates {
+		if rates[i] != refRates[i] {
+			t.Fatalf("rate sample %d (flow %d) = %x, reference %x",
+				i, i%len(flows), rates[i], refRates[i])
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // path switches (multi-component dirt from membership changes) plus one
 // timer that fails several fabric links in a single event and another
 // that repairs them (multi-component dirt from capacity changes). Every
-// random choice comes from the simulation's seeded RNG, so the serial,
-// parallel, and reference runs of one fuzz input see identical
+// random choice comes from the simulation's seeded RNG, so the
+// incremental and reference runs of one fuzz input see identical
 // decisions.
 type fuzzFlipController struct {
 	batchController
@@ -38,11 +38,10 @@ func (c *fuzzFlipController) Start(s *Sim) {
 
 // FuzzComponentRecompute feeds random sharing graphs — random flows
 // over random paths with random batched re-routes and random multi-link
-// failure events — through three engines and requires exact agreement:
-// the serial incremental engine, the component-parallel engine
-// (IntraWorkers=4), and the retained reference scheduler. Any
-// partition, merge, or fill divergence surfaces as a Float64bits
-// mismatch in the results diff.
+// failure events — through the incremental engine and the retained
+// reference scheduler and requires exact agreement. Any partition,
+// install-order, or fill divergence surfaces as a Float64bits mismatch
+// in the results diff.
 func FuzzComponentRecompute(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(4), uint8(3))
 	f.Add(int64(7), uint8(60), uint8(8), uint8(0))
@@ -66,7 +65,7 @@ func FuzzComponentRecompute(f *testing.F) {
 			flips = append(flips, l, g.Reverse(l))
 		}
 
-		runCfg := func(workers int, reference bool) *Results {
+		runCfg := func(reference bool) *Results {
 			cfg := Config{
 				Net: ft,
 				Controller: &fuzzFlipController{
@@ -74,12 +73,11 @@ func FuzzComponentRecompute(f *testing.F) {
 					flips:           flips,
 					at:              0.7,
 				},
-				Flows:        flows,
-				Seed:         seed,
-				ElephantAge:  0.25,
-				MaxTime:      120,
-				IntraWorkers: workers,
-				Reference:    reference,
+				Flows:       flows,
+				Seed:        seed,
+				ElephantAge: 0.25,
+				MaxTime:     120,
+				Reference:   reference,
 			}
 			s, err := New(cfg)
 			if err != nil {
@@ -92,8 +90,6 @@ func FuzzComponentRecompute(f *testing.F) {
 			return res
 		}
 
-		serial := runCfg(1, false)
-		diffResults(t, runCfg(4, false), serial)
-		diffResults(t, serial, runCfg(0, true))
+		diffResults(t, runCfg(false), runCfg(true))
 	})
 }

@@ -113,9 +113,7 @@ func (h *finishHeap) down(i int) bool {
 // LinkID), used by the progressive-filling loop to pop the bottleneck
 // link in O(log L) instead of scanning every in-use link. pos is indexed
 // by LinkID (-1 = not in the heap) so key updates after a freeze are
-// O(log L) per touched link. Component-parallel recompute instantiates
-// one linkHeap per worker slot: components are link-disjoint, so a
-// slot's heap only ever holds that slot's current component.
+// O(log L) per touched link.
 type linkHeap struct {
 	ids []topology.LinkID
 	key []float64

@@ -30,62 +30,19 @@ import (
 //     components — a component's fill sequence never reads another
 //     component's state — so flows outside the affected components keep
 //     their frozen rates, and the affected components themselves can be
-//     filled in any order, or concurrently.
+//     filled in any order. They are filled one after another, in
+//     dirty-link order, and their rates installed in that same order.
 //
 //  3. The per-iteration bottleneck search is an indexed min-heap over
 //     link fair shares keyed (share, LinkID) instead of a linear scan.
 //     The key is a total order, so the heap pops exactly the link the
 //     reference's tie-broken scan selects.
 //
-// Component-parallel recompute (Config.IntraWorkers > 1): when one
-// recompute covers several disjoint components — batch path-switch
-// rounds and multi-link failure events dirty many at once — each
-// component's fill is dispatched to the run's worker pool. This
-// preserves bit-identity by construction:
-//
-//   - The partition itself is serial and deterministic: seeds are
-//     expanded in dirty-link order, so the component list, and the
-//     flow/link order within each component, never depend on worker
-//     count or scheduling.
-//   - Component fills are data-disjoint. A component's links and flows
-//     appear in no other component, so concurrent fills write disjoint
-//     elements of the shared newRate/residual/unfrozen arrays; each
-//     worker slot owns a private bottleneck heap.
-//   - Each per-component fill performs exactly the floating-point op
-//     sequence the serial merged fill performs for that component
-//     (filling decomposes over components), so every newRate bit
-//     matches serial.
-//   - Rates are installed by the merge loop below — serial, on the
-//     event goroutine, in the fixed compFlows order — so applyRate's
-//     lazy materialization, the completion heap, and tracer emission
-//     never run concurrently.
-//
 // Flow progress is lazy: Remaining is materialized only when a
 // recompute actually changes the flow's rate (applyRate), and the
 // projected completion finishAt stays valid in between. Both schedulers
 // share applyRate, so the floating-point op sequence — and therefore
 // every completion timestamp in the report — is identical.
-
-// IntraStats counts the shapes the incremental recompute encountered
-// over a run. The counters are observability only — they never feed
-// back into the simulation — and exist so tests and benchmarks can
-// verify a scenario actually exercises the multi-component (and hence
-// parallel) path instead of silently degenerating to serial.
-type IntraStats struct {
-	// Recomputes counts recomputes that filled at least one component.
-	Recomputes int64
-	// Components is the total number of components filled.
-	Components int64
-	// MultiComponent counts recomputes that partitioned into >= 2
-	// components — the ones eligible for parallel dispatch.
-	MultiComponent int64
-	// ParallelDispatches counts recomputes whose fills ran on the
-	// worker pool.
-	ParallelDispatches int64
-}
-
-// IntraStats returns the run's recompute-shape counters so far.
-func (s *Sim) IntraStats() IntraStats { return s.intraStats }
 
 // compSpan is one connected component of the current recompute: index
 // ranges into the shared s.compFlows (flow IDs) and s.linkUsed (links)
@@ -156,32 +113,13 @@ func (s *Sim) recomputeRates() {
 		})
 	}
 	s.dirtyLinks = s.dirtyLinks[:0]
-	if len(s.comps) == 0 {
-		return
-	}
-	s.intraStats.Recomputes++
-	s.intraStats.Components += int64(len(s.comps))
 	if len(s.comps) > 1 {
-		s.intraStats.MultiComponent++
+		s.multiComps++
 	}
-
-	// Fill each component, in parallel when the run has a pool and this
-	// recompute actually produced more than one. Spans are link- and
-	// flow-disjoint, so the concurrent fills write disjoint elements of
-	// newRate/residual/unfrozen; each slot gets a private heap.
-	if s.pool.Workers() > 1 && len(s.comps) > 1 {
-		s.intraStats.ParallelDispatches++
-		s.pool.Run(len(s.comps), func(slot, i int) {
-			s.fillComponent(s.comps[i], s.slotHeap(slot))
-		})
-	} else {
-		for _, c := range s.comps {
-			s.fillComponent(c, s.lheap)
-		}
+	for _, c := range s.comps {
+		s.fillComponent(c)
 	}
-
-	// Serial merge in stable component order: install every freshly
-	// computed rate on the event goroutine.
+	// Install every freshly computed rate in stable component order.
 	for _, fid := range s.compFlows {
 		s.applyRate(s.flowAt(int(fid)), s.newRate[fid])
 	}
@@ -190,23 +128,22 @@ func (s *Sim) recomputeRates() {
 // fillComponent runs progressive filling over one component,
 // bottleneck by bottleneck, writing results to s.newRate. Every link of
 // the component starts from its full capacity: the component's flows
-// are exactly its links' members, so the fill is self-contained. The
-// heap is caller-supplied so concurrent fills don't share one.
-func (s *Sim) fillComponent(c compSpan, lheap *linkHeap) {
-	lheap.reset()
+// are exactly its links' members, so the fill is self-contained.
+func (s *Sim) fillComponent(c compSpan) {
+	s.lheap.reset()
 	links := s.linkUsed[c.linkLo:c.linkHi]
 	for _, l := range links {
 		s.residual[l] = s.LinkCapacity(l)
 		n := len(s.linkFlows[l])
 		s.unfrozen[l] = n
 		if n > 0 {
-			lheap.push(l, s.residual[l]/float64(n))
+			s.lheap.push(l, s.residual[l]/float64(n))
 		}
 	}
 	flows := s.compFlows[c.flowLo:c.flowHi]
 	remaining := len(flows)
 	for remaining > 0 {
-		bottleneck, best, ok := lheap.popMin()
+		bottleneck, best, ok := s.lheap.popMin()
 		if !ok {
 			// Unreachable: every flow crosses at least its host links.
 			for _, fid := range flows {
@@ -238,26 +175,13 @@ func (s *Sim) fillComponent(c compSpan, lheap *linkHeap) {
 					continue // already popped
 				}
 				if s.unfrozen[l] == 0 {
-					lheap.remove(l)
+					s.lheap.remove(l)
 				} else {
-					lheap.update(l, s.residual[l]/float64(s.unfrozen[l]))
+					s.lheap.update(l, s.residual[l]/float64(s.unfrozen[l]))
 				}
 			}
 		}
 	}
-}
-
-// slotHeap returns the worker slot's private bottleneck heap,
-// allocating it on first use. Slots are exclusive within a pool.Run, so
-// no two concurrent fills share a heap.
-func (s *Sim) slotHeap(slot int) *linkHeap {
-	h := s.slotHeaps[slot]
-	if h == nil {
-		h = newLinkHeap(len(s.linkFlows))
-		s.slotHeaps[slot] = h
-	}
-	h.ensure(len(s.linkFlows))
-	return h
 }
 
 // applyRate installs a freshly computed rate. If it differs from the

@@ -6,13 +6,13 @@ import (
 	"go/types"
 )
 
-// MergeOrder promotes the compmerge fixture's lesson into an analyzer:
-// a merge of per-worker or per-component results must iterate a stable
-// slice (the engine's compSpans shape), never drain a channel in
-// completion order. Channel delivery order is scheduling order — it
-// varies run to run and with GOMAXPROCS — so any order-sensitive
-// effect fed from a drain loop breaks the serial==parallel bit-identity
-// contract the equivalence suite pins.
+// MergeOrder flags merges that drain concurrently produced results
+// from a channel in completion order. Channel delivery order is
+// scheduling order — it varies run to run and with GOMAXPROCS — so any
+// order-sensitive effect fed from a drain loop breaks the contract that
+// a parallel sweep (parallel.ForEach, RunAll, RunMatrix) prints exactly
+// what a serial one does. The check covers every channel drain in the
+// module; the fix is to merge over a stable slice or per-slot storage.
 //
 // Two loop shapes are checked, using the same effect taxonomy as
 // maporder (orderleak.go):

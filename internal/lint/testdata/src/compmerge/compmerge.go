@@ -2,8 +2,8 @@
 // per-component recompute results fanned back into one rate table. The
 // engine's contract (flowsim/maxmin.go) is that components merge in
 // stable partition order; keying scratch results by component in a map
-// and merging by map iteration is exactly the bug that would break
-// bit-identity between serial and parallel runs.
+// and merging by map iteration is exactly the bug that would make two
+// runs of one scenario disagree.
 package compmerge
 
 import "sort"

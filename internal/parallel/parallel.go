@@ -85,106 +85,6 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) e
 	return errors.Join(errs...)
 }
 
-// Pool is a persistent worker pool for fine-grained fan-out on a hot
-// path. ForEach spawns fresh goroutines per call, which is fine for
-// experiment cells that run for seconds; a Pool keeps its goroutines
-// parked between calls so dispatch costs one channel send per woken
-// worker — cheap enough to call once per simulation event.
-//
-// Each participating goroutine is identified by a stable slot in
-// [0, Workers()): slot 0 is the calling goroutine, slots 1..W-1 are the
-// pool's helpers. Callers use the slot to index per-worker scratch
-// state (e.g. one bottleneck heap per slot) without locking. Work items
-// are handed out by an atomic counter, so which slot runs which index
-// is scheduling-dependent — Pools are only deterministic for work whose
-// result is independent of that assignment (disjoint writes, results
-// stored by index).
-type Pool struct {
-	workers int
-	job     chan func()
-	closed  bool
-}
-
-// NewPool creates a pool with workers-1 parked helper goroutines
-// (workers resolved by Workers; a 1-worker pool has no helpers and Run
-// executes inline). Close releases the helpers.
-func NewPool(workers int) *Pool {
-	workers = Workers(workers)
-	p := &Pool{workers: workers}
-	if workers > 1 {
-		p.job = make(chan func())
-		for w := 1; w < workers; w++ {
-			go func() {
-				for fn := range p.job {
-					fn()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-// Workers returns the resolved worker count (>= 1). A nil Pool counts
-// as one worker.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// Run executes fn(slot, 0) … fn(slot, n-1) across the pool and blocks
-// until every call returns. The calling goroutine participates as slot
-// 0; up to min(workers, n)-1 helpers join as slots 1..W-1. Indices are
-// handed out by an atomic counter, so fn must not depend on which slot
-// serves which index (beyond slot-local scratch). A nil or 1-worker
-// pool runs every index inline on the caller, in order.
-func (p *Pool) Run(n int, fn func(slot, i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || p.workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func(slot int) {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(slot, i)
-		}
-	}
-	wg.Add(helpers + 1)
-	for w := 1; w <= helpers; w++ {
-		w := w
-		p.job <- func() { work(w) }
-	}
-	work(0)
-	wg.Wait()
-}
-
-// Close releases the pool's helper goroutines. The pool must be idle
-// (no Run in flight); Run must not be called after Close. Safe on a nil
-// or already-closed pool.
-func (p *Pool) Close() {
-	if p == nil || p.job == nil || p.closed {
-		return
-	}
-	p.closed = true
-	close(p.job)
-}
-
 // Seed derives a per-cell RNG seed from a base seed and a stable cell
 // key: the key is hashed with FNV-1a, mixed with the base, and finalized
 // with splitmix64. The result is a deterministic function of (base, key)

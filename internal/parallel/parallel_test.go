@@ -70,71 +70,6 @@ func TestForEachZeroCells(t *testing.T) {
 	}
 }
 
-func TestPoolRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		p := NewPool(workers)
-		// Several Runs on one pool: helpers must survive between calls.
-		for round := 0; round < 3; round++ {
-			n := 50 + round
-			counts := make([]atomic.Int64, n)
-			p.Run(n, func(slot, i int) {
-				if slot < 0 || slot >= p.Workers() {
-					t.Errorf("slot %d out of range [0,%d)", slot, p.Workers())
-				}
-				counts[i].Add(1)
-			})
-			for i := range counts {
-				if c := counts[i].Load(); c != 1 {
-					t.Fatalf("workers=%d round %d: index %d ran %d times", workers, round, i, c)
-				}
-			}
-		}
-		p.Close()
-		p.Close() // idempotent
-	}
-}
-
-// TestPoolSlotsAreExclusive pins the slot contract: no two concurrent
-// fn invocations may share a slot, so slot-indexed scratch needs no
-// locks.
-func TestPoolSlotsAreExclusive(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	busy := make([]atomic.Int64, p.Workers())
-	p.Run(200, func(slot, i int) {
-		if busy[slot].Add(1) != 1 {
-			t.Errorf("slot %d entered concurrently", slot)
-		}
-		busy[slot].Add(-1)
-	})
-}
-
-func TestPoolNilAndSmall(t *testing.T) {
-	var nilPool *Pool
-	if nilPool.Workers() != 1 {
-		t.Error("nil pool should report one worker")
-	}
-	ran := 0
-	nilPool.Run(5, func(slot, i int) {
-		if slot != 0 || i != ran {
-			t.Errorf("nil pool must run inline in order: slot=%d i=%d ran=%d", slot, i, ran)
-		}
-		ran++
-	})
-	if ran != 5 {
-		t.Errorf("nil pool ran %d of 5", ran)
-	}
-	nilPool.Close()
-	p := NewPool(4)
-	defer p.Close()
-	p.Run(0, func(slot, i int) { t.Error("n=0 must not run") })
-	single := 0
-	p.Run(1, func(slot, i int) { single++ })
-	if single != 1 {
-		t.Errorf("n=1 ran %d times", single)
-	}
-}
-
 func TestSeedDeterministicAndKeyed(t *testing.T) {
 	a := Seed(1, "fattree(p=8)/stride")
 	if a != Seed(1, "fattree(p=8)/stride") {

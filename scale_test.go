@@ -3,10 +3,7 @@ package dard
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // TestPaperScaleFabric runs DARD on the paper's p=16 fat-tree switching
@@ -60,262 +57,71 @@ func TestPaperScaleFabric(t *testing.T) {
 	}
 }
 
-// benchScenario is the BENCH_pr6/BENCH_pr8 workload (see
-// BenchmarkIntraWorkersP64): a switching fabric under staggered traffic
-// with the simulated-annealing controller, whose central rounds
-// re-route many elephants from one timer — the event shape that dirties
-// several disjoint sharing-graph components per recompute. The rate is
-// per host, so the same scenario scales from the p=64 fabric to p=128.
-func benchScenario(topo *Topology, workers int) Scenario {
+// scaleScenario is the scale oracle's workload: a switching fabric
+// under staggered traffic with the simulated-annealing controller, whose
+// central rounds re-route many elephants from one timer — the event
+// shape that dirties several disjoint sharing-graph components per
+// recompute. It is the BENCH_pr6/BENCH_pr8 workload shortened to a
+// 1.5 s window at 0.25 flows/s/host. The rate is per host, so the same
+// scenario scales from the p=64 fabric to p=128.
+func scaleScenario(topo *Topology) Scenario {
 	return Scenario{
 		Topo:           topo,
 		Scheduler:      SchedulerAnnealing,
 		Pattern:        PatternStaggered,
-		RatePerHost:    0.5,
-		Duration:       5,
+		RatePerHost:    0.25,
+		Duration:       1.5,
 		FileSizeMB:     64,
 		Seed:           7,
 		ElephantAgeSec: 0.5,
-		IntraWorkers:   workers,
 	}
 }
 
-// TestEmitBenchPR6 measures the p=64 fabric serial vs IntraWorkers
-// 2/4/8 — wall clock and memory (runtime.ReadMemStats before/after) —
-// verifies the retained reference scheduler agrees byte-for-byte as the
-// oracle, and writes BENCH_pr6.json. The run costs minutes, so it only
-// executes when DARD_BENCH_PR6 names an output path ("1" means
-// BENCH_pr6.json); the CI bench-smoke job sets it and uploads the
-// artifact.
-func TestEmitBenchPR6(t *testing.T) {
-	out := os.Getenv("DARD_BENCH_PR6")
-	if out == "" {
-		t.Skip("set DARD_BENCH_PR6=<path|1> to run the p=64 intra-worker benchmark")
+// TestScaleOracle checks the flow engine on the two largest fabrics
+// implicit path sets make reachable. At p=64 the incremental engine's
+// report must be byte-identical to the retained reference scheduler's.
+// The reference scheduler is O(events x flows), affordable at p=64 but
+// not at p=128, where the run must still finish every flow. Skipped
+// with -short.
+func TestScaleOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("p=64/p=128 fabrics skipped in -short mode")
 	}
-	if out == "1" {
-		out = "BENCH_pr6.json"
-	}
-	topo, err := TopologySpec{Kind: FatTree, P: 64, HostsPerToR: 1}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScaleOracle(t, topo, true)
-
-	type benchCase struct {
-		Workers    int     `json:"workers"`
-		Flows      int     `json:"flows"`
-		WallNs     int64   `json:"wall_ns"`
-		AllocMB    float64 `json:"alloc_mb"`
-		SysMB      float64 `json:"sys_mb"`
-		SpeedupVs1 float64 `json:"speedup_vs_serial"`
-	}
-	// One untimed warmup run lets the heap and the runtime's size
-	// classes reach steady state; without it the first timed case
-	// (serial) pays the one-time growth and the comparison tilts toward
-	// whichever worker counts run later.
-	if _, err := benchScenario(topo, 1).Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	var cases []benchCase
-	for _, w := range []int{1, 2, 4, 8} {
-		best := int64(1<<63 - 1)
-		var flows int
-		var allocMB, sysMB float64
-		for rep := 0; rep < 7; rep++ {
-			runtime.GC() // don't let one run's garbage bill the next run's clock
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			r, err := benchScenario(topo, w).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wall := time.Since(start).Nanoseconds()
-			runtime.ReadMemStats(&after)
-			if r.Unfinished != 0 {
-				t.Fatalf("workers=%d: %d unfinished flows", w, r.Unfinished)
-			}
-			if wall < best {
-				best = wall
-				flows = r.Flows
-				allocMB = float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-				sysMB = float64(after.Sys) / 1e6
-			}
-		}
-		cases = append(cases, benchCase{Workers: w, Flows: flows, WallNs: best, AllocMB: allocMB, SysMB: sysMB})
-		t.Logf("workers=%d: %.2fs, %.0f MB allocated, %.0f MB sys", w, float64(best)/1e9, allocMB, sysMB)
-	}
-	for i := range cases {
-		cases[i].SpeedupVs1 = float64(cases[0].WallNs) / float64(cases[i].WallNs)
-	}
-
-	doc := struct {
-		Benchmark   string      `json:"benchmark"`
-		Description string      `json:"description"`
-		Goos        string      `json:"goos"`
-		Goarch      string      `json:"goarch"`
-		HostCPUs    int         `json:"host_cpus"`
-		Gomaxprocs  int         `json:"gomaxprocs"`
-		Oracle      string      `json:"oracle"`
-		Cases       []benchCase `json:"cases"`
-	}{
-		Benchmark:   "TestEmitBenchPR6",
-		Description: "Component-parallel max-min recompute inside one flow-level run: p=64 fat-tree switching fabric (HostsPerToR=1), staggered pattern, SimulatedAnnealing controller (batched central re-routes force multi-component recomputes), rate 0.5 flows/s/host, 5 s window, 64 MB transfers, seed 7. wall_ns is the best of 7 full runs per worker count on a shared topology whose lazy path cache a preceding untimed run warmed; alloc_mb is the heap the best run allocated and sys_mb the process footprint after it (runtime.ReadMemStats). speedup_vs_serial > 1 requires host_cpus > 1: with one CPU the worker pool can only add dispatch overhead, so regenerate on a multi-core host (the CI bench-smoke job does) for the parallel comparison.",
-		Goos:        runtime.GOOS,
-		Goarch:      runtime.GOARCH,
-		HostCPUs:    runtime.NumCPU(),
-		Gomaxprocs:  runtime.GOMAXPROCS(0),
-		Oracle:      "byte-identical reports: serial == IntraWorkers=8 == reference scheduler on the shortened p=64 scenario",
-		Cases:       cases,
-	}
-	j, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(j, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// assertScaleOracle checks the determinism oracle on a shortened run of
-// the benchmark scenario: the serial engine and the 8-worker engine —
-// and, when withReference is set, the retained reference scheduler —
-// must serialize to identical report bytes. The reference scheduler is
-// O(events x flows), affordable on the shortened p=64 run but not at
-// p=128, where the two incremental configurations still cross-check
-// each other.
-func assertScaleOracle(t *testing.T, topo *Topology, withReference bool) {
-	t.Helper()
-	shorten := func(s Scenario) Scenario {
-		s.Duration = 1.5
-		s.RatePerHost = 0.25
-		return s
-	}
-	marshal := func(s Scenario) []byte {
+	run := func(t *testing.T, s Scenario) *Report {
+		t.Helper()
 		rep, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := json.Marshal(rep)
+		return rep
+	}
+	reportJSON := func(t *testing.T, s Scenario) []byte {
+		t.Helper()
+		j, err := json.Marshal(run(t, s))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	serialJSON := marshal(shorten(benchScenario(topo, 1)))
-	if !bytes.Equal(marshal(shorten(benchScenario(topo, 8))), serialJSON) {
-		t.Fatalf("oracle: IntraWorkers=8 diverges from serial on %s", topo.Name())
-	}
-	if withReference && !bytes.Equal(marshal(shorten(benchScenario(topo, 1)).WithReferenceEngine()), serialJSON) {
-		t.Fatalf("oracle: reference scheduler diverges from the incremental engine on %s", topo.Name())
-	}
-}
 
-// TestEmitBenchPR8 measures what implicit path sets unlock and writes
-// BENCH_pr8.json. Two fabrics run the BENCH_pr6 workload serially:
-// p=64 — apples-to-apples against BENCH_pr6.json, whose ~914 MB
-// process footprint the materialized per-ToR-pair path slices
-// dominated — and p=128, which never completed before (4096 equal-cost
-// paths per inter-pod pair; materializing just the pairs one workload
-// touches costs tens of GB). Wall clock is the best of several full
-// runs; alloc_mb is the heap the best run allocated, heap_mb the live
-// heap and sys_mb the total OS-claimed memory after it
-// (runtime.ReadMemStats — sys_mb is the peak-RSS proxy BENCH_pr6.json
-// records). The run costs minutes, so it only executes when
-// DARD_BENCH_PR8 names an output path ("1" means BENCH_pr8.json); the
-// CI bench-smoke job sets it and uploads the artifact.
-func TestEmitBenchPR8(t *testing.T) {
-	out := os.Getenv("DARD_BENCH_PR8")
-	if out == "" {
-		t.Skip("set DARD_BENCH_PR8=<path|1> to run the p=64/p=128 scale benchmark")
-	}
-	if out == "1" {
-		out = "BENCH_pr8.json"
-	}
-
-	type benchCase struct {
-		P       int     `json:"p"`
-		Paths   int     `json:"paths_per_interpod_pair"`
-		Hosts   int     `json:"hosts"`
-		Flows   int     `json:"flows"`
-		Runs    int     `json:"runs"`
-		WallNs  int64   `json:"wall_ns"`
-		AllocMB float64 `json:"alloc_mb"`
-		HeapMB  float64 `json:"heap_mb"`
-		SysMB   float64 `json:"sys_mb"`
-	}
-	var cases []benchCase
-	// Ascending p keeps each case's Sys reading meaningful: Sys only
-	// grows within a process, so a larger earlier fabric would mask a
-	// smaller later one.
-	for _, tc := range []struct{ p, runs int }{{64, 7}, {128, 3}} {
-		topo, err := TopologySpec{Kind: FatTree, P: tc.p, HostsPerToR: 1}.Build()
+	t.Run("p=64", func(t *testing.T) {
+		topo, err := TopologySpec{Kind: FatTree, P: 64, HostsPerToR: 1}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertScaleOracle(t, topo, tc.p == 64)
-		// Untimed warmup: let the heap and the runtime's size classes
-		// reach steady state before the timed runs.
-		if _, err := benchScenario(topo, 1).Run(); err != nil {
+		s := scaleScenario(topo)
+		if !bytes.Equal(reportJSON(t, s), reportJSON(t, s.WithReferenceEngine())) {
+			t.Fatal("reference scheduler diverges from the incremental engine at p=64")
+		}
+	})
+	t.Run("p=128", func(t *testing.T) {
+		topo, err := TopologySpec{Kind: FatTree, P: 128, HostsPerToR: 1}.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		c := benchCase{P: tc.p, Paths: (tc.p / 2) * (tc.p / 2), Hosts: topo.NumHosts(), Runs: tc.runs}
-		best := int64(1<<63 - 1)
-		for rep := 0; rep < tc.runs; rep++ {
-			runtime.GC() // don't let one run's garbage bill the next run's clock
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			r, err := benchScenario(topo, 1).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wall := time.Since(start).Nanoseconds()
-			runtime.ReadMemStats(&after)
-			if r.Unfinished != 0 {
-				t.Fatalf("p=%d: %d unfinished flows", tc.p, r.Unfinished)
-			}
-			if wall < best {
-				best = wall
-				c.Flows = r.Flows
-				c.WallNs = wall
-				c.AllocMB = float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-				c.HeapMB = float64(after.HeapAlloc) / 1e6
-				c.SysMB = float64(after.Sys) / 1e6
-			}
+		rep := run(t, scaleScenario(topo))
+		if rep.Flows == 0 || rep.Unfinished != 0 {
+			t.Fatalf("%d of %d flows unfinished at p=128", rep.Unfinished, rep.Flows)
 		}
-		cases = append(cases, c)
-		t.Logf("p=%d: %d flows, %.2fs, %.0f MB allocated, %.0f MB live heap, %.0f MB sys",
-			tc.p, c.Flows, float64(c.WallNs)/1e9, c.AllocMB, c.HeapMB, c.SysMB)
-	}
-
-	doc := struct {
-		Benchmark   string      `json:"benchmark"`
-		Description string      `json:"description"`
-		Goos        string      `json:"goos"`
-		Goarch      string      `json:"goarch"`
-		HostCPUs    int         `json:"host_cpus"`
-		Gomaxprocs  int         `json:"gomaxprocs"`
-		Oracle      string      `json:"oracle"`
-		Cases       []benchCase `json:"cases"`
-	}{
-		Benchmark:   "TestEmitBenchPR8",
-		Description: "Implicit path sets (O(1) memory per ToR pair) on fat-tree switching fabrics (HostsPerToR=1): the BENCH_pr6 workload — staggered pattern, SimulatedAnnealing controller, rate 0.5 flows/s/host, 5 s window, 64 MB transfers, seed 7, serial engine — at p=64 (compare sys_mb against BENCH_pr6.json, measured when every warm ToR pair held a materialized []Path) and at p=128, the first completed run at that scale. wall_ns is the best full run of `runs`; alloc_mb is the heap the best run allocated, heap_mb the live heap and sys_mb the process footprint after it (runtime.ReadMemStats).",
-		Goos:        runtime.GOOS,
-		Goarch:      runtime.GOARCH,
-		HostCPUs:    runtime.NumCPU(),
-		Gomaxprocs:  runtime.GOMAXPROCS(0),
-		Oracle:      "byte-identical reports: serial == IntraWorkers=8 == reference scheduler on the shortened p=64 scenario; serial == IntraWorkers=8 on the shortened p=128 scenario",
-		Cases:       cases,
-	}
-	j, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(j, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
+	})
 }
