@@ -1,0 +1,192 @@
+package evq
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// oracle is the reference model: a slice of live entries kept sorted by
+// (At, Seq), plus the handle of each entry pushed with one.
+type oracle struct {
+	live []oracleEntry
+}
+
+type oracleEntry struct {
+	at  float64
+	seq int64
+	id  int // payload: push order
+	h   Handle
+	has bool
+}
+
+func (o *oracle) sort() {
+	sort.Slice(o.live, func(i, j int) bool {
+		a, b := o.live[i], o.live[j]
+		//dardlint:floateq total-order comparator: exact compare, then integer sequence tie-break
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
+	})
+}
+
+// FuzzEventQueue drives the queue with a random sequence of push,
+// handle push, remove, re-key and pop and checks it against the sorted
+// oracle after every step: pops come out in (At, Seq) order with the
+// right payload, removed entries never pop, stale handles are refused,
+// and Len always equals the live count.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 1, 1, 5, 2, 4, 4, 4})
+	f.Add([]byte{1, 1, 1, 1, 3, 3, 2, 2, 4, 4, 4, 4, 2, 3})
+	f.Add([]byte{1, 7, 1, 3, 1, 9, 3, 0, 3, 1, 4, 2, 0, 4, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q Queue[int]
+		var o oracle
+		var stale []Handle // handles whose entries popped or were removed
+		var seq int64
+		for k := 0; k+1 < len(ops); k += 2 {
+			op, arg := ops[k]%5, ops[k+1]
+			// Few distinct times so equal-At ties exercise Seq.
+			at := float64(arg % 8)
+			switch op {
+			case 0, 1:
+				seq++
+				e := oracleEntry{at: at, seq: seq, id: int(seq)}
+				if op == 1 {
+					e.h, e.has = q.PushHandle(at, seq, e.id), true
+				} else {
+					q.Push(at, seq, e.id)
+				}
+				o.live = append(o.live, e)
+			case 2, 3:
+				// Remove or re-key the arg-th handled live entry.
+				var handled []int
+				for i, e := range o.live {
+					if e.has {
+						handled = append(handled, i)
+					}
+				}
+				if len(handled) == 0 {
+					continue
+				}
+				i := handled[int(arg)%len(handled)]
+				e := o.live[i]
+				if op == 2 {
+					if !q.Remove(e.h) {
+						t.Fatalf("Remove refused a live handle")
+					}
+					o.live = append(o.live[:i], o.live[i+1:]...)
+					stale = append(stale, e.h)
+				} else {
+					seq++
+					if !q.Rekey(e.h, at, seq) {
+						t.Fatalf("Rekey refused a live handle")
+					}
+					o.live[i].at, o.live[i].seq = at, seq
+				}
+			case 4:
+				if len(o.live) == 0 {
+					continue
+				}
+				o.sort()
+				want := o.live[0]
+				got := q.Pop()
+				if got.At != want.at || got.Seq != want.seq || got.Val != want.id {
+					t.Fatalf("Pop = (%g, %d, %d), want (%g, %d, %d)",
+						got.At, got.Seq, got.Val, want.at, want.seq, want.id)
+				}
+				o.live = o.live[1:]
+				if want.has {
+					stale = append(stale, want.h)
+				}
+			}
+			if q.Len() != len(o.live) {
+				t.Fatalf("Len = %d, want %d live", q.Len(), len(o.live))
+			}
+			for _, h := range stale {
+				if q.Live(h) || q.Remove(h) || q.Rekey(h, 0, 0) {
+					t.Fatalf("stale handle %+v still acts on the queue", h)
+				}
+			}
+			if q.Len() != len(o.live) {
+				t.Fatalf("stale handle changed Len to %d, want %d", q.Len(), len(o.live))
+			}
+		}
+		// Drain: the rest comes out in order.
+		o.sort()
+		for _, want := range o.live {
+			if got := q.Pop(); got.Seq != want.seq || got.Val != want.id {
+				t.Fatalf("drain popped (%g, %d), want (%g, %d)", got.At, got.Seq, want.at, want.seq)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("Len = %d after drain", q.Len())
+		}
+	})
+}
+
+// TestZeroHandle pins that the zero Handle names no entry, even once
+// slot 0 is in use.
+func TestZeroHandle(t *testing.T) {
+	var q Queue[int]
+	q.PushHandle(1, 1, 0)
+	var h Handle
+	if q.Live(h) || q.Remove(h) || q.Rekey(h, 0, 2) {
+		t.Fatal("zero Handle acted on the queue")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", q.Len())
+	}
+}
+
+// TestSlotReuse checks that a recycled handle slot does not revive the
+// stale Handle that last held it.
+func TestSlotReuse(t *testing.T) {
+	var q Queue[int]
+	old := q.PushHandle(1, 1, 1)
+	q.Pop()
+	fresh := q.PushHandle(2, 2, 2)
+	if q.Remove(old) {
+		t.Fatal("stale Handle removed the entry now holding its slot")
+	}
+	if !q.Live(fresh) || q.Len() != 1 {
+		t.Fatal("fresh entry lost")
+	}
+}
+
+func BenchmarkEventQueue(b *testing.B) {
+	// A steady queue ~350 deep, the packet engine's mean depth: each
+	// step pops the earliest entry and pushes one a random delay later,
+	// and every fourth step re-keys a timer.
+	const depth = 350
+	rng := rand.New(rand.NewSource(1))
+	var q Queue[int]
+	var seq int64
+	timers := make([]Handle, 0, depth/4)
+	for i := 0; i < depth; i++ {
+		seq++
+		if i%4 == 0 {
+			timers = append(timers, q.PushHandle(rng.Float64(), seq, i))
+		} else {
+			q.Push(rng.Float64(), seq, i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := q.Min().At
+		if i%4 == 0 {
+			seq++
+			q.Rekey(timers[i/4%len(timers)], now+rng.Float64(), seq)
+			continue
+		}
+		it := q.Pop()
+		seq++
+		if it.h >= 0 {
+			timers[it.Val/4%len(timers)] = q.PushHandle(now+rng.Float64(), seq, it.Val)
+		} else {
+			q.Push(now+rng.Float64(), seq, it.Val)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"dard/internal/evq"
 	"dard/internal/fpcmp"
 	"dard/internal/sched"
 	"dard/internal/topology"
@@ -94,15 +95,14 @@ type Sim struct {
 	// workload flow ID (flowAt). Chunking keeps every *Flow stable while
 	// an open-ended run grows the population: a full chunk is never
 	// reallocated, only new chunks are appended.
-	slabs     [][]Flow
-	flows     []*Flow //dardlint:snapfield by-workload-ID index into slabs (nil until arrival); restore rebuilds it flow by flow
-	active    []*Flow
-	arrivals  ArrivalSource
-	sliceSrc  *sliceSource // non-nil when arrivals wraps Config.Flows
-	arrived   int          // flows consumed from the source == next expected ID
-	timers    timerHeap
-	timerFree []*timer //dardlint:snapfield recycled timer events (After allocates from here); an empty free list after restore only costs allocations
-	timerSeq  int64
+	slabs    [][]Flow
+	flows    []*Flow //dardlint:snapfield by-workload-ID index into slabs (nil until arrival); restore rebuilds it flow by flow
+	active   []*Flow
+	arrivals ArrivalSource
+	sliceSrc *sliceSource // non-nil when arrivals wraps Config.Flows
+	arrived  int          // flows consumed from the source == next expected ID
+	timers   evq.Queue[timer]
+	timerSeq int64
 
 	// started latches the one-time Run setup (link-event timers,
 	// Starter.Start) so a paused run can re-enter Run without
@@ -370,8 +370,8 @@ func (s *Sim) SetFlowPath(id, pathIdx int) error {
 
 // After schedules fn to run d seconds from now. Timers fire in timestamp
 // order (FIFO among equal timestamps) and are dropped once the workload
-// has drained. Timer events are pool-allocated: fired timers are
-// recycled, so steady-state control loops schedule without allocating.
+// has drained. Timers are queued by value: the queue allocates only
+// when it grows.
 //
 // Timers scheduled through After carry no checkpoint descriptor:
 // Snapshot fails while one is pending. Control loops that must survive
@@ -388,31 +388,7 @@ func (s *Sim) AfterRef(d float64, ref sched.TimerRef, fn func()) {
 		d = 0
 	}
 	s.timerSeq++
-	tm := s.newTimer()
-	tm.at = s.now + d
-	tm.seq = s.timerSeq
-	tm.ref = ref
-	tm.fn = fn
-	s.timers.push(tm)
-}
-
-// newTimer takes a timer event from the free list, or allocates one.
-func (s *Sim) newTimer() *timer {
-	if n := len(s.timerFree); n > 0 {
-		tm := s.timerFree[n-1]
-		s.timerFree[n-1] = nil
-		s.timerFree = s.timerFree[:n-1]
-		return tm
-	}
-	return &timer{}
-}
-
-// freeTimer recycles a fired timer. The closure is dropped immediately
-// so the free list never pins controller state.
-func (s *Sim) freeTimer(tm *timer) {
-	tm.fn = nil
-	tm.ref = sched.TimerRef{}
-	s.timerFree = append(s.timerFree, tm)
+	s.timers.Push(s.now+d, s.timerSeq, timer{ref: ref, fn: fn})
 }
 
 // RecordControl accounts control-plane message bytes (probes, replies,
@@ -670,8 +646,8 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			tArrival = next.Arrival
 		}
 		tTimer := none
-		if !s.timers.empty() {
-			tTimer = s.timers.nextAt()
+		if s.timers.Len() > 0 {
+			tTimer = s.timers.Min().At
 		}
 
 		t := math.Min(tComplete, math.Min(tArrival, tTimer))
@@ -700,9 +676,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			}
 			s.arrive(wf)
 		default:
-			tm := s.timers.pop()
-			tm.fn()
-			s.freeTimer(tm)
+			s.timers.Pop().Val.fn()
 		}
 		s.events++
 

@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"math"
+	"slices"
 
 	"dard/internal/metrics"
 )
@@ -47,6 +48,7 @@ func (s *Sim) collectResults() *Results {
 		ControlBytes:  s.controlBytes,
 		PeakElephants: s.peakElephants,
 	}
+	r.Flows = slices.Grow(r.Flows, s.arrived) // stays nil for a run with no flows
 	g := s.net.Graph()
 	for _, f := range s.flows {
 		if f == nil {

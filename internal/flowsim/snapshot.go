@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dard/internal/evq"
 	"dard/internal/sched"
 	"dard/internal/snap"
 	"dard/internal/topology"
@@ -244,28 +245,28 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	}
 
 	enc.Mark(secTimers)
-	pending := make([]*timer, len(s.timers))
-	copy(pending, s.timers)
+	pending := append([]evq.Item[timer](nil), s.timers.Items()...)
 	// Canonical (at, seq) order: the key is total, and restore pushes in
 	// this order, which leaves the rebuilt heap array sorted too — so
 	// snapshot(restore(snapshot(x))) is byte-identical.
 	sort.Slice(pending, func(i, j int) bool {
 		//dardlint:floateq total-order comparator: exact compare, then integer sequence tie-break
-		if pending[i].at != pending[j].at {
-			return pending[i].at < pending[j].at
+		if pending[i].At != pending[j].At {
+			return pending[i].At < pending[j].At
 		}
-		return pending[i].seq < pending[j].seq
+		return pending[i].Seq < pending[j].Seq
 	})
 	enc.U32(uint32(len(pending)))
-	for _, tm := range pending {
-		if tm.ref.Tag == 0 {
-			return nil, fmt.Errorf("%w: pending timer at t=%g scheduled without a checkpoint descriptor (Sim.After instead of Sim.AfterRef)", ErrUnsnapshottable, tm.at)
+	for _, it := range pending {
+		ref := it.Val.ref
+		if ref.Tag == 0 {
+			return nil, fmt.Errorf("%w: pending timer at t=%g scheduled without a checkpoint descriptor (Sim.After instead of Sim.AfterRef)", ErrUnsnapshottable, it.At)
 		}
-		enc.F64(tm.at)
-		enc.I64(tm.seq)
-		enc.U8(tm.ref.Tag)
-		enc.I64(tm.ref.A)
-		enc.I64(tm.ref.B)
+		enc.F64(it.At)
+		enc.I64(it.Seq)
+		enc.U8(ref.Tag)
+		enc.I64(ref.A)
+		enc.I64(ref.B)
 	}
 
 	return enc.Finish(), nil
@@ -513,7 +514,7 @@ func (s *Sim) restore(data []byte) error {
 		if err != nil {
 			return err
 		}
-		s.timers.push(&timer{at: at, seq: seq, ref: ref, fn: fn})
+		s.timers.Push(at, seq, timer{ref: ref, fn: fn})
 	}
 
 	if err := dec.Done(); err != nil {

@@ -104,9 +104,9 @@ type Runtime struct {
 	tracer trace.Tracer // never nil (Nop when tracing is off)
 
 	// Probe state. The armed timer is canceled when the last flow
-	// departs: a canceled kernel event is skipped without advancing the
-	// clock, so probes scheduled past the final completion cannot move
-	// SimTime.
+	// departs: a canceled kernel event leaves the queue without
+	// advancing the clock, so probes scheduled past the final completion
+	// cannot move SimTime.
 	probeEvery  float64
 	probeTimer  simnet.Timer
 	probeArmed  bool
@@ -468,7 +468,7 @@ func (rt *Runtime) depart(f *FlowState) {
 	}
 	if rt.remaining == 0 && rt.probeArmed {
 		// The run ends at the last completion; a probe scheduled past it
-		// must not advance the clock (canceled events are skipped), so
+		// must not advance the clock (canceled events never fire), so
 		// SimTime and CoreUtilization match the untraced run exactly.
 		rt.probeTimer.Cancel()
 		rt.probeArmed = false

@@ -6,93 +6,71 @@
 // simulator ("we use source routing to assign a path to a flow", §3.2).
 package simnet
 
-import "container/heap"
+import (
+	"dard/internal/evq"
+	"dard/internal/topology"
+)
 
-// event is one scheduled callback.
+// eventKind selects how the kernel dispatches an event.
+type eventKind uint8
+
+const (
+	// evCall runs a callback scheduled with After.
+	evCall eventKind = iota
+	// evTxDone ends the serialization of pkt on link.
+	evTxDone
+	// evArrive lands pkt at the far end of the link it was crossing.
+	evArrive
+	// evDeliver hands a same-host pkt to the deliver callback.
+	evDeliver
+)
+
+// event is one scheduled action. Packet forwarding uses typed records so
+// the hot path schedules no closures; everything else is an evCall.
 type event struct {
-	at       float64
-	seq      int64
-	fn       func()
-	canceled bool
+	fn   func()
+	pkt  *Packet
+	link topology.LinkID
+	kind eventKind
 }
 
-// Timer is a handle to a scheduled event that can be canceled.
+// Timer is a handle to an event scheduled with After.
 type Timer struct {
-	k  *Kernel
-	ev *event
+	k *Kernel
+	h evq.Handle
 }
 
-// Cancel prevents the callback from firing; safe to call repeatedly or on
-// an already-fired timer. Canceled events stay queued until they are
-// popped or the kernel compacts its heap; each cancellation is counted
-// once so compaction can trigger when dead events dominate the queue.
+// Cancel takes the event out of the queue; safe to call repeatedly or on
+// an already-fired timer.
 func (t Timer) Cancel() {
-	if t.ev == nil || t.ev.canceled {
-		return
-	}
-	t.ev.canceled = true
 	if t.k != nil {
-		t.k.canceled++
-		t.k.maybeCompact()
+		t.k.q.Remove(t.h)
 	}
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	//dardlint:floateq total-order comparator: exact compare, then integer sequence tie-break
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Reset re-keys a pending timer to fire d seconds from now. It takes the
+// next sequence number exactly as a fresh After would, so resetting in
+// place orders events the same as canceling and re-arming. It reports
+// false, doing nothing, once the timer has fired or been canceled.
+func (t Timer) Reset(d float64) bool {
+	if t.k == nil || !t.k.q.Live(t.h) {
+		return false
 	}
-	return h[i].seq < h[j].seq
+	k := t.k
+	if d < 0 {
+		d = 0
+	}
+	k.seq++
+	return k.q.Rekey(t.h, k.now+d, k.seq)
 }
 
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Kernel is the event loop. The zero value is ready to use.
+// Kernel is the event loop. The zero value is ready to use for
+// callbacks; packet events need the Net that owns the kernel.
 type Kernel struct {
-	now      float64
-	seq      int64
-	events   eventHeap
-	canceled int // queued events whose timers were canceled
-}
-
-// compactMin is the queue size below which compaction is not worth the
-// rebuild; tiny queues drain canceled events quickly on their own.
-const compactMin = 64
-
-// maybeCompact rebuilds the heap without its canceled events once they
-// outnumber the live ones, keeping long runs that churn timers (every
-// in-flight TCP packet arms and cancels a retransmission timer) at
-// O(live) memory instead of O(ever scheduled).
-func (k *Kernel) maybeCompact() {
-	if len(k.events) < compactMin || k.canceled <= len(k.events)/2 {
-		return
-	}
-	live := k.events[:0]
-	for _, ev := range k.events {
-		if !ev.canceled {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(k.events); i++ {
-		k.events[i] = nil
-	}
-	k.events = live
-	k.canceled = 0
-	heap.Init(&k.events)
+	now float64
+	seq int64
+	q   evq.Queue[event]
+	net *Net
 }
 
 // Now returns the current simulation time in seconds.
@@ -105,44 +83,50 @@ func (k *Kernel) After(d float64, fn func()) Timer {
 		d = 0
 	}
 	k.seq++
-	ev := &event{at: k.now + d, seq: k.seq, fn: fn}
-	heap.Push(&k.events, ev)
-	return Timer{k: k, ev: ev}
+	return Timer{k: k, h: k.q.PushHandle(k.now+d, k.seq, event{fn: fn})}
+}
+
+// schedule queues a typed packet event d seconds from now, taking the
+// next sequence number like After.
+func (k *Kernel) schedule(d float64, kind eventKind, l topology.LinkID, p *Packet) {
+	k.seq++
+	k.q.Push(k.now+d, k.seq, event{pkt: p, link: l, kind: kind})
+}
+
+// dispatch runs one popped event.
+func (k *Kernel) dispatch(ev *event) {
+	switch ev.kind {
+	case evCall:
+		ev.fn()
+	case evTxDone:
+		k.net.txDone(ev.link, ev.pkt)
+	case evArrive:
+		k.net.arrive(ev.pkt)
+	case evDeliver:
+		k.net.deliverAndFree(ev.pkt)
+	}
 }
 
 // Step runs the next pending event; it reports false when none remain.
 func (k *Kernel) Step() bool {
-	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*event)
-		if ev.canceled {
-			k.canceled--
-			continue
-		}
-		k.now = ev.at
-		ev.fn()
-		return true
+	if k.q.Len() == 0 {
+		return false
 	}
-	return false
+	it := k.q.Pop()
+	k.now = it.At
+	k.dispatch(&it.Val)
+	return true
 }
 
 // Run processes events until the queue drains or time would exceed until.
 func (k *Kernel) Run(until float64) {
-	for len(k.events) > 0 {
-		// Peek: stop before crossing the horizon.
-		next := k.events[0]
-		if next.canceled {
-			heap.Pop(&k.events)
-			k.canceled--
-			continue
-		}
-		if next.at > until {
-			return
-		}
-		heap.Pop(&k.events)
-		k.now = next.at
-		next.fn()
+	for k.q.Len() > 0 && k.q.Min().At <= until {
+		it := k.q.Pop()
+		k.now = it.At
+		k.dispatch(&it.Val)
 	}
 }
 
-// Pending reports the number of queued (possibly canceled) events.
-func (k *Kernel) Pending() int { return len(k.events) }
+// Pending reports the number of queued events; canceled events leave the
+// queue at once and are not counted.
+func (k *Kernel) Pending() int { return k.q.Len() }

@@ -38,7 +38,7 @@ type linkState struct {
 	bufBits float64 // queue capacity in bits
 
 	queueBits float64
-	queue     []*Packet
+	queue     pktRing
 	busy      bool
 
 	// BitsSent accumulates transmitted bits (utilization accounting for
@@ -52,8 +52,42 @@ type linkState struct {
 	failDrops int64
 }
 
+// pktRing is a link's FIFO of queued packets: a ring buffer whose
+// power-of-two capacity grows on demand and is then reused, so steady
+// queueing allocates nothing.
+type pktRing struct {
+	buf  []*Packet
+	head int
+	n    int
+}
+
+func (r *pktRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		nb := make([]*Packet, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+func (r *pktRing) pop() *Packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
+}
+
 // Net couples a kernel with a topology's links and delivers packets to
 // per-flow endpoints.
+//
+// The net owns every packet from Send until the deliver callback returns
+// or the packet is dropped, and then recycles it for a later NewPacket.
+// Deliver callbacks must therefore not keep the *Packet (or hand it to
+// Send again); copy the fields they need.
 type Net struct {
 	K    *Kernel
 	topo topology.Network
@@ -62,6 +96,8 @@ type Net struct {
 	links []linkState
 	// deliver routes a packet that reached the end of its source route.
 	deliver func(*Packet)
+	// free holds recycled packets for NewPacket.
+	free []*Packet
 	// tracer observes queue drops; never nil (Nop by default).
 	tracer trace.Tracer
 
@@ -73,7 +109,7 @@ type Net struct {
 // NewNet builds the packet-level runtime for a topology. bufferPackets
 // sizes every queue in maximum-size packets (0 means
 // DefaultBufferPackets); deliver receives packets that completed their
-// route.
+// route and must not keep them (see Net).
 func NewNet(topo topology.Network, bufferPackets int, mtuBits float64, deliver func(*Packet)) (*Net, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("simnet: nil topology")
@@ -97,6 +133,7 @@ func NewNet(topo topology.Network, bufferPackets int, mtuBits float64, deliver f
 		tracer:           trace.Nop{},
 		PacketHeaderBits: 40 * 8,
 	}
+	n.K.net = n
 	for i := range n.links {
 		l := g.Link(topology.LinkID(i))
 		n.links[i] = linkState{
@@ -114,11 +151,29 @@ func (n *Net) Topology() topology.Network { return n.topo }
 // SetTracer installs an event tracer; nil restores the no-op default.
 func (n *Net) SetTracer(t trace.Tracer) { n.tracer = trace.OrNop(t) }
 
-// Send injects a packet at the head of its route.
+// NewPacket returns a zeroed packet, recycled when one is free. Fill it
+// in and hand it to Send.
+func (n *Net) NewPacket() *Packet {
+	if k := len(n.free); k > 0 {
+		p := n.free[k-1]
+		n.free = n.free[:k-1]
+		return p
+	}
+	return new(Packet)
+}
+
+// release recycles a packet the net is done with.
+func (n *Net) release(p *Packet) {
+	*p = Packet{}
+	n.free = append(n.free, p)
+}
+
+// Send injects a packet at the head of its route. The net takes
+// ownership of p (see Net).
 func (n *Net) Send(p *Packet) {
 	if len(p.Route) == 0 {
 		// Degenerate same-host delivery.
-		n.K.After(0, func() { n.deliver(p) })
+		n.K.schedule(0, evDeliver, 0, p)
 		return
 	}
 	p.Hop = 0
@@ -128,9 +183,11 @@ func (n *Net) Send(p *Packet) {
 // enqueue places the packet on its current link's queue, dropping it if
 // the link is down or the drop-tail buffer is full.
 func (n *Net) enqueue(p *Packet) {
-	ls := &n.links[p.Route[p.Hop]]
+	l := p.Route[p.Hop]
+	ls := &n.links[l]
 	if ls.down {
-		n.failDrop(p.Route[p.Hop], p)
+		n.failDrop(l, p)
+		n.release(p)
 		return
 	}
 	if ls.queueBits+p.SizeBits > ls.bufBits {
@@ -138,47 +195,54 @@ func (n *Net) enqueue(p *Packet) {
 		if n.tracer.Enabled() {
 			n.tracer.Emit(trace.Event{
 				T: n.K.Now(), Kind: trace.KindDrop,
-				Flow: int32(p.FlowID), Link: int32(p.Route[p.Hop]), A: int64(p.Seq),
+				Flow: int32(p.FlowID), Link: int32(l), A: int64(p.Seq),
 			})
 		}
+		n.release(p)
 		return // drop-tail
 	}
-	ls.queue = append(ls.queue, p)
+	ls.queue.push(p)
 	ls.queueBits += p.SizeBits
 	if !ls.busy {
-		n.transmitNext(p.Route[p.Hop])
+		n.transmitNext(l)
 	}
 }
 
 // transmitNext serializes the head-of-line packet of a link.
 func (n *Net) transmitNext(l topology.LinkID) {
 	ls := &n.links[l]
-	if len(ls.queue) == 0 {
+	if ls.queue.n == 0 {
 		ls.busy = false
 		return
 	}
 	ls.busy = true
-	p := ls.queue[0]
-	ls.queue = ls.queue[1:]
+	p := ls.queue.pop()
 	ls.queueBits -= p.SizeBits
-	tx := p.SizeBits / ls.rate
 	ls.bitsSent += p.SizeBits
-	n.K.After(tx, func() {
-		// Serialization finished: start the next packet and propagate
-		// this one.
-		n.transmitNext(l)
-		n.K.After(ls.delay, func() { n.arrive(p) })
-	})
+	n.K.schedule(p.SizeBits/ls.rate, evTxDone, l, p)
+}
+
+// txDone ends p's serialization on l: start the next queued packet, then
+// propagate this one. The order fixes both events' sequence numbers.
+func (n *Net) txDone(l topology.LinkID, p *Packet) {
+	n.transmitNext(l)
+	n.K.schedule(n.links[l].delay, evArrive, l, p)
 }
 
 // arrive advances the packet one hop or delivers it.
 func (n *Net) arrive(p *Packet) {
 	p.Hop++
 	if p.Hop >= len(p.Route) {
-		n.deliver(p)
+		n.deliverAndFree(p)
 		return
 	}
 	n.enqueue(p)
+}
+
+// deliverAndFree hands p to the deliver callback and recycles it.
+func (n *Net) deliverAndFree(p *Packet) {
+	n.deliver(p)
+	n.release(p)
 }
 
 // failDrop loses a packet to a failed link and traces the loss with its
@@ -208,10 +272,11 @@ func (n *Net) SetLinkDown(l topology.LinkID, down bool) {
 	}
 	ls.down = down
 	if down {
-		for _, p := range ls.queue {
+		for ls.queue.n > 0 {
+			p := ls.queue.pop()
 			n.failDrop(l, p)
+			n.release(p)
 		}
-		ls.queue = ls.queue[:0]
 		ls.queueBits = 0
 	}
 	if n.tracer.Enabled() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dard/internal/topology"
+	"dard/internal/trace"
 )
 
 func TestKernelOrdering(t *testing.T) {
@@ -57,60 +58,109 @@ func TestKernelStep(t *testing.T) {
 	}
 }
 
-// TestKernelCompaction cancels most of a large queue and checks that the
-// kernel drops the dead events eagerly instead of carrying them until
-// their deadlines, while every surviving event still fires in order.
-func TestKernelCompaction(t *testing.T) {
+// TestKernelCancelRekey cancels most of a large queue and checks that
+// canceled events leave it at once — Pending counts live events only —
+// and never fire, that re-keyed timers move in place with a fresh
+// sequence number, and that every survivor fires in order.
+func TestKernelCancelRekey(t *testing.T) {
 	var k Kernel
 	const n = 1000
 	var fired []int
 	timers := make([]Timer, n)
-	for i := 0; i < n; i++ {
-		i := i
-		timers[i] = k.After(float64(1+i), func() { fired = append(fired, i) })
+	schedule := func() {
+		for i := 0; i < n; i++ {
+			i := i
+			timers[i] = k.After(float64(1+i), func() { fired = append(fired, i) })
+		}
 	}
-	// Cancel all but every 10th event; compaction should trigger long
-	// before the last Cancel and shed the canceled majority.
+	schedule()
+	// Cancel all but every 10th event.
 	for i := 0; i < n; i++ {
 		if i%10 != 0 {
 			timers[i].Cancel()
 		}
 	}
 	live := n / 10
-	if k.Pending() > live+compactMin {
-		t.Errorf("Pending = %d after mass cancel, want ~%d (compaction did not run)", k.Pending(), live)
+	if k.Pending() != live {
+		t.Errorf("Pending = %d after mass cancel, want %d live", k.Pending(), live)
 	}
-	// Double Cancel must not skew the canceled count.
+	// Double Cancel is a no-op; then the survivors go too.
 	for i := 0; i < n; i++ {
 		timers[i].Cancel()
+	}
+	if k.Pending() != 0 {
+		t.Errorf("Pending = %d after canceling everything, want 0", k.Pending())
 	}
 	k.Run(math.Inf(1))
 	if len(fired) != 0 {
 		t.Errorf("%d canceled events fired", len(fired))
 	}
 
-	// Survivors fire in schedule order after heavy cancellation churn.
+	// Survivors fire in schedule order after heavy cancellation churn;
+	// every 20th is re-keyed to t+0.5, where it fires ahead of the rest
+	// in re-key order, behind an event scheduled earlier for the same
+	// time and ahead of one scheduled later.
+	base := k.Now()
 	fired = nil
-	for i := 0; i < n; i++ {
-		i := i
-		timers[i] = k.After(float64(1+i), func() { fired = append(fired, i) })
-	}
+	k.After(0.5, func() { fired = append(fired, -1) })
+	schedule()
 	for i := 0; i < n; i++ {
 		if i%10 != 0 {
 			timers[i].Cancel()
+			if timers[i].Reset(0.5) {
+				t.Fatalf("Reset revived canceled timer %d", i)
+			}
 		}
+	}
+	if k.Pending() != live+1 {
+		t.Fatalf("Pending = %d after cancels, want %d", k.Pending(), live+1)
+	}
+	var want []int
+	want = append(want, -1)
+	for i := n - 20; i >= 0; i -= 20 {
+		if !timers[i].Reset(0.5) {
+			t.Fatalf("Reset refused live timer %d", i)
+		}
+		want = append(want, i)
+	}
+	k.After(0.5, func() { fired = append(fired, -2) })
+	want = append(want, -2)
+	if k.Pending() != live+2 {
+		t.Fatalf("Pending = %d after re-keys, want %d", k.Pending(), live+2)
+	}
+	for i := 10; i < n; i += 20 {
+		want = append(want, i)
 	}
 	k.Run(math.Inf(1))
-	if len(fired) != live {
-		t.Fatalf("%d events fired, want %d", len(fired), live)
+	if len(fired) != len(want) {
+		t.Fatalf("%d events fired, want %d", len(fired), len(want))
 	}
-	for j, i := range fired {
-		if i != j*10 {
-			t.Fatalf("fired[%d] = %d, want %d", j, i, j*10)
+	for j := range want {
+		if fired[j] != want[j] {
+			t.Fatalf("fired[%d] = %d, want %d (fired %v)", j, fired[j], want[j], fired)
 		}
+	}
+	if k.Now() != base+float64(n-9) {
+		t.Errorf("Now = %g, want %g", k.Now(), base+float64(n-9))
 	}
 	if k.Pending() != 0 {
 		t.Errorf("Pending = %d after drain, want 0", k.Pending())
+	}
+	if timers[0].Reset(1) {
+		t.Error("Reset revived a fired timer")
+	}
+
+	// Negative delays clamp to now, for After and Reset alike.
+	now := k.Now()
+	ran := false
+	tm := k.After(5, func() { ran = true })
+	if !tm.Reset(-1) {
+		t.Fatal("Reset refused a live timer")
+	}
+	k.After(-1, func() {})
+	k.Run(now)
+	if !ran || k.Now() != now || k.Pending() != 0 {
+		t.Errorf("negative delays: ran=%v Now=%g (want %g) Pending=%d", ran, k.Now(), now, k.Pending())
 	}
 }
 
@@ -281,5 +331,93 @@ func TestLinkDownFlushesAndDrops(t *testing.T) {
 	}
 	if got := n.FailDrops(l); got != 5 {
 		t.Errorf("fail drops moved after repair: %d, want 5", got)
+	}
+}
+
+// TestLinkQueueFIFOAndPacketReuse pins the link ring's FIFO order across
+// growth and wrap-around, and packet ownership: once delivered, every
+// packet handed to Send is recycled, zeroed, by NewPacket.
+func TestLinkQueueFIFOAndPacketReuse(t *testing.T) {
+	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	n, err := NewNet(ft, 64, 1500*8, func(p *Packet) { got = append(got, p.Seq) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := hostRoute(ft, 0, 1, 0)
+	sent := map[*Packet]bool{}
+	send := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := n.NewPacket()
+			p.FlowID, p.Seq, p.SizeBits, p.Route = 1, i, 1500*8, route
+			sent[p] = true
+			n.Send(p)
+		}
+	}
+	// Seven packets leave six in the ring's first 8 slots; after four
+	// transmissions its head has moved 5 slots, so the next five wrap
+	// around the buffer, and the burst after that grows it while
+	// wrapped.
+	send(0, 7)
+	n.K.Run(4.5 * 1500 * 8 / 1e9)
+	send(7, 12)
+	send(12, 30)
+	n.K.Run(math.Inf(1))
+	if len(got) != 30 {
+		t.Fatalf("delivered %d packets, want 30", len(got))
+	}
+	for i, seq := range got {
+		if seq != i {
+			t.Fatalf("delivery %d carried seq %d: FIFO order broken", i, seq)
+		}
+	}
+	for range sent {
+		p := n.NewPacket()
+		if !sent[p] {
+			t.Fatal("NewPacket allocated while delivered packets were free")
+		}
+		if p.FlowID != 0 || p.Seq != 0 || p.SizeBits != 0 || p.Route != nil || p.Hop != 0 {
+			t.Fatalf("recycled packet not zeroed: %+v", *p)
+		}
+	}
+}
+
+// TestDropsTracedAndRecycled checks that queue drops and failure drops
+// reach the tracer with their own kinds and that dropped packets are
+// recycled too.
+func TestDropsTracedAndRecycled(t *testing.T) {
+	n, ft := buildNet(t, func(p *Packet) {})
+	rec := trace.NewRecorder(trace.RecorderOptions{})
+	n.SetTracer(rec)
+	route := hostRoute(ft, 0, 1, 0)
+	l := route[0]
+	sent := map[*Packet]bool{}
+	for i := 0; i < 12; i++ {
+		p := &Packet{FlowID: 1, Seq: i, SizeBits: 1500 * 8, Route: route}
+		sent[p] = true
+		n.Send(p)
+	}
+	n.SetLinkDown(l, true)
+	n.K.Run(math.Inf(1))
+	kinds := map[trace.Kind]int64{}
+	for _, e := range rec.Events() {
+		kinds[e.Kind]++
+	}
+	if kinds[trace.KindDrop] != n.Drops(l) || n.Drops(l) != 7 {
+		t.Errorf("traced %d drops, counted %d, want 7", kinds[trace.KindDrop], n.Drops(l))
+	}
+	if kinds[trace.KindFailDrop] != n.FailDrops(l) || n.FailDrops(l) != 4 {
+		t.Errorf("traced %d fail drops, counted %d, want 4", kinds[trace.KindFailDrop], n.FailDrops(l))
+	}
+	if kinds[trace.KindLinkFail] != 1 {
+		t.Errorf("traced %d link failures, want 1", kinds[trace.KindLinkFail])
+	}
+	for range sent {
+		if p := n.NewPacket(); !sent[p] {
+			t.Fatal("a sent packet was not recycled")
+		}
 	}
 }

@@ -31,13 +31,11 @@ func TestBlackoutRecovery(t *testing.T) {
 			c := r.transfer(t, 1, 0, 8, 0, 4<<20)
 			link := r.route(0, 8, 0)[2] // the path's aggr->core hop
 			rtos := 0
-			old := DebugTrace
-			DebugTrace = func(id int, now float64, event string, a, b int) {
+			c.debugTrace = func(id int, now float64, event string, a, b int) {
 				if event == "RTO" {
 					rtos++
 				}
 			}
-			defer func() { DebugTrace = old }()
 			r.n.K.After(tc.failAt, func() { r.n.SetLinkDown(link, true) })
 			r.n.K.After(tc.repairAt, func() { r.n.SetLinkDown(link, false) })
 			c.Start()
@@ -76,13 +74,11 @@ func TestBlackoutRTOBackoff(t *testing.T) {
 	c := r.transfer(t, 1, 0, 8, 0, 8<<20)
 	link := r.route(0, 8, 0)[2]
 	var rtoTimes []float64
-	old := DebugTrace
-	DebugTrace = func(id int, now float64, event string, a, b int) {
+	c.debugTrace = func(id int, now float64, event string, a, b int) {
 		if event == "RTO" {
 			rtoTimes = append(rtoTimes, now)
 		}
 	}
-	defer func() { DebugTrace = old }()
 	r.n.K.After(0.5, func() { r.n.SetLinkDown(link, true) })
 	r.n.K.After(8.0, func() { r.n.SetLinkDown(link, false) })
 	c.Start()

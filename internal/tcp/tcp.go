@@ -92,6 +92,9 @@ type Conn struct {
 	// Receiver state.
 	received map[int]bool
 	rcvNext  int
+	// ackRoute is the reverse of ackFor, the data route it was last
+	// built from; consecutive segments on one route share it.
+	ackFor, ackRoute []topology.LinkID
 
 	// RoutePicker, when set, chooses the route of every outgoing data
 	// packet (per-packet load balancing, e.g. TeXCP). When nil the
@@ -112,6 +115,9 @@ type Conn struct {
 
 	// PathSwitches counts SetRoute calls that changed the route.
 	PathSwitches int
+
+	// debugTrace, when set, receives congestion events (testing aid).
+	debugTrace func(id int, now float64, event string, a, b int)
 }
 
 // NewConn creates a transfer of sizeBits from the source to the
@@ -233,13 +239,13 @@ func (c *Conn) sendSegment(seq int, retx bool) {
 		c.rttSeq = seq
 		c.rttSentAt = c.net.K.Now()
 	}
-	c.net.Send(&simnet.Packet{
-		FlowID:   c.id,
-		Seq:      seq,
-		SizeBits: c.mssBits + c.hdrBits,
-		Route:    route,
-		Retx:     retx,
-	})
+	p := c.net.NewPacket()
+	p.FlowID = c.id
+	p.Seq = seq
+	p.SizeBits = c.mssBits + c.hdrBits
+	p.Route = route
+	p.Retx = retx
+	c.net.Send(p)
 }
 
 // Deliver dispatches a packet of this flow to the right endpoint half.
@@ -262,18 +268,24 @@ func (c *Conn) onData(p *simnet.Packet) {
 		delete(c.received, c.rcvNext)
 		c.rcvNext++
 	}
-	// ACK travels the reverse of the data packet's actual route.
-	rev := make([]topology.LinkID, 0, len(p.Route))
-	for i := len(p.Route) - 1; i >= 0; i-- {
-		rev = append(rev, c.g.Reverse(p.Route[i]))
+	// ACK travels the reverse of the data packet's actual route. Routes
+	// are never modified once built, so a segment on the same backing
+	// array as the last one reuses its reverse; a new route gets a new
+	// slice, since ACKs in flight still hold the old one.
+	if len(p.Route) == 0 || len(p.Route) != len(c.ackFor) || &p.Route[0] != &c.ackFor[0] {
+		rev := make([]topology.LinkID, 0, len(p.Route))
+		for i := len(p.Route) - 1; i >= 0; i-- {
+			rev = append(rev, c.g.Reverse(p.Route[i]))
+		}
+		c.ackFor, c.ackRoute = p.Route, rev
 	}
-	c.net.Send(&simnet.Packet{
-		FlowID:   c.id,
-		Ack:      true,
-		AckNum:   c.rcvNext,
-		SizeBits: c.hdrBits,
-		Route:    rev,
-	})
+	ack := c.net.NewPacket()
+	ack.FlowID = c.id
+	ack.Ack = true
+	ack.AckNum = c.rcvNext
+	ack.SizeBits = c.hdrBits
+	ack.Route = c.ackRoute
+	c.net.Send(ack)
 }
 
 // onAck is the sender's New Reno ACK processing.
@@ -327,8 +339,8 @@ func (c *Conn) onAck(ack int) {
 		}
 		c.dupAcks++
 		if c.dupAcks == 3 {
-			if DebugTrace != nil {
-				DebugTrace(c.id, c.net.K.Now(), "FRTX", c.sndUna, c.nextSeq)
+			if c.debugTrace != nil {
+				c.debugTrace(c.id, c.net.K.Now(), "FRTX", c.sndUna, c.nextSeq)
 			}
 			// Fast retransmit.
 			c.ssthresh = math.Max(float64(c.flight())/2, 2)
@@ -353,16 +365,15 @@ func (c *Conn) sampleRTT(sample float64) {
 	c.rto = math.Min(math.Max(c.srtt+4*c.rttvar, c.opts.MinRTO), c.opts.MaxRTO)
 }
 
+// armRTO (re)starts the retransmission timer. An armed timer is re-keyed
+// in place, which orders events exactly like canceling it and scheduling
+// a fresh one.
 func (c *Conn) armRTO() {
-	if c.rtoArmed {
-		c.rtoTimer.Cancel()
+	if !c.rtoArmed || !c.rtoTimer.Reset(c.rto) {
+		c.rtoTimer = c.net.K.After(c.rto, c.onRTO)
 	}
 	c.rtoArmed = true
-	c.rtoTimer = c.net.K.After(c.rto, c.onRTO)
 }
-
-// DebugTrace, when set, receives congestion events (testing aid).
-var DebugTrace func(id int, now float64, event string, a, b int)
 
 // onRTO is the retransmission timeout: collapse to a one-segment window,
 // retransmit the first hole, and enter recovery so that every subsequent
@@ -373,8 +384,8 @@ func (c *Conn) onRTO() {
 	if c.done || c.flight() <= 0 {
 		return
 	}
-	if DebugTrace != nil {
-		DebugTrace(c.id, c.net.K.Now(), "RTO", c.sndUna, c.nextSeq)
+	if c.debugTrace != nil {
+		c.debugTrace(c.id, c.net.K.Now(), "RTO", c.sndUna, c.nextSeq)
 	}
 	c.ssthresh = math.Max(float64(c.flight())/2, 2)
 	c.cwnd = 1

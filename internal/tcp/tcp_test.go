@@ -275,3 +275,35 @@ func TestDispatcher(t *testing.T) {
 	// Unknown flow IDs are dropped silently.
 	d.Deliver(&simnet.Packet{FlowID: 42})
 }
+
+// TestPacketForwardingSteadyStateAllocs is the alloc gate for the packet
+// engine's hot path: once a New Reno transfer is warm, forwarding a
+// window of ACK-clocked segments — each data packet and its ACK crossing
+// six links, the RTO re-armed on every ACK — must not allocate. Packets
+// come from the net's free list, link queues are rings, the ACK reuses
+// its reverse route, and forwarding schedules typed events, not closures.
+func TestPacketForwardingSteadyStateAllocs(t *testing.T) {
+	r := newRig(t, 0)
+	// Capped slow start keeps the window below the queue headroom, so
+	// the transfer runs lossless and purely ACK-clocked.
+	c, err := NewConn(r.n, 1, r.route(0, 8, 0), 8*(64<<20), Options{InitialSsthresh: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.d.Register(c)
+	c.Start()
+	r.n.K.Run(0.2)
+	const window = 16
+	advance := func() {
+		target := c.State().SndUna + window
+		for c.State().SndUna < target && r.n.K.Step() {
+		}
+	}
+	advance() // settle the ACK route cache and free lists
+	if allocs := testing.AllocsPerRun(50, advance); allocs != 0 {
+		t.Fatalf("forwarding a %d-segment window allocates %.1f times, want 0", window, allocs)
+	}
+	if c.Done() || c.Retx != 0 {
+		t.Fatalf("transfer left steady state: done=%v retx=%d", c.Done(), c.Retx)
+	}
+}
