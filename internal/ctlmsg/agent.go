@@ -79,14 +79,20 @@ func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	}
 	if stamp := a.src.PortStamp(a.switchID); !a.built || stamp != a.stamp {
 		for i, l := range a.out {
-			putPortState(a.records[i*PortStateLen:], PortState{
-				LinkID:        uint32(l),
-				BandwidthMbps: uint32(a.src.LinkCapacity(l) / 1e6),
-				ElephantFlows: uint32(a.src.ElephantsOnLink(l)),
-			})
+			putPortState(a.records[i*PortStateLen:], ReadPort(a.src, l))
 		}
 		a.stamp, a.built = stamp, true
 	}
 	dst = appendReplyHeader(dst, q.SwitchID, q.SeqNo, len(a.out))
 	return append(dst, a.records...), nil
+}
+
+// ReadPort returns the state a switch reports for its exit link l: the
+// record Serve encodes for that port.
+func ReadPort(src StateSource, l topology.LinkID) PortState {
+	return PortState{
+		LinkID:        uint32(l),
+		BandwidthMbps: uint32(src.LinkCapacity(l) / 1e6),
+		ElephantFlows: uint32(src.ElephantsOnLink(l)),
+	}
 }

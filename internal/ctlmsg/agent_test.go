@@ -61,6 +61,14 @@ func TestAgentServesPortStates(t *testing.T) {
 		if reply.SeqNo != 7 {
 			t.Errorf("SeqNo = %d", reply.SeqNo)
 		}
+		if n := ctlmsg.ExchangeLen(len(agent.Links())); n != len(qb)+len(rb) {
+			t.Errorf("ExchangeLen = %d, the exchange carried %d bytes", n, len(qb)+len(rb))
+		}
+		for i, p := range reply.Ports {
+			if want := ctlmsg.ReadPort(sim, agent.Links()[i]); p != want {
+				t.Errorf("port %d served %+v, ReadPort says %+v", i, p, want)
+			}
+		}
 		// p=4 aggr has 4 exit ports (2 up, 2 down).
 		if len(reply.Ports) != 4 {
 			t.Errorf("ports = %d, want 4", len(reply.Ports))

@@ -112,6 +112,10 @@ type Reply struct {
 // Size returns the marshaled length of the reply.
 func (r Reply) Size() int { return ReplyHeaderLen + len(r.Ports)*PortStateLen }
 
+// ExchangeLen is the wire size of one complete exchange with a switch of
+// ports exit ports: the query plus the reply carrying every port.
+func ExchangeLen(ports int) int { return QueryLen + ReplyHeaderLen + ports*PortStateLen }
+
 // AppendBinary appends the Size()-byte encoding of r to dst and returns
 // the extended slice; it is the reply's only encoder.
 func (r Reply) AppendBinary(dst []byte) ([]byte, error) {

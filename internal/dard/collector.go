@@ -23,19 +23,24 @@ type PathState struct {
 	BoNF float64
 }
 
-// Collector assembles one monitor's per-link switch state (§2.4.2). With a
-// reliable control plane it resolves synchronously, exactly like the
-// original monitors. With ctlmsg faults enabled it becomes a small
-// asynchronous protocol: every switch exchange that loses a message is
-// retried with exponential backoff up to CtlRetryMax times; a switch
-// that still answers nothing is served from the last round's cached
-// state (staleness), and one that misses DeadAfter consecutive rounds is
-// presumed dead — its ports report zero bandwidth, which collapses the
-// covered paths' BoNF to zero and makes Algorithm 1 route around them.
+// Collector assembles one monitor's per-link switch state (§2.4.2). With
+// a reliable control plane it resolves synchronously from the
+// controller's port view, which carries what every exchange would
+// deliver, and counts the bytes those exchanges take. With ctlmsg faults
+// enabled it becomes a small asynchronous protocol: every switch
+// exchange that loses a message is retried with exponential backoff up
+// to CtlRetryMax times; a switch that still answers nothing is served
+// from the last round's cached state (staleness), and one that misses
+// DeadAfter consecutive rounds is presumed dead — its ports report zero
+// bandwidth, which collapses the covered paths' BoNF to zero and makes
+// Algorithm 1 route around them.
 type Collector struct {
 	env       sched.Host
 	monitorID uint64
 	switches  []topology.NodeID
+	// wireBytes is what one fault-free round puts on the wire: a query
+	// and a full reply per covering switch.
+	wireBytes int
 	shared    *roundScratch
 	channels  map[topology.NodeID]*ctlmsg.Channel
 	faults    ctlmsg.Faults
@@ -56,34 +61,70 @@ type Collector struct {
 	round, cache *LinkState
 }
 
-// roundScratch is the Controller's buffer set for the fault-free query
-// rounds of all its monitors: the switch agents, indexed by NodeID and
-// built on their first query, the round's link table, the query and
-// reply wire buffers and the decoded reply. Every monitor shares one
-// because a fault-free round runs start to finish inside one Assemble
-// call and the fold retains nothing of it, so no two rounds ever hold
-// the scratch at once.
+// roundScratch is the state all of a Controller's monitors share on one
+// host: the switch agents of fault rounds, indexed by NodeID and built
+// on their first query, and the decoded port view fault-free rounds
+// fold from. One view serves every monitor because a fault-free round
+// runs start to finish inside one Assemble call and only ever brings
+// the view up to date with the host.
 type roundScratch struct {
-	env          sched.Host
-	agents       []*ctlmsg.SwitchAgent
-	links        *LinkState
-	query, reply []byte
-	msg          ctlmsg.Reply
-	// covering gathers new monitors' covering switches.
-	covering switchGather
+	env    sched.Host
+	agents []*ctlmsg.SwitchAgent
+	// view holds every exit port's state as its switch last reported
+	// it; read[sw] is the PortStamp sw's ports were read at, and
+	// whether they have been read at all.
+	view *LinkState
+	read []viewStamp
+	// nodes gathers new monitors' covering switches.
+	nodes []topology.NodeID
+}
+
+type viewStamp struct {
+	stamp uint64
+	ok    bool
 }
 
 // roundScratch returns the controller's shared scratch for env, building
-// it on first use (and afresh for a new host, whose agents must answer
-// from that host's state).
+// it on first use (and afresh for a new host, whose agents and view
+// must answer from that host's state).
 func (c *Controller) roundScratch(env sched.Host) *roundScratch {
 	if c.scratch == nil || c.scratch.env != env {
+		g := env.Topo().Graph()
 		c.scratch = &roundScratch{
 			env:    env,
-			agents: make([]*ctlmsg.SwitchAgent, env.Topo().Graph().NumNodes()),
+			agents: make([]*ctlmsg.SwitchAgent, g.NumNodes()),
+			view:   NewLinkState(g.NumLinks()),
+			read:   make([]viewStamp, g.NumNodes()),
 		}
 	}
 	return c.scratch
+}
+
+// refresh brings sw's exit ports in the view up to date: it re-reads
+// them, exactly as the switch's agent would encode them, only when the
+// host's PortStamp for sw has moved since the view last read them.
+func (s *roundScratch) refresh(sw topology.NodeID) error {
+	stamp := s.env.PortStamp(sw)
+	if r := s.read[sw]; r.ok && r.stamp == stamp {
+		return nil
+	}
+	for _, l := range s.env.Topo().Graph().Out(sw) {
+		if err := s.view.Set(ctlmsg.ReadPort(s.env, l)); err != nil {
+			return err
+		}
+	}
+	s.read[sw] = viewStamp{stamp: stamp, ok: true}
+	return nil
+}
+
+// coveringSwitches returns the sorted switches ps's paths leave from,
+// exactly the four switch groups of §2.4.2, as an exact-size slice the
+// caller owns.
+func (s *roundScratch) coveringSwitches(ps topology.PathSet) []topology.NodeID {
+	s.nodes = ps.AppendSwitches(s.nodes[:0])
+	switches := make([]topology.NodeID, len(s.nodes))
+	copy(switches, s.nodes)
+	return switches
 }
 
 func (s *roundScratch) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
@@ -103,10 +144,17 @@ func (s *roundScratch) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
 // launches exchanges in that order so runs are deterministic.
 func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.PathSet) *Collector {
 	s := c.roundScratch(env)
+	switches := s.coveringSwitches(ps)
+	g := env.Topo().Graph()
+	wireBytes := 0
+	for _, sw := range switches {
+		wireBytes += ctlmsg.ExchangeLen(len(g.Out(sw)))
+	}
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
-		switches:  s.covering.coveringSwitches(env.Topo().Graph(), ps),
+		switches:  switches,
+		wireBytes: wireBytes,
 		shared:    s,
 		channels:  make(map[topology.NodeID]*ctlmsg.Channel),
 		faults:    c.opts.Faults,
@@ -127,7 +175,7 @@ func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.
 // injected faults.
 func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, complete bool)) error {
 	if !c.faults.Enabled() {
-		return c.assembleSync(done)
+		return c.assembleView(done)
 	}
 	if c.inFlight {
 		return nil
@@ -192,39 +240,20 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 	return nil
 }
 
-// assembleSync is the fault-free fast path: the original monitors'
-// synchronous exchange loop, byte for byte, run entirely in the
-// controller's shared scratch so a warm round allocates nothing.
-func (c *Collector) assembleSync(done func(*LinkState, int, bool)) error {
-	s := c.shared
-	if s.links == nil {
-		s.links = NewLinkState(c.env.Topo().Graph().NumLinks())
-	}
+// assembleView is the fault-free round. On a reliable channel every
+// exchange delivers the switch's current port state, so the round brings
+// the controller's port view up to date for its covering switches and
+// hands over that view, which holds the state of every link it covers,
+// with the bytes the exchanges would have carried. Only switches whose
+// ports changed are read; a warm round allocates nothing.
+func (c *Collector) assembleView(done func(*LinkState, int, bool)) error {
 	c.seqNo++
-	s.links.Reset()
-	totalBytes := 0
 	for _, sw := range c.switches {
-		agent, err := s.agent(sw)
-		if err != nil {
+		if err := c.shared.refresh(sw); err != nil {
 			return err
-		}
-		if s.query, err = c.query(sw).AppendBinary(s.query[:0]); err != nil {
-			return err
-		}
-		if s.reply, err = agent.Serve(s.reply[:0], s.query); err != nil {
-			return err
-		}
-		totalBytes += len(s.query) + len(s.reply)
-		if err := c.parseReply(&s.msg, s.reply); err != nil {
-			return err
-		}
-		for _, p := range s.msg.Ports {
-			if err := s.links.Set(p); err != nil {
-				return err
-			}
 		}
 	}
-	done(s.links, totalBytes, true)
+	done(c.shared.view, c.wireBytes, true)
 	return nil
 }
 

@@ -15,10 +15,9 @@ import (
 // p-ary fat tree: Collector.Assemble over the pair's covering switches,
 // folding the round into the path state vector exactly as
 // monitor.assemble does every query interval. The host is a finished
-// fault-free flow run, so every exchange marshals, serves and parses
-// real bytes. churn fails or repairs an exit link of one covering
-// switch, moving its port stamp, so the next tick rebuilds that
-// switch's cached reply instead of replaying it.
+// fault-free flow run. churn fails or repairs an exit link of one
+// covering switch, moving its port stamp, so the next tick re-reads that
+// switch's ports into the view instead of folding the view as it is.
 func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 	tb.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: p})
@@ -74,11 +73,11 @@ func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 }
 
 // TestAssembleSteadyStateAllocs is the alloc gate for DARD's query
-// round: once warm, a fault-free monitor tick — a marshaled query and
-// parsed reply per covering switch, then the fold — must not allocate,
-// whether every agent replays its cached reply or one rebuilds it after
-// a port-state change. At p=32 a tick is ~290 switch exchanges, so one
-// allocation per exchange multiplies into gigabytes per run.
+// round: once warm, a fault-free monitor tick — a port-stamp check per
+// covering switch, then the fold — must not allocate, whether the view
+// is current or one switch's ports are re-read after a port-state
+// change. At p=32 a tick covers ~290 switches, so one allocation per
+// switch multiplies into gigabytes per run.
 func TestAssembleSteadyStateAllocs(t *testing.T) {
 	tick, churn := monitorTick(t, 8)
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
@@ -91,7 +90,7 @@ func TestAssembleSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkCollectorAssemble times one p=32 inter-pod monitor tick, the
 // control-plane share of a flow-engine DARD run on the paper's fabric.
-// The host is idle, so every agent replays its cached reply.
+// The host is idle, so the round re-reads no switch.
 func BenchmarkCollectorAssemble(b *testing.B) {
 	tick, _ := monitorTick(b, 32)
 	b.ReportAllocs()
@@ -103,7 +102,7 @@ func BenchmarkCollectorAssemble(b *testing.B) {
 
 // BenchmarkCollectorAssembleChurn is BenchmarkCollectorAssemble with one
 // covering switch's port state changed before every tick, so each tick
-// also pays one agent's cache rebuild.
+// also re-reads that switch's ports.
 func BenchmarkCollectorAssembleChurn(b *testing.B) {
 	tick, churn := monitorTick(b, 32)
 	b.ReportAllocs()
@@ -154,11 +153,10 @@ func TestLinkStateReset(t *testing.T) {
 	}
 }
 
-// TestCoveringSwitches checks the mark-and-sort gather against the
-// definition — the set of upstream endpoints of every path link — on a
-// tree and a non-tree family, with one gather buffer reused across
-// pairs so stale entries would show, including across the wrap of its
-// mark stamp.
+// TestCoveringSwitches checks the monitor's covering switches against
+// the definition — the set of upstream endpoints of every path link —
+// on a tree and a non-tree family, with one gather buffer reused across
+// pairs so stale entries would show.
 func TestCoveringSwitches(t *testing.T) {
 	ft := fatTree(t)
 	df, err := topology.NewDragonfly(topology.DragonflyConfig{D: 4, A: 3, P: 2})
@@ -167,7 +165,7 @@ func TestCoveringSwitches(t *testing.T) {
 	}
 	for _, net := range []topology.Network{ft, df} {
 		g := net.Graph()
-		var sg switchGather
+		var s roundScratch
 		src := net.ToROf(net.Hosts()[0])
 		for _, h := range net.Hosts() {
 			dst := net.ToROf(h)
@@ -181,7 +179,7 @@ func TestCoveringSwitches(t *testing.T) {
 					want[g.Link(l).From] = true
 				}
 			}
-			got := sg.coveringSwitches(g, ps)
+			got := s.coveringSwitches(ps)
 			if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
 				t.Fatalf("%s %d->%d: %v is not sorted and unique", net.Name(), src, dst, got)
 			}
@@ -193,16 +191,6 @@ func TestCoveringSwitches(t *testing.T) {
 					t.Fatalf("%s %d->%d: switch %d covers no path link", net.Name(), src, dst, sw)
 				}
 			}
-		}
-		// Wrap the mark stamp after a fresh gather's first call: the
-		// marks that call left hold the stamp the wrap restarts at, and
-		// must not read as current.
-		var wrapped switchGather
-		ps := net.PathSet(src, net.ToROf(net.Hosts()[len(net.Hosts())-1]))
-		want := wrapped.coveringSwitches(g, ps)
-		wrapped.gen = ^uint32(0)
-		if got := wrapped.coveringSwitches(g, ps); !slices.Equal(got, want) {
-			t.Fatalf("%s: after the stamp wrapped got %v, want %v", net.Name(), got, want)
 		}
 	}
 }

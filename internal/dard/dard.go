@@ -21,8 +21,8 @@ import (
 // Control message sizes in bytes (§4.3.4): a state query from a host to
 // a switch and a single-port switch reply. The actual wire formats live
 // in internal/ctlmsg and marshal to exactly these sizes; monitors account
-// control traffic from the marshaled bytes, so these constants serve as
-// documentation plus cross-checks in tests.
+// control traffic from those formats' wire sizes, so these constants
+// serve as documentation plus cross-checks in tests.
 const (
 	QueryBytes = 48
 	ReplyBytes = 32
@@ -75,8 +75,8 @@ type Options struct {
 	PerFlowMonitors bool
 	// Faults injects control-channel faults (message loss, duplication,
 	// fixed delay) into every monitor↔switch exchange. The zero value is
-	// a reliable channel, which keeps the original synchronous exchange
-	// path bit for bit.
+	// a reliable channel, on which every round folds synchronously from
+	// the controller's port view.
 	Faults ctlmsg.Faults
 	// CtlRetryMax is how many times a monitor retries a lost exchange
 	// within one query round before giving the switch up for that round.

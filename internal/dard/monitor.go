@@ -2,7 +2,6 @@ package dard
 
 import (
 	"fmt"
-	"slices"
 
 	"dard/internal/sched"
 	"dard/internal/topology"
@@ -11,12 +10,11 @@ import (
 
 // monitor tracks the BoNF of every equal-cost path between one
 // source-destination ToR pair on behalf of one source end host (§2.4).
-// Path state is assembled by exchanging marshaled ctlmsg queries and
-// replies with per-switch agents — the OpenFlow statistics interface of
-// the prototype — so control-byte accounting reflects real wire sizes.
-// The exchange itself lives in the Collector, which also gives this
-// monitor retry/backoff and dead-switch detection when control-channel
-// faults are enabled.
+// Path state is assembled by polling the switches on the pair's paths
+// through ctlmsg — the OpenFlow statistics interface of the prototype —
+// so control-byte accounting reflects real wire sizes. The polling
+// lives in the Collector, which also gives this monitor retry/backoff
+// and dead-switch detection when control-channel faults are enabled.
 //
 //dardsnap:fields encoder=Controller.SnapshotState decoder=Controller.restoreMonitor
 type monitor struct {
@@ -70,46 +68,6 @@ func newMonitor(env sched.Host, c *Controller, srcHost, srcToR, dstToR topology.
 	}
 	m.coll = c.newCollector(env, m.entity(), m.ps)
 	return m
-}
-
-// switchGather is the scratch of coveringSwitches: a generation-stamped
-// mark per node, so each switch is gathered once as it is found and only
-// the unique IDs are sorted, plus the gather and link buffers. A caller
-// creating many monitors reuses one.
-type switchGather struct {
-	mark  []uint32 // mark[n] == gen: n was gathered by the current call
-	gen   uint32
-	nodes []topology.NodeID
-	links []topology.LinkID
-}
-
-// coveringSwitches returns the sorted upstream endpoints of every path
-// link of the set, exactly the four switch groups of §2.4.2, as an
-// exact-size slice the caller owns.
-func (sg *switchGather) coveringSwitches(g *topology.Graph, ps topology.PathSet) []topology.NodeID {
-	if len(sg.mark) != g.NumNodes() {
-		sg.mark, sg.gen = make([]uint32, g.NumNodes()), 0
-	}
-	sg.gen++
-	if sg.gen == 0 {
-		// The stamp wrapped: clear marks from 2^32 calls ago once.
-		clear(sg.mark)
-		sg.gen = 1
-	}
-	sg.nodes = sg.nodes[:0]
-	for i := 0; i < ps.Len(); i++ {
-		sg.links = ps.AppendLinks(i, sg.links[:0])
-		for _, l := range sg.links {
-			if n := g.Link(l).From; sg.mark[n] != sg.gen {
-				sg.mark[n] = sg.gen
-				sg.nodes = append(sg.nodes, n)
-			}
-		}
-	}
-	slices.Sort(sg.nodes)
-	switches := make([]topology.NodeID, len(sg.nodes))
-	copy(switches, sg.nodes)
-	return switches
 }
 
 // entity is the monitor's identity in queries and trace records.

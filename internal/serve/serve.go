@@ -111,11 +111,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// maxSubmitBytes bounds a POST /jobs body. A submission is one Scenario,
+// about a kilobyte of JSON, so a mebibyte leaves room for any real one
+// while a hostile body cannot make the decoder buffer without limit.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: submission larger than %d bytes: %w", maxSubmitBytes, err))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad submission: %w", err))
 		return
 	}

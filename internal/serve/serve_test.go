@@ -293,6 +293,37 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounded pins the submission size bound: a body past a
+// mebibyte is refused with 413 before it is decoded in full, while a
+// valid submission padded with whitespace to just under the bound is
+// accepted.
+func TestSubmitBodyBounded(t *testing.T) {
+	h := newHarness(t, serve.Options{})
+	sc, err := json.Marshal(map[string]any{"scenario": testScenario(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1 << 20
+	oversize := append(bytes.Repeat([]byte(" "), bound), sc...)
+	code, body := h.doRaw("POST", "/jobs", oversize)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: code %d, want 413 (%s)", code, body)
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(reply.Error, "larger than") {
+		t.Errorf("oversize body: error %q does not name the bound", reply.Error)
+	}
+	fits := append(bytes.Repeat([]byte(" "), bound-len(sc)), sc...)
+	if code, body := h.doRaw("POST", "/jobs", fits); code != http.StatusCreated {
+		t.Fatalf("body of exactly %d bytes: code %d, want 201 (%s)", len(fits), code, body)
+	}
+}
+
 // TestCheckpointRestoreByteIdentical drives the full API round trip:
 // a job checkpoints itself at a deterministic event boundary, the blob
 // is fetched, a second job restores from it, and both finish with

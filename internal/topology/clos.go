@@ -193,6 +193,21 @@ func (cl *Clos) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
 		g.Reverse(cl.torAggrUp[dn.Index*2+k]))
 }
 
+// appendSwitches implements PathProvider: the source ToR and its aggr
+// pair, plus every intermediate and the destination's aggr pair across
+// pairs. NewClos numbers the intermediates, then the aggrs in pair
+// order, then the ToRs, so appending in that order keeps IDs ascending.
+func (cl *Clos) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
+	sp, dp := cl.g.Node(src).Pod, cl.g.Node(dst).Pod
+	if sp == dp {
+		return append(append(buf, cl.aggrs[2*sp:2*sp+2]...), src)
+	}
+	lo, hi := min(sp, dp), max(sp, dp)
+	buf = append(buf, cl.intermediates...)
+	buf = append(append(buf, cl.aggrs[2*lo:2*lo+2]...), cl.aggrs[2*hi:2*hi+2]...)
+	return append(buf, src)
+}
+
 // pathVia implements PathProvider. Cross-pair labels are joined on
 // demand; they exist only for traces and display.
 func (cl *Clos) pathVia(src, dst NodeID, i int) string {

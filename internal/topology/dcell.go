@@ -145,7 +145,7 @@ func NewDCell(cfg DCellConfig) (*DCell, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dcell construction: %w", err)
 	}
-	dc.sr = newSourceRouted(dc.buildPathSet)
+	dc.sr = newSourceRouted(g, dc.buildPathSet)
 	return dc, nil
 }
 

@@ -121,7 +121,7 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dragonfly construction: %w", err)
 	}
-	df.sr = newSourceRouted(df.buildPathSet)
+	df.sr = newSourceRouted(g, df.buildPathSet)
 	return df, nil
 }
 

@@ -202,6 +202,22 @@ func (ft *FatTree) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkI
 		g.Reverse(ft.torAggrUp[dn.Index*half+group]))
 }
 
+// appendSwitches implements PathProvider: the source ToR and its pod's
+// aggrs, plus every core and the destination pod's aggrs across pods.
+// NewFatTree numbers the cores first, then pod by pod the aggrs before
+// the ToRs, so appending in that order keeps IDs ascending.
+func (ft *FatTree) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
+	sp, dp := ft.g.Node(src).Pod, ft.g.Node(dst).Pod
+	if sp == dp {
+		return append(append(buf, ft.aggrs[sp]...), src)
+	}
+	buf = append(buf, ft.cores...)
+	if sp < dp {
+		return append(append(append(buf, ft.aggrs[sp]...), src), ft.aggrs[dp]...)
+	}
+	return append(append(append(buf, ft.aggrs[dp]...), ft.aggrs[sp]...), src)
+}
+
 // pathVia implements PathProvider. Fat-tree labels are stored node names,
 // so they never allocate.
 func (ft *FatTree) pathVia(src, dst NodeID, i int) string {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -126,6 +127,43 @@ func TestPathProperties(t *testing.T) {
 			}
 			for _, pair := range samplePairs(net, 0) {
 				checkPairPaths(t, net, pair[0], pair[1])
+			}
+		})
+	}
+}
+
+// TestPathSetSwitches is the covering-switch contract: for every
+// family and pair, AppendSwitches appends exactly the sorted, unique
+// upstream endpoints of every path link, after whatever buf already
+// holds, which it leaves alone.
+func TestPathSetSwitches(t *testing.T) {
+	prefix := []NodeID{1 << 30, 7}
+	for _, fam := range propFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			net, err := fam.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := net.Graph()
+			var links []LinkID
+			for _, pair := range samplePairs(net, 0) {
+				ps := net.PathSet(pair[0], pair[1])
+				var want []NodeID
+				for i := 0; i < ps.Len(); i++ {
+					links = ps.AppendLinks(i, links[:0])
+					for _, l := range links {
+						want = append(want, g.Link(l).From)
+					}
+				}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				got := ps.AppendSwitches(slices.Clone(prefix))
+				if !slices.Equal(got[:len(prefix)], prefix) {
+					t.Fatalf("pair (%d,%d): prefix %v became %v", pair[0], pair[1], prefix, got[:len(prefix)])
+				}
+				if got = got[len(prefix):]; !slices.Equal(got, want) {
+					t.Fatalf("pair (%d,%d): switches %v, want %v", pair[0], pair[1], got, want)
+				}
 			}
 		})
 	}

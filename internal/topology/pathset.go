@@ -37,14 +37,19 @@ type PathSet struct {
 // Both styles honor one contract, pinned by pathprops_test.go across
 // every family: paths are loop-free link-contiguous src->dst walks over
 // switch-switch links, sets are duplicate-free with unique Via labels,
-// and enumeration order is construction-deterministic — PathIdx is
-// durable state in flows, reports, and checkpoints, so two independent
-// constructions of the same configuration must enumerate bit-identically.
+// a set's switches are exactly its path links' upstream endpoints in
+// ascending ID order, and enumeration order is
+// construction-deterministic — PathIdx is durable state in flows,
+// reports, and checkpoints, so two independent constructions of the
+// same configuration must enumerate bit-identically.
 type PathProvider interface {
 	// appendPathLinks appends path i's switch-switch links to buf.
 	appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID
 	// pathVia returns path i's trace label.
 	pathVia(src, dst NodeID, i int) string
+	// appendSwitches appends the upstream endpoint of every link of
+	// every path to buf, each switch once, in ascending ID order.
+	appendSwitches(src, dst NodeID, buf []NodeID) []NodeID
 }
 
 // Len reports the number of equal-cost paths in the set. A same-ToR pair
@@ -63,6 +68,18 @@ func (ps PathSet) AppendLinks(i int, buf []LinkID) []LinkID {
 		return buf
 	}
 	return ps.r.appendPathLinks(ps.src, ps.dst, i, buf)
+}
+
+// AppendSwitches appends the switches the set's paths leave from — the
+// upstream endpoint of every path link, each once, sorted by ID — to buf
+// and returns the extended slice. These are the switches whose exit
+// ports carry the set's traffic, the ones a DARD monitor polls
+// (§2.4.2). The direct same-ToR path appends nothing.
+func (ps PathSet) AppendSwitches(buf []NodeID) []NodeID {
+	if ps.src == ps.dst {
+		return buf
+	}
+	return ps.r.appendSwitches(ps.src, ps.dst, buf)
 }
 
 // Via returns the label of path i — the branch choice that determines

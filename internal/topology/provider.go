@@ -1,6 +1,9 @@
 package topology
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // sourceRouted is the explicit path-set PathProvider the non-tree
 // families (dragonfly, DCell) share. A tree resolves any path from a
@@ -17,6 +20,8 @@ import "sync"
 // configuration produce the same node and link IDs and therefore the
 // same enumeration, bit for bit (pinned by pathprops_test.go).
 type sourceRouted struct {
+	// g resolves path links to the switches they leave.
+	g *Graph
 	// build enumerates the paths of one ordered pair of distinct
 	// attachment switches: the link sequences and their Via labels, in
 	// the family's pinned order.
@@ -33,10 +38,12 @@ type srcEntry struct {
 	once  sync.Once
 	links [][]LinkID
 	vias  []string
+	// switches is the sorted upstream endpoint of every path link.
+	switches []NodeID
 }
 
-func newSourceRouted(build func(src, dst NodeID) ([][]LinkID, []string)) *sourceRouted {
-	return &sourceRouted{build: build, entries: make(map[[2]NodeID]*srcEntry)}
+func newSourceRouted(g *Graph, build func(src, dst NodeID) ([][]LinkID, []string)) *sourceRouted {
+	return &sourceRouted{g: g, build: build, entries: make(map[[2]NodeID]*srcEntry)}
 }
 
 // pathSet returns the pair's PathSet handle, building the pair's entry
@@ -62,7 +69,16 @@ func (sr *sourceRouted) entry(src, dst NodeID) *srcEntry {
 		sr.entries[key] = e
 	}
 	sr.mu.Unlock()
-	e.once.Do(func() { e.links, e.vias = sr.build(src, dst) })
+	e.once.Do(func() {
+		e.links, e.vias = sr.build(src, dst)
+		for _, path := range e.links {
+			for _, l := range path {
+				e.switches = append(e.switches, sr.g.Link(l).From)
+			}
+		}
+		slices.Sort(e.switches)
+		e.switches = slices.Compact(e.switches)
+	})
 	return e
 }
 
@@ -73,6 +89,11 @@ func (e *srcEntry) appendPathLinks(_, _ NodeID, i int, buf []LinkID) []LinkID {
 
 // pathVia implements PathProvider.
 func (e *srcEntry) pathVia(_, _ NodeID, i int) string { return e.vias[i] }
+
+// appendSwitches implements PathProvider from the entry's sorted set.
+func (e *srcEntry) appendSwitches(_, _ NodeID, buf []NodeID) []NodeID {
+	return append(buf, e.switches...)
+}
 
 // materializePaths renders a PathSet as legacy Path values, the shared
 // Paths() backend for the source-routed families (cached by the base's

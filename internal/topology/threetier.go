@@ -210,6 +210,23 @@ func (tt *ThreeTier) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []Lin
 		g.Reverse(tt.accAggrUp[dn.Index*2+k]))
 }
 
+// appendSwitches implements PathProvider: the source access switch and
+// its pod's aggrs, plus every core and the destination pod's aggrs
+// across pods. NewThreeTier numbers the cores first, then pod by pod
+// the aggrs before the access switches, so appending in that order
+// keeps IDs ascending.
+func (tt *ThreeTier) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
+	sp, dp := tt.g.Node(src).Pod, tt.g.Node(dst).Pod
+	if sp == dp {
+		return append(append(buf, tt.aggrs[sp][:]...), src)
+	}
+	buf = append(buf, tt.cores...)
+	if sp < dp {
+		return append(append(append(buf, tt.aggrs[sp][:]...), src), tt.aggrs[dp][:]...)
+	}
+	return append(append(append(buf, tt.aggrs[dp][:]...), tt.aggrs[sp][:]...), src)
+}
+
 // pathVia implements PathProvider. Cross-pod labels are joined on
 // demand; they exist only for traces and display.
 func (tt *ThreeTier) pathVia(src, dst NodeID, i int) string {
