@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"dard/internal/workload"
@@ -36,5 +37,52 @@ func TestBuildRouteAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("buildRoute allocates %.1f times per call on a warm flow, want 0", allocs)
+	}
+}
+
+// TestRecomputeSteadyStateAllocs is the alloc gate for the max-min
+// recompute: once a p=4 run is warm, refilling the components dirtied by
+// a detach, an attach and a link failure and repair must not allocate.
+// Every arrival, completion, path switch and link event ends in one of
+// these recomputes.
+func TestRecomputeSteadyStateAllocs(t *testing.T) {
+	ft := testFatTree(t)
+	g := ft.Graph()
+	rng := rand.New(rand.NewSource(3))
+	flows := randomFlows(rng, 32, len(ft.Hosts()), 4e9)
+	s, err := New(Config{Net: ft, Controller: &batchController{interval: 0.2, batch: 2}, Flows: flows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PauseAfter(40)
+	if _, err := s.Run(); err != ErrPaused {
+		t.Fatalf("Run = %v, want ErrPaused", err)
+	}
+	var f *Flow
+	for _, a := range s.Active() {
+		if len(a.links) > 2 {
+			f = a
+			break
+		}
+	}
+	if f == nil || len(s.Active()) < 8 {
+		t.Fatalf("want a warm run with an inter-ToR flow, have %d active flows", len(s.Active()))
+	}
+	fabric := f.links[1]
+	if !g.IsSwitchLink(fabric) {
+		t.Fatalf("link %d of flow %d is not a switch link", fabric, f.ID)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.detachLinks(f)
+		s.recomputeRates()
+		s.attachLinks(f)
+		s.recomputeRates()
+		s.SetLinkDown(fabric, true)
+		s.recomputeRates()
+		s.SetLinkDown(fabric, false)
+		s.recomputeRates()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm recomputes allocate %.1f times per round, want 0", allocs)
 	}
 }

@@ -130,7 +130,10 @@ type Sim struct {
 	curElephants  int
 	peakElephants int
 
-	linkDown []bool
+	// capacity is each link's effective capacity: the graph's nominal
+	// bandwidth, 0 while the link is down. Graph.Validate rejects
+	// non-positive nominal capacities, so 0 means down and nothing else.
+	capacity []float64
 
 	tracer     trace.Tracer //dardlint:snapfield never nil (Nop when tracing is off); the restored run injects its own sink
 	probeEvery float64      //dardlint:snapfield mirror of Config.ProbeInterval (0 when probing is off); set by New
@@ -152,15 +155,14 @@ type Sim struct {
 	// Incremental engine state (maxmin.go): per-link flow-membership
 	// lists maintained on arrival/departure/path-switch, the dirty-link
 	// seeds accumulated since the last recompute, the component-BFS
-	// epoch marks, the component spans of the current recompute, and the
-	// two indexed heaps.
+	// epoch marks, the flows of the current recompute, and the two
+	// indexed heaps.
 	linkFlows  [][]int32         //dardlint:snapfield rebuilt by restore's canonical re-attach replay; membership order is proven immaterial
 	dirtyLinks []topology.LinkID //dardlint:snapfield drained at every snapshot boundary; empty on both sides
 	linkDirty  []bool            //dardlint:snapfield mirrors dirtyLinks and is likewise empty at a boundary
 	linkSeen   []uint64          //dardlint:snapfield recompute-epoch marks; an epoch bump invalidates them wholesale
 	epoch      uint64            //dardlint:snapfield BFS epoch counter; only equality against linkSeen/seen is observable
-	compFlows  []int32           //dardlint:snapfield recompute scratch; component spans live only within one recompute
-	comps      []compSpan        //dardlint:snapfield recompute scratch; component spans live only within one recompute
+	compFlows  []int32           //dardlint:snapfield recompute scratch; the flows of each component, in fill order
 	lheap      *linkHeap         //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
 	done       finishHeap        //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
 
@@ -168,7 +170,7 @@ type Sim struct {
 
 	// Progressive-filling accumulators, shared by both schedulers.
 	residual []float64         //dardlint:snapfield progressive-filling scratch, overwritten at the start of every fill
-	unfrozen []int             //dardlint:snapfield progressive-filling scratch, overwritten at the start of every fill
+	unfrozen []int32           //dardlint:snapfield progressive-filling scratch, overwritten at the start of every fill
 	linkUsed []topology.LinkID //dardlint:snapfield links of the current recompute (doubles as the BFS queue); scratch
 
 	// Reference-engine scratch (reference.go): membership lists rebuilt
@@ -221,6 +223,10 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	g := cfg.Net.Graph()
+	capacity := make([]float64, g.NumLinks())
+	for l := range capacity {
+		capacity[l] = g.Link(topology.LinkID(l)).Capacity
+	}
 	seedSrc := newCountedSource(cfg.Seed)
 	s := &Sim{
 		cfg:       cfg,
@@ -231,9 +237,9 @@ func New(cfg Config) (*Sim, error) {
 		pauseAt:   -1,
 		eleCounts: make([]int32, g.NumLinks()),
 		portStamp: make([]uint64, g.NumNodes()),
-		linkDown:  make([]bool, g.NumLinks()),
+		capacity:  capacity,
 		residual:  make([]float64, g.NumLinks()),
-		unfrozen:  make([]int, g.NumLinks()),
+		unfrozen:  make([]int32, g.NumLinks()),
 		linkFlows: make([][]int32, g.NumLinks()),
 		linkDirty: make([]bool, g.NumLinks()),
 		linkSeen:  make([]uint64, g.NumLinks()),
@@ -537,33 +543,35 @@ func (s *Sim) PortStamp(sw topology.NodeID) uint64 { return s.portStamp[sw] }
 // LinkCapacity returns a link's effective capacity: zero while failed,
 // nominal otherwise. This is the bandwidth half of the switch state the
 // monitors query.
-func (s *Sim) LinkCapacity(l topology.LinkID) float64 {
-	if s.linkDown[l] {
-		return 0
-	}
-	return s.g.Link(l).Capacity
-}
+func (s *Sim) LinkCapacity(l topology.LinkID) float64 { return s.capacity[l] }
+
+// linkDown reports whether l is failed.
+func (s *Sim) linkDown(l topology.LinkID) bool { return s.capacity[l] <= 0 }
 
 // LinkBoNF returns the Bandwidth over Number of elephant Flows of one
 // link; +Inf when the link carries no elephants (§2.2), zero while the
 // link is down.
 func (s *Sim) LinkBoNF(l topology.LinkID) float64 {
-	if s.linkDown[l] {
+	if s.linkDown(l) {
 		return 0
 	}
 	n := s.ElephantsOnLink(l)
 	if n == 0 {
 		return math.Inf(1)
 	}
-	return s.g.Link(l).Capacity / float64(n)
+	return s.capacity[l] / float64(n)
 }
 
 // SetLinkDown fails or repairs a link immediately.
 func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
-	if s.linkDown[l] == down {
+	if s.linkDown(l) == down {
 		return
 	}
-	s.linkDown[l] = down
+	if down {
+		s.capacity[l] = 0
+	} else {
+		s.capacity[l] = s.g.Link(l).Capacity
+	}
 	s.portStamp[s.g.Link(l).From]++
 	s.markLinkDirty(l)
 	s.markStateChanged()

@@ -109,134 +109,132 @@ func (h *finishHeap) down(i int) bool {
 	return i > start
 }
 
-// linkHeap is an indexed min-heap over links keyed on (fair share,
-// LinkID), used by the progressive-filling loop to pop the bottleneck
-// link in O(log L) instead of scanning every in-use link. pos is indexed
-// by LinkID (-1 = not in the heap) so key updates after a freeze are
-// O(log L) per touched link.
+// linkHeap is the bottleneck heap of progressive filling: an indexed
+// d-ary min-heap of links keyed on (fair share, LinkID). A fill appends
+// its component's candidate links unordered (add), orders them once in
+// O(n) (heapify), then pops bottlenecks and re-keys the links a freeze
+// crossed. pos is indexed by LinkID and holds a link's slot while the
+// link is in the heap; it is stale otherwise, so re-keying a link that
+// is not in the heap corrupts it. The fill only re-keys links that
+// still carry unfrozen flows, which it pushed and has not popped
+// (maxmin.go), so reset need not clear pos.
 type linkHeap struct {
-	ids []topology.LinkID
-	key []float64
-	pos []int32 // by LinkID; -1 when absent
+	a   []linkEntry
+	pos []int32 // by LinkID; valid only while the link is in the heap
 }
 
+// linkEntry is one heap slot. Keeping the key beside the ID makes a
+// comparison one load per side.
+type linkEntry struct {
+	share float64
+	id    topology.LinkID
+}
+
+// linkArity is the heap's fan-out. Four halves the depth a sift-down
+// walks against two, and a node's four 16-byte children span about one
+// cache line; on flow-dard it ran about 3% faster than a binary heap.
+const linkArity = 4
+
 func newLinkHeap(numLinks int) *linkHeap {
-	h := &linkHeap{pos: make([]int32, numLinks)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
+	return &linkHeap{pos: make([]int32, numLinks)}
 }
 
 // ensure grows the position index to cover numLinks links.
 func (h *linkHeap) ensure(numLinks int) {
-	for len(h.pos) < numLinks {
-		h.pos = append(h.pos, -1)
+	if n := numLinks - len(h.pos); n > 0 {
+		h.pos = append(h.pos, make([]int32, n)...)
 	}
 }
 
-func (h *linkHeap) linkLess(i, j int) bool {
+func linkLess(x, y linkEntry) bool {
 	//dardlint:floateq total-order comparator: exact compare, then integer link-ID tie-break
-	if h.key[i] != h.key[j] {
-		return h.key[i] < h.key[j]
+	if x.share != y.share {
+		return x.share < y.share
 	}
-	return h.ids[i] < h.ids[j]
+	return x.id < y.id
 }
 
-// reset empties the heap (defensive: a normal filling pass drains it).
-func (h *linkHeap) reset() {
-	for _, l := range h.ids {
-		h.pos[l] = -1
-	}
-	h.ids = h.ids[:0]
-	h.key = h.key[:0]
+// reset empties the heap.
+func (h *linkHeap) reset() { h.a = h.a[:0] }
+
+// add appends a link without restoring heap order; call heapify once
+// every link is added.
+func (h *linkHeap) add(l topology.LinkID, share float64) {
+	h.pos[l] = int32(len(h.a))
+	h.a = append(h.a, linkEntry{share, l})
 }
 
-func (h *linkHeap) push(l topology.LinkID, share float64) {
-	i := len(h.ids)
-	h.ids = append(h.ids, l)
-	h.key = append(h.key, share)
-	h.pos[l] = int32(i)
-	h.up(i)
+// heapify orders the added links bottom-up in O(n).
+func (h *linkHeap) heapify() {
+	for i := (len(h.a) - 2) / linkArity; i >= 0; i-- {
+		h.down(i, h.a[i])
+	}
 }
 
 // popMin removes and returns the link with the smallest (share, ID) key.
 func (h *linkHeap) popMin() (topology.LinkID, float64, bool) {
-	if len(h.ids) == 0 {
+	if len(h.a) == 0 {
 		return -1, 0, false
 	}
-	l, share := h.ids[0], h.key[0]
-	h.removeAt(0)
-	return l, share, true
+	top := h.a[0]
+	last := len(h.a) - 1
+	e := h.a[last]
+	h.a = h.a[:last]
+	if last > 0 {
+		h.down(0, e)
+	}
+	return top.id, top.share, true
 }
 
-// update re-keys a link if present; no-op otherwise.
+// update re-keys a link that is in the heap.
 func (h *linkHeap) update(l topology.LinkID, share float64) {
-	i := h.pos[l]
-	if i < 0 {
-		return
-	}
-	h.key[i] = share
-	if !h.down(int(i)) {
-		h.up(int(i))
-	}
-}
-
-// remove deletes a link if present; no-op otherwise.
-func (h *linkHeap) remove(l topology.LinkID) {
-	if i := h.pos[l]; i >= 0 {
-		h.removeAt(int(i))
+	i := int(h.pos[l])
+	e := linkEntry{share, l}
+	if i > 0 && linkLess(e, h.a[(i-1)/linkArity]) {
+		h.up(i, e)
+	} else {
+		h.down(i, e)
 	}
 }
 
-func (h *linkHeap) removeAt(i int) {
-	last := len(h.ids) - 1
-	h.swap(i, last)
-	h.pos[h.ids[last]] = -1
-	h.ids = h.ids[:last]
-	h.key = h.key[:last]
-	if i < last {
-		if !h.down(i) {
-			h.up(i)
-		}
-	}
-}
-
-func (h *linkHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.key[i], h.key[j] = h.key[j], h.key[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
-}
-
-func (h *linkHeap) up(i int) {
+// up places e at slot i or above, moving larger parents down.
+func (h *linkHeap) up(i int, e linkEntry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.linkLess(i, parent) {
+		parent := (i - 1) / linkArity
+		p := h.a[parent]
+		if !linkLess(e, p) {
 			break
 		}
-		h.swap(i, parent)
+		h.a[i] = p
+		h.pos[p.id] = int32(i)
 		i = parent
 	}
+	h.a[i] = e
+	h.pos[e.id] = int32(i)
 }
 
-func (h *linkHeap) down(i int) bool {
-	start := i
-	n := len(h.ids)
+// down places e at slot i or below, moving smaller children up.
+func (h *linkHeap) down(i int, e linkEntry) {
+	n := len(h.a)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		first := linkArity*i + 1
+		if first >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && h.linkLess(right, left) {
-			child = right
+		end := min(first+linkArity, n)
+		c, ce := first, h.a[first]
+		for j := first + 1; j < end; j++ {
+			if linkLess(h.a[j], ce) {
+				c, ce = j, h.a[j]
+			}
 		}
-		if !h.linkLess(child, i) {
+		if !linkLess(ce, e) {
 			break
 		}
-		h.swap(i, child)
-		i = child
+		h.a[i] = ce
+		h.pos[ce.id] = int32(i)
+		i = c
 	}
-	return i > start
+	h.a[i] = e
+	h.pos[e.id] = int32(i)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dard/internal/fpcmp"
+	"dard/internal/topology"
 )
 
 // The incremental max-min engine.
@@ -36,21 +37,33 @@ import (
 //  3. The per-iteration bottleneck search is an indexed min-heap over
 //     link fair shares keyed (share, LinkID) instead of a linear scan.
 //     The key is a total order, so the heap pops exactly the link the
-//     reference's tie-broken scan selects.
+//     reference's tie-broken scan selects, provided the heap holds every
+//     link that can be that minimum. It holds fewer links than the
+//     reference scans, by two exact arguments:
+//
+//     Drained links stay. A link whose unfrozen count reaches zero is
+//     not removed; when it later pops it is skipped. The reference never
+//     selects such a link, and a stale entry reorders no live one, so
+//     the live pops are the reference's selections in the same order.
+//
+//     One single-flow link per flow. A link crossed by exactly one flow
+//     f keeps residual = capacity, so its share (capacity/1, exactly the
+//     capacity) does not move until f freezes, and then it drains. Of
+//     f's single-flow links, only the least by (capacity, LinkID) can be
+//     the minimum while f is unfrozen: it is live as long as any of them
+//     is, and its key is smaller. So only that one is pushed; the others
+//     would only ever pop drained. Multi-flow links are all pushed.
+//
+//     Every pushed link that still carries unfrozen flows has never
+//     popped, so re-keying after a freeze touches only links in the
+//     heap. A component's entries are appended as its BFS first reaches
+//     each link and heapified once, in O(n), before its fill.
 //
 // Flow progress is lazy: Remaining is materialized only when a
 // recompute actually changes the flow's rate (applyRate), and the
 // projected completion finishAt stays valid in between. Both schedulers
 // share applyRate, so the floating-point op sequence — and therefore
 // every completion timestamp in the report — is identical.
-
-// compSpan is one connected component of the current recompute: index
-// ranges into the shared s.compFlows (flow IDs) and s.linkUsed (links)
-// scratch slices. Spans are disjoint by construction.
-type compSpan struct {
-	flowLo, flowHi int32 // s.compFlows[flowLo:flowHi]
-	linkLo, linkHi int32 // s.linkUsed[linkLo:linkHi]
-}
 
 // recomputeRates reassigns max-min fair rates to every flow whose
 // allocation may have changed since the last recompute.
@@ -68,27 +81,29 @@ func (s *Sim) recomputeRates() {
 		return
 	}
 
-	// Partition the dirty seeds into connected components. Each unseen
-	// seed starts a BFS that alternates link -> member flows -> their
-	// links until that component's frontier closes; a later seed already
-	// absorbed by an earlier component is skipped. linkUsed doubles as
-	// the BFS queue (a component occupies a contiguous range of it), so
-	// every link and flow is visited once per epoch. Seed order is the
-	// deterministic dirty-link order, so the partition is a pure
-	// function of simulation state.
+	// Partition the dirty seeds into connected components and fill each
+	// as soon as its BFS closes. Each unseen seed starts a BFS that
+	// alternates link -> member flows -> their links until that
+	// component's frontier closes; a later seed already absorbed by an
+	// earlier component is skipped. linkUsed doubles as the BFS queue,
+	// so every link and flow is visited once per epoch. Seed order is
+	// the deterministic dirty-link order, so the partition and the fill
+	// order are pure functions of simulation state. Components share no
+	// flow and no link, so filling one before the next BFS reads nothing
+	// that BFS writes.
 	s.epoch++
 	s.linkUsed = s.linkUsed[:0]
 	s.compFlows = s.compFlows[:0]
-	s.comps = s.comps[:0]
+	comps := 0
 	for _, seed := range s.dirtyLinks {
 		s.linkDirty[seed] = false
 		if s.linkSeen[seed] == s.epoch {
 			continue
 		}
-		flowLo, linkLo := int32(len(s.compFlows)), int32(len(s.linkUsed))
-		s.linkSeen[seed] = s.epoch
-		s.linkUsed = append(s.linkUsed, seed)
-		for i := int(linkLo); i < len(s.linkUsed); i++ {
+		flowLo, linkLo := len(s.compFlows), len(s.linkUsed)
+		s.lheap.reset()
+		s.reachLink(seed)
+		for i := linkLo; i < len(s.linkUsed); i++ {
 			for _, fid := range s.linkFlows[s.linkUsed[i]] {
 				if s.seen[fid] == s.epoch {
 					continue
@@ -96,28 +111,31 @@ func (s *Sim) recomputeRates() {
 				s.seen[fid] = s.epoch
 				s.newRate[fid] = -1 // unfrozen
 				s.compFlows = append(s.compFlows, fid)
+				single := linkEntry{id: -1} // least single-flow link of fid
 				for _, fl := range s.flowAt(int(fid)).links {
 					if s.linkSeen[fl] != s.epoch {
-						s.linkSeen[fl] = s.epoch
-						s.linkUsed = append(s.linkUsed, fl)
+						s.reachLink(fl)
 					}
+					if s.unfrozen[fl] == 1 {
+						if e := (linkEntry{s.capacity[fl], fl}); single.id < 0 || linkLess(e, single) {
+							single = e
+						}
+					}
+				}
+				if single.id >= 0 {
+					s.lheap.add(single.id, single.share)
 				}
 			}
 		}
-		if int32(len(s.compFlows)) == flowLo {
+		if len(s.compFlows) == flowLo {
 			continue // seed only touched an empty link (e.g. failing an idle one)
 		}
-		s.comps = append(s.comps, compSpan{
-			flowLo: flowLo, flowHi: int32(len(s.compFlows)),
-			linkLo: linkLo, linkHi: int32(len(s.linkUsed)),
-		})
+		comps++
+		s.fillComponent(s.compFlows[flowLo:])
 	}
 	s.dirtyLinks = s.dirtyLinks[:0]
-	if len(s.comps) > 1 {
+	if comps > 1 {
 		s.multiComps++
-	}
-	for _, c := range s.comps {
-		s.fillComponent(c)
 	}
 	// Install every freshly computed rate in stable component order.
 	for _, fid := range s.compFlows {
@@ -125,27 +143,32 @@ func (s *Sim) recomputeRates() {
 	}
 }
 
-// fillComponent runs progressive filling over one component,
-// bottleneck by bottleneck, writing results to s.newRate. Every link of
-// the component starts from its full capacity: the component's flows
-// are exactly its links' members, so the fill is self-contained.
-func (s *Sim) fillComponent(c compSpan) {
-	s.lheap.reset()
-	links := s.linkUsed[c.linkLo:c.linkHi]
-	for _, l := range links {
-		s.residual[l] = s.LinkCapacity(l)
-		n := len(s.linkFlows[l])
-		s.unfrozen[l] = n
-		if n > 0 {
-			s.lheap.push(l, s.residual[l]/float64(n))
-		}
+// reachLink is the BFS's first visit of l in this recompute: it queues
+// l, starts its fill accumulators from the full capacity, and adds it to
+// the bottleneck heap when more than one flow shares it (single-flow
+// links are added per flow, see item 3 above).
+func (s *Sim) reachLink(l topology.LinkID) {
+	s.linkSeen[l] = s.epoch
+	s.linkUsed = append(s.linkUsed, l)
+	c, n := s.capacity[l], int32(len(s.linkFlows[l]))
+	s.residual[l] = c
+	s.unfrozen[l] = n
+	if n > 1 {
+		s.lheap.add(l, c/float64(n))
 	}
-	flows := s.compFlows[c.flowLo:c.flowHi]
+}
+
+// fillComponent runs progressive filling over one component, whose
+// links the BFS has just reached and added to the heap, bottleneck by
+// bottleneck, writing results to s.newRate. The component's flows are
+// exactly its links' members, so the fill is self-contained.
+func (s *Sim) fillComponent(flows []int32) {
+	s.lheap.heapify()
 	remaining := len(flows)
 	for remaining > 0 {
 		bottleneck, best, ok := s.lheap.popMin()
 		if !ok {
-			// Unreachable: every flow crosses at least its host links.
+			// Unreachable: every unfrozen flow keeps a live link in the heap.
 			for _, fid := range flows {
 				if s.newRate[fid] < 0 {
 					s.newRate[fid] = 0
@@ -153,12 +176,15 @@ func (s *Sim) fillComponent(c compSpan) {
 			}
 			break
 		}
+		if s.unfrozen[bottleneck] == 0 {
+			continue // drained: its flows froze at other bottlenecks
+		}
 		if best < 0 {
 			best = 0
 		}
-		// Freeze every unfrozen flow crossing the bottleneck. Once its
-		// unfrozen count reaches zero the link leaves the heap, so each
-		// membership list is consumed at most once.
+		// Freeze every unfrozen flow crossing the bottleneck. Its
+		// unfrozen count reaches zero here, so each membership list is
+		// consumed at most once.
 		for _, fid := range s.linkFlows[bottleneck] {
 			if s.newRate[fid] >= 0 {
 				continue
@@ -171,12 +197,7 @@ func (s *Sim) fillComponent(c compSpan) {
 					s.residual[l] = 0
 				}
 				s.unfrozen[l]--
-				if l == bottleneck {
-					continue // already popped
-				}
-				if s.unfrozen[l] == 0 {
-					s.lheap.remove(l)
-				} else {
+				if l != bottleneck && s.unfrozen[l] > 0 {
 					s.lheap.update(l, s.residual[l]/float64(s.unfrozen[l]))
 				}
 			}

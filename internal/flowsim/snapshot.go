@@ -176,14 +176,14 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	enc.Str(s.cfg.Controller.Name())
 	enc.U32(uint32(s.g.NumLinks()))
 	downs := 0
-	for _, d := range s.linkDown {
-		if d {
+	for l := range s.capacity {
+		if s.linkDown(topology.LinkID(l)) {
 			downs++
 		}
 	}
 	enc.U32(uint32(downs))
-	for l, d := range s.linkDown {
-		if d {
+	for l := range s.capacity {
+		if s.linkDown(topology.LinkID(l)) {
 			enc.U32(uint32(l))
 		}
 	}
@@ -348,7 +348,7 @@ func (s *Sim) restore(data []byte) error {
 		if int(l) >= s.g.NumLinks() {
 			return fmt.Errorf("snapshot fails link %d out of range", l)
 		}
-		s.linkDown[l] = true
+		s.capacity[l] = 0
 	}
 
 	dec.Expect(secFlows)
