@@ -109,8 +109,8 @@ func TestSnapfieldCatchesNewField(t *testing.T) {
 	tmp := t.TempDir()
 	copyFile(t, filepath.Join(root, "go.mod"), filepath.Join(tmp, "go.mod"))
 	for _, dir := range []string{
-		"internal/workload", "internal/detrand", "internal/fpcmp",
-		"internal/snap", "internal/topology",
+		"internal/workload", "internal/detrand", "internal/evq",
+		"internal/fpcmp", "internal/snap", "internal/topology",
 	} {
 		copyDir(t, filepath.Join(root, dir), filepath.Join(tmp, dir))
 	}

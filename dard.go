@@ -41,7 +41,6 @@ import (
 	"dard/internal/hedera"
 	"dard/internal/psim"
 	"dard/internal/sched"
-	"dard/internal/tcp"
 	"dard/internal/texcp"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -228,8 +227,9 @@ type Scenario struct {
 	// Duration > 0 bounds the arrival window exactly as in batch mode; a
 	// negative Duration streams arrivals indefinitely, so the run ends at
 	// MaxTimeSec with in-flight flows reported unfinished. The stream is
-	// seeded per source host the same way the batch generator is, so a
-	// bounded steady run sees the batch run's exact workload.
+	// seeded per source host like the batch generator but draws from a
+	// different generator, so a bounded steady run sees a workload of
+	// the same rate and pattern, not the batch run's flows.
 	Steady bool
 	// WindowSec aggregates completed transfers into tumbling windows of
 	// this width and reports per-window throughput and Jain fairness in
@@ -524,7 +524,6 @@ func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workloa
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
 		LinkEvents:    events,
-		TCP:           tcp.Options{},
 		Tracer:        tr,
 		ProbeInterval: s.probeInterval(),
 	})

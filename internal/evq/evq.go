@@ -1,8 +1,9 @@
-// Package evq is the simulators' shared event queue: a value-typed 4-ary
-// min-heap ordered by (At, Seq). The key is total — callers hand out
-// strictly increasing sequence numbers — so the pop order is unique
-// whatever the internal layout, which is what keeps both engines
-// deterministic.
+// Package evq is the module's one priority queue: a value-typed 4-ary
+// min-heap ordered by (At, Seq). The key is total — Seq is unique among
+// queued entries — so the pop order is unique whatever the internal
+// layout, which is what keeps the engines deterministic. Event kernels
+// hand out increasing sequence numbers; flowsim's completion queue keys
+// each flow by its ID, and the open-arrival merge by source host.
 //
 // Entries are stored by value and compared on their inline At and Seq
 // fields, so ordering never calls through the payload type or chases a

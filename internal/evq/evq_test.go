@@ -1,6 +1,7 @@
 package evq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -36,10 +37,17 @@ func (o *oracle) sort() {
 // oracle after every step: pops come out in (At, Seq) order with the
 // right payload, removed entries never pop, stale handles are refused,
 // and Len always equals the live count.
+//
+// Seq need only be unique among queued entries, not increasing: a
+// re-key sometimes keeps the entry's own Seq, as flowsim's completion
+// queue does with flow IDs. At sometimes draws +Inf, where that queue
+// parks rate-zero flows; such entries must pop after every finite key,
+// in Seq order.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 1, 1, 5, 2, 4, 4, 4})
 	f.Add([]byte{1, 1, 1, 1, 3, 3, 2, 2, 4, 4, 4, 4, 2, 3})
 	f.Add([]byte{1, 7, 1, 3, 1, 9, 3, 0, 3, 1, 4, 2, 0, 4, 4})
+	f.Add([]byte{1, 7, 1, 15, 1, 2, 3, 0x81, 3, 0x8f, 4, 0, 4, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q Queue[int]
 		var o oracle
@@ -47,8 +55,12 @@ func FuzzEventQueue(f *testing.F) {
 		var seq int64
 		for k := 0; k+1 < len(ops); k += 2 {
 			op, arg := ops[k]%5, ops[k+1]
-			// Few distinct times so equal-At ties exercise Seq.
+			// Few distinct times so equal-At ties exercise Seq; 7 stands
+			// for +Inf.
 			at := float64(arg % 8)
+			if at == 7 {
+				at = math.Inf(1)
+			}
 			switch op {
 			case 0, 1:
 				seq++
@@ -79,11 +91,16 @@ func FuzzEventQueue(f *testing.F) {
 					o.live = append(o.live[:i], o.live[i+1:]...)
 					stale = append(stale, e.h)
 				} else {
-					seq++
-					if !q.Rekey(e.h, at, seq) {
+					// The high bit keeps the entry's own Seq.
+					newSeq := e.seq
+					if arg&0x80 == 0 {
+						seq++
+						newSeq = seq
+					}
+					if !q.Rekey(e.h, at, newSeq) {
 						t.Fatalf("Rekey refused a live handle")
 					}
-					o.live[i].at, o.live[i].seq = at, seq
+					o.live[i].at, o.live[i].seq = at, newSeq
 				}
 			case 4:
 				if len(o.live) == 0 {
@@ -113,12 +130,19 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("stale handle changed Len to %d, want %d", q.Len(), len(o.live))
 			}
 		}
-		// Drain: the rest comes out in order.
+		// Drain: the rest comes out in order, and once a +Inf entry pops
+		// only +Inf entries follow, in increasing Seq.
 		o.sort()
-		for _, want := range o.live {
-			if got := q.Pop(); got.Seq != want.seq || got.Val != want.id {
+		var prev Item[int]
+		for i, want := range o.live {
+			got := q.Pop()
+			if got.Seq != want.seq || got.Val != want.id {
 				t.Fatalf("drain popped (%g, %d), want (%g, %d)", got.At, got.Seq, want.at, want.seq)
 			}
+			if i > 0 && math.IsInf(prev.At, 1) && (!math.IsInf(got.At, 1) || got.Seq <= prev.Seq) {
+				t.Fatalf("drain popped (%g, %d) after +Inf entry with Seq %d", got.At, got.Seq, prev.Seq)
+			}
+			prev = got
 		}
 		if q.Len() != 0 {
 			t.Fatalf("Len = %d after drain", q.Len())

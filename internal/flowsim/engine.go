@@ -143,20 +143,20 @@ type Sim struct {
 	// recompute, completion, and probe paths touch only these and the
 	// membership lists, never the cold Flow structs, so the hot loops
 	// walk contiguous memory.
-	rate      []float64 // current max-min allocation (bits/s)
-	remaining []float64 // unsent bits, exact as of syncAt
-	syncAt    []float64 // time remaining was last materialized
-	finishAt  []float64 // projected completion; +Inf while rate <= 0
-	newRate   []float64 //dardlint:snapfield recompute scratch: tentative rate (<0 = unfrozen), dead between recomputes
-	seen      []uint64  //dardlint:snapfield recompute-epoch marker for the component BFS; an epoch bump invalidates it wholesale
-	activeIdx []int32   //dardlint:snapfield index in Sim.active (-1 once departed); restore's re-attach replay rebuilds it
-	heapIdx   []int32   //dardlint:snapfield position in the completion heap (-1 when absent); re-heapify assigns it
+	rate      []float64    // current max-min allocation (bits/s)
+	remaining []float64    // unsent bits, exact as of syncAt
+	syncAt    []float64    // time remaining was last materialized
+	finishAt  []float64    // projected completion; +Inf while rate <= 0
+	newRate   []float64    //dardlint:snapfield recompute scratch: tentative rate (<0 = unfrozen), dead between recomputes
+	seen      []uint64     //dardlint:snapfield recompute-epoch marker for the component BFS; an epoch bump invalidates it wholesale
+	activeIdx []int32      //dardlint:snapfield index in Sim.active (-1 once departed); restore's re-attach replay rebuilds it
+	doneH     []evq.Handle //dardlint:snapfield names the flow's entry in done (stale once departed); restore's re-push assigns it
 
 	// Incremental engine state (maxmin.go): per-link flow-membership
 	// lists maintained on arrival/departure/path-switch, the dirty-link
 	// seeds accumulated since the last recompute, the component-BFS
-	// epoch marks, the flows of the current recompute, and the two
-	// indexed heaps.
+	// epoch marks, the flows of the current recompute, the bottleneck
+	// heap, and the completion queue.
 	linkFlows  [][]int32         //dardlint:snapfield rebuilt by restore's canonical re-attach replay; membership order is proven immaterial
 	dirtyLinks []topology.LinkID //dardlint:snapfield drained at every snapshot boundary; empty on both sides
 	linkDirty  []bool            //dardlint:snapfield mirrors dirtyLinks and is likewise empty at a boundary
@@ -164,7 +164,9 @@ type Sim struct {
 	epoch      uint64            //dardlint:snapfield BFS epoch counter; only equality against linkSeen/seen is observable
 	compFlows  []int32           //dardlint:snapfield recompute scratch; the flows of each component, in fill order
 	lheap      *linkHeap         //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
-	done       finishHeap        //dardlint:snapfield re-heapified from total-order keys; internal layout is observably irrelevant
+	// done queues every active flow at (finishAt, flow ID); its minimum
+	// is the next completion unless that key is +Inf (rate zero).
+	done evq.Queue[struct{}] //dardlint:snapfield restore re-pushes the active flows at their total-order keys; internal layout is observably irrelevant
 
 	multiComps int64 //dardlint:snapfield count of recomputes that partitioned into >= 2 components; read only by tests
 
@@ -254,7 +256,6 @@ func New(cfg Config) (*Sim, error) {
 		s.arrivals = s.sliceSrc
 	}
 	s.growFlows(len(cfg.Flows))
-	s.done.s = s
 	if cfg.Reference {
 		s.refFlows = make([][]int32, g.NumLinks())
 		s.refStamp = make([]uint64, g.NumLinks())
@@ -296,7 +297,7 @@ func (s *Sim) growFlows(n int) {
 		s.newRate = append(s.newRate, make([]float64, grow)...)
 		s.seen = append(s.seen, make([]uint64, grow)...)
 		s.activeIdx = append(s.activeIdx, make([]int32, grow)...)
-		s.heapIdx = append(s.heapIdx, make([]int32, grow)...)
+		s.doneH = append(s.doneH, make([]evq.Handle, grow)...)
 	}
 }
 
@@ -323,13 +324,6 @@ func (s *Sim) Seed() int64 { return s.cfg.Seed }
 // flow. Obtaining and resolving it allocates nothing.
 func (s *Sim) PathSet(srcToR, dstToR topology.NodeID) topology.PathSet {
 	return s.net.PathSet(srcToR, dstToR)
-}
-
-// Paths returns the equal-cost ToR-to-ToR path set as materialized
-// values. Legacy API kept as the test oracle; the simulator itself
-// routes through PathSet.
-func (s *Sim) Paths(srcToR, dstToR topology.NodeID) []topology.Path {
-	return s.net.Paths(srcToR, dstToR)
 }
 
 // Active returns the currently active flows. The slice is owned by the
@@ -456,9 +450,6 @@ func (s *Sim) attachLinks(f *Flow) {
 	} else {
 		f.pos = f.pos[:len(f.links)]
 	}
-	if n := int(f.links[len(f.links)-1]) + 1; n > len(s.linkFlows) {
-		s.growLinkFlows(n)
-	}
 	id := int32(f.ID)
 	for i, l := range f.links {
 		f.pos[i] = int32(len(s.linkFlows[l]))
@@ -520,18 +511,6 @@ func (s *Sim) countElephant(f *Flow, sign int32) {
 	}
 }
 
-// growLinkFlows resizes the membership table to hold n links in a single
-// allocation.
-func (s *Sim) growLinkFlows(n int) {
-	if n <= len(s.linkFlows) {
-		return
-	}
-	grown := make([][]int32, n)
-	copy(grown, s.linkFlows)
-	s.linkFlows = grown
-	s.lheap.ensure(n)
-}
-
 // ElephantsOnLink returns the number of active elephant flows currently
 // traversing the link: the "flow_numbers" half of the switch state the
 // paper's monitors query (§2.4.2).
@@ -547,20 +526,6 @@ func (s *Sim) LinkCapacity(l topology.LinkID) float64 { return s.capacity[l] }
 
 // linkDown reports whether l is failed.
 func (s *Sim) linkDown(l topology.LinkID) bool { return s.capacity[l] <= 0 }
-
-// LinkBoNF returns the Bandwidth over Number of elephant Flows of one
-// link; +Inf when the link carries no elephants (§2.2), zero while the
-// link is down.
-func (s *Sim) LinkBoNF(l topology.LinkID) float64 {
-	if s.linkDown(l) {
-		return 0
-	}
-	n := s.ElephantsOnLink(l)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return s.capacity[l] / float64(n)
-}
 
 // SetLinkDown fails or repairs a link immediately.
 func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
@@ -590,9 +555,10 @@ func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
 // Time advances event to event with no per-flow work in between: each
 // active flow carries a finishAt projection (syncAt + remaining/rate)
 // that stays valid until its rate changes, so the next completion is the
-// min of (finishAt, flow ID) — the completion heap's root, or a linear
-// scan under the reference scheduler. remaining is materialized lazily,
-// only when a recompute actually changes the flow's rate (applyRate).
+// min of (finishAt, flow ID) — the completion queue's minimum, or a
+// linear scan under the reference scheduler. remaining is materialized
+// lazily, only when a recompute actually changes the flow's rate
+// (applyRate).
 func (s *Sim) Run() (*Results, error) { return s.RunContext(context.Background()) }
 
 // RunContext is Run with cooperative cancellation and pausing. When ctx
@@ -646,8 +612,10 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		tComplete, completing := none, (*Flow)(nil)
 		if s.cfg.Reference {
 			tComplete, completing = s.nextCompletionReference()
-		} else if id := s.done.min(); id >= 0 && s.finishAt[id] < none {
-			tComplete, completing = s.finishAt[id], s.flowAt(int(id))
+		} else if s.done.Len() > 0 {
+			if m := s.done.Min(); m.At < none {
+				tComplete, completing = m.At, s.flowAt(int(m.Seq))
+			}
 		}
 		tArrival := none
 		if next, ok := s.arrivals.Peek(); ok {
@@ -767,7 +735,6 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.syncAt[wf.ID] = s.now
 	s.finishAt[wf.ID] = math.Inf(1)
 	s.activeIdx[wf.ID] = -1
-	s.heapIdx[wf.ID] = -1
 	s.flows[wf.ID] = f
 
 	ps := s.net.PathSet(f.SrcToR, f.DstToR)
@@ -780,9 +747,7 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.attachLinks(f)
 	s.activeIdx[wf.ID] = int32(len(s.active))
 	s.active = append(s.active, f)
-	if !s.cfg.Reference {
-		s.done.push(int32(wf.ID))
-	}
+	s.doneH[wf.ID] = s.done.PushHandle(math.Inf(1), int64(wf.ID), struct{}{})
 	s.markStateChanged()
 	if s.tracer.Enabled() {
 		// T is f.Arrival, so a FlowEnd minus this is bit-for-bit the
@@ -849,9 +814,7 @@ func (s *Sim) complete(f *Flow) {
 	s.active[last] = nil
 	s.active = s.active[:last]
 	s.activeIdx[f.ID] = -1
-	if !s.cfg.Reference {
-		s.done.remove(int32(f.ID))
-	}
+	s.done.Remove(s.doneH[f.ID])
 	s.markStateChanged()
 	if s.obs != nil {
 		s.obs.Departed(s, f.Flow)

@@ -268,12 +268,12 @@ func TestBoNFQueries(t *testing.T) {
 				t.Errorf("elephants on uplink = %d, want 1", n)
 			}
 			torLink := f.Links()[1]
-			if got := s.LinkBoNF(torLink); math.Abs(got-1e9) > 1 {
-				t.Errorf("BoNF = %g, want 1e9", got)
+			if n, c := s.ElephantsOnLink(torLink), s.LinkCapacity(torLink); n != 1 || c != 1e9 {
+				t.Errorf("ToR uplink carries %d elephants over %g b/s, want 1 over 1e9", n, c)
 			}
-			idle := s.Paths(f.SrcToR, f.DstToR)[3].Links[0]
-			if got := s.LinkBoNF(idle); !math.IsInf(got, 1) {
-				t.Errorf("idle link BoNF = %g, want +Inf", got)
+			idle := s.PathSet(f.SrcToR, f.DstToR).Path(3).Links[0]
+			if n := s.ElephantsOnLink(idle); n != 0 {
+				t.Errorf("elephants on idle link = %d, want 0", n)
 			}
 			checked = true
 		})
@@ -371,7 +371,7 @@ func TestMaxMinProperty(t *testing.T) {
 			flows[i] = workload.Flow{ID: i, Src: src, Dst: dst, SizeBits: 1e9, Arrival: 0}
 		}
 		ctl := &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
-			return rng.Intn(len(s.Paths(f.SrcToR, f.DstToR)))
+			return rng.Intn(s.PathSet(f.SrcToR, f.DstToR).Len())
 		}}
 		var sim *Sim
 		done := false

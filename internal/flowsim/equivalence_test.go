@@ -105,7 +105,7 @@ func (c *switchingController) Start(s *Sim) {
 	tick = func() {
 		if act := s.Active(); len(act) > 0 {
 			f := act[s.Rand().Intn(len(act))]
-			if err := s.SetPath(f, s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))); err != nil {
+			if err := s.SetPath(f, s.Rand().Intn(s.PathSet(f.SrcToR, f.DstToR).Len())); err != nil {
 				panic(err)
 			}
 			s.RecordControl(64)
@@ -116,7 +116,7 @@ func (c *switchingController) Start(s *Sim) {
 }
 
 func (c *switchingController) InitialPath(h sched.Host, f sched.Flow) int {
-	return h.Rand().Intn(len(h.(*Sim).Paths(f.SrcToR, f.DstToR)))
+	return h.Rand().Intn(h.(*Sim).PathSet(f.SrcToR, f.DstToR).Len())
 }
 
 // TestReferenceEquivalence runs randomized workloads with path churn and
@@ -171,7 +171,7 @@ func (c *batchController) Start(s *Sim) {
 		act := s.Active()
 		for i := 0; i < c.batch && len(act) > 0; i++ {
 			f := act[s.Rand().Intn(len(act))]
-			if err := s.SetPath(f, s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))); err != nil {
+			if err := s.SetPath(f, s.Rand().Intn(s.PathSet(f.SrcToR, f.DstToR).Len())); err != nil {
 				panic(err)
 			}
 			s.RecordControl(64)
@@ -182,7 +182,7 @@ func (c *batchController) Start(s *Sim) {
 }
 
 func (c *batchController) InitialPath(h sched.Host, f sched.Flow) int {
-	return h.Rand().Intn(len(h.(*Sim).Paths(f.SrcToR, f.DstToR)))
+	return h.Rand().Intn(h.(*Sim).PathSet(f.SrcToR, f.DstToR).Len())
 }
 
 // TestBatchReferenceEquivalence pins the component-scoped recompute at

@@ -92,9 +92,6 @@ func TestLinkCapacityEffective(t *testing.T) {
 	if got := s.LinkCapacity(l); got != 0 {
 		t.Errorf("failed capacity = %g, want 0", got)
 	}
-	if got := s.LinkBoNF(l); got != 0 {
-		t.Errorf("failed BoNF = %g, want 0", got)
-	}
 	s.SetLinkDown(l, false)
 	if got := s.LinkCapacity(l); got != 1e9 {
 		t.Errorf("repaired capacity = %g", got)

@@ -2,112 +2,18 @@ package flowsim
 
 import "dard/internal/topology"
 
-// This file holds the two indexed min-heaps of the incremental engine
-// (see maxmin.go). Both break ties on a stable integer identity, so the
-// element they surface is a pure function of the keys — independent of
-// insertion order and of the heap's internal layout. That property is
-// what lets the reference implementation (reference.go) reproduce the
-// heaps' choices with plain linear scans, and what makes the order in
-// which applyRate re-fixes heap entries observably irrelevant.
-
-// finishHeap is an indexed min-heap of active flow IDs keyed on
-// (finishAt, ID): the next completion is the root. Keys live in the
-// Sim's struct-of-arrays state (s.finishAt) and positions in s.heapIdx,
-// so the heap itself is a flat []int32. Flows whose rate is zero sit in
-// the heap with finishAt = +Inf and simply never surface.
-type finishHeap struct {
-	s *Sim
-	a []int32
-}
-
-func (h *finishHeap) less(x, y int32) bool {
-	//dardlint:floateq total-order comparator: exact compare, then integer flow-ID tie-break
-	if h.s.finishAt[x] != h.s.finishAt[y] {
-		return h.s.finishAt[x] < h.s.finishAt[y]
-	}
-	return x < y
-}
-
-// min returns the earliest-finishing flow's ID, -1 when empty.
-func (h *finishHeap) min() int32 {
-	if len(h.a) == 0 {
-		return -1
-	}
-	return h.a[0]
-}
-
-func (h *finishHeap) push(id int32) {
-	h.s.heapIdx[id] = int32(len(h.a))
-	h.a = append(h.a, id)
-	h.up(int(h.s.heapIdx[id]))
-}
-
-// remove deletes id from the heap in O(log n).
-func (h *finishHeap) remove(id int32) {
-	i := int(h.s.heapIdx[id])
-	if i < 0 {
-		return
-	}
-	last := len(h.a) - 1
-	h.swap(i, last)
-	h.a = h.a[:last]
-	h.s.heapIdx[id] = -1
-	if i < last {
-		h.fixAt(i)
-	}
-}
-
-// fix restores heap order after id's finishAt changed.
-func (h *finishHeap) fix(id int32) {
-	if i := h.s.heapIdx[id]; i >= 0 {
-		h.fixAt(int(i))
-	}
-}
-
-func (h *finishHeap) fixAt(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-func (h *finishHeap) swap(i, j int) {
-	h.a[i], h.a[j] = h.a[j], h.a[i]
-	h.s.heapIdx[h.a[i]] = int32(i)
-	h.s.heapIdx[h.a[j]] = int32(j)
-}
-
-func (h *finishHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.a[i], h.a[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-// down sifts i toward the leaves; it reports whether i moved.
-func (h *finishHeap) down(i int) bool {
-	start := i
-	n := len(h.a)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && h.less(h.a[right], h.a[left]) {
-			child = right
-		}
-		if !h.less(h.a[child], h.a[i]) {
-			break
-		}
-		h.swap(i, child)
-		i = child
-	}
-	return i > start
-}
+// This file holds the bottleneck heap of the incremental max-min fill
+// (see maxmin.go). The engine's other orderings, the completion queue
+// and the control-plane timers, sit in the shared event queue
+// (internal/evq). The fill keeps a heap of its own because it builds
+// the heap from scratch for every component, in one O(n) heapify, and
+// indexes positions by LinkID instead of through handles.
+//
+// Ties break on the stable LinkID, so the link the heap surfaces is a
+// pure function of the keys — independent of insertion order and of
+// the heap's internal layout. That is what lets the reference
+// implementation (reference.go) reproduce the heap's choices with a
+// plain linear scan.
 
 // linkHeap is the bottleneck heap of progressive filling: an indexed
 // d-ary min-heap of links keyed on (fair share, LinkID). A fill appends
@@ -137,13 +43,6 @@ const linkArity = 4
 
 func newLinkHeap(numLinks int) *linkHeap {
 	return &linkHeap{pos: make([]int32, numLinks)}
-}
-
-// ensure grows the position index to cover numLinks links.
-func (h *linkHeap) ensure(numLinks int) {
-	if n := numLinks - len(h.pos); n > 0 {
-		h.pos = append(h.pos, make([]int32, n)...)
-	}
 }
 
 func linkLess(x, y linkEntry) bool {

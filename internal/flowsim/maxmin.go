@@ -61,9 +61,11 @@ import (
 //
 // Flow progress is lazy: Remaining is materialized only when a
 // recompute actually changes the flow's rate (applyRate), and the
-// projected completion finishAt stays valid in between. Both schedulers
-// share applyRate, so the floating-point op sequence — and therefore
-// every completion timestamp in the report — is identical.
+// projected completion finishAt stays valid in between; applyRate
+// re-keys the flow in the completion queue (Sim.done) at the same time.
+// Both schedulers share applyRate, so the floating-point op sequence —
+// and therefore every completion timestamp in the report — is
+// identical.
 
 // recomputeRates reassigns max-min fair rates to every flow whose
 // allocation may have changed since the last recompute.
@@ -231,9 +233,7 @@ func (s *Sim) applyRate(f *Flow, rate float64) {
 	} else {
 		s.finishAt[id] = math.Inf(1)
 	}
-	if !s.cfg.Reference {
-		s.done.fix(int32(id))
-	}
+	s.done.Rekey(s.doneH[id], s.finishAt[id], int64(id))
 }
 
 // clearDirtyLinks drops pending seeds without recomputing (no active

@@ -13,9 +13,10 @@ import (
 // flow, progressive filling finds each bottleneck with a linear scan
 // over the in-use links, every active flow's new rate is recomputed from
 // scratch, and the next completion is a linear scan over the active set.
-// No membership lists are maintained between events, no heaps, no
-// component scoping — O(flows x pathlen) per recompute and O(flows) per
-// event, obviously correct by inspection.
+// It reads none of the incremental structures (the engine still keeps
+// the membership lists and the completion queue current, unread), and
+// scopes nothing to components — O(flows x pathlen) per recompute and
+// O(flows) per event, obviously correct by inspection.
 //
 // Both schedulers resolve ties identically — bottlenecks by (share,
 // LinkID), completions by (finishAt, flow ID) — and share applyRate, so
@@ -106,7 +107,7 @@ func (s *Sim) recomputeRatesReference() {
 
 // nextCompletionReference scans the active set for the earliest
 // completion, breaking finish-time ties by the lower flow ID — the same
-// total order the completion heap's root satisfies. It returns
+// total order the completion queue's minimum satisfies. It returns
 // math.MaxFloat64 and nil when no active flow is making progress.
 func (s *Sim) nextCompletionReference() (float64, *Flow) {
 	const none = math.MaxFloat64
@@ -116,7 +117,7 @@ func (s *Sim) nextCompletionReference() (float64, *Flow) {
 		if at >= none {
 			continue // stranded (rate zero)
 		}
-		//dardlint:floateq reference scheduler mirrors the completion heap's exact-compare + flow-ID tie-break
+		//dardlint:floateq reference scheduler mirrors the completion queue's exact-compare + flow-ID tie-break
 		if next == nil || at < t || (at == t && f.ID < next.ID) {
 			t, next = at, f
 		}

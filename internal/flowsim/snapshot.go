@@ -32,12 +32,12 @@ import (
 // Everything else is reconstructible: per-link membership lists are
 // rebuilt by re-attaching active flows — maxmin.go's header proves
 // membership ORDER cannot affect the arithmetic — and the completion
-// and timer heaps re-heapify from their total-order keys, so their
-// internal layout is observably irrelevant. Restore therefore replays
-// attach/push in a canonical order and still reproduces the exact
-// floating-point op sequence of the uninterrupted run; the facade's
-// checkpoint equivalence test pins byte-identical reports for every
-// scheduler.
+// and timer queues are refilled from their total-order keys (finishAt
+// and flow ID; at and seq), so their internal layout is observably
+// irrelevant. Restore therefore replays attach/push in a canonical
+// order and still reproduces the exact floating-point op sequence of
+// the uninterrupted run; the facade's checkpoint equivalence test pins
+// byte-identical reports for every scheduler.
 
 // SnapVersion is the engine snapshot format version.
 const SnapVersion uint16 = 1
@@ -393,7 +393,6 @@ func (s *Sim) restore(data []byte) error {
 		}
 		s.flows[id] = f
 		s.activeIdx[id] = -1
-		s.heapIdx[id] = -1
 		if f.active {
 			activeFlagged++
 			s.rate[id] = dec.F64()
@@ -437,9 +436,7 @@ func (s *Sim) restore(data []byte) error {
 		s.attachLinks(f)
 		s.activeIdx[id] = int32(len(s.active))
 		s.active = append(s.active, f)
-		if !s.cfg.Reference {
-			s.done.push(int32(id))
-		}
+		s.doneH[id] = s.done.PushHandle(s.finishAt[id], int64(id), struct{}{})
 	}
 	// Attaching seeded dirty marks; drop them — the snapshot was taken
 	// at a recomputed boundary and the SoA rates above are authoritative.

@@ -39,7 +39,7 @@ func snapFuzzConfig(net topology.Network, g *topology.Graph) Config {
 	return Config{
 		Net: net,
 		Controller: &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
-			return s.Rand().Intn(len(s.Paths(f.SrcToR, f.DstToR)))
+			return s.Rand().Intn(s.PathSet(f.SrcToR, f.DstToR).Len())
 		}},
 		Flows:       flows,
 		Seed:        99,

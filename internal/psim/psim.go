@@ -56,15 +56,11 @@ type Config struct {
 	// ElephantAge is the detection threshold in seconds (0 means 1 s,
 	// negative disables).
 	ElephantAge float64
-	// BufferPackets sizes link queues (0 means simnet default).
-	BufferPackets int
 	// MaxTime stops the run (0 means 1e4 s).
 	MaxTime float64
 	// LinkEvents schedules link failures and repairs. A failed link
 	// flushes its queue and drops arrivals (traced as FailDrop).
 	LinkEvents []topology.LinkEvent
-	// TCP tunes the endpoints.
-	TCP tcp.Options
 	// Tracer receives structured events (flow lifecycle, path switches,
 	// drops, retransmissions, control messages) and probe samples. Nil
 	// disables tracing; the packet hot path then carries no tracer at
@@ -149,11 +145,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		disp: tcp.NewDispatcher(),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
-	mss := cfg.TCP.MSSBytes
-	if mss <= 0 {
-		mss = 1460 // keep in sync with tcp.Options defaults
-	}
-	net, err := simnet.NewNet(cfg.Topo, cfg.BufferPackets, (mss+40)*8, rt.disp.Deliver)
+	net, err := simnet.NewNet(cfg.Topo, 0, (tcp.DefaultMSSBytes+40)*8, rt.disp.Deliver)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +321,9 @@ func (rt *Runtime) Run() (*Results, error) { return rt.RunContext(context.Backgr
 // context's error. The packet kernel has no pause/snapshot protocol, so
 // unlike flowsim a canceled packet run cannot be resumed.
 func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
-	cfg := rt.cfg
+	// A pointer: the per-flow arrival closures below capture cfg, and
+	// a Config of at most 128 bytes would be copied into each of them.
+	cfg := &rt.cfg
 	hosts := rt.topo.Hosts()
 	rt.flows = make([]*FlowState, len(cfg.Flows))
 	rt.remaining = len(cfg.Flows)
@@ -360,7 +354,7 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 				idx = 0
 			}
 			f.PathIdx = idx
-			conn, err := tcp.NewConn(rt.net, wf.ID, rt.Route(f, idx), wf.SizeBits, cfg.TCP, func(*tcp.Conn) {
+			conn, err := tcp.NewConn(rt.net, wf.ID, rt.Route(f, idx), wf.SizeBits, tcp.Options{}, func(*tcp.Conn) {
 				rt.depart(f)
 			})
 			if err != nil {

@@ -37,9 +37,12 @@ type Options struct {
 	MaxRTO float64
 }
 
+// DefaultMSSBytes is the segment payload Options.MSSBytes defaults to.
+const DefaultMSSBytes = 1460
+
 func (o *Options) applyDefaults() {
 	if o.MSSBytes <= 0 {
-		o.MSSBytes = 1460
+		o.MSSBytes = DefaultMSSBytes
 	}
 	if o.InitialCwnd <= 0 {
 		o.InitialCwnd = 2

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"dard/internal/detrand"
+	"dard/internal/evq"
 	"dard/internal/fpcmp"
 	"dard/internal/snap"
 )
@@ -16,15 +17,16 @@ import (
 // stream can be unbounded (Duration <= 0) and the run ends only when it
 // is paused or canceled.
 //
-// Determinism matches Generate's construction: each source host draws
-// inter-arrival gaps and destinations from its own substream seeded
-// Seed + host*7919, so the flows produced for host h are identical
-// whether the stream is bounded, unbounded, or interrupted and resumed.
-// The per-host streams are merged by (arrival time, host), the same
-// order Generate's stable sort yields, and IDs are assigned densely in
-// merge order. The substreams use detrand (a serializable generator)
-// rather than math/rand's default source so a checkpoint can carry the
-// exact stream positions in a few bytes each.
+// Each source host draws inter-arrival gaps and destinations from its
+// own substream seeded Seed + host*7919, so the flows produced for host
+// h are identical whether the stream is bounded, unbounded, or
+// interrupted and resumed. The per-host streams are merged by (arrival
+// time, host), the order Generate's stable sort yields, and IDs are
+// assigned densely in merge order. The substreams use detrand (a
+// serializable generator) rather than math/rand's default source so a
+// checkpoint can carry the exact stream positions in a few bytes each.
+// The construction mirrors Generate's, but the generator differs, so
+// the same Config draws a different workload here than from Generate.
 //
 //dardsnap:fields encoder=OpenPoisson.SnapshotState decoder=OpenPoisson.RestoreState
 type OpenPoisson struct {
@@ -35,7 +37,7 @@ type OpenPoisson struct {
 	seed     int64   //dardlint:snapfield construction parameter; the substream positions are what the snapshot carries
 
 	hosts  []openHost
-	heap   openHeap //dardlint:snapfield rebuilt from the live candidates; layout never reaches the output (rebuildHeap)
+	heap   evq.Queue[openCand] //dardlint:snapfield rebuilt from the live candidates; layout never reaches the output (rebuildHeap)
 	nextID int
 }
 
@@ -120,25 +122,28 @@ func (op *OpenPoisson) advance(h int) {
 	}
 }
 
-// rebuildHeap reconstructs the merge heap from the live candidates.
-// Heap layout never reaches the output — the (t, host) key is a total
-// order, so the pop sequence is unique — which also means a restored
-// stream needs no layout from the snapshot.
+// rebuildHeap reconstructs the merge queue from the live candidates,
+// keyed (t, host). Queue layout never reaches the output — the key is a
+// total order, so the pop sequence is unique — which also means a
+// restored stream needs no layout from the snapshot.
 func (op *OpenPoisson) rebuildHeap() {
-	op.heap = op.heap[:0]
+	op.heap = evq.Queue[openCand]{}
 	for h := range op.hosts {
 		if op.hosts[h].live {
-			op.heap.push(op.hosts[h].cand)
+			op.push(op.hosts[h].cand)
 		}
 	}
 }
 
+// push queues a host's candidate at its (t, host) merge key.
+func (op *OpenPoisson) push(c openCand) { op.heap.Push(c.t, int64(c.host), c) }
+
 // Peek implements flowsim.ArrivalSource.
 func (op *OpenPoisson) Peek() (Flow, bool) {
-	if len(op.heap) == 0 {
+	if op.heap.Len() == 0 {
 		return Flow{}, false
 	}
-	c := op.heap[0]
+	c := op.heap.Min().Val
 	return Flow{
 		ID:       op.nextID,
 		Src:      c.host,
@@ -154,10 +159,10 @@ func (op *OpenPoisson) Next() (Flow, bool) {
 	if !ok {
 		return Flow{}, false
 	}
-	h := op.heap.pop().host
+	h := op.heap.Pop().Val.host
 	op.advance(h)
 	if op.hosts[h].live {
-		op.heap.push(op.hosts[h].cand)
+		op.push(op.hosts[h].cand)
 	}
 	op.nextID++
 	return wf, true
@@ -222,56 +227,4 @@ func (op *OpenPoisson) RestoreState(dec *snap.Decoder) error {
 	op.nextID = nextID
 	op.rebuildHeap()
 	return nil
-}
-
-// openHeap is a min-heap of candidates keyed (t, host); the key is a
-// total order, so pops are deterministic.
-type openHeap []openCand
-
-func (h openHeap) less(i, j int) bool {
-	//dardlint:floateq total-order comparator: exact compare, then integer host tie-break
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].host < h[j].host
-}
-
-func (h *openHeap) push(c openCand) {
-	*h = append(*h, c)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.less(i, parent) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-func (h *openHeap) pop() openCand {
-	a := *h
-	c := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	*h = a
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= len(a) {
-			break
-		}
-		child := left
-		if right := left + 1; right < len(a) && a.less(right, left) {
-			child = right
-		}
-		if !a.less(child, i) {
-			break
-		}
-		a[i], a[child] = a[child], a[i]
-		i = child
-	}
-	return c
 }

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
+	"dard/internal/detrand"
 	"dard/internal/snap"
 )
 
@@ -97,6 +100,49 @@ func TestOpenPoissonBoundedHorizon(t *testing.T) {
 	for i, wf := range flows {
 		if wf.Arrival >= cfg.Duration {
 			t.Fatalf("flow %d arrives at %g, past the %g horizon", i, wf.Arrival, cfg.Duration)
+		}
+	}
+}
+
+// TestOpenPoissonMergeOrder pins the stream's merge order: replaying
+// every host's substream by hand and stable-sorting the union by
+// arrival (hosts appended in index order, so ties go to the lower host)
+// must give exactly the drained stream, with dense IDs.
+func TestOpenPoissonMergeOrder(t *testing.T) {
+	l, cfg := openTestConfig(5, 3.0)
+	op, err := NewOpenPoisson(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, op, 1<<20)
+
+	var want []Flow
+	for h := 0; h < l.NumHosts; h++ {
+		rng := rand.New(detrand.NewSeeded(cfg.Seed + int64(h)*7919))
+		at := 0.0
+		for {
+			at += rng.ExpFloat64() / cfg.RatePerHost
+			if at >= cfg.Duration {
+				break
+			}
+			dst := cfg.Pattern.PickDst(rng, h)
+			if dst == h {
+				continue
+			}
+			want = append(want, Flow{Src: h, Dst: dst, SizeBits: cfg.SizeBytes * 8, Arrival: at})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+	for i := range want {
+		want[i].ID = i
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("stream produced %d flows, per-host replay %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("flow %d = %+v, per-host replay merges to %+v", i, got[i], want[i])
 		}
 	}
 }
