@@ -107,38 +107,3 @@ func TestRunAllSerialParallelIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestRunMatrixSerialParallelIdentical: the matrix runner's derived
-// per-cell seeds make the report grid independent of the worker count.
-func TestRunMatrixSerialParallelIdentical(t *testing.T) {
-	topo, err := TopologySpec{Kind: FatTree, P: 4}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Scenario{
-		RatePerHost:    1.5,
-		Duration:       8,
-		FileSizeMB:     32,
-		Seed:           11,
-		ElephantAgeSec: 0.25,
-		DARD:           Tuning{QueryInterval: 0.25, ScheduleInterval: 1, ScheduleJitter: 1},
-	}
-	pats := []Pattern{PatternRandom, PatternStaggered, PatternStride}
-	scheds := []Scheduler{SchedulerECMP, SchedulerPVLB, SchedulerDARD}
-	serial, err := RunMatrix(topo, base, pats, scheds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(pats)*len(scheds) {
-		t.Fatalf("matrix has %d cells, want %d", len(serial), len(pats)*len(scheds))
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := RunMatrix(topo, base, pats, scheds, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cell := range serial {
-			assertReportsEqual(t, cell, serial[cell], par[cell])
-		}
-	}
-}

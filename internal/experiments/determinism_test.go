@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -108,10 +109,10 @@ func TestNashConvergenceSerialParallelIdentical(t *testing.T) {
 	})
 }
 
-// TestRunMatrixCollectsCellErrors: a bad cell must not discard the rest
-// of the sweep — every other cell still runs and its report is returned,
+// TestGridCollectsCellErrors: a bad cell must not discard the rest of
+// the grid — every other cell still runs and its report is returned,
 // and the joined error names every failed cell.
-func TestRunMatrixCollectsCellErrors(t *testing.T) {
+func TestGridCollectsCellErrors(t *testing.T) {
 	topo, err := dard.TopologySpec{Kind: dard.FatTree, P: 4}.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,8 @@ func TestRunMatrixCollectsCellErrors(t *testing.T) {
 	base := fatTreeScenario(p)
 	base.Duration = 5
 	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.Scheduler("bogus"), dard.SchedulerTeXCP}
-	reports, err := runMatrix(2, topo, base, patterns, scheds)
+	cells := grid(base, []*dard.Topology{topo}, patterns, scheds)
+	reports, err := dard.RunAll(cells, 2)
 	if err == nil {
 		t.Fatal("expected cell errors")
 	}
@@ -130,15 +132,14 @@ func TestRunMatrixCollectsCellErrors(t *testing.T) {
 	if n := strings.Count(err.Error(), "\n") + 1; n != 6 {
 		t.Errorf("joined error has %d lines, want 6:\n%v", n, err)
 	}
-	for _, pat := range patterns {
-		if !strings.Contains(err.Error(), string(pat)+"/bogus") {
-			t.Errorf("joined error missing cell %s/bogus", pat)
+	for i, c := range cells {
+		name := fmt.Sprintf("%s/%s/%s/%s: ", topo.Name(), c.Pattern, c.Scheduler, dard.EngineFlow)
+		failing := c.Scheduler != dard.SchedulerECMP
+		if got := strings.Contains(err.Error(), name); got != failing {
+			t.Errorf("joined error names cell %q: %v, want %v", name, got, failing)
 		}
-		if reports[key(pat, dard.SchedulerECMP)] == nil {
-			t.Errorf("completed cell %s/ECMP discarded because of failing cells", pat)
-		}
-		if reports[key(pat, dard.Scheduler("bogus"))] != nil {
-			t.Errorf("failed cell %s/bogus should have no report", pat)
+		if got := reports[i] == nil; got != failing {
+			t.Errorf("cell %s has nil report: %v, want %v", name, got, failing)
 		}
 	}
 	// The unwrapped errors are reachable for callers that inspect them.
@@ -147,5 +148,48 @@ func TestRunMatrixCollectsCellErrors(t *testing.T) {
 		t.Error("error should be an errors.Join result")
 	} else if len(joined.Unwrap()) != 6 {
 		t.Errorf("joined error wraps %d errors, want 6", len(joined.Unwrap()))
+	}
+}
+
+// TestGridSerialParallelIdentical: grid's derived per-cell seeds make
+// the report grid independent of the worker count, and pair the
+// schedulers of one pattern on one workload.
+func TestGridSerialParallelIdentical(t *testing.T) {
+	topo, err := dard.TopologySpec{Kind: dard.FatTree, P: 4}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := dard.Scenario{
+		RatePerHost:    1.5,
+		Duration:       8,
+		FileSizeMB:     32,
+		Seed:           11,
+		ElephantAgeSec: 0.25,
+		DARD:           dard.Tuning{QueryInterval: 0.25, ScheduleInterval: 1, ScheduleJitter: 1},
+	}
+	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD}
+	cells := grid(base, []*dard.Topology{topo}, patterns, scheds)
+	if len(cells) != len(patterns)*len(scheds) {
+		t.Fatalf("grid has %d cells, want %d", len(cells), len(patterns)*len(scheds))
+	}
+	for i, c := range cells {
+		if want := dard.CellSeed(base.Seed, topo, c.Pattern); c.Seed != want {
+			t.Errorf("cell %d seed %d, want CellSeed %d", i, c.Seed, want)
+		}
+	}
+	serial, err := dard.RunAll(cells, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		par, err := dard.RunAll(cells, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], par[i]) {
+				t.Errorf("workers=%d: cell %s/%s differs from the serial run", workers, cells[i].Pattern, cells[i].Scheduler)
+			}
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dard"
 )
 
@@ -10,80 +8,25 @@ import (
 // (§4.3.2).
 func Figure9(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.Clos, D: p.BigD, HostsPerToR: p.HostsPerToR}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir("figure9")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, flowSchedulers)
-	if err != nil {
-		return nil, err
-	}
-	var text string
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		series := make(map[string][]float64)
-		for _, sch := range flowSchedulers {
-			rep := reports[key(pat, sch)]
-			series[string(sch)] = rep.TransferTimes
-			values[key(pat, sch)+"/mean"] = rep.MeanTransferTime()
-		}
-		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, topo.Name()), series) + "\n"
-	}
-	return &Result{
-		ID:     "Figure 9",
-		Title:  fmt.Sprintf("transfer time CDFs on %s", topo.Name()),
-		Text:   text,
-		Values: values,
-	}, nil
+	return transferCDFs(p, "Figure 9", "transfer time CDFs on {topo}", sizeSpec(p, dard.Clos, p.BigD), fatTreeScenario(p))
 }
 
 // Figure10 reproduces DARD's path-switch CDF on the large Clos network.
 func Figure10(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.Clos, D: p.BigD, HostsPerToR: p.HostsPerToR}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir("figure10")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, []dard.Scheduler{dard.SchedulerDARD})
-	if err != nil {
-		return nil, err
-	}
-	series := make(map[string][]float64)
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		rep := reports[key(pat, dard.SchedulerDARD)]
-		series[string(pat)] = rep.PathSwitches
-		values[string(pat)+"/p90"] = rep.PathSwitchQuantile(0.9)
-		values[string(pat)+"/max"] = rep.PathSwitchQuantile(1)
-	}
-	return &Result{
-		ID:     "Figure 10",
-		Title:  fmt.Sprintf("path switch count CDF on %s", topo.Name()),
-		Text:   cdfBlock("path switches", series),
-		Values: values,
-	}, nil
+	return switchCDF(p, "Figure 10", "path switch count CDF on {topo}", sizeSpec(p, dard.Clos, p.BigD), fatTreeScenario(p))
 }
 
 // Table6 reproduces the average-transfer-time table across Clos sizes.
 func Table6(p Params) (*Result, error) {
 	p = p.withDefaults()
-	return sizeSweep(p, "Table 6", "average file transfer time (s) on Clos topologies",
-		p.ClosD, func(size int) (*dard.Topology, error) {
-			return dard.TopologySpec{Kind: dard.Clos, D: size, HostsPerToR: p.HostsPerToR}.Build()
-		}, func(size int) string { return fmt.Sprintf("D=%d", size) })
+	return sizeSweep(p, "Table 6", "average file transfer time (s) on Clos topologies", dard.Clos, p.ClosD)
 }
 
 // Table7 reproduces DARD's path-switch percentiles on Clos topologies.
 func Table7(p Params) (*Result, error) {
 	p = p.withDefaults()
-	return switchSweep(p, "Table 7", "DARD 90th-percentile and max path switch times on Clos topologies",
-		p.ClosD, func(size int) (*dard.Topology, error) {
-			return dard.TopologySpec{Kind: dard.Clos, D: size, HostsPerToR: p.HostsPerToR}.Build()
-		}, func(size int) string { return fmt.Sprintf("D=%d", size) })
+	return switchSweep(p, "Table 7", "DARD 90th-percentile and max path switch times on Clos topologies", dard.Clos, p.ClosD)
 }
 
 // Figure11 reproduces the transfer-time CDFs on the oversubscribed
@@ -92,42 +35,23 @@ func Table7(p Params) (*Result, error) {
 // under stride.
 func Figure11(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.ThreeTier, HostsPerToR: threeTierHosts(p)}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := threeTierScenario(p)
-	base.TraceDir = p.traceDir("figure11")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, flowSchedulers)
-	if err != nil {
-		return nil, err
-	}
-	var text string
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		series := make(map[string][]float64)
-		for _, sch := range flowSchedulers {
-			rep := reports[key(pat, sch)]
-			series[string(sch)] = rep.TransferTimes
-			values[key(pat, sch)+"/mean"] = rep.MeanTransferTime()
-		}
-		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, topo.Name()), series) + "\n"
-	}
-	return &Result{
-		ID:     "Figure 11",
-		Title:  fmt.Sprintf("transfer time CDFs on %s (oversubscribed)", topo.Name()),
-		Text:   text,
-		Values: values,
-	}, nil
+	return transferCDFs(p, "Figure 11", "transfer time CDFs on {topo} (oversubscribed)", threeTierSpec(p), threeTierScenario(p))
 }
 
-// threeTierHosts trims the three-tier edge for laptop-scale runs: 4
-// hosts per access switch unless the caller overrides.
-func threeTierHosts(p Params) int {
-	if p.HostsPerToR != 0 {
-		return p.HostsPerToR
+// Figure12 reproduces DARD's path-switch CDF on the three-tier topology.
+func Figure12(p Params) (*Result, error) {
+	p = p.withDefaults()
+	return switchCDF(p, "Figure 12", "path switch count CDF on {topo}", threeTierSpec(p), threeTierScenario(p))
+}
+
+// threeTierSpec trims the three-tier edge for laptop-scale runs: 4 hosts
+// per access switch unless the caller overrides.
+func threeTierSpec(p Params) dard.TopologySpec {
+	hosts := p.HostsPerToR
+	if hosts == 0 {
+		hosts = 4
 	}
-	return 4
+	return dard.TopologySpec{Kind: dard.ThreeTier, HostsPerToR: hosts}
 }
 
 // threeTierScenario divides the per-host arrival rate by the 2.5:1 access
@@ -137,33 +61,4 @@ func threeTierScenario(p Params) dard.Scenario {
 	s := fatTreeScenario(p)
 	s.RatePerHost = p.RatePerHost / 2.5
 	return s
-}
-
-// Figure12 reproduces DARD's path-switch CDF on the three-tier topology.
-func Figure12(p Params) (*Result, error) {
-	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.ThreeTier, HostsPerToR: threeTierHosts(p)}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := threeTierScenario(p)
-	base.TraceDir = p.traceDir("figure12")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, []dard.Scheduler{dard.SchedulerDARD})
-	if err != nil {
-		return nil, err
-	}
-	series := make(map[string][]float64)
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		rep := reports[key(pat, dard.SchedulerDARD)]
-		series[string(pat)] = rep.PathSwitches
-		values[string(pat)+"/p90"] = rep.PathSwitchQuantile(0.9)
-		values[string(pat)+"/max"] = rep.PathSwitchQuantile(1)
-	}
-	return &Result{
-		ID:     "Figure 12",
-		Title:  fmt.Sprintf("path switch count CDF on %s", topo.Name()),
-		Text:   cdfBlock("path switches", series),
-		Values: values,
-	}, nil
 }

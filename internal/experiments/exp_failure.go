@@ -5,7 +5,6 @@ import (
 
 	"dard"
 	"dard/internal/metrics"
-	"dard/internal/parallel"
 )
 
 // FailureRecovery exercises the fault-injection extension on the testbed
@@ -22,62 +21,45 @@ func FailureRecovery(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type cell struct {
-		engine dard.Engine
-		sched  dard.Scheduler
-	}
-	cells := []cell{
-		{dard.EngineFlow, dard.SchedulerECMP},
-		{dard.EngineFlow, dard.SchedulerDARD},
-		{dard.EnginePacket, dard.SchedulerECMP},
-		{dard.EnginePacket, dard.SchedulerDARD},
-	}
-	reports := make([]*dard.Report, len(cells))
-	err = parallel.ForEach(p.Workers, len(cells), func(i int) error {
-		c := cells[i]
+	var cells []dard.Scenario
+	for _, eng := range []dard.Engine{dard.EngineFlow, dard.EnginePacket} {
 		// Flow cells use the Figure 4 testbed load (fixed like its
 		// sweep): moderate enough that the blackout, not saturation,
 		// dominates the comparison. Packet cells follow the suite's
 		// packet-engine scale.
 		duration, fileMB, rate := 20.0, 8.0, 0.4
-		if c.engine == dard.EnginePacket {
-			duration = p.PacketDuration
-			fileMB = p.PacketFileMB
-			rate = p.PacketRate
+		if eng == dard.EnginePacket {
+			duration, fileMB, rate = p.PacketDuration, p.PacketFileMB, p.PacketRate
 		}
-		scn := dard.Scenario{
-			Topo:           topo,
-			Scheduler:      c.sched,
-			Engine:         c.engine,
-			Pattern:        dard.PatternStride,
-			RatePerHost:    rate,
-			Duration:       duration,
-			FileSizeMB:     fileMB,
-			Seed:           p.Seed,
-			ElephantAgeSec: 0.5,
-			DARD:           quickDARDTuning(),
-			LinkFailures: []dard.LinkFailure{
-				{AtSec: 0.25 * duration, From: "aggr1_1", To: "core1"},
-				{AtSec: 0.75 * duration, From: "aggr1_1", To: "core1", Repair: true},
-			},
-			TraceDir: p.traceDir("failure", string(c.engine)),
+		for _, sch := range []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerDARD} {
+			cells = append(cells, dard.Scenario{
+				Topo:           topo,
+				Scheduler:      sch,
+				Engine:         eng,
+				Pattern:        dard.PatternStride,
+				RatePerHost:    rate,
+				Duration:       duration,
+				FileSizeMB:     fileMB,
+				Seed:           p.Seed,
+				ElephantAgeSec: 0.5,
+				DARD:           quickDARDTuning(),
+				LinkFailures: []dard.LinkFailure{
+					{AtSec: 0.25 * duration, From: "aggr1_1", To: "core1"},
+					{AtSec: 0.75 * duration, From: "aggr1_1", To: "core1", Repair: true},
+				},
+				TraceDir: p.traceDir("failure", string(eng)),
+			})
 		}
-		rep, err := scn.Run()
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", c.engine, c.sched, err)
-		}
-		reports[i] = rep
-		return nil
-	})
+	}
+	reports, err := dard.RunAll(cells, p.Workers)
 	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("blackout at 25%, repair at 75% of the arrival window (stride, p=4 fat-tree @100Mbps)",
 		"engine/scheduler", "flows", "unfinished", "mean s", "shifts")
 	values := make(map[string]float64)
-	for i, c := range cells {
-		rep := reports[i]
-		label := fmt.Sprintf("%s/%s", c.engine, rep.Scheduler)
+	for i, rep := range reports {
+		label := fmt.Sprintf("%s/%s", cells[i].Engine, rep.Scheduler)
 		tbl.AddRowf(label, rep.Flows, rep.Unfinished, rep.MeanTransferTime(), rep.DARDShifts)
 		values[label+"/unfinished"] = float64(rep.Unfinished)
 		values[label+"/mean_s"] = rep.MeanTransferTime()

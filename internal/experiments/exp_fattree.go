@@ -41,142 +41,114 @@ func fatTreeScenario(p Params) dard.Scenario {
 // four schedulers under each traffic pattern.
 func Figure7(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.FatTree, P: p.BigP, HostsPerToR: p.HostsPerToR}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir("figure7")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, flowSchedulers)
-	if err != nil {
-		return nil, err
-	}
-	var text string
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		series := make(map[string][]float64)
-		for _, sch := range flowSchedulers {
-			rep := reports[key(pat, sch)]
-			series[string(sch)] = rep.TransferTimes
-			values[key(pat, sch)+"/mean"] = rep.MeanTransferTime()
-		}
-		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, topo.Name()), series) + "\n"
-	}
-	return &Result{
-		ID:     "Figure 7",
-		Title:  fmt.Sprintf("transfer time CDFs on %s, four schedulers x three patterns", topo.Name()),
-		Text:   text,
-		Values: values,
-	}, nil
+	return transferCDFs(p, "Figure 7", "transfer time CDFs on {topo}, four schedulers x three patterns",
+		sizeSpec(p, dard.FatTree, p.BigP), fatTreeScenario(p))
 }
 
 // Figure8 reproduces DARD's path-switch CDF on the large fat-tree.
 func Figure8(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := dard.TopologySpec{Kind: dard.FatTree, P: p.BigP, HostsPerToR: p.HostsPerToR}.Build()
-	if err != nil {
-		return nil, err
-	}
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir("figure8")
-	reports, err := runMatrix(p.Workers, topo, base, patterns, []dard.Scheduler{dard.SchedulerDARD})
-	if err != nil {
-		return nil, err
-	}
-	series := make(map[string][]float64)
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		rep := reports[key(pat, dard.SchedulerDARD)]
-		series[string(pat)] = rep.PathSwitches
-		values[string(pat)+"/p90"] = rep.PathSwitchQuantile(0.9)
-		values[string(pat)+"/max"] = rep.PathSwitchQuantile(1)
-	}
-	return &Result{
-		ID:     "Figure 8",
-		Title:  fmt.Sprintf("path switch count CDF on %s", topo.Name()),
-		Text:   cdfBlock("path switches", series),
-		Values: values,
-	}, nil
+	return switchCDF(p, "Figure 8", "path switch count CDF on {topo}", sizeSpec(p, dard.FatTree, p.BigP), fatTreeScenario(p))
 }
 
 // Table4 reproduces the average-transfer-time table across fat-tree sizes,
 // patterns, and schedulers.
 func Table4(p Params) (*Result, error) {
 	p = p.withDefaults()
-	return sizeSweep(p, "Table 4", "average file transfer time (s) on fat-trees",
-		p.FatTreeP, func(size int) (*dard.Topology, error) {
-			return dard.TopologySpec{Kind: dard.FatTree, P: size, HostsPerToR: p.HostsPerToR}.Build()
-		}, func(size int) string { return fmt.Sprintf("p=%d", size) })
+	return sizeSweep(p, "Table 4", "average file transfer time (s) on fat-trees", dard.FatTree, p.FatTreeP)
 }
 
 // Table5 reproduces DARD's 90th-percentile and maximum path-switch counts
 // on fat-trees.
 func Table5(p Params) (*Result, error) {
 	p = p.withDefaults()
-	return switchSweep(p, "Table 5", "DARD 90th-percentile and max path switch times on fat-trees",
-		p.FatTreeP, func(size int) (*dard.Topology, error) {
-			return dard.TopologySpec{Kind: dard.FatTree, P: size, HostsPerToR: p.HostsPerToR}.Build()
-		}, func(size int) string { return fmt.Sprintf("p=%d", size) })
+	return switchSweep(p, "Table 5", "DARD 90th-percentile and max path switch times on fat-trees", dard.FatTree, p.FatTreeP)
+}
+
+// sizeSpec is the fat-tree (size = P) or Clos (size = D) of one sweep
+// size, with the suite's host trim.
+func sizeSpec(p Params, kind dard.TopologyKind, size int) dard.TopologySpec {
+	spec := dard.TopologySpec{Kind: kind, HostsPerToR: p.HostsPerToR}
+	if kind == dard.Clos {
+		spec.D = size
+	} else {
+		spec.P = size
+	}
+	return spec
+}
+
+// sizeLabel renders a sweep size the way the tables print it.
+func sizeLabel(kind dard.TopologyKind, size int) string {
+	if kind == dard.Clos {
+		return fmt.Sprintf("D=%d", size)
+	}
+	return fmt.Sprintf("p=%d", size)
+}
+
+// sweep runs the fat-tree base scenario over the sizes x patterns x
+// schedulers grid of a Table 4-7 sweep. The flat grid lets the small
+// sizes' cells overlap the big ones' on the worker pool instead of
+// sweeping size by size. Reports come back in grid order.
+func sweep(p Params, id string, kind dard.TopologyKind, sizes []int, scheds []dard.Scheduler) ([]*dard.Report, error) {
+	topos := make([]*dard.Topology, len(sizes))
+	for i, size := range sizes {
+		topo, err := sizeSpec(p, kind, size).Build()
+		if err != nil {
+			return nil, err
+		}
+		topos[i] = topo
+	}
+	base := fatTreeScenario(p)
+	base.TraceDir = p.traceDir(expTag(id))
+	return dard.RunAll(grid(base, topos, patterns, scheds), p.Workers)
 }
 
 // sizeSweep renders a Table-4-style matrix: topology size x pattern x
-// scheduler mean transfer times. Topology construction and every cell
-// run on the worker pool; the flat cell list lets the small sizes' cells
-// overlap the big ones' instead of sweeping size by size.
-func sizeSweep(p Params, id, title string, sizes []int,
-	build func(int) (*dard.Topology, error), label func(int) string) (*Result, error) {
-	topos, err := buildAll(p.Workers, sizes, build)
-	if err != nil {
-		return nil, err
-	}
-	cells := sweepCells(len(sizes), patterns, flowSchedulers)
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir(expTag(id))
-	reports, err := runSweep(p.Workers, base, topos, cells,
-		func(si int) string { return label(sizes[si]) })
+// scheduler mean transfer times.
+func sizeSweep(p Params, id, title string, kind dard.TopologyKind, sizes []int) (*Result, error) {
+	reports, err := sweep(p, id, kind, sizes, flowSchedulers)
 	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable(title, "size", "pattern", "ECMP", "pVLB", "DARD", "SimulatedAnnealing")
 	values := make(map[string]float64)
-	for i := 0; i < len(cells); i += len(flowSchedulers) {
-		c := cells[i]
-		row := []interface{}{label(sizes[c.Size]), string(c.Pat)}
-		for j, sch := range flowSchedulers {
-			mean := reports[i+j].MeanTransferTime()
-			row = append(row, mean)
-			values[fmt.Sprintf("%s/%s/%s", label(sizes[c.Size]), c.Pat, sch)] = mean
+	next := reports // consumed in grid order
+	for _, size := range sizes {
+		label := sizeLabel(kind, size)
+		for _, pat := range patterns {
+			row := []interface{}{label, string(pat)}
+			for _, sch := range flowSchedulers {
+				mean := next[0].MeanTransferTime()
+				next = next[1:]
+				row = append(row, mean)
+				values[fmt.Sprintf("%s/%s/%s", label, pat, sch)] = mean
+			}
+			tbl.AddRowf(row...)
 		}
-		tbl.AddRowf(row...)
 	}
 	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}, nil
 }
 
 // switchSweep renders a Table-5-style matrix: DARD path-switch p90/max
-// per topology size and pattern, with the (size, pattern) cells fanned
-// across the worker pool.
-func switchSweep(p Params, id, title string, sizes []int,
-	build func(int) (*dard.Topology, error), label func(int) string) (*Result, error) {
-	topos, err := buildAll(p.Workers, sizes, build)
-	if err != nil {
-		return nil, err
-	}
-	cells := sweepCells(len(sizes), patterns, []dard.Scheduler{dard.SchedulerDARD})
-	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir(expTag(id))
-	reports, err := runSweep(p.Workers, base, topos, cells,
-		func(si int) string { return label(sizes[si]) })
+// per topology size and pattern.
+func switchSweep(p Params, id, title string, kind dard.TopologyKind, sizes []int) (*Result, error) {
+	reports, err := sweep(p, id, kind, sizes, dardOnly)
 	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable(title, "size", "pattern", "90th-pct", "max")
 	values := make(map[string]float64)
-	for i, c := range cells {
-		p90 := reports[i].PathSwitchQuantile(0.9)
-		max := reports[i].PathSwitchQuantile(1)
-		tbl.AddRowf(label(sizes[c.Size]), string(c.Pat), p90, max)
-		values[fmt.Sprintf("%s/%s/p90", label(sizes[c.Size]), c.Pat)] = p90
-		values[fmt.Sprintf("%s/%s/max", label(sizes[c.Size]), c.Pat)] = max
+	next := reports // consumed in grid order
+	for _, size := range sizes {
+		label := sizeLabel(kind, size)
+		for _, pat := range patterns {
+			p90 := next[0].PathSwitchQuantile(0.9)
+			max := next[0].PathSwitchQuantile(1)
+			next = next[1:]
+			tbl.AddRowf(label, string(pat), p90, max)
+			values[fmt.Sprintf("%s/%s/p90", label, pat)] = p90
+			values[fmt.Sprintf("%s/%s/max", label, pat)] = max
+		}
 	}
 	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}, nil
 }

@@ -21,39 +21,27 @@ func Figure15(p Params) (*Result, error) {
 		return nil, err
 	}
 	rates := []float64{0.1, 0.25, 0.5, 1.0, 2.0}
-	// One pool cell per rate; the DARD and centralized runs of a cell
-	// share one derived seed so both schedulers see the same workload.
-	type pair struct{ dard, central *dard.Report }
-	pairs := make([]pair, len(rates))
-	err = parallel.ForEach(p.Workers, len(rates), func(i int) error {
-		rate := rates[i]
-		base := dard.Scenario{
-			Topo:           topo,
-			Pattern:        dard.PatternRandom,
-			RatePerHost:    rate,
-			Duration:       p.Duration,
-			FileSizeMB:     p.FileSizeMB,
-			Seed:           parallel.Seed(p.Seed, fmt.Sprintf("%s/rate=%.2f/random", topo.Name(), rate)),
-			ElephantAgeSec: 1,
-			// Rate is swept on one topology, so each rate gets its own
-			// subtree to keep trace file names unique.
-			TraceDir: p.traceDir("figure15", fmt.Sprintf("rate-%.2f", rate)),
+	// The DARD and centralized runs of a rate share one derived seed so
+	// both schedulers see the same workload.
+	var cells []dard.Scenario
+	for _, rate := range rates {
+		for _, sch := range []dard.Scheduler{dard.SchedulerDARD, dard.SchedulerAnnealing} {
+			cells = append(cells, dard.Scenario{
+				Topo:           topo,
+				Scheduler:      sch,
+				Pattern:        dard.PatternRandom,
+				RatePerHost:    rate,
+				Duration:       p.Duration,
+				FileSizeMB:     p.FileSizeMB,
+				Seed:           parallel.Seed(p.Seed, fmt.Sprintf("%s/rate=%.2f/random", topo.Name(), rate)),
+				ElephantAgeSec: 1,
+				// Rate is swept on one topology, so each rate gets its own
+				// subtree to keep trace file names unique.
+				TraceDir: p.traceDir("figure15", fmt.Sprintf("rate-%.2f", rate)),
+			})
 		}
-		dd := base
-		dd.Scheduler = dard.SchedulerDARD
-		dRep, err := dd.Run()
-		if err != nil {
-			return fmt.Errorf("rate=%.2f/DARD: %w", rate, err)
-		}
-		sa := base
-		sa.Scheduler = dard.SchedulerAnnealing
-		sRep, err := sa.Run()
-		if err != nil {
-			return fmt.Errorf("rate=%.2f/centralized: %w", rate, err)
-		}
-		pairs[i] = pair{dRep, sRep}
-		return nil
-	})
+	}
+	reports, err := dard.RunAll(cells, p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +49,7 @@ func Figure15(p Params) (*Result, error) {
 		"rate", "peakElephants", "DARD MB/s", "Centralized MB/s")
 	values := make(map[string]float64)
 	for i, rate := range rates {
-		dRep, sRep := pairs[i].dard, pairs[i].central
+		dRep, sRep := reports[2*i], reports[2*i+1]
 		peak := dRep.PeakElephants
 		tbl.AddRowf(fmt.Sprintf("%.2f", rate), peak, dRep.ControlMBps(), sRep.ControlMBps())
 		values[fmt.Sprintf("rate=%.2f/peakElephants", rate)] = float64(peak)

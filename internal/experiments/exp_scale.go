@@ -28,11 +28,10 @@ func EngineScale(p Params) (*Result, error) {
 	cells := make([]cell, len(p.FatTreeP))
 	// Cells run serially on purpose: each measures wall clock, and
 	// concurrent cells would contend for cores and skew one another.
-	err := parallel.ForEach(1, len(p.FatTreeP), func(i int) error {
-		pp := p.FatTreeP[i]
+	for i, pp := range p.FatTreeP {
 		topo, err := dard.TopologySpec{Kind: dard.FatTree, P: pp, HostsPerToR: 1}.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s := dard.Scenario{
 			Topo:        topo,
@@ -46,10 +45,10 @@ func EngineScale(p Params) (*Result, error) {
 		start := time.Now()
 		rep, err := s.Run()
 		if err != nil {
-			return fmt.Errorf("p=%d: %w", pp, err)
+			return nil, fmt.Errorf("p=%d: %w", pp, err)
 		}
 		if rep.Unfinished != 0 {
-			return fmt.Errorf("p=%d: %d unfinished flows", pp, rep.Unfinished)
+			return nil, fmt.Errorf("p=%d: %d unfinished flows", pp, rep.Unfinished)
 		}
 		wall := time.Since(start)
 		// Peak RSS proxy: live heap and total OS-claimed memory right
@@ -63,10 +62,6 @@ func EngineScale(p Params) (*Result, error) {
 			heapMB: float64(ms.HeapAlloc) / (1 << 20),
 			sysMB:  float64(ms.Sys) / (1 << 20),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	tbl := metrics.NewTable("flow-level engine wall clock (stride, ECMP, 1 host/ToR)",
 		"p", "flows", "sim s", "wall s", "heap MB", "sys MB")

@@ -5,7 +5,6 @@ import (
 
 	"dard"
 	"dard/internal/metrics"
-	"dard/internal/parallel"
 )
 
 // testbedSpec is the DeterLab emulation fabric (§3.1): a p=4 fat-tree of
@@ -27,66 +26,48 @@ func Figure4(p Params) (*Result, error) {
 		return nil, err
 	}
 	rates := []float64{0.1, 0.2, 0.4, 0.8, 1.6}
-	// One pool cell per (rate, pattern): the ECMP and DARD runs of a cell
-	// stay together on one seed so the improvement is measured on a
-	// paired workload. The cells keep the suite's base seed — each run's
-	// RNGs derive from the scenario seed alone, so the sweep is already
-	// worker-count independent without per-cell reseeding, and the curve
-	// stays comparable with the paper's single-seed testbed measurement.
-	type cell struct {
-		rate float64
-		pat  dard.Pattern
-	}
-	var cells []cell
+	// The ECMP and DARD runs of a (rate, pattern) cell sit side by side on
+	// one seed so the improvement is measured on a paired workload. The
+	// cells keep the suite's base seed — each run's RNGs derive from the
+	// scenario seed alone, so the sweep is already worker-count
+	// independent without per-cell reseeding, and the curve stays
+	// comparable with the paper's single-seed testbed measurement.
+	var cells []dard.Scenario
 	for _, rate := range rates {
 		for _, pat := range patterns {
-			cells = append(cells, cell{rate, pat})
+			for _, sch := range []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerDARD} {
+				cells = append(cells, dard.Scenario{
+					Topo:           topo,
+					Scheduler:      sch,
+					Pattern:        pat,
+					RatePerHost:    rate,
+					Duration:       20, // fixed window so each rate has enough flows
+					FileSizeMB:     8,  // ~0.67 s at the 100 Mbps line rate
+					Seed:           p.Seed,
+					ElephantAgeSec: 0.5,
+					VLBIntervalSec: 2,
+					DARD:           quickDARDTuning(),
+					// Rate is swept on one topology, so it needs its own
+					// subtree to keep the per-cell trace file names unique.
+					TraceDir: p.traceDir("figure4", fmt.Sprintf("rate-%.2f", rate)),
+				})
+			}
 		}
 	}
-	imps := make([]float64, len(cells))
-	err = parallel.ForEach(p.Workers, len(cells), func(i int) error {
-		c := cells[i]
-		base := dard.Scenario{
-			Topo:           topo,
-			Pattern:        c.pat,
-			RatePerHost:    c.rate,
-			Duration:       20, // fixed window so each rate has enough flows
-			FileSizeMB:     8,  // ~0.67 s at the 100 Mbps line rate
-			Seed:           p.Seed,
-			ElephantAgeSec: 0.5,
-			VLBIntervalSec: 2,
-			DARD:           quickDARDTuning(),
-			// Rate is swept on one topology, so it needs its own subtree to
-			// keep the per-cell trace file names unique.
-			TraceDir: p.traceDir("figure4", fmt.Sprintf("rate-%.2f", c.rate)),
-		}
-		ecmpScn := base
-		ecmpScn.Scheduler = dard.SchedulerECMP
-		ecmp, err := ecmpScn.Run()
-		if err != nil {
-			return fmt.Errorf("rate=%.2f/%s/ECMP: %w", c.rate, c.pat, err)
-		}
-		dardScn := base
-		dardScn.Scheduler = dard.SchedulerDARD
-		dd, err := dardScn.Run()
-		if err != nil {
-			return fmt.Errorf("rate=%.2f/%s/DARD: %w", c.rate, c.pat, err)
-		}
-		imps[i] = dd.ImprovementOver(ecmp)
-		return nil
-	})
+	reports, err := dard.RunAll(cells, p.Workers)
 	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable("Improvement of avg transfer time, DARD vs ECMP (flow engine, p=4 fat-tree @100Mbps)",
 		"rate(flows/s/host)", "random", "stag(.5,.3)", "stride")
 	values := make(map[string]float64)
-	for i := 0; i < len(cells); i += len(patterns) {
-		row := []interface{}{fmt.Sprintf("%.2f", cells[i].rate)}
-		for j := range patterns {
-			c := cells[i+j]
-			row = append(row, fmt.Sprintf("%5.1f%%", 100*imps[i+j]))
-			values[fmt.Sprintf("rate=%.2f/%s/improvement", c.rate, c.pat)] = imps[i+j]
+	for i := 0; i < len(cells); i += 2 * len(patterns) {
+		rate := cells[i].RatePerHost
+		row := []interface{}{fmt.Sprintf("%.2f", rate)}
+		for j := i; j < i+2*len(patterns); j += 2 {
+			imp := reports[j+1].ImprovementOver(reports[j])
+			row = append(row, fmt.Sprintf("%5.1f%%", 100*imp))
+			values[fmt.Sprintf("rate=%.2f/%s/improvement", rate, cells[j].Pattern)] = imp
 		}
 		tbl.AddRowf(row...)
 	}
@@ -119,14 +100,14 @@ func Figure5(p Params) (*Result, error) {
 		TraceDir:       p.traceDir("figure5"),
 	}
 	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD}
-	reports, err := runMatrix(p.Workers, topo, base, []dard.Pattern{dard.PatternStride}, scheds)
+	reports, err := dard.RunAll(grid(base, []*dard.Topology{topo}, []dard.Pattern{dard.PatternStride}, scheds), p.Workers)
 	if err != nil {
 		return nil, err
 	}
 	series := make(map[string][]float64)
 	values := make(map[string]float64)
-	for _, sch := range scheds {
-		rep := reports[key(dard.PatternStride, sch)]
+	for i, sch := range scheds {
+		rep := reports[i]
 		series[string(sch)] = rep.TransferTimes
 		values[string(sch)+"/mean"] = rep.MeanTransferTime()
 		values[string(sch)+"/p90"] = rep.TransferTimeQuantile(0.9)
@@ -144,37 +125,14 @@ func Figure5(p Params) (*Result, error) {
 // times; the maximum stays below the path count.
 func Figure6(p Params) (*Result, error) {
 	p = p.withDefaults()
-	topo, err := testbedSpec().Build()
-	if err != nil {
-		return nil, err
-	}
-	base := dard.Scenario{
+	return switchCDF(p, "Figure 6", "path switch count CDF, p=4 fat-tree (DARD stability)", testbedSpec(), dard.Scenario{
 		RatePerHost:    p.RatePerHost,
 		Duration:       p.Duration,
 		FileSizeMB:     p.FileSizeMB / 4,
 		Seed:           p.Seed,
 		ElephantAgeSec: 0.5,
 		DARD:           quickDARDTuning(),
-		TraceDir:       p.traceDir("figure6"),
-	}
-	reports, err := runMatrix(p.Workers, topo, base, patterns, []dard.Scheduler{dard.SchedulerDARD})
-	if err != nil {
-		return nil, err
-	}
-	series := make(map[string][]float64)
-	values := make(map[string]float64)
-	for _, pat := range patterns {
-		rep := reports[key(pat, dard.SchedulerDARD)]
-		series[string(pat)] = rep.PathSwitches
-		values[string(pat)+"/p90"] = rep.PathSwitchQuantile(0.9)
-		values[string(pat)+"/max"] = rep.PathSwitchQuantile(1)
-	}
-	return &Result{
-		ID:     "Figure 6",
-		Title:  "path switch count CDF, p=4 fat-tree (DARD stability)",
-		Text:   cdfBlock("path switches", series),
-		Values: values,
-	}, nil
+	})
 }
 
 // quickDARDTuning shortens DARD's control loop for short scaled-down

@@ -26,13 +26,12 @@ func texcpRuns(p Params) (dardRep, texcpRep *dard.Report, err error) {
 	}
 	// The two packet-engine runs are the suite's slowest cells; the pool
 	// overlaps them (on one derived seed, so the comparison stays paired).
-	reports, err := runMatrix(p.Workers, topo, base, []dard.Pattern{dard.PatternStride},
-		[]dard.Scheduler{dard.SchedulerDARD, dard.SchedulerTeXCP})
+	reports, err := dard.RunAll(grid(base, []*dard.Topology{topo}, []dard.Pattern{dard.PatternStride},
+		[]dard.Scheduler{dard.SchedulerDARD, dard.SchedulerTeXCP}), p.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	return reports[key(dard.PatternStride, dard.SchedulerDARD)],
-		reports[key(dard.PatternStride, dard.SchedulerTeXCP)], nil
+	return reports[0], reports[1], nil
 }
 
 // Figure13 reproduces the DARD-vs-TeXCP transfer-time CDF under stride

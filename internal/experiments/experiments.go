@@ -194,16 +194,86 @@ var flowSchedulers = []dard.Scheduler{
 	dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD, dard.SchedulerAnnealing,
 }
 
-// runMatrix executes every (pattern, scheduler) cell on one shared
-// topology across the worker pool and returns reports keyed
-// "pattern/scheduler". Per-cell errors are collected (errors.Join) so
-// one bad cell does not discard the sweep's completed reports.
-func runMatrix(workers int, topo *dard.Topology, base dard.Scenario, pats []dard.Pattern, scheds []dard.Scheduler) (map[string]*dard.Report, error) {
-	return dard.RunMatrix(topo, base, pats, scheds, workers)
+// dardOnly is the scheduler list of the path-switch experiments.
+var dardOnly = []dard.Scheduler{dard.SchedulerDARD}
+
+// grid lays base out over topologies x patterns x schedulers, in that
+// order, for dard.RunAll. Each cell's seed is CellSeed(base.Seed, topo,
+// pattern): stable per cell, so parallel and serial runs agree cell by
+// cell, and shared across the schedulers of one pattern, so scheduler
+// comparisons stay paired on the same workload.
+func grid(base dard.Scenario, topos []*dard.Topology, pats []dard.Pattern, scheds []dard.Scheduler) []dard.Scenario {
+	cells := make([]dard.Scenario, 0, len(topos)*len(pats)*len(scheds))
+	for _, topo := range topos {
+		for _, pat := range pats {
+			for _, sch := range scheds {
+				s := base
+				s.Topo, s.Pattern, s.Scheduler = topo, pat, sch
+				s.Seed = dard.CellSeed(base.Seed, topo, pat)
+				cells = append(cells, s)
+			}
+		}
+	}
+	return cells
 }
 
-func key(pat dard.Pattern, sch dard.Scheduler) string {
-	return fmt.Sprintf("%s/%s", pat, sch)
+// transferCDFs renders Figures 7, 9 and 11: per traffic pattern, the
+// transfer-time CDFs of the four flow-engine schedulers on one
+// topology. "{topo}" in title becomes the topology's name.
+func transferCDFs(p Params, id, title string, spec dard.TopologySpec, base dard.Scenario) (*Result, error) {
+	topo, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	base.TraceDir = p.traceDir(expTag(id))
+	cells := grid(base, []*dard.Topology{topo}, patterns, flowSchedulers)
+	reports, err := dard.RunAll(cells, p.Workers)
+	if err != nil {
+		return nil, err
+	}
+	var text string
+	values := make(map[string]float64)
+	for i := 0; i < len(cells); i += len(flowSchedulers) {
+		pat := cells[i].Pattern
+		series := make(map[string][]float64)
+		for j, rep := range reports[i : i+len(flowSchedulers)] {
+			sch := cells[i+j].Scheduler
+			series[string(sch)] = rep.TransferTimes
+			values[fmt.Sprintf("%s/%s/mean", pat, sch)] = rep.MeanTransferTime()
+		}
+		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, topo.Name()), series) + "\n"
+	}
+	return &Result{ID: id, Title: strings.ReplaceAll(title, "{topo}", topo.Name()), Text: text, Values: values}, nil
+}
+
+// switchCDF renders Figures 6, 8, 10 and 12: DARD's path-switch CDF per
+// traffic pattern on one topology. "{topo}" in title becomes the
+// topology's name.
+func switchCDF(p Params, id, title string, spec dard.TopologySpec, base dard.Scenario) (*Result, error) {
+	topo, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	base.TraceDir = p.traceDir(expTag(id))
+	cells := grid(base, []*dard.Topology{topo}, patterns, dardOnly)
+	reports, err := dard.RunAll(cells, p.Workers)
+	if err != nil {
+		return nil, err
+	}
+	series := make(map[string][]float64)
+	values := make(map[string]float64)
+	for i, rep := range reports {
+		pat := string(cells[i].Pattern)
+		series[pat] = rep.PathSwitches
+		values[pat+"/p90"] = rep.PathSwitchQuantile(0.9)
+		values[pat+"/max"] = rep.PathSwitchQuantile(1)
+	}
+	return &Result{
+		ID:     id,
+		Title:  strings.ReplaceAll(title, "{topo}", topo.Name()),
+		Text:   cdfBlock("path switches", series),
+		Values: values,
+	}, nil
 }
 
 // cdfBlock renders labeled samples as a quantile table.

@@ -10,7 +10,7 @@ import (
 // from a channel in completion order. Channel delivery order is
 // scheduling order — it varies run to run and with GOMAXPROCS — so any
 // order-sensitive effect fed from a drain loop breaks the contract that
-// a parallel sweep (parallel.ForEach, RunAll, RunMatrix) prints exactly
+// a parallel sweep (parallel.ForEach, RunAll) prints exactly
 // what a serial one does. The check covers every channel drain in the
 // module; the fix is to merge over a stable slice or per-slot storage.
 //

@@ -3,19 +3,20 @@ package dard
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"dard/internal/parallel"
 )
 
 // This file is the facade of the concurrent experiment runner. The
-// paper's evaluation is a matrix of independent seeded simulations that
+// paper's evaluation is a grid of independent seeded simulations that
 // ns-2 forced the authors to run one at a time; here the cells fan out
 // across a worker pool while staying bit-identical to a serial run:
 //
 //   - results are stored at each cell's own index, so assembly never
 //     depends on completion order;
-//   - RunMatrix derives every cell's seed from the base seed and the
-//     cell's identity (CellSeed), never from shared RNG state, so the
+//   - every cell carries its own seed, derived from the base seed and
+//     the cell's identity (CellSeed), never from shared RNG state, so the
 //     numbers are independent of the worker count;
 //   - scenarios sharing one pre-built *Topology are safe to run
 //     concurrently — paths resolve through immutable construction-time
@@ -26,9 +27,10 @@ import (
 // returns their reports in input order. workers <= 0 uses one worker per
 // CPU; 1 reproduces a serial run exactly. Scenarios run verbatim — each
 // report is identical to what Scenario.Run would have produced — so
-// results never depend on the worker count. Per-scenario errors are
-// collected with errors.Join and the surviving reports are still
-// returned (failed slots stay nil).
+// results never depend on the worker count. Per-scenario errors name
+// the failing cell (topology/pattern/scheduler/engine) and are collected
+// with errors.Join; the surviving reports are still returned (failed
+// slots stay nil).
 func RunAll(scenarios []Scenario, workers int) ([]*Report, error) {
 	return RunAllContext(context.Background(), scenarios, workers)
 }
@@ -42,54 +44,12 @@ func RunAllContext(ctx context.Context, scenarios []Scenario, workers int) ([]*R
 	err := parallel.ForEachContext(ctx, workers, len(scenarios), func(i int) error {
 		rep, err := scenarios[i].RunContext(ctx)
 		if err != nil {
-			return fmt.Errorf("scenario %d: %w", i, err)
+			return fmt.Errorf("%s: %w", strings.Join(scenarios[i].cell(), "/"), err)
 		}
 		reports[i] = rep
 		return nil
 	})
 	return reports, err
-}
-
-// RunMatrix executes every (pattern, scheduler) cell of base on one
-// shared topology and returns reports keyed "pattern/scheduler". Each
-// cell's seed is CellSeed(base.Seed, topo, pattern): stable per cell, so
-// parallel and serial runs agree cell by cell, and shared across the
-// schedulers of one pattern, so scheduler comparisons stay paired on the
-// same workload. Cell errors are collected with errors.Join; completed
-// cells are still returned.
-func RunMatrix(topo *Topology, base Scenario, pats []Pattern, scheds []Scheduler, workers int) (map[string]*Report, error) {
-	type cell struct {
-		pat Pattern
-		sch Scheduler
-	}
-	cells := make([]cell, 0, len(pats)*len(scheds))
-	for _, pat := range pats {
-		for _, sch := range scheds {
-			cells = append(cells, cell{pat, sch})
-		}
-	}
-	reports := make([]*Report, len(cells))
-	err := parallel.ForEach(workers, len(cells), func(i int) error {
-		c := cells[i]
-		s := base
-		s.Topo = topo
-		s.Pattern = c.pat
-		s.Scheduler = c.sch
-		s.Seed = CellSeed(base.Seed, topo, c.pat)
-		rep, err := s.Run()
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", c.pat, c.sch, err)
-		}
-		reports[i] = rep
-		return nil
-	})
-	out := make(map[string]*Report, len(cells))
-	for i, c := range cells {
-		if reports[i] != nil {
-			out[fmt.Sprintf("%s/%s", c.pat, c.sch)] = reports[i]
-		}
-	}
-	return out, err
 }
 
 // CellSeed derives the RNG seed of one experiment cell from the base

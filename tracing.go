@@ -64,13 +64,19 @@ func (s Scenario) traceMeta(topo *Topology) trace.Meta {
 // under TraceDir: topology, pattern, scheduler, and engine joined with
 // underscores, sanitized to filesystem-safe characters.
 func (s Scenario) TraceFileName() string {
+	c := s.cell()
+	return sanitizeFile(c[0]) + "_" + sanitizeFile(strings.Join(c[1:], "_")) + ".jsonl"
+}
+
+// cell is the scenario's grid identity: topology name, pattern,
+// scheduler and engine, with defaults applied.
+func (s Scenario) cell() []string {
 	s = s.withDefaults()
-	parts := []string{string(s.Pattern), string(s.Scheduler), string(s.Engine)}
 	name := s.Topology.name()
 	if s.Topo != nil {
 		name = s.Topo.Name()
 	}
-	return sanitizeFile(name) + "_" + sanitizeFile(strings.Join(parts, "_")) + ".jsonl"
+	return []string{name, string(s.Pattern), string(s.Scheduler), string(s.Engine)}
 }
 
 // name renders the spec's topology name without building the network,

@@ -140,9 +140,10 @@ func TestTraceDirWritesReadableFile(t *testing.T) {
 	}
 }
 
-// TestMatrixTraceFilesSerialParallelIdentical: a traced sweep writes one
-// file per cell with distinct names, and the files are byte-identical
-// whether the sweep ran serially or on 8 workers.
+// TestMatrixTraceFilesSerialParallelIdentical: a traced pattern x
+// scheduler grid run through RunAll writes one file per cell with
+// distinct names, and the files are byte-identical whether the grid ran
+// serially or on 8 workers.
 func TestMatrixTraceFilesSerialParallelIdentical(t *testing.T) {
 	topo, err := TopologySpec{Kind: FatTree, P: 4}.Build()
 	if err != nil {
@@ -161,9 +162,17 @@ func TestMatrixTraceFilesSerialParallelIdentical(t *testing.T) {
 
 	runTraced := func(workers int) (string, error) {
 		dir := t.TempDir()
-		b := base
-		b.TraceDir = dir
-		_, err := RunMatrix(topo, b, pats, scheds, workers)
+		var grid []Scenario
+		for _, pat := range pats {
+			for _, sch := range scheds {
+				s := base
+				s.Topo, s.Pattern, s.Scheduler = topo, pat, sch
+				s.Seed = CellSeed(base.Seed, topo, pat)
+				s.TraceDir = dir
+				grid = append(grid, s)
+			}
+		}
+		_, err := RunAll(grid, workers)
 		return dir, err
 	}
 	serialDir, err := runTraced(1)
