@@ -287,7 +287,7 @@ func (s Scenario) Run() (*Report, error) { return s.RunContext(context.Backgroun
 // and continue, use NewSession.
 func (s Scenario) RunContext(ctx context.Context) (*Report, error) {
 	s = s.withDefaults()
-	if err := s.DARD.faults(s.Seed).Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	topo := s.Topo

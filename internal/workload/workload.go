@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -229,6 +230,10 @@ func Generate(l *Layout, cfg Config) ([]Flow, error) {
 	}
 	if cfg.RatePerHost <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("workload: rate %g and duration %g must be positive", cfg.RatePerHost, cfg.Duration)
+	}
+	// A NaN or infinite rate or window never ends the arrival loop below.
+	if math.IsNaN(cfg.RatePerHost) || math.IsInf(cfg.RatePerHost, 0) || math.IsNaN(cfg.Duration) || math.IsInf(cfg.Duration, 0) {
+		return nil, fmt.Errorf("workload: rate %g and duration %g must be finite", cfg.RatePerHost, cfg.Duration)
 	}
 	if fpcmp.IsZero(cfg.SizeBytes) {
 		cfg.SizeBytes = DefaultSizeBytes

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dard/internal/topology"
@@ -186,6 +187,17 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := Generate(l, Config{Pattern: Random{L: l}, RatePerHost: 1, Duration: -1}); err == nil {
 		t.Error("negative duration should fail")
+	}
+	for _, cfg := range []Config{
+		{RatePerHost: math.NaN(), Duration: 1},
+		{RatePerHost: math.Inf(1), Duration: 1},
+		{RatePerHost: 1, Duration: math.NaN()},
+		{RatePerHost: 1, Duration: math.Inf(1)},
+	} {
+		cfg.Pattern = Random{L: l}
+		if _, err := Generate(l, cfg); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("rate %g, duration %g: err %v, want a finiteness error", cfg.RatePerHost, cfg.Duration, err)
+		}
 	}
 	tiny := &Layout{NumHosts: 1}
 	if _, err := Generate(tiny, Config{Pattern: Random{L: tiny}, RatePerHost: 1, Duration: 1}); err == nil {

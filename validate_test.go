@@ -87,6 +87,9 @@ func TestValidateMatchesRun(t *testing.T) {
 		{Scheduler: dard.SchedulerAnnealing, Engine: dard.EnginePacket},
 		{Topology: dard.TopologySpec{Kind: "torus"}},
 		{Duration: -3},
+		{RatePerHost: math.NaN()},
+		{RatePerHost: math.Inf(1)},
+		{Duration: math.Inf(1)},
 	} {
 		verr := s.Validate()
 		if verr == nil {
