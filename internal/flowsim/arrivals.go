@@ -85,7 +85,13 @@ func (s *Sim) validateArrival(wf workload.Flow) error {
 	if wf.ID != s.arrived {
 		return fmt.Errorf("flowsim: arrival source emitted flow ID %d, want dense sequential %d", wf.ID, s.arrived)
 	}
-	hosts := len(s.net.Hosts())
+	return checkFlow(wf, len(s.net.Hosts()), s.now)
+}
+
+// checkFlow is the predicate every flow passes, batch or streamed: its
+// endpoints are distinct hosts, its size is positive and finite, and it
+// arrives at a finite time no earlier than now.
+func checkFlow(wf workload.Flow, hosts int, now float64) error {
 	if wf.Src < 0 || wf.Src >= hosts || wf.Dst < 0 || wf.Dst >= hosts {
 		return fmt.Errorf("flowsim: flow %d references host out of range", wf.ID)
 	}
@@ -95,8 +101,8 @@ func (s *Sim) validateArrival(wf workload.Flow) error {
 	if !(wf.SizeBits > 0) || math.IsInf(wf.SizeBits, 0) {
 		return fmt.Errorf("flowsim: flow %d has invalid size %g", wf.ID, wf.SizeBits)
 	}
-	if math.IsNaN(wf.Arrival) || math.IsInf(wf.Arrival, 0) || wf.Arrival < s.now {
-		return fmt.Errorf("flowsim: flow %d arrives at invalid time %g (now %g)", wf.ID, wf.Arrival, s.now)
+	if math.IsNaN(wf.Arrival) || math.IsInf(wf.Arrival, 0) || wf.Arrival < now {
+		return fmt.Errorf("flowsim: flow %d arrives at invalid time %g (now %g)", wf.ID, wf.Arrival, now)
 	}
 	return nil
 }

@@ -209,19 +209,13 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Arrivals != nil && len(cfg.Flows) > 0 {
 		return nil, fmt.Errorf("flowsim: Flows and Arrivals are mutually exclusive")
 	}
-	hosts := cfg.Net.Hosts()
+	hosts := len(cfg.Net.Hosts())
 	for _, wf := range cfg.Flows {
 		if wf.ID < 0 || wf.ID >= len(cfg.Flows) {
 			return nil, fmt.Errorf("flowsim: flow ID %d outside the dense [0,%d) range", wf.ID, len(cfg.Flows))
 		}
-		if wf.Src < 0 || wf.Src >= len(hosts) || wf.Dst < 0 || wf.Dst >= len(hosts) {
-			return nil, fmt.Errorf("flowsim: flow %d references host out of range", wf.ID)
-		}
-		if wf.Src == wf.Dst {
-			return nil, fmt.Errorf("flowsim: flow %d is a self-flow", wf.ID)
-		}
-		if wf.SizeBits <= 0 {
-			return nil, fmt.Errorf("flowsim: flow %d has non-positive size", wf.ID)
+		if err := checkFlow(wf, hosts, 0); err != nil {
+			return nil, err
 		}
 	}
 	g := cfg.Net.Graph()

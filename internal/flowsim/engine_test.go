@@ -334,6 +334,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Net: ft, Controller: &staticController{}, Flows: bad}); err == nil {
 		t.Error("zero size should fail")
 	}
+	// Batch flows pass the same size and arrival checks as streamed ones.
+	for name, wf := range map[string]workload.Flow{
+		"NaN size":         {SizeBits: math.NaN()},
+		"infinite size":    {SizeBits: math.Inf(1)},
+		"NaN arrival":      {SizeBits: 1, Arrival: math.NaN()},
+		"infinite arrival": {SizeBits: 1, Arrival: math.Inf(1)},
+		"negative arrival": {SizeBits: 1, Arrival: -1},
+	} {
+		wf.Src, wf.Dst = 0, 1
+		if _, err := New(Config{Net: ft, Controller: &staticController{}, Flows: []workload.Flow{wf}}); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
 }
 
 func TestTimerOrderDeterministic(t *testing.T) {
