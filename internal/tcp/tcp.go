@@ -92,7 +92,7 @@ type Conn struct {
 	rtoTimer          simnet.Timer
 	rtoArmed          bool
 
-	// Receiver state.
+	// Receiver state. received holds only out-of-order segments.
 	received map[int]bool
 	rcvNext  int
 	// ackRoute is the reverse of ackFor, the data route it was last
@@ -260,16 +260,20 @@ func (c *Conn) Deliver(p *simnet.Packet) {
 	}
 }
 
-// onData is the receiver: record the segment, advance the cumulative
-// pointer, and acknowledge every arrival (no delayed ACKs, as in the
-// paper's ns-2 setup).
+// onData is the receiver: advance the cumulative pointer past an
+// in-order segment and any held segments it uncovers, hold an
+// out-of-order one, and acknowledge every arrival (no delayed ACKs, as
+// in the paper's ns-2 setup).
 func (c *Conn) onData(p *simnet.Packet) {
-	if p.Seq >= c.rcvNext {
-		c.received[p.Seq] = true
-	}
-	for c.received[c.rcvNext] {
-		delete(c.received, c.rcvNext)
+	switch {
+	case p.Seq == c.rcvNext:
 		c.rcvNext++
+		for c.received[c.rcvNext] {
+			delete(c.received, c.rcvNext)
+			c.rcvNext++
+		}
+	case p.Seq > c.rcvNext:
+		c.received[p.Seq] = true
 	}
 	// ACK travels the reverse of the data packet's actual route. Routes
 	// are never modified once built, so a segment on the same backing
