@@ -45,7 +45,6 @@ type Collector struct {
 	channels  map[topology.NodeID]*ctlmsg.Channel
 	faults    ctlmsg.Faults
 	retryMax  int
-	backoff   float64
 	deadAfter int
 
 	seqNo    uint32
@@ -159,7 +158,6 @@ func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.
 		channels:  make(map[topology.NodeID]*ctlmsg.Channel),
 		faults:    c.opts.Faults,
 		retryMax:  c.opts.CtlRetryMax,
-		backoff:   c.opts.CtlRetryBackoff,
 		deadAfter: c.opts.DeadAfter,
 		misses:    make(map[topology.NodeID]int),
 	}
@@ -293,7 +291,7 @@ func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytes
 		return
 	}
 	if attempt < c.retryMax {
-		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(c.backoff, attempt), sched.TimerRef{}, func() {
+		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(CtlRetryBackoff, attempt), sched.TimerRef{}, func() {
 			c.collectSwitch(sw, seq, attempt+1, bytes, resolve)
 		})
 		return

@@ -44,9 +44,9 @@ const (
 	// DefaultCtlRetryMax is how many times a monitor retries a lost
 	// control exchange within one query round.
 	DefaultCtlRetryMax = 2
-	// DefaultCtlRetryBackoff is the base retry backoff in seconds,
-	// doubled per retry.
-	DefaultCtlRetryBackoff = 0.05
+	// CtlRetryBackoff is the base backoff in seconds before a monitor's
+	// first retry, doubled per subsequent retry.
+	CtlRetryBackoff = 0.05
 	// DefaultDeadAfter is how many consecutive missed query rounds (or
 	// zero-goodput scheduling rounds, on the packet engine) declare a
 	// switch or path dead.
@@ -82,10 +82,6 @@ type Options struct {
 	// within one query round before giving the switch up for that round.
 	// Zero means DefaultCtlRetryMax; negative disables retries.
 	CtlRetryMax int
-	// CtlRetryBackoff is the base backoff in seconds before the first
-	// retry, doubled per subsequent retry. Zero or negative means
-	// DefaultCtlRetryBackoff.
-	CtlRetryBackoff float64
 	// DeadAfter is how many consecutive missed query rounds make a
 	// monitor presume a switch dead (its ports then read zero bandwidth),
 	// and, on the packet engine, how many zero-progress scheduling rounds
@@ -117,9 +113,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CtlRetryMax < 0 {
 		o.CtlRetryMax = 0
-	}
-	if o.CtlRetryBackoff <= 0 {
-		o.CtlRetryBackoff = DefaultCtlRetryBackoff
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = DefaultDeadAfter

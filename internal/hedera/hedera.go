@@ -19,32 +19,26 @@ const (
 // DefaultInterval is the centralized scheduling period (§4.3.1).
 const DefaultInterval = 5.0
 
+// The simulated annealing search of one round.
+const (
+	// annealIterations bounds the search per round.
+	annealIterations = 1000
+	// annealInitialTemp is the starting Metropolis temperature.
+	annealInitialTemp = 1.0
+	// annealCooling is the per-iteration temperature decay.
+	annealCooling = 0.995
+)
+
 // Options tunes the centralized controller.
 type Options struct {
 	// Interval is the scheduling period in seconds; zero means
 	// DefaultInterval.
 	Interval float64
-	// Iterations bounds the simulated annealing search per round; zero
-	// means 1000.
-	Iterations int
-	// InitialTemp is the starting Metropolis temperature; zero means 1.
-	InitialTemp float64
-	// Cooling is the per-iteration temperature decay; zero means 0.995.
-	Cooling float64
 }
 
 func (o *Options) applyDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = DefaultInterval
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 1000
-	}
-	if o.InitialTemp <= 0 {
-		o.InitialTemp = 1
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.995
 	}
 }
 
@@ -235,13 +229,13 @@ func (c *Controller) anneal(s *flowsim.Sim, elephants []*flowsim.Flow, demandOf 
 	}
 	bestEnergy := energy
 
-	temp := c.opts.InitialTemp
-	for it := 0; it < c.opts.Iterations && bestEnergy > 0; it++ {
+	temp := annealInitialTemp
+	for it := 0; it < annealIterations && bestEnergy > 0; it++ {
 		d := dsts[rng.Intn(len(dsts))]
 		oldVia := cur[d]
 		newVia := rng.Intn(maxVia)
 		if newVia == oldVia {
-			temp *= c.opts.Cooling
+			temp *= annealCooling
 			continue
 		}
 		for _, f := range flowsByDst[d] {
@@ -268,7 +262,7 @@ func (c *Controller) anneal(s *flowsim.Sim, elephants []*flowsim.Flow, demandOf 
 				place(f, oldVia, +1)
 			}
 		}
-		temp *= c.opts.Cooling
+		temp *= annealCooling
 	}
 
 	for k, v := range best {
