@@ -1,9 +1,11 @@
-// Package evq is the module's one priority queue: a value-typed 4-ary
-// min-heap ordered by (At, Seq). The key is total — Seq is unique among
-// queued entries — so the pop order is unique whatever the internal
-// layout, which is what keeps the engines deterministic. Event kernels
-// hand out increasing sequence numbers; flowsim's completion queue keys
-// each flow by its ID, and the open-arrival merge by source host.
+// Package evq holds the module's (At, Seq) priority queues: Queue, a
+// value-typed 4-ary min-heap, and Lanes, a merge of FIFOs for entries
+// scheduled at a clock plus one of a few offsets (lanes.go). The key is
+// total — Seq is unique among queued entries — so the pop order is
+// unique whatever the internal layout, which is what keeps the engines
+// deterministic. Event kernels hand out increasing sequence numbers;
+// flowsim's completion queue keys each flow by its ID, and the
+// open-arrival merge by source host.
 //
 // Entries are stored by value and compared on their inline At and Seq
 // fields, so ordering never calls through the payload type or chases a
@@ -153,11 +155,15 @@ func (q *Queue[T]) fix(i int) {
 	}
 }
 
-// before is the total (At, Seq) order.
-func (a *Item[T]) before(b *Item[T]) bool {
+// Before is the total (At, Seq) order on keys: it reports whether
+// (at1, seq1) sorts ahead of (at2, seq2). Queue and Lanes pop in this
+// order, and a caller merging several of them compares heads with it.
+func Before(at1 float64, seq1 int64, at2 float64, seq2 int64) bool {
 	//dardlint:floateq total-order comparator: exact compare, then integer sequence tie-break
-	return a.At < b.At || (a.At == b.At && a.Seq < b.Seq)
+	return at1 < at2 || (at1 == at2 && seq1 < seq2)
 }
+
+func (a *Item[T]) before(b *Item[T]) bool { return Before(a.At, a.Seq, b.At, b.Seq) }
 
 // up sifts the entry at i toward the root and reports whether it moved.
 func (q *Queue[T]) up(i int) bool {

@@ -179,7 +179,54 @@ func TestSlotReuse(t *testing.T) {
 	}
 }
 
+// BenchmarkEventQueue runs the queues on steady loads about as deep as
+// the packet engine's. "timers" is a Queue where each step pops the
+// earliest entry and pushes one a random delay later, and every fourth
+// step re-keys a timer. "offsets/heap" and "offsets/lanes" run one load
+// on a Queue and on Lanes: each step pops the earliest entry and pushes
+// one at the popped time plus one of four offsets (a propagation delay,
+// two serialization times and zero), as packet forwarding does.
 func BenchmarkEventQueue(b *testing.B) {
+	b.Run("timers", benchTimers)
+	b.Run("offsets/heap", func(b *testing.B) {
+		var q Queue[int]
+		benchOffsets(b, func(now float64, seq int64, v int) {
+			q.Push(now+offsets[v%len(offsets)], seq, v)
+		}, func() (float64, int) { it := q.Pop(); return it.At, it.Val })
+	})
+	b.Run("offsets/lanes", func(b *testing.B) {
+		var l Lanes[int]
+		benchOffsets(b, func(now float64, seq int64, v int) {
+			l.Push(now, offsets[v%len(offsets)], seq, v)
+		}, func() (float64, int) { it := l.Pop(); return it.At, it.Val })
+	})
+}
+
+// offsets are the packet engine's scheduling offsets on a 100 Mbps
+// fabric: propagation, a full segment's and an ACK's serialization, and
+// a same-host delivery.
+var offsets = []float64{1e-4, 1540 * 8 / 1e8, 40 * 8 / 1e8, 0}
+
+// benchOffsets runs the offsets load; push receives the current time,
+// not the due time, and the payload picks the offset.
+func benchOffsets(b *testing.B, push func(now float64, seq int64, v int), pop func() (float64, int)) {
+	const depth = 240
+	rng := rand.New(rand.NewSource(1))
+	var seq int64
+	for i := 0; i < depth; i++ {
+		seq++
+		push(0, seq, rng.Intn(len(offsets)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now, _ := pop()
+		seq++
+		push(now, seq, rng.Intn(len(offsets)))
+	}
+}
+
+func benchTimers(b *testing.B) {
 	// A steady queue ~350 deep, the packet engine's mean depth: each
 	// step pops the earliest entry and pushes one a random delay later,
 	// and every fourth step re-keys a timer.

@@ -6,33 +6,22 @@
 // simulator ("we use source routing to assign a path to a flow", §3.2).
 package simnet
 
-import (
-	"dard/internal/evq"
-	"dard/internal/topology"
-)
+import "dard/internal/evq"
 
-// eventKind selects how the kernel dispatches an event.
+// eventKind selects how the kernel dispatches a packet's pending event.
+// A packet has at most one event pending — it is serializing, in flight
+// or being delivered — so the kind rides on the Packet.
 type eventKind uint8
 
 const (
-	// evCall runs a callback scheduled with After.
-	evCall eventKind = iota
-	// evTxDone ends the serialization of pkt on link.
-	evTxDone
-	// evArrive lands pkt at the far end of the link it was crossing.
+	// evTxDone ends the serialization of the packet on the link it is
+	// crossing, p.Route[p.Hop].
+	evTxDone eventKind = iota
+	// evArrive lands the packet at the far end of that link.
 	evArrive
-	// evDeliver hands a same-host pkt to the deliver callback.
+	// evDeliver hands a same-host packet to the deliver callback.
 	evDeliver
 )
-
-// event is one scheduled action. Packet forwarding uses typed records so
-// the hot path schedules no closures; everything else is an evCall.
-type event struct {
-	fn   func()
-	pkt  *Packet
-	link topology.LinkID
-	kind eventKind
-}
 
 // Timer is a handle to an event scheduled with After.
 type Timer struct {
@@ -44,7 +33,7 @@ type Timer struct {
 // an already-fired timer.
 func (t Timer) Cancel() {
 	if t.k != nil {
-		t.k.q.Remove(t.h)
+		t.k.calls.Remove(t.h)
 	}
 }
 
@@ -53,7 +42,7 @@ func (t Timer) Cancel() {
 // place orders events the same as canceling and re-arming. It reports
 // false, doing nothing, once the timer has fired or been canceled.
 func (t Timer) Reset(d float64) bool {
-	if t.k == nil || !t.k.q.Live(t.h) {
+	if t.k == nil || !t.k.calls.Live(t.h) {
 		return false
 	}
 	k := t.k
@@ -61,16 +50,23 @@ func (t Timer) Reset(d float64) bool {
 		d = 0
 	}
 	k.seq++
-	return k.q.Rekey(t.h, k.now+d, k.seq)
+	return k.calls.Rekey(t.h, k.now+d, k.seq)
 }
 
-// Kernel is the event loop. The zero value is ready to use for
-// callbacks; packet events need the Net that owns the kernel.
+// Kernel is the event loop. Callbacks scheduled with After wait in a
+// heap that keeps handles for Timer; packet events wait in lanes, one
+// FIFO per scheduling offset (evq.Lanes), since every packet event is
+// due a link delay, a serialization time or zero after the moment it
+// was scheduled. Both draw on one sequence counter, and the loop runs
+// whichever head is earlier in (time, seq), so the split changes no
+// event's order. The zero value is ready to use for callbacks; packet
+// events need the Net that owns the kernel.
 type Kernel struct {
-	now float64
-	seq int64
-	q   evq.Queue[event]
-	net *Net
+	now   float64
+	seq   int64
+	calls evq.Queue[func()]
+	pkts  evq.Lanes[*Packet]
+	net   *Net
 }
 
 // Now returns the current simulation time in seconds.
@@ -83,50 +79,77 @@ func (k *Kernel) After(d float64, fn func()) Timer {
 		d = 0
 	}
 	k.seq++
-	return Timer{k: k, h: k.q.PushHandle(k.now+d, k.seq, event{fn: fn})}
+	return Timer{k: k, h: k.calls.PushHandle(k.now+d, k.seq, fn)}
 }
 
-// schedule queues a typed packet event d seconds from now, taking the
-// next sequence number like After.
-func (k *Kernel) schedule(d float64, kind eventKind, l topology.LinkID, p *Packet) {
+// schedule queues p's next event d seconds from now, taking the next
+// sequence number like After.
+func (k *Kernel) schedule(d float64, kind eventKind, p *Packet) {
 	k.seq++
-	k.q.Push(k.now+d, k.seq, event{pkt: p, link: l, kind: kind})
+	p.ev = kind
+	k.pkts.Push(k.now, d, k.seq, p)
 }
 
-// dispatch runs one popped event.
-func (k *Kernel) dispatch(ev *event) {
-	switch ev.kind {
-	case evCall:
-		ev.fn()
+// next reports the time of the earliest pending event and whether it is
+// a callback; ok is false when nothing is pending.
+func (k *Kernel) next() (at float64, call, ok bool) {
+	if k.pkts.Len() == 0 {
+		if k.calls.Len() == 0 {
+			return 0, false, false
+		}
+		return k.calls.Min().At, true, true
+	}
+	p := k.pkts.Min()
+	if k.calls.Len() > 0 {
+		if c := k.calls.Min(); evq.Before(c.At, c.Seq, p.At, p.Seq) {
+			return c.At, true, true
+		}
+	}
+	return p.At, false, true
+}
+
+// fire pops and runs the earliest event, a callback when call is set.
+func (k *Kernel) fire(call bool) {
+	if call {
+		it := k.calls.Pop()
+		k.now = it.At
+		it.Val()
+		return
+	}
+	it := k.pkts.Pop()
+	k.now = it.At
+	p := it.Val
+	switch p.ev {
 	case evTxDone:
-		k.net.txDone(ev.link, ev.pkt)
+		k.net.txDone(p.Route[p.Hop], p)
 	case evArrive:
-		k.net.arrive(ev.pkt)
+		k.net.arrive(p)
 	case evDeliver:
-		k.net.deliverAndFree(ev.pkt)
+		k.net.deliverAndFree(p)
 	}
 }
 
 // Step runs the next pending event; it reports false when none remain.
 func (k *Kernel) Step() bool {
-	if k.q.Len() == 0 {
-		return false
+	_, call, ok := k.next()
+	if ok {
+		k.fire(call)
 	}
-	it := k.q.Pop()
-	k.now = it.At
-	k.dispatch(&it.Val)
-	return true
+	return ok
 }
 
 // Run processes events until the queue drains or time would exceed until.
 func (k *Kernel) Run(until float64) {
-	for k.q.Len() > 0 && k.q.Min().At <= until {
-		it := k.q.Pop()
-		k.now = it.At
-		k.dispatch(&it.Val)
+	for {
+		at, call, ok := k.next()
+		if !ok || at > until {
+			return
+		}
+		k.fire(call)
 	}
 }
 
-// Pending reports the number of queued events; canceled events leave the
-// queue at once and are not counted.
-func (k *Kernel) Pending() int { return k.q.Len() }
+// Pending reports the number of queued events, callbacks and packet
+// events alike; canceled callbacks leave the queue at once and are not
+// counted.
+func (k *Kernel) Pending() int { return k.calls.Len() + k.pkts.Len() }

@@ -24,6 +24,9 @@ type Packet struct {
 	Hop   int
 	// Retx marks a retransmitted segment (for Figure 14's metric).
 	Retx bool
+
+	// ev is the kind of the packet's one pending kernel event.
+	ev eventKind
 }
 
 // DefaultBufferPackets sizes each link queue when the config leaves it
@@ -173,7 +176,7 @@ func (n *Net) release(p *Packet) {
 func (n *Net) Send(p *Packet) {
 	if len(p.Route) == 0 {
 		// Degenerate same-host delivery.
-		n.K.schedule(0, evDeliver, 0, p)
+		n.K.schedule(0, evDeliver, p)
 		return
 	}
 	p.Hop = 0
@@ -219,14 +222,14 @@ func (n *Net) transmitNext(l topology.LinkID) {
 	p := ls.queue.pop()
 	ls.queueBits -= p.SizeBits
 	ls.bitsSent += p.SizeBits
-	n.K.schedule(p.SizeBits/ls.rate, evTxDone, l, p)
+	n.K.schedule(p.SizeBits/ls.rate, evTxDone, p)
 }
 
 // txDone ends p's serialization on l: start the next queued packet, then
 // propagate this one. The order fixes both events' sequence numbers.
 func (n *Net) txDone(l topology.LinkID, p *Packet) {
 	n.transmitNext(l)
-	n.K.schedule(n.links[l].delay, evArrive, l, p)
+	n.K.schedule(n.links[l].delay, evArrive, p)
 }
 
 // arrive advances the packet one hop or delivers it.

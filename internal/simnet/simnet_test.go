@@ -421,3 +421,96 @@ func TestDropsTracedAndRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelMergesCallbacksAndPackets pins the order across the two
+// queues: a callback and a packet event due at the same time fire in
+// scheduling (seq) order, whichever queue each sits in.
+func TestKernelMergesCallbacksAndPackets(t *testing.T) {
+	var log []string
+	n, ft := buildNet(t, func(p *Packet) { log = append(log, "deliver") })
+	k := n.K
+
+	// Same-host sends are due now, like After(0).
+	k.After(0, func() { log = append(log, "a") })
+	n.Send(&Packet{FlowID: 1})
+	k.After(0, func() { log = append(log, "b") })
+	if k.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3 (two callbacks, one packet event)", k.Pending())
+	}
+	k.Run(0)
+	if len(log) != 3 || log[0] != "a" || log[1] != "deliver" || log[2] != "b" {
+		t.Fatalf("fired %v, want [a deliver b]", log)
+	}
+
+	// A packet's first-hop arrive is scheduled at its transmit-done, so
+	// a callback for the same instant scheduled before that fires first,
+	// and one scheduled after it fires second. The arrive starts the
+	// second hop's transmission, which the callbacks see in BitsSent.
+	route := hostRoute(ft, 0, 1, 0)
+	base := k.Now()
+	tx := 1500 * 8 / 1e9
+	delay := ft.Graph().Link(route[0]).Delay
+	sent := func() float64 { return n.BitsSent(route[1]) }
+	var seen []float64
+	k.After(tx+delay, func() { seen = append(seen, sent()) })
+	n.Send(&Packet{FlowID: 2, SizeBits: 1500 * 8, Route: route})
+	k.After(tx, func() {
+		k.After(delay, func() { seen = append(seen, sent()) })
+	})
+	k.Run(base + tx + delay)
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1500*8 {
+		t.Fatalf("second-hop bits seen by the tied callbacks = %v, want [0 %d]", seen, 1500*8)
+	}
+}
+
+// TestKernelZeroValueRunsCallbacks checks that a Kernel with no Net runs
+// After callbacks through Step and Run and counts them in Pending.
+func TestKernelZeroValueRunsCallbacks(t *testing.T) {
+	var k Kernel
+	n := 0
+	k.After(1, func() { n++ })
+	k.After(2, func() { n++ })
+	if k.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", k.Pending())
+	}
+	if !k.Step() || n != 1 || k.Now() != 1 {
+		t.Fatalf("Step: n = %d, Now = %g", n, k.Now())
+	}
+	k.Run(math.Inf(1))
+	if n != 2 || k.Pending() != 0 || k.Step() {
+		t.Fatalf("Run: n = %d, Pending = %d", n, k.Pending())
+	}
+}
+
+// TestTimerNeverTouchesLanes cancels and re-keys timers, live and stale,
+// while packet events are pending: the packet events stay queued and
+// fire at their times in their order.
+func TestTimerNeverTouchesLanes(t *testing.T) {
+	var got []int
+	n, _ := buildNet(t, func(p *Packet) { got = append(got, p.Seq) })
+	k := n.K
+	var timers []Timer
+	for i := 0; i < 4; i++ {
+		timers = append(timers, k.After(float64(i), func() {}))
+		n.Send(&Packet{FlowID: 1, Seq: i})
+	}
+	timers[0].Cancel()
+	stale := timers[0]
+	for _, tm := range timers {
+		tm.Reset(0)
+		tm.Cancel()
+	}
+	stale.Cancel()
+	if stale.Reset(1) || (Timer{}).Reset(1) {
+		t.Fatal("Reset revived a canceled or zero timer")
+	}
+	(Timer{}).Cancel()
+	if k.calls.Len() != 0 || k.pkts.Len() != 4 || k.Pending() != 4 {
+		t.Fatalf("after cancels: %d callbacks, %d packet events, Pending %d; want 0, 4, 4",
+			k.calls.Len(), k.pkts.Len(), k.Pending())
+	}
+	k.Run(math.Inf(1))
+	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 || k.Now() != 0 {
+		t.Fatalf("delivered %v at %g, want [0 1 2 3] at 0", got, k.Now())
+	}
+}
