@@ -210,11 +210,18 @@ func (op *OpenPoisson) RestoreState(dec *snap.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
+		if hs.t < 0 || math.IsNaN(hs.t) {
+			return fmt.Errorf("workload: snapshot stream %d has invalid time %g", h, hs.t)
+		}
 		if hs.live {
 			t := dec.F64()
 			dst := int(dec.I64())
 			if err := dec.Err(); err != nil {
 				return err
+			}
+			// advance sets a live host's candidate time to its clock.
+			if math.Float64bits(t) != math.Float64bits(hs.t) {
+				return fmt.Errorf("workload: snapshot stream %d has candidate time %g, stream time %g", h, t, hs.t)
 			}
 			if dst < 0 || dst >= len(op.hosts) || dst == h {
 				return fmt.Errorf("workload: snapshot stream %d has invalid destination %d", h, dst)

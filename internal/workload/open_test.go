@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -231,5 +232,70 @@ func TestOpenPoissonConfigValidation(t *testing.T) {
 	one := &Layout{NumHosts: 1}
 	if _, err := NewOpenPoisson(one, Config{Pattern: Random{L: one}, RatePerHost: 5}); err == nil {
 		t.Error("single-host layout accepted")
+	}
+}
+
+// TestOpenPoissonRestoreRejectsCorruptTimes feeds RestoreState blobs
+// that are well-formed but inconsistent: a live stream whose candidate
+// time differs from its stream time in any bit, and stream times that
+// are negative or NaN. Each must be refused; the untouched state must
+// restore.
+func TestOpenPoissonRestoreRejectsCorruptTimes(t *testing.T) {
+	l, cfg := openTestConfig(5, 0)
+	op, err := NewOpenPoisson(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, op, 20)
+	// encode writes op's state as SnapshotState does, after edit has
+	// changed host 3's stream and candidate times.
+	encode := func(edit func(st, ct *float64)) []byte {
+		enc := snap.NewEncoder(1)
+		enc.I64(int64(op.nextID))
+		enc.U32(uint32(len(op.hosts)))
+		for h := range op.hosts {
+			hs := &op.hosts[h]
+			st, ct := hs.t, hs.cand.t
+			if h == 3 {
+				edit(&st, &ct)
+			}
+			enc.U64(hs.src.State())
+			enc.F64(st)
+			enc.Bool(hs.live)
+			if hs.live {
+				enc.F64(ct)
+				enc.I64(int64(hs.cand.dst))
+			}
+		}
+		return enc.Finish()
+	}
+	if !op.hosts[3].live {
+		t.Fatal("host 3 retired in an unbounded stream")
+	}
+	restore := func(blob []byte) error {
+		fresh, err := NewOpenPoisson(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := snap.NewDecoder(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.RestoreState(dec)
+	}
+	if err := restore(encode(func(st, ct *float64) {})); err != nil {
+		t.Fatalf("untouched state refused: %v", err)
+	}
+	nan := math.NaN()
+	for name, edit := range map[string]func(st, ct *float64){
+		"candidate one ulp late":  func(st, ct *float64) { *ct = math.Nextafter(*ct, math.Inf(1)) },
+		"candidate one ulp early": func(st, ct *float64) { *ct = math.Nextafter(*ct, 0) },
+		"negative time":           func(st, ct *float64) { *st, *ct = -*st, -*ct },
+		"NaN time":                func(st, ct *float64) { *st, *ct = nan, nan },
+		"zero and negative zero":  func(st, ct *float64) { *st, *ct = 0, math.Copysign(0, -1) },
+	} {
+		if err := restore(encode(edit)); err == nil {
+			t.Errorf("%s: restore accepted the blob", name)
+		}
 	}
 }
