@@ -111,7 +111,9 @@ func TestNashConvergenceSerialParallelIdentical(t *testing.T) {
 
 // TestGridCollectsCellErrors: a bad cell must not discard the rest of
 // the grid — every other cell still runs and its report is returned,
-// and the joined error names every failed cell.
+// and the joined error names every failed cell by its index, so two
+// cells that differ only in RatePerHost (as in Figure 4's and Figure
+// 15's sweeps) can be told apart.
 func TestGridCollectsCellErrors(t *testing.T) {
 	topo, err := dard.TopologySpec{Kind: dard.FatTree, P: 4}.Build()
 	if err != nil {
@@ -122,18 +124,23 @@ func TestGridCollectsCellErrors(t *testing.T) {
 	base.Duration = 5
 	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.Scheduler("bogus"), dard.SchedulerTeXCP}
 	cells := grid(base, []*dard.Topology{topo}, patterns, scheds)
+	for _, rate := range []float64{0.5, 1} {
+		c := cells[1] // the first pattern's bogus-scheduler cell
+		c.RatePerHost = rate
+		cells = append(cells, c)
+	}
 	reports, err := dard.RunAll(cells, 2)
 	if err == nil {
 		t.Fatal("expected cell errors")
 	}
 	// errors.Join produces one line per failed cell: 3 patterns x 2
 	// failing schedulers (bogus is unknown, TeXCP rejects the flow
-	// engine).
-	if n := strings.Count(err.Error(), "\n") + 1; n != 6 {
-		t.Errorf("joined error has %d lines, want 6:\n%v", n, err)
+	// engine), plus the two rate cells.
+	if n := strings.Count(err.Error(), "\n") + 1; n != 8 {
+		t.Errorf("joined error has %d lines, want 8:\n%v", n, err)
 	}
 	for i, c := range cells {
-		name := fmt.Sprintf("%s/%s/%s/%s: ", topo.Name(), c.Pattern, c.Scheduler, dard.EngineFlow)
+		name := fmt.Sprintf("scenario %d %s/%s/%s/%s: ", i, topo.Name(), c.Pattern, c.Scheduler, dard.EngineFlow)
 		failing := c.Scheduler != dard.SchedulerECMP
 		if got := strings.Contains(err.Error(), name); got != failing {
 			t.Errorf("joined error names cell %q: %v, want %v", name, got, failing)
@@ -146,8 +153,8 @@ func TestGridCollectsCellErrors(t *testing.T) {
 	var joined interface{ Unwrap() []error }
 	if !errors.As(err, &joined) {
 		t.Error("error should be an errors.Join result")
-	} else if len(joined.Unwrap()) != 6 {
-		t.Errorf("joined error wraps %d errors, want 6", len(joined.Unwrap()))
+	} else if len(joined.Unwrap()) != 8 {
+		t.Errorf("joined error wraps %d errors, want 8", len(joined.Unwrap()))
 	}
 }
 

@@ -28,9 +28,10 @@ import (
 // CPU; 1 reproduces a serial run exactly. Scenarios run verbatim — each
 // report is identical to what Scenario.Run would have produced — so
 // results never depend on the worker count. Per-scenario errors name
-// the failing cell (topology/pattern/scheduler/engine) and are collected
-// with errors.Join; the surviving reports are still returned (failed
-// slots stay nil).
+// the failing scenario by its index in the list and its cell
+// (topology/pattern/scheduler/engine), since cells that differ only in
+// load share the latter, and are collected with errors.Join; the
+// surviving reports are still returned (failed slots stay nil).
 func RunAll(scenarios []Scenario, workers int) ([]*Report, error) {
 	return RunAllContext(context.Background(), scenarios, workers)
 }
@@ -44,7 +45,7 @@ func RunAllContext(ctx context.Context, scenarios []Scenario, workers int) ([]*R
 	err := parallel.ForEachContext(ctx, workers, len(scenarios), func(i int) error {
 		rep, err := scenarios[i].RunContext(ctx)
 		if err != nil {
-			return fmt.Errorf("%s: %w", strings.Join(scenarios[i].cell(), "/"), err)
+			return fmt.Errorf("scenario %d %s: %w", i, strings.Join(scenarios[i].cell(), "/"), err)
 		}
 		reports[i] = rep
 		return nil
