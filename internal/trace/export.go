@@ -92,6 +92,11 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			}
 			sawMeta = true
 			tr.Meta = *line.Meta
+			if len(tr.Meta.Links) == 0 {
+				// WriteJSONL omits an empty link list, which reads back
+				// as nil; "links":[] must read the same.
+				tr.Meta.Links = nil
+			}
 		case line.Event != nil:
 			we := line.Event
 			k, ok := ParseKind(we.Kind)
