@@ -92,9 +92,9 @@ type Conn struct {
 	rtoTimer          simnet.Timer
 	rtoArmed          bool
 
-	// Receiver state. received holds only out-of-order segments.
-	received map[int]bool
-	rcvNext  int
+	// Receiver state. ooo holds only out-of-order segments.
+	ooo     segWindow
+	rcvNext int
 	// ackRoute is the reverse of ackFor, the data route it was last
 	// built from; consecutive segments on one route share it.
 	ackFor, ackRoute []topology.LinkID
@@ -133,6 +133,9 @@ func NewConn(net *simnet.Net, id int, route []topology.LinkID, sizeBits float64,
 	if sizeBits <= 0 {
 		return nil, fmt.Errorf("tcp: non-positive transfer size %g", sizeBits)
 	}
+	if id < 0 {
+		return nil, fmt.Errorf("tcp: negative flow ID %d", id)
+	}
 	opts.applyDefaults()
 	c := &Conn{
 		net:      net,
@@ -145,7 +148,6 @@ func NewConn(net *simnet.Net, id int, route []topology.LinkID, sizeBits float64,
 		cwnd:     opts.InitialCwnd,
 		ssthresh: opts.InitialSsthresh,
 		rto:      0.2,
-		received: make(map[int]bool),
 		onDone:   onDone,
 	}
 	c.totalSegs = int(math.Ceil(sizeBits / c.mssBits))
@@ -268,12 +270,11 @@ func (c *Conn) onData(p *simnet.Packet) {
 	switch {
 	case p.Seq == c.rcvNext:
 		c.rcvNext++
-		for c.received[c.rcvNext] {
-			delete(c.received, c.rcvNext)
+		for c.ooo.take(c.rcvNext) {
 			c.rcvNext++
 		}
 	case p.Seq > c.rcvNext:
-		c.received[p.Seq] = true
+		c.ooo.add(c.rcvNext, p.Seq)
 	}
 	// ACK travels the reverse of the data packet's actual route. Routes
 	// are never modified once built, so a segment on the same backing
@@ -443,29 +444,89 @@ func (c *Conn) State() State {
 	}
 }
 
+// segWindow is the receiver's set of out-of-order segments: a bitmap
+// ring over the segments above the cumulative pointer next, where bit
+// seq mod span marks segment seq. Every mark lies in (next, next+span),
+// so no two marked segments share a bit, and take clears a mark as next
+// passes it. The ring doubles when a segment lands past its span; a
+// warm receiver allocates nothing.
+type segWindow struct {
+	words []uint64 // span = 64*len(words), a power of two
+}
+
+// minSegWords is the ring's first size: 128 segments.
+const minSegWords = 2
+
+// add marks seq, which lies above next.
+func (w *segWindow) add(next, seq int) {
+	if seq-next >= 64*len(w.words) {
+		w.grow(next, seq)
+	}
+	i := seq & (64*len(w.words) - 1)
+	w.words[i>>6] |= 1 << (i & 63)
+}
+
+// take clears seq's mark and reports whether it was set.
+func (w *segWindow) take(seq int) bool {
+	if len(w.words) == 0 {
+		return false
+	}
+	i := seq & (64*len(w.words) - 1)
+	bit := uint64(1) << (i & 63)
+	if w.words[i>>6]&bit == 0 {
+		return false
+	}
+	w.words[i>>6] &^= bit
+	return true
+}
+
+// grow doubles the ring until seq fits above next and moves every
+// mark to its place in the larger ring.
+func (w *segWindow) grow(next, seq int) {
+	n := max(len(w.words), minSegWords)
+	for seq-next >= 64*n {
+		n *= 2
+	}
+	old := segWindow{w.words}
+	w.words = make([]uint64, n)
+	for s := next + 1; s < next+64*len(old.words); s++ {
+		if old.take(s) {
+			i := s & (64*n - 1)
+			w.words[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
 // Dispatcher routes delivered packets to their connections; install its
-// Deliver method as the simnet deliver callback.
+// Deliver method as the simnet deliver callback. Connections sit in a
+// slice indexed by flow ID, which the workload keeps dense from 0.
 type Dispatcher struct {
-	conns map[int]*Conn
+	conns []*Conn // nil where no connection is registered
 }
 
 // NewDispatcher creates an empty dispatcher.
-func NewDispatcher() *Dispatcher {
-	return &Dispatcher{conns: make(map[int]*Conn)}
-}
+func NewDispatcher() *Dispatcher { return &Dispatcher{} }
 
 // Register adds a connection.
-func (d *Dispatcher) Register(c *Conn) { d.conns[c.id] = c }
+func (d *Dispatcher) Register(c *Conn) {
+	if c.id >= len(d.conns) {
+		d.conns = append(d.conns, make([]*Conn, c.id+1-len(d.conns))...)
+	}
+	d.conns[c.id] = c
+}
 
-// Deliver implements the simnet callback.
+// Deliver implements the simnet callback. Packets of unregistered flows
+// are dropped.
 func (d *Dispatcher) Deliver(p *simnet.Packet) {
-	if c, ok := d.conns[p.FlowID]; ok {
+	if c, ok := d.Conn(p.FlowID); ok {
 		c.Deliver(p)
 	}
 }
 
 // Conn returns a registered connection.
 func (d *Dispatcher) Conn(id int) (*Conn, bool) {
-	c, ok := d.conns[id]
-	return c, ok
+	if id < 0 || id >= len(d.conns) || d.conns[id] == nil {
+		return nil, false
+	}
+	return d.conns[id], true
 }

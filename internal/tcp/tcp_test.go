@@ -274,6 +274,18 @@ func TestDispatcher(t *testing.T) {
 	}
 	// Unknown flow IDs are dropped silently.
 	d.Deliver(&simnet.Packet{FlowID: 42})
+	d.Deliver(&simnet.Packet{FlowID: -1})
+
+	r := newRig(t, 0)
+	c := r.transfer(t, 3, 0, 8, 0, 1<<10)
+	for id, want := range map[int]bool{-1: false, 0: false, 2: false, 3: true, 4: false} {
+		if got, ok := r.d.Conn(id); ok != want || (ok && got != c) {
+			t.Errorf("Conn(%d) = %v, %v; want registered=%v", id, got, ok, want)
+		}
+	}
+	if _, err := NewConn(r.n, -1, c.Route(), 8, Options{}, nil); err == nil {
+		t.Error("NewConn accepted a negative flow ID")
+	}
 }
 
 // TestPacketForwardingSteadyStateAllocs is the alloc gate for the packet
