@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dard/internal/topology"
 	"dard/internal/workload"
 )
 
@@ -41,20 +42,49 @@ func TestBuildRouteAllocs(t *testing.T) {
 }
 
 // TestRecomputeSteadyStateAllocs is the alloc gate for the max-min
-// recompute: once a p=4 run is warm, refilling the components dirtied by
-// a detach, an attach and a link failure and repair must not allocate.
-// Every arrival, completion, path switch and link event ends in one of
-// these recomputes.
+// recompute: once a run is warm, refilling what a detach, an attach and
+// a link failure and repair dirtied must not allocate. Every arrival,
+// completion, path switch and link event ends in one of these
+// recomputes. On a crowded p=4 tree those changes taint more than the
+// differential fill takes on, so the component fill runs; on a p=8
+// tree the differential fill does.
 func TestRecomputeSteadyStateAllocs(t *testing.T) {
-	ft := testFatTree(t)
+	for _, c := range []struct {
+		p, flows int
+		diff     bool // the differential fill, not the fallback, runs
+	}{{4, 32, false}, {8, 200, true}} {
+		ft, err := topology.NewFatTree(topology.FatTreeConfig{P: c.p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs, diff, full := recomputeAllocs(t, ft, c.flows)
+		if allocs != 0 {
+			t.Fatalf("p=%d: warm recomputes allocate %.1f times per round, want 0", c.p, allocs)
+		}
+		want := "fallback"
+		if c.diff {
+			want = "differential fill"
+		}
+		if (diff > 0) != c.diff || (full > 0) == c.diff {
+			t.Fatalf("p=%d: %d differential and %d fallback fills; want only the %s", c.p, diff, full, want)
+		}
+	}
+}
+
+// recomputeAllocs warms a run of nFlows random flows on ft, then
+// measures the allocations of one round of detach, attach, link failure
+// and repair, each followed by a recompute. It returns them with the
+// round's differential and fallback fill counts.
+func recomputeAllocs(t *testing.T, ft *topology.FatTree, nFlows int) (allocs float64, diff, full int64) {
+	t.Helper()
 	g := ft.Graph()
 	rng := rand.New(rand.NewSource(3))
-	flows := randomFlows(rng, 32, len(ft.Hosts()), 4e9)
+	flows := randomFlows(rng, nFlows, len(ft.Hosts()), 4e9)
 	s, err := New(Config{Net: ft, Controller: &batchController{interval: 0.2, batch: 2}, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PauseAfter(40)
+	s.PauseAfter(int64(nFlows) + 8)
 	if _, err := s.Run(); err != ErrPaused {
 		t.Fatalf("Run = %v, want ErrPaused", err)
 	}
@@ -72,7 +102,8 @@ func TestRecomputeSteadyStateAllocs(t *testing.T) {
 	if !g.IsSwitchLink(fabric) {
 		t.Fatalf("link %d of flow %d is not a switch link", fabric, f.ID)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	diff, full = s.diffFills, s.fullFills
+	allocs = testing.AllocsPerRun(100, func() {
 		s.detachLinks(f)
 		s.recomputeRates()
 		s.attachLinks(f)
@@ -82,7 +113,5 @@ func TestRecomputeSteadyStateAllocs(t *testing.T) {
 		s.SetLinkDown(fabric, false)
 		s.recomputeRates()
 	})
-	if allocs != 0 {
-		t.Fatalf("warm recomputes allocate %.1f times per round, want 0", allocs)
-	}
+	return allocs, s.diffFills - diff, s.fullFills - full
 }

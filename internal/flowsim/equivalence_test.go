@@ -185,9 +185,10 @@ func (c *batchController) InitialPath(h sched.Host, f sched.Flow) int {
 	return h.Rand().Intn(h.(*Sim).PathSet(f.SrcToR, f.DstToR).Len())
 }
 
-// TestBatchReferenceEquivalence pins the component-scoped recompute at
-// the engine level: on a workload whose batched path switches force
-// multi-component recomputes, the incremental engine must reproduce the
+// TestBatchReferenceEquivalence pins the incremental recompute at the
+// engine level: on a workload whose batched path switches dirty many
+// flows at once, and which runs both the differential fill and its
+// component-fill fallback, the incremental engine must reproduce the
 // reference scheduler's results AND its mid-run per-flow rate
 // allocations to the exact Float64bits.
 func TestBatchReferenceEquivalence(t *testing.T) {
@@ -204,7 +205,7 @@ func TestBatchReferenceEquivalence(t *testing.T) {
 	// collect runs the scenario and records, at fixed checkpoints, the
 	// Float64bits of every flow's current rate (inactive flows as a
 	// sentinel), flow-ID major.
-	collect := func(reference bool) (*Results, []uint64, int64) {
+	collect := func(reference bool) (*Results, []uint64, *Sim) {
 		cfg := Config{
 			Net:         ft,
 			Controller:  &batchController{interval: 0.15, batch: 6},
@@ -237,12 +238,13 @@ func TestBatchReferenceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rates, s.multiComps
+		return res, rates, s
 	}
 
-	res, rates, multiComps := collect(false)
-	if multiComps == 0 {
-		t.Fatal("scenario produced no multi-component recomputes; the partition is untested")
+	res, rates, s := collect(false)
+	t.Logf("DBG diff=%d full=%d", s.diffFills, s.fullFills)
+	if s.diffFills == 0 || s.fullFills == 0 {
+		t.Fatalf("%d differential and %d fallback fills; the scenario must run both", s.diffFills, s.fullFills)
 	}
 	refRes, refRates, _ := collect(true)
 	diffResults(t, res, refRes)
