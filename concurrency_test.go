@@ -6,7 +6,7 @@ import (
 )
 
 // The concurrent runner's safety premise: a pre-built *Topology (graph,
-// addressing plan, workload layout, path cache) is safe to share across
+// addressing plan, workload layout, path sets) is safe to share across
 // scenarios running on different goroutines. Run these with -race.
 
 // TestSharedTopologyConcurrentScenarios runs every scheduler under every

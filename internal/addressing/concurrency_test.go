@@ -37,8 +37,8 @@ func TestPlanConcurrentReads(t *testing.T) {
 					return
 				}
 				if src != dst {
-					paths := ft.Paths(ft.ToROf(src), ft.ToROf(dst))
-					if _, _, err := plan.PathAddresses(src, dst, paths[(w+i)%len(paths)]); err != nil {
+					ps := ft.PathSet(ft.ToROf(src), ft.ToROf(dst))
+					if _, _, err := plan.PathAddresses(src, dst, ps, (w+i)%ps.Len()); err != nil {
 						t.Error(err)
 						return
 					}

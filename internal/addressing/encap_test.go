@@ -87,10 +87,10 @@ func TestDecapsulateErrors(t *testing.T) {
 func TestEncapSelectsPath(t *testing.T) {
 	ft, plan := buildFatTree(t, 4)
 	src, dst := ft.Hosts()[0], ft.Hosts()[8]
-	paths := ft.Paths(ft.ToROf(src), ft.ToROf(dst))
+	ps := ft.PathSet(ft.ToROf(src), ft.ToROf(dst))
 	seen := make(map[string]bool)
-	for _, path := range paths {
-		sa, da, err := plan.PathAddresses(src, dst, path)
+	for i := 0; i < ps.Len(); i++ {
+		sa, da, err := plan.PathAddresses(src, dst, ps, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestEncapSelectsPath(t *testing.T) {
 			key += string(rune(l)) + ","
 		}
 		if seen[key] {
-			t.Errorf("two outer address pairs routed the same way (path %s)", path.Via)
+			t.Errorf("two outer address pairs routed the same way (path %s)", ps.Via(i))
 		}
 		seen[key] = true
 	}
-	if len(seen) != len(paths) {
-		t.Errorf("encapsulation reached %d distinct routes, want %d", len(seen), len(paths))
+	if len(seen) != ps.Len() {
+		t.Errorf("encapsulation reached %d distinct routes, want %d", len(seen), ps.Len())
 	}
 }

@@ -164,16 +164,17 @@ func (p *Plan) AddressesOf(host topology.NodeID) []Address {
 }
 
 // PathAddresses returns the (source, destination) address pair that
-// encodes the given ToR-to-ToR path for a flow from srcHost to dstHost:
-// the source address whose allocation chain climbs exactly the path's
-// uphill segment, and the destination address whose chain descends exactly
-// the downhill segment (§2.3).
-func (p *Plan) PathAddresses(srcHost, dstHost topology.NodeID, path topology.Path) (src, dst Address, err error) {
+// encodes path i of ps, the ToR-to-ToR path set of a flow from srcHost to
+// dstHost: the source address whose allocation chain climbs exactly the
+// path's uphill segment, and the destination address whose chain
+// descends exactly the downhill segment (§2.3).
+func (p *Plan) PathAddresses(srcHost, dstHost topology.NodeID, ps topology.PathSet, i int) (src, dst Address, err error) {
 	g := p.net.Graph()
 	srcToR := p.net.ToROf(srcHost)
 	dstToR := p.net.ToROf(dstHost)
+	links := ps.AppendLinks(i, nil)
 
-	if len(path.Links) == 0 {
+	if len(links) == 0 {
 		// Same-ToR: any tree works as long as both pick the same chain
 		// through the shared ToR; use each host's first assignment.
 		sa, da := p.addrs[srcHost], p.addrs[dstHost]
@@ -185,7 +186,7 @@ func (p *Plan) PathAddresses(srcHost, dstHost topology.NodeID, path topology.Pat
 
 	// Split the path at its apex (the root switch).
 	apex := -1
-	for i, l := range path.Links {
+	for i, l := range links {
 		if g.Node(g.Link(l).To).Kind == topology.Core {
 			apex = i
 			break
@@ -198,30 +199,30 @@ func (p *Plan) PathAddresses(srcHost, dstHost topology.NodeID, path topology.Pat
 		// source assignment whose chain passes through (aggr, srcToR)
 		// and a destination assignment through (aggr, dstToR) with the
 		// same root.
-		aggr := g.Link(path.Links[0]).To
+		aggr := g.Link(links[0]).To
 		return p.matchViaAggr(srcHost, dstHost, aggr, srcToR, dstToR)
 	}
-	root := g.Link(path.Links[apex]).To
+	root := g.Link(links[apex]).To
 	// Uphill chain: root, then the nodes walked upward reversed.
 	upChain = append(upChain, root)
 	for i := apex; i >= 0; i-- {
-		upChain = append(upChain, g.Link(path.Links[i]).From)
+		upChain = append(upChain, g.Link(links[i]).From)
 	}
 	upChain = append(upChain, srcHost)
 	// Downhill chain: root, then nodes walked downward.
 	downChain = append(downChain, root)
-	for i := apex + 1; i < len(path.Links); i++ {
-		downChain = append(downChain, g.Link(path.Links[i]).To)
+	for i := apex + 1; i < len(links); i++ {
+		downChain = append(downChain, g.Link(links[i]).To)
 	}
 	downChain = append(downChain, dstHost)
 
 	srcAsg, ok := p.findByChain(srcHost, upChain)
 	if !ok {
-		return src, dst, fmt.Errorf("no source address for chain %v on path %q", upChain, path.Via)
+		return src, dst, fmt.Errorf("no source address for chain %v on path %q", upChain, ps.Via(i))
 	}
 	dstAsg, ok := p.findByChain(dstHost, downChain)
 	if !ok {
-		return src, dst, fmt.Errorf("no destination address for chain %v on path %q", downChain, path.Via)
+		return src, dst, fmt.Errorf("no destination address for chain %v on path %q", downChain, ps.Via(i))
 	}
 	return srcAsg.Addr(), dstAsg.Addr(), nil
 }

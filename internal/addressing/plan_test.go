@@ -151,29 +151,30 @@ func TestRoutingFollowsEncodedPath(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			paths := ft.Paths(ft.ToROf(src), ft.ToROf(dst))
-			for _, path := range paths {
-				sa, da, err := plan.PathAddresses(src, dst, path)
+			ps := ft.PathSet(ft.ToROf(src), ft.ToROf(dst))
+			for p := 0; p < ps.Len(); p++ {
+				via, path := ps.Via(p), ps.AppendLinks(p, nil)
+				sa, da, err := plan.PathAddresses(src, dst, ps, p)
 				if err != nil {
-					t.Fatalf("%s->%s via %s: %v", g.Node(src).Name, g.Node(dst).Name, path.Via, err)
+					t.Fatalf("%s->%s via %s: %v", g.Node(src).Name, g.Node(dst).Name, via, err)
 				}
 				links, err := plan.Route(src, dst, sa, da)
 				if err != nil {
 					t.Fatalf("route %s->%s via %s (%v->%v): %v",
-						g.Node(src).Name, g.Node(dst).Name, path.Via, sa, da, err)
+						g.Node(src).Name, g.Node(dst).Name, via, sa, da, err)
 				}
-				want := make([]topology.LinkID, 0, len(path.Links)+2)
+				want := make([]topology.LinkID, 0, len(path)+2)
 				want = append(want, ft.HostUplink(src))
-				want = append(want, path.Links...)
+				want = append(want, path...)
 				want = append(want, ft.HostDownlink(dst))
 				if len(links) != len(want) {
 					t.Fatalf("route %s->%s via %s: got %d links, want %d",
-						g.Node(src).Name, g.Node(dst).Name, path.Via, len(links), len(want))
+						g.Node(src).Name, g.Node(dst).Name, via, len(links), len(want))
 				}
 				for i := range want {
 					if links[i] != want[i] {
 						t.Fatalf("route %s->%s via %s diverges at hop %d",
-							g.Node(src).Name, g.Node(dst).Name, path.Via, i)
+							g.Node(src).Name, g.Node(dst).Name, via, i)
 					}
 				}
 			}
@@ -201,25 +202,26 @@ func TestRoutingOnClos(t *testing.T) {
 	}
 	src := hosts[0]
 	dst := hosts[len(hosts)-1]
-	paths := cl.Paths(cl.ToROf(src), cl.ToROf(dst))
-	if len(paths) != 16 {
-		t.Fatalf("paths = %d, want 16", len(paths))
+	ps := cl.PathSet(cl.ToROf(src), cl.ToROf(dst))
+	if ps.Len() != 16 {
+		t.Fatalf("paths = %d, want 16", ps.Len())
 	}
-	for _, path := range paths {
-		sa, da, err := plan.PathAddresses(src, dst, path)
+	for p := 0; p < ps.Len(); p++ {
+		via, path := ps.Via(p), ps.AppendLinks(p, nil)
+		sa, da, err := plan.PathAddresses(src, dst, ps, p)
 		if err != nil {
-			t.Fatalf("path %s: %v", path.Via, err)
+			t.Fatalf("path %s: %v", via, err)
 		}
 		links, err := plan.Route(src, dst, sa, da)
 		if err != nil {
-			t.Fatalf("route via %s: %v", path.Via, err)
+			t.Fatalf("route via %s: %v", via, err)
 		}
-		if len(links) != len(path.Links)+2 {
-			t.Fatalf("route via %s: %d links, want %d", path.Via, len(links), len(path.Links)+2)
+		if len(links) != len(path)+2 {
+			t.Fatalf("route via %s: %d links, want %d", via, len(links), len(path)+2)
 		}
-		for i, l := range path.Links {
+		for i, l := range path {
 			if links[i+1] != l {
-				t.Fatalf("route via %s diverges at hop %d", path.Via, i+1)
+				t.Fatalf("route via %s diverges at hop %d", via, i+1)
 			}
 		}
 	}
@@ -231,8 +233,7 @@ func TestSameToRRouting(t *testing.T) {
 	if ft.ToROf(src) != ft.ToROf(dst) {
 		t.Fatal("expected same-ToR host pair")
 	}
-	path := ft.Paths(ft.ToROf(src), ft.ToROf(dst))[0]
-	sa, da, err := plan.PathAddresses(src, dst, path)
+	sa, da, err := plan.PathAddresses(src, dst, ft.PathSet(ft.ToROf(src), ft.ToROf(dst)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +287,15 @@ func TestPlanOnThreeTier(t *testing.T) {
 		t.Fatalf("three-tier host addresses = %d, want 16", got)
 	}
 	src, dst := hosts[0], hosts[len(hosts)-1]
-	paths := tt.Paths(tt.ToROf(src), tt.ToROf(dst))
-	for _, path := range paths[:8] {
-		sa, da, err := plan.PathAddresses(src, dst, path)
+	ps := tt.PathSet(tt.ToROf(src), tt.ToROf(dst))
+	for p := 0; p < 8; p++ {
+		via := ps.Via(p)
+		sa, da, err := plan.PathAddresses(src, dst, ps, p)
 		if err != nil {
-			t.Fatalf("path %s: %v", path.Via, err)
+			t.Fatalf("path %s: %v", via, err)
 		}
 		if _, err := plan.Route(src, dst, sa, da); err != nil {
-			t.Fatalf("route via %s: %v", path.Via, err)
+			t.Fatalf("route via %s: %v", via, err)
 		}
 	}
 }
@@ -325,8 +327,8 @@ func ExamplePlan_pathAddresses() {
 	ft, _ := topology.NewFatTree(topology.FatTreeConfig{P: 4})
 	plan, _ := Build(ft)
 	src, dst := ft.Hosts()[0], ft.Hosts()[8] // different pods
-	path := ft.Paths(ft.ToROf(src), ft.ToROf(dst))[0]
-	sa, da, _ := plan.PathAddresses(src, dst, path)
-	fmt.Println(path.Via, sa, da)
+	ps := ft.PathSet(ft.ToROf(src), ft.ToROf(dst))
+	sa, da, _ := plan.PathAddresses(src, dst, ps, 0)
+	fmt.Println(ps.Via(0), sa, da)
 	// Output: core1 (1,1,1,1) (1,3,1,1)
 }

@@ -19,7 +19,7 @@ import (
 func TestDARDRoutesAroundFailure(t *testing.T) {
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 4e9, Arrival: 0}}
-	path := ft.Paths(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))[0]
+	path := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8])).AppendLinks(0, nil)
 	ctl := New(Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5})
 	s, err := flowsim.New(flowsim.Config{
 		Net:         ft,
@@ -27,7 +27,7 @@ func TestDARDRoutesAroundFailure(t *testing.T) {
 		Flows:       flows,
 		Seed:        1,
 		ElephantAge: 0.25,
-		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},
 		MaxTime:     30,
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func lossyRun(t *testing.T, f ctlmsg.Faults) *flowsim.Results {
 	t.Helper()
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 4e9, Arrival: 0}}
-	path := ft.Paths(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))[0]
+	path := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8])).AppendLinks(0, nil)
 	ctl := New(Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Faults: f})
 	s, err := flowsim.New(flowsim.Config{
 		Net:         ft,
@@ -67,7 +67,7 @@ func lossyRun(t *testing.T, f ctlmsg.Faults) *flowsim.Results {
 		Flows:       flows,
 		Seed:        1,
 		ElephantAge: 0.25,
-		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},
 		MaxTime:     60,
 	})
 	if err != nil {

@@ -32,8 +32,7 @@ func snapshotConfig(t *testing.T, ft *topology.FatTree, faults ctlmsg.Faults) fl
 		t.Fatal(err)
 	}
 	g := ft.Graph()
-	path := ft.Paths(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))[0]
-	l := path.Links[1]
+	l := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8])).AppendLinks(0, nil)[1]
 	return flowsim.Config{
 		Net:         ft,
 		Controller:  New(Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Faults: faults}),

@@ -12,12 +12,12 @@ func TestLinkFailureStrandsStaticFlow(t *testing.T) {
 	ft := testFatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 4e9, Arrival: 0}}
 	// Fail the first fabric link of path 0 at t=1 (3 Gb still unsent).
-	path := ft.Paths(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))[0]
+	path := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8])).AppendLinks(0, nil)
 	s, err := New(Config{
 		Net:        ft,
 		Controller: &staticController{},
 		Flows:      flows,
-		LinkEvents: []topology.LinkEvent{{At: 1, Link: path.Links[1], Down: true}},
+		LinkEvents: []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},
 		MaxTime:    30,
 	})
 	if err != nil {
@@ -35,14 +35,14 @@ func TestLinkFailureStrandsStaticFlow(t *testing.T) {
 func TestLinkRepairResumesFlow(t *testing.T) {
 	ft := testFatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 4e9, Arrival: 0}}
-	path := ft.Paths(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8]))[0]
+	path := ft.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[8])).AppendLinks(0, nil)
 	s, err := New(Config{
 		Net:        ft,
 		Controller: &staticController{},
 		Flows:      flows,
 		LinkEvents: []topology.LinkEvent{
-			{At: 1, Link: path.Links[1], Down: true},
-			{At: 3, Link: path.Links[1], Down: false},
+			{At: 1, Link: path[1], Down: true},
+			{At: 3, Link: path[1], Down: false},
 		},
 		MaxTime: 60,
 	})

@@ -15,7 +15,7 @@ import (
 // their flows on.
 func failedLink(ft *topology.FatTree) topology.LinkID {
 	hs := ft.Hosts()
-	return ft.Paths(ft.ToROf(hs[0]), ft.ToROf(hs[4]))[0].Links[1]
+	return ft.PathSet(ft.ToROf(hs[0]), ft.ToROf(hs[4])).AppendLinks(0, nil)[1]
 }
 
 // TestDARDPacketLevelRoutesAroundFailure is the packet-engine half of

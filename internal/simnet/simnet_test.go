@@ -180,9 +180,8 @@ func buildNet(t *testing.T, deliver func(*Packet)) (*Net, *topology.FatTree) {
 func hostRoute(ft *topology.FatTree, src, dst int, pathIdx int) []topology.LinkID {
 	hs := ft.Hosts()
 	s, d := hs[src], hs[dst]
-	p := ft.Paths(ft.ToROf(s), ft.ToROf(d))[pathIdx]
 	route := []topology.LinkID{ft.HostUplink(s)}
-	route = append(route, p.Links...)
+	route = ft.PathSet(ft.ToROf(s), ft.ToROf(d)).AppendLinks(pathIdx, route)
 	route = append(route, ft.HostDownlink(d))
 	return route
 }

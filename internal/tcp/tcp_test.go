@@ -32,9 +32,8 @@ func newRig(t *testing.T, bufferPackets int) *rig {
 func (r *rig) route(src, dst, pathIdx int) []topology.LinkID {
 	hs := r.ft.Hosts()
 	s, d := hs[src], hs[dst]
-	p := r.ft.Paths(r.ft.ToROf(s), r.ft.ToROf(d))[pathIdx]
 	route := []topology.LinkID{r.ft.HostUplink(s)}
-	route = append(route, p.Links...)
+	route = r.ft.PathSet(r.ft.ToROf(s), r.ft.ToROf(d)).AppendLinks(pathIdx, route)
 	route = append(route, r.ft.HostDownlink(d))
 	return route
 }

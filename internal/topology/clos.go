@@ -225,46 +225,39 @@ func (cl *Clos) pathVia(src, dst NodeID, i int) string {
 		g.Node(cl.aggrs[2*dn.Pod+k]).Name)
 }
 
-// Paths implements Network. Cross-pair paths are labeled
-// "aggrU>intI>aggrD"; intra-pair paths by the shared aggregation switch.
-func (cl *Clos) Paths(srcToR, dstToR NodeID) []Path {
-	return cl.cache.get(srcToR, dstToR, func() []Path {
-		return cl.buildPaths(srcToR, dstToR)
-	})
-}
-
-func (cl *Clos) buildPaths(srcToR, dstToR NodeID) []Path {
+// buildPaths enumerates the paths from srcToR to dstToR by walking the
+// graph, independently of the index tables PathSet decodes: the link
+// sequences and their Via labels, in PathSet order. Cross-pair paths are
+// labeled "aggrU>intI>aggrD"; intra-pair paths by the shared aggregation
+// switch. It is the oracle pathset_test.go checks PathSet against.
+func (cl *Clos) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
 	if srcToR == dstToR {
-		return []Path{{Via: "direct"}}
+		return [][]LinkID{nil}, []string{"direct"}
 	}
 	g := cl.g
 	srcPair := cl.AggrPairOf(srcToR)
 	dstPair := cl.AggrPairOf(dstToR)
+	var links [][]LinkID
+	var vias []string
 	if g.Node(srcToR).Pod == g.Node(dstToR).Pod {
-		paths := make([]Path, 0, 2)
 		for _, aggr := range srcPair {
-			paths = append(paths, Path{
-				Links: []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)},
-				Via:   g.Node(aggr).Name,
-			})
+			links = append(links, []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)})
+			vias = append(vias, g.Node(aggr).Name)
 		}
-		return paths
+		return links, vias
 	}
-	paths := make([]Path, 0, 4*cl.cfg.DI)
 	for _, up := range srcPair {
 		for _, mid := range cl.intermediates {
 			for _, down := range dstPair {
-				paths = append(paths, Path{
-					Links: []LinkID{
-						mustLink(g, srcToR, up),
-						mustLink(g, up, mid),
-						mustLink(g, mid, down),
-						mustLink(g, down, dstToR),
-					},
-					Via: joinVia(g.Node(up).Name, g.Node(mid).Name, g.Node(down).Name),
+				links = append(links, []LinkID{
+					mustLink(g, srcToR, up),
+					mustLink(g, up, mid),
+					mustLink(g, mid, down),
+					mustLink(g, down, dstToR),
 				})
+				vias = append(vias, joinVia(g.Node(up).Name, g.Node(mid).Name, g.Node(down).Name))
 			}
 		}
 	}
-	return paths
+	return links, vias
 }

@@ -37,7 +37,7 @@ func TestClosDimensions(t *testing.T) {
 			if g.Node(src).Pod == g.Node(dst).Pod {
 				t.Fatal("test expects first and last ToR in different pods")
 			}
-			if got := len(cl.Paths(src, dst)); got != tc.interPaths {
+			if got := cl.PathSet(src, dst).Len(); got != tc.interPaths {
 				t.Errorf("cross-pair paths = %d, want %d (4*DI)", got, tc.interPaths)
 			}
 		})
@@ -61,23 +61,24 @@ func TestClosPathStructure(t *testing.T) {
 	if dst < 0 {
 		t.Fatal("no cross-pair ToR found")
 	}
-	paths := cl.Paths(src, dst)
+	ps := cl.PathSet(src, dst)
 	labels := make(map[string]bool)
-	for _, p := range paths {
-		if labels[p.Via] {
-			t.Errorf("duplicate path label %q", p.Via)
+	for i := 0; i < ps.Len(); i++ {
+		via, links := ps.Via(i), ps.AppendLinks(i, nil)
+		if labels[via] {
+			t.Errorf("duplicate path label %q", via)
 		}
-		labels[p.Via] = true
-		if len(p.Links) != 4 {
-			t.Fatalf("cross-pair path has %d links, want 4", len(p.Links))
+		labels[via] = true
+		if len(links) != 4 {
+			t.Fatalf("cross-pair path has %d links, want 4", len(links))
 		}
-		for i := 1; i < len(p.Links); i++ {
-			if g.Link(p.Links[i]).From != g.Link(p.Links[i-1]).To {
-				t.Errorf("path %q disconnected at hop %d", p.Via, i)
+		for i := 1; i < len(links); i++ {
+			if g.Link(links[i]).From != g.Link(links[i-1]).To {
+				t.Errorf("path %q disconnected at hop %d", via, i)
 			}
 		}
-		if g.Link(p.Links[0]).From != src || g.Link(p.Links[3]).To != dst {
-			t.Errorf("path %q has wrong endpoints", p.Via)
+		if g.Link(links[0]).From != src || g.Link(links[3]).To != dst {
+			t.Errorf("path %q has wrong endpoints", via)
 		}
 	}
 
@@ -110,13 +111,13 @@ func TestClosIntraPairPaths(t *testing.T) {
 	if g.Node(src).Pod != g.Node(dst).Pod {
 		t.Fatal("expected same-pair ToRs")
 	}
-	paths := cl.Paths(src, dst)
-	if len(paths) != 2 {
-		t.Fatalf("intra-pair paths = %d, want 2", len(paths))
+	ps := cl.PathSet(src, dst)
+	if ps.Len() != 2 {
+		t.Fatalf("intra-pair paths = %d, want 2", ps.Len())
 	}
-	for _, p := range paths {
-		if len(p.Links) != 2 {
-			t.Errorf("intra-pair path %q has %d links, want 2", p.Via, len(p.Links))
+	for i := 0; i < ps.Len(); i++ {
+		if links := ps.AppendLinks(i, nil); len(links) != 2 {
+			t.Errorf("intra-pair path %q has %d links, want 2", ps.Via(i), len(links))
 		}
 	}
 	pair := cl.AggrPairOf(src)

@@ -215,13 +215,6 @@ func (dc *DCell) PathSet(src, dst NodeID) PathSet {
 	return dc.sr.pathSet(src, dst)
 }
 
-// Paths implements Network.
-func (dc *DCell) Paths(src, dst NodeID) []Path {
-	return dc.cache.get(src, dst, func() []Path {
-		return materializePaths(dc.PathSet(src, dst))
-	})
-}
-
 // buildPathSet enumerates one pair's paths in pinned order; src and dst
 // are distinct servers. Same DCell_0: the single mini-switch path,
 // labeled by the switch. Lowest common level L >= 1 with src in subcell

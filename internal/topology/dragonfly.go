@@ -151,13 +151,6 @@ func (df *Dragonfly) PathSet(src, dst NodeID) PathSet {
 	return df.sr.pathSet(src, dst)
 }
 
-// Paths implements Network.
-func (df *Dragonfly) Paths(src, dst NodeID) []Path {
-	return df.cache.get(src, dst, func() []Path {
-		return materializePaths(df.PathSet(src, dst))
-	})
-}
-
 // buildPathSet enumerates one pair's paths in pinned order; src and dst
 // are distinct routers.
 //

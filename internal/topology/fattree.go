@@ -227,48 +227,41 @@ func (ft *FatTree) pathVia(src, dst NodeID, i int) string {
 	return ft.g.Node(ft.cores[i]).Name
 }
 
-// Paths implements Network. Inter-pod paths are labeled by core switch
-// ("core1".."coreN" as in the paper's Figure 1); intra-pod paths by
-// aggregation switch.
-func (ft *FatTree) Paths(srcToR, dstToR NodeID) []Path {
-	return ft.cache.get(srcToR, dstToR, func() []Path {
-		return ft.buildPaths(srcToR, dstToR)
-	})
-}
-
-func (ft *FatTree) buildPaths(srcToR, dstToR NodeID) []Path {
+// buildPaths enumerates the paths from srcToR to dstToR by walking the
+// graph, independently of the index tables PathSet decodes: the link
+// sequences and their Via labels, in PathSet order. Inter-pod paths are
+// labeled by core switch ("core1".."coreN" as in the paper's Figure 1);
+// intra-pod paths by aggregation switch. It is the oracle
+// pathset_test.go checks PathSet against.
+func (ft *FatTree) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
 	if srcToR == dstToR {
-		return []Path{{Via: "direct"}}
+		return [][]LinkID{nil}, []string{"direct"}
 	}
 	g := ft.g
 	half := ft.cfg.P / 2
 	srcPod := g.Node(srcToR).Pod
 	dstPod := g.Node(dstToR).Pod
+	var links [][]LinkID
+	var vias []string
 	if srcPod == dstPod {
-		paths := make([]Path, 0, half)
 		for a := 0; a < half; a++ {
 			aggr := ft.aggrs[srcPod][a]
-			paths = append(paths, Path{
-				Links: []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)},
-				Via:   g.Node(aggr).Name,
-			})
+			links = append(links, []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)})
+			vias = append(vias, g.Node(aggr).Name)
 		}
-		return paths
+		return links, vias
 	}
-	paths := make([]Path, 0, half*half)
 	for c, core := range ft.cores {
 		group := c / half
 		up := ft.aggrs[srcPod][group]
 		down := ft.aggrs[dstPod][group]
-		paths = append(paths, Path{
-			Links: []LinkID{
-				mustLink(g, srcToR, up),
-				mustLink(g, up, core),
-				mustLink(g, core, down),
-				mustLink(g, down, dstToR),
-			},
-			Via: g.Node(core).Name,
+		links = append(links, []LinkID{
+			mustLink(g, srcToR, up),
+			mustLink(g, up, core),
+			mustLink(g, core, down),
+			mustLink(g, down, dstToR),
 		})
+		vias = append(vias, g.Node(core).Name)
 	}
-	return paths
+	return links, vias
 }

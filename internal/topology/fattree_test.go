@@ -53,16 +53,16 @@ func TestFatTreeDimensions(t *testing.T) {
 			tor00 := ft.ToRsOfPod(0)[0]
 			tor01 := ft.ToRsOfPod(0)[1]
 			tor10 := ft.ToRsOfPod(1)[0]
-			if got := len(ft.Paths(tor00, tor10)); got != tc.interPaths {
+			if got := ft.PathSet(tor00, tor10).Len(); got != tc.interPaths {
 				t.Errorf("inter-pod paths = %d, want %d", got, tc.interPaths)
 			}
 			if got := ft.NumPaths(tor00, tor10); got != tc.interPaths {
 				t.Errorf("NumPaths inter = %d, want %d", got, tc.interPaths)
 			}
-			if got := len(ft.Paths(tor00, tor01)); got != tc.intraPaths {
+			if got := ft.PathSet(tor00, tor01).Len(); got != tc.intraPaths {
 				t.Errorf("intra-pod paths = %d, want %d", got, tc.intraPaths)
 			}
-			if got := len(ft.Paths(tor00, tor00)); got != 1 {
+			if got := ft.PathSet(tor00, tor00).Len(); got != 1 {
 				t.Errorf("same-ToR paths = %d, want 1", got)
 			}
 		})
@@ -77,33 +77,34 @@ func TestFatTreePathStructure(t *testing.T) {
 	g := ft.Graph()
 	src := ft.ToRsOfPod(0)[0]
 	dst := ft.ToRsOfPod(2)[1]
-	paths := ft.Paths(src, dst)
+	ps := ft.PathSet(src, dst)
 	seenVia := make(map[string]bool)
-	for _, p := range paths {
-		if seenVia[p.Via] {
-			t.Errorf("duplicate path label %q", p.Via)
+	for i := 0; i < ps.Len(); i++ {
+		via, links := ps.Via(i), ps.AppendLinks(i, nil)
+		if seenVia[via] {
+			t.Errorf("duplicate path label %q", via)
 		}
-		seenVia[p.Via] = true
-		if len(p.Links) != 4 {
-			t.Fatalf("inter-pod path %q has %d links, want 4", p.Via, len(p.Links))
+		seenVia[via] = true
+		if len(links) != 4 {
+			t.Fatalf("inter-pod path %q has %d links, want 4", via, len(links))
 		}
 		// Path must be connected: each link starts where the previous ended.
-		for i := 1; i < len(p.Links); i++ {
-			if g.Link(p.Links[i]).From != g.Link(p.Links[i-1]).To {
-				t.Errorf("path %q is disconnected at hop %d", p.Via, i)
+		for i := 1; i < len(links); i++ {
+			if g.Link(links[i]).From != g.Link(links[i-1]).To {
+				t.Errorf("path %q is disconnected at hop %d", via, i)
 			}
 		}
-		if g.Link(p.Links[0]).From != src {
-			t.Errorf("path %q does not start at source ToR", p.Via)
+		if g.Link(links[0]).From != src {
+			t.Errorf("path %q does not start at source ToR", via)
 		}
-		if g.Link(p.Links[3]).To != dst {
-			t.Errorf("path %q does not end at destination ToR", p.Via)
+		if g.Link(links[3]).To != dst {
+			t.Errorf("path %q does not end at destination ToR", via)
 		}
 		// Tier sequence: ToR -> Aggr -> Core -> Aggr -> ToR.
 		wantKinds := []NodeKind{Aggr, Core, Aggr, ToR}
-		for i, l := range p.Links {
+		for i, l := range links {
 			if k := g.Node(g.Link(l).To).Kind; k != wantKinds[i] {
-				t.Errorf("path %q hop %d lands on %v, want %v", p.Via, i, k, wantKinds[i])
+				t.Errorf("path %q hop %d lands on %v, want %v", via, i, k, wantKinds[i])
 			}
 		}
 	}
@@ -112,20 +113,6 @@ func TestFatTreePathStructure(t *testing.T) {
 		if !seenVia[fmt.Sprintf("core%d", c)] {
 			t.Errorf("no path via core%d", c)
 		}
-	}
-}
-
-func TestFatTreePathsCached(t *testing.T) {
-	ft, err := NewFatTree(FatTreeConfig{P: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := ft.ToRsOfPod(0)[0]
-	dst := ft.ToRsOfPod(1)[0]
-	p1 := ft.Paths(src, dst)
-	p2 := ft.Paths(src, dst)
-	if &p1[0] != &p2[0] {
-		t.Error("Paths should return the cached slice on repeated calls")
 	}
 }
 

@@ -3,23 +3,7 @@ package topology
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
-
-// Path is one equal-cost ToR-to-ToR path: the ordered switch-switch links
-// from the source ToR to the destination ToR. The host's first and last
-// hop are not part of a Path; simulators compose them per flow.
-type Path struct {
-	// Links are the directed links from source ToR to destination ToR.
-	// Empty for a source ToR that is also the destination ToR.
-	Links []LinkID
-	// Via labels the path by the choice that determines it, e.g. "core3"
-	// in a fat-tree or "aggr1>int2>aggr5" in a Clos network.
-	Via string
-}
-
-// String renders the path label.
-func (p Path) String() string { return p.Via }
 
 // Network is the read side of a topology that schedulers and simulators
 // consume: the graph, the host/attachment structure, and the equal-cost
@@ -41,51 +25,14 @@ type Network interface {
 	AttachNoun() string
 	// PathSet returns the implicit equal-cost path set from srcToR to
 	// dstToR. For srcToR == dstToR the set holds a single empty path.
-	// The handle is a small value backed by construction-time index
-	// tables; obtaining or resolving it stores nothing per pair.
+	// The handle is a small value. The tree families back it with
+	// construction-time index tables and store nothing per pair; the
+	// non-tree families build each pair's entry once, on first use.
 	PathSet(srcToR, dstToR NodeID) PathSet
-	// Paths returns the equal-cost paths from srcToR to dstToR as
-	// materialized values, in the same order and with the same Via
-	// labels as PathSet. This is the legacy representation, kept as the
-	// test oracle and for display; simulators use PathSet. The slice is
-	// cached and shared; callers must not modify it.
-	Paths(srcToR, dstToR NodeID) []Path
 	// HostUplink returns the host->ToR link of a host.
 	HostUplink(host NodeID) LinkID
 	// HostDownlink returns the ToR->host link of a host.
 	HostDownlink(host NodeID) LinkID
-}
-
-// pathCache memoizes per-ToR-pair materialized path sets for the legacy
-// Paths API; safe for concurrent use. Each key builds exactly once
-// (single-flight): concurrent callers that miss agree on one entry and
-// the late ones block on its once instead of redundantly building and
-// racing to overwrite.
-type pathCache struct {
-	mu      sync.Mutex
-	entries map[[2]NodeID]*pathEntry
-}
-
-type pathEntry struct {
-	once  sync.Once
-	paths []Path
-}
-
-func newPathCache() *pathCache {
-	return &pathCache{entries: make(map[[2]NodeID]*pathEntry)}
-}
-
-func (c *pathCache) get(a, b NodeID, build func() []Path) []Path {
-	key := [2]NodeID{a, b}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &pathEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.paths = build() })
-	return e.paths
 }
 
 // hostAttachment records a host's duplex edge link.
@@ -104,7 +51,6 @@ type base struct {
 	g      *Graph
 	hosts  []NodeID
 	attach map[NodeID]hostAttachment
-	cache  *pathCache
 }
 
 func newBase(name string, g *Graph) *base {
@@ -113,7 +59,6 @@ func newBase(name string, g *Graph) *base {
 		noun:   "ToR",
 		g:      g,
 		attach: make(map[NodeID]hostAttachment),
-		cache:  newPathCache(),
 	}
 }
 

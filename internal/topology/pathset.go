@@ -9,11 +9,13 @@ package topology
 // choice), so the O(p^4)-byte materialized path cache the simulators
 // used to warm is unnecessary.
 //
-// Path order and Via labels are pinned to the legacy materialized
-// enumeration (Network.Paths) exactly: flow state stores (pair, PathIdx)
-// across snapshots and reports compare byte-identically, so any
-// reordering or relabeling would be a silent behavior change. The golden
-// equivalence tests in pathset_test.go enforce this per topology.
+// PathSet is the only path representation the Network interface
+// offers. Path order and Via labels are pinned exactly: flow state
+// stores (pair, PathIdx) across snapshots and reports compare
+// byte-identically, so any reordering or relabeling would be a silent
+// behavior change. Each tree family keeps its original graph-walking
+// enumeration (buildPaths) as the oracle, and the golden equivalence
+// test in pathset_test.go diffs every ToR pair against it.
 type PathSet struct {
 	r        PathProvider
 	src, dst NodeID
@@ -94,10 +96,4 @@ func (ps PathSet) Via(i int) string {
 		return "direct"
 	}
 	return ps.r.pathVia(ps.src, ps.dst, i)
-}
-
-// Path materializes path i as a legacy Path value. Convenience for
-// display and tests; hot paths use AppendLinks.
-func (ps PathSet) Path(i int) Path {
-	return Path{Links: ps.AppendLinks(i, nil), Via: ps.Via(i)}
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -33,44 +34,55 @@ func buildNetworks(t *testing.T) []Network {
 	return []Network{ft, cl, tt, df, dc}
 }
 
+// enumerator is a tree family: one whose buildPaths walks the graph
+// independently of the index tables its PathSet decodes.
+type enumerator interface {
+	Network
+	buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string)
+}
+
 // TestPathSetMatchesBuildPaths is the golden equivalence gate: over ALL
-// ToR pairs of every topology family, the implicit PathSet must agree
-// with the legacy materialized enumeration on count, link sequences,
+// ToR pairs of every tree family, the implicit PathSet must agree with
+// the family's graph-walking enumeration on count, link sequences,
 // order, and Via labels. Flow state stores (pair, PathIdx) and reports
 // are pinned byte-identical across releases, so any divergence here is a
-// behavior change, not a refactor.
+// behavior change, not a refactor. The non-tree families' enumeration
+// is their PathSet, so they have no second enumeration to compare; the
+// properties in pathprops_test.go cover them.
 func TestPathSetMatchesBuildPaths(t *testing.T) {
+	trees := 0
 	for _, net := range buildNetworks(t) {
+		en, ok := net.(enumerator)
+		if !ok {
+			continue
+		}
+		trees++
 		t.Run(net.Name(), func(t *testing.T) {
 			tors := AttachSwitches(net)
 			var buf []LinkID
 			for _, a := range tors {
 				for _, b := range tors {
-					want := net.Paths(a, b)
+					wantLinks, wantVias := en.buildPaths(a, b)
 					ps := net.PathSet(a, b)
-					if ps.Len() != len(want) {
-						t.Fatalf("pair (%d,%d): PathSet.Len()=%d, legacy has %d paths",
-							a, b, ps.Len(), len(want))
+					if ps.Len() != len(wantLinks) {
+						t.Fatalf("pair (%d,%d): PathSet.Len()=%d, buildPaths has %d paths",
+							a, b, ps.Len(), len(wantLinks))
 					}
-					for i, w := range want {
+					for i, w := range wantLinks {
 						buf = ps.AppendLinks(i, buf[:0])
-						if len(buf) != len(w.Links) {
-							t.Fatalf("pair (%d,%d) path %d: %d links, want %d",
-								a, b, i, len(buf), len(w.Links))
+						if !slices.Equal(buf, w) {
+							t.Fatalf("pair (%d,%d) path %d: links %v, want %v", a, b, i, buf, w)
 						}
-						for j := range buf {
-							if buf[j] != w.Links[j] {
-								t.Fatalf("pair (%d,%d) path %d link %d: got %d, want %d",
-									a, b, i, buf[j], j, w.Links[j])
-							}
-						}
-						if via := ps.Via(i); via != w.Via {
-							t.Fatalf("pair (%d,%d) path %d: Via %q, want %q", a, b, i, via, w.Via)
+						if via := ps.Via(i); via != wantVias[i] {
+							t.Fatalf("pair (%d,%d) path %d: Via %q, want %q", a, b, i, via, wantVias[i])
 						}
 					}
 				}
 			}
 		})
+	}
+	if trees != 3 {
+		t.Fatalf("checked %d tree families, want 3", trees)
 	}
 }
 
@@ -121,36 +133,5 @@ func TestPathSetLinkResolutionAllocs(t *testing.T) {
 				t.Fatalf("PathSet link resolution allocates %.1f times per run, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestPathCacheSingleFlight hammers one cold cache key from many
-// goroutines and checks every caller observes the same slice — the
-// build ran once, not once per racing goroutine.
-func TestPathCacheSingleFlight(t *testing.T) {
-	c := newPathCache()
-	const workers = 32
-	results := make([][]Path, workers)
-	builds := make(chan struct{}, workers)
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			results[w] = c.get(1, 2, func() []Path {
-				builds <- struct{}{}
-				return []Path{{Via: "once"}}
-			})
-			done <- w
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if n := len(builds); n != 1 {
-		t.Fatalf("build ran %d times for one key, want 1", n)
-	}
-	for w := 1; w < workers; w++ {
-		if &results[w][0] != &results[0][0] {
-			t.Fatalf("goroutine %d observed a different slice than goroutine 0", w)
-		}
 	}
 }

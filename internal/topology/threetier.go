@@ -244,46 +244,39 @@ func (tt *ThreeTier) pathVia(src, dst NodeID, i int) string {
 		g.Node(tt.aggrs[dn.Pod][k]).Name)
 }
 
-// Paths implements Network. Cross-pod paths are labeled
-// "aggrU>coreC>aggrD"; intra-pod paths by the shared aggregation switch.
-func (tt *ThreeTier) Paths(srcToR, dstToR NodeID) []Path {
-	return tt.cache.get(srcToR, dstToR, func() []Path {
-		return tt.buildPaths(srcToR, dstToR)
-	})
-}
-
-func (tt *ThreeTier) buildPaths(srcToR, dstToR NodeID) []Path {
+// buildPaths enumerates the paths from srcToR to dstToR by walking the
+// graph, independently of the index tables PathSet decodes: the link
+// sequences and their Via labels, in PathSet order. Cross-pod paths are
+// labeled "aggrU>coreC>aggrD"; intra-pod paths by the shared aggregation
+// switch. It is the oracle pathset_test.go checks PathSet against.
+func (tt *ThreeTier) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
 	if srcToR == dstToR {
-		return []Path{{Via: "direct"}}
+		return [][]LinkID{nil}, []string{"direct"}
 	}
 	g := tt.g
 	srcPod := g.Node(srcToR).Pod
 	dstPod := g.Node(dstToR).Pod
+	var links [][]LinkID
+	var vias []string
 	if srcPod == dstPod {
-		paths := make([]Path, 0, 2)
 		for _, aggr := range tt.aggrs[srcPod] {
-			paths = append(paths, Path{
-				Links: []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)},
-				Via:   g.Node(aggr).Name,
-			})
+			links = append(links, []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)})
+			vias = append(vias, g.Node(aggr).Name)
 		}
-		return paths
+		return links, vias
 	}
-	paths := make([]Path, 0, 4*len(tt.cores))
 	for _, up := range tt.aggrs[srcPod] {
 		for _, core := range tt.cores {
 			for _, down := range tt.aggrs[dstPod] {
-				paths = append(paths, Path{
-					Links: []LinkID{
-						mustLink(g, srcToR, up),
-						mustLink(g, up, core),
-						mustLink(g, core, down),
-						mustLink(g, down, dstToR),
-					},
-					Via: joinVia(g.Node(up).Name, g.Node(core).Name, g.Node(down).Name),
+				links = append(links, []LinkID{
+					mustLink(g, srcToR, up),
+					mustLink(g, up, core),
+					mustLink(g, core, down),
+					mustLink(g, down, dstToR),
 				})
+				vias = append(vias, joinVia(g.Node(up).Name, g.Node(core).Name, g.Node(down).Name))
 			}
 		}
 	}
-	return paths
+	return links, vias
 }

@@ -44,21 +44,22 @@ func TestThreeTierPaths(t *testing.T) {
 		t.Fatal("missing intra/inter destinations")
 	}
 
-	intra := tt.Paths(src, dstIntra)
-	if len(intra) != 2 {
-		t.Errorf("intra-pod paths = %d, want 2", len(intra))
+	intra := tt.PathSet(src, dstIntra)
+	if intra.Len() != 2 {
+		t.Errorf("intra-pod paths = %d, want 2", intra.Len())
 	}
-	inter := tt.Paths(src, dstInter)
-	if want := 2 * 8 * 2; len(inter) != want {
-		t.Errorf("inter-pod paths = %d, want %d", len(inter), want)
+	inter := tt.PathSet(src, dstInter)
+	if want := 2 * 8 * 2; inter.Len() != want {
+		t.Errorf("inter-pod paths = %d, want %d", inter.Len(), want)
 	}
-	for _, p := range inter {
-		if len(p.Links) != 4 {
-			t.Fatalf("inter-pod path %q has %d links, want 4", p.Via, len(p.Links))
+	for p := 0; p < inter.Len(); p++ {
+		via, links := inter.Via(p), inter.AppendLinks(p, nil)
+		if len(links) != 4 {
+			t.Fatalf("inter-pod path %q has %d links, want 4", via, len(links))
 		}
-		for i := 1; i < len(p.Links); i++ {
-			if g.Link(p.Links[i]).From != g.Link(p.Links[i-1]).To {
-				t.Errorf("path %q disconnected at hop %d", p.Via, i)
+		for i := 1; i < len(links); i++ {
+			if g.Link(links[i]).From != g.Link(links[i-1]).To {
+				t.Errorf("path %q disconnected at hop %d", via, i)
 			}
 		}
 	}
@@ -68,11 +69,11 @@ func TestThreeTierPaths(t *testing.T) {
 	if up.Capacity != 1e9 {
 		t.Errorf("host link capacity = %g, want 1e9", up.Capacity)
 	}
-	accUp := g.Link(intra[0].Links[0])
+	accUp := g.Link(intra.AppendLinks(0, nil)[0])
 	if accUp.Capacity != 2e9 {
 		t.Errorf("access uplink capacity = %g, want 2e9", accUp.Capacity)
 	}
-	aggrUp := g.Link(inter[0].Links[1])
+	aggrUp := g.Link(inter.AppendLinks(0, nil)[1])
 	if aggrUp.Capacity != 1e9 {
 		t.Errorf("aggregation uplink capacity = %g, want 1e9", aggrUp.Capacity)
 	}
