@@ -45,14 +45,14 @@ func TestBuildRouteAllocs(t *testing.T) {
 // recompute: once a run is warm, refilling what a detach, an attach and
 // a link failure and repair dirtied must not allocate. Every arrival,
 // completion, path switch and link event ends in one of these
-// recomputes. On a crowded p=4 tree those changes taint more than the
-// differential fill takes on, so the component fill runs; on a p=8
-// tree the differential fill does.
+// recomputes. On a crowded p=4 tree (256 flows on 16 hosts) those
+// changes taint more than the differential fill takes on, so the
+// component fill runs; on a p=8 tree the differential fill does.
 func TestRecomputeSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		p, flows int
 		diff     bool // the differential fill, not the fallback, runs
-	}{{4, 32, false}, {8, 200, true}} {
+	}{{4, 256, false}, {8, 200, true}} {
 		ft, err := topology.NewFatTree(topology.FatTreeConfig{P: c.p})
 		if err != nil {
 			t.Fatal(err)

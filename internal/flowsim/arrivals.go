@@ -78,20 +78,14 @@ func (src *sliceSource) RestoreState(dec *snap.Decoder) error {
 	return nil
 }
 
-// validateArrival checks a flow coming out of an external source. The
-// finite Config.Flows path is validated up front in New; generators are
-// validated flow by flow as the stream materializes.
-func (s *Sim) validateArrival(wf workload.Flow) error {
-	if wf.ID != s.arrived {
-		return fmt.Errorf("flowsim: arrival source emitted flow ID %d, want dense sequential %d", wf.ID, s.arrived)
+// checkFlow is the predicate every flow passes, batch or streamed, as
+// arrival number n at clock now: its ID is n, so IDs are dense and
+// sequential; its endpoints are distinct hosts; its size is positive
+// and finite; and it arrives at a finite time no earlier than now.
+func checkFlow(wf workload.Flow, n, hosts int, now float64) error {
+	if wf.ID != n {
+		return fmt.Errorf("flowsim: flow ID %d arrives as number %d, want dense sequential IDs", wf.ID, n)
 	}
-	return checkFlow(wf, len(s.net.Hosts()), s.now)
-}
-
-// checkFlow is the predicate every flow passes, batch or streamed: its
-// endpoints are distinct hosts, its size is positive and finite, and it
-// arrives at a finite time no earlier than now.
-func checkFlow(wf workload.Flow, hosts int, now float64) error {
 	if wf.Src < 0 || wf.Src >= hosts || wf.Dst < 0 || wf.Dst >= hosts {
 		return fmt.Errorf("flowsim: flow %d references host out of range", wf.ID)
 	}

@@ -27,7 +27,8 @@ type Config struct {
 	// flow lifecycle events if it implements sched.Observer, and calls
 	// its Start once before the first event if it implements Starter.
 	Controller sched.Policy
-	// Flows is the workload, sorted by arrival time.
+	// Flows is the workload: dense sequential IDs (0, 1, 2, ...) in
+	// non-decreasing arrival order, checked in New.
 	Flows []workload.Flow
 	// Arrivals streams an open-ended workload instead of Flows (exactly
 	// one of the two may be set). Flows must come out with dense
@@ -221,14 +222,15 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Arrivals != nil && len(cfg.Flows) > 0 {
 		return nil, fmt.Errorf("flowsim: Flows and Arrivals are mutually exclusive")
 	}
-	hosts := len(cfg.Net.Hosts())
-	for _, wf := range cfg.Flows {
-		if wf.ID < 0 || wf.ID >= len(cfg.Flows) {
-			return nil, fmt.Errorf("flowsim: flow ID %d outside the dense [0,%d) range", wf.ID, len(cfg.Flows))
-		}
-		if err := checkFlow(wf, hosts, 0); err != nil {
+	// A batch passes the streamed predicate up front, so a bad list fails
+	// here rather than mid-run; the clock a batch flow arrives at reads
+	// the previous flow's arrival.
+	hosts, now := len(cfg.Net.Hosts()), 0.0
+	for i, wf := range cfg.Flows {
+		if err := checkFlow(wf, i, hosts, now); err != nil {
 			return nil, err
 		}
+		now = wf.Arrival
 	}
 	g := cfg.Net.Graph()
 	capacity := make([]float64, g.NumLinks())
@@ -656,12 +658,8 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			s.complete(completing)
 		case tArrival <= tTimer:
 			wf, _ := s.arrivals.Next()
-			if s.sliceSrc == nil {
-				// Generated arrivals are validated as they materialize;
-				// the finite Config.Flows list was validated in New.
-				if err := s.validateArrival(wf); err != nil {
-					return nil, err
-				}
+			if err := checkFlow(wf, s.arrived, len(s.net.Hosts()), s.now); err != nil {
+				return nil, err
 			}
 			s.arrive(wf)
 		default:

@@ -271,7 +271,7 @@ func TestBoNFQueries(t *testing.T) {
 			if n, c := s.ElephantsOnLink(torLink), s.LinkCapacity(torLink); n != 1 || c != 1e9 {
 				t.Errorf("ToR uplink carries %d elephants over %g b/s, want 1 over 1e9", n, c)
 			}
-			idle := s.PathSet(f.SrcToR, f.DstToR).Path(3).Links[0]
+			idle := s.PathSet(f.SrcToR, f.DstToR).AppendLinks(3, nil)[0]
 			if n := s.ElephantsOnLink(idle); n != 0 {
 				t.Errorf("elephants on idle link = %d, want 0", n)
 			}
@@ -344,6 +344,26 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		wf.Src, wf.Dst = 0, 1
 		if _, err := New(Config{Net: ft, Controller: &staticController{}, Flows: []workload.Flow{wf}}); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
+	// Batch flows pass the streamed order checks too: IDs are dense and
+	// sequential, and arrivals never step back.
+	for name, flows := range map[string][]workload.Flow{
+		"duplicate ID": {
+			{ID: 0, Src: 0, Dst: 1, SizeBits: 1, Arrival: 0},
+			{ID: 0, Src: 2, Dst: 3, SizeBits: 1, Arrival: 1},
+		},
+		"permuted IDs": {
+			{ID: 1, Src: 0, Dst: 1, SizeBits: 1, Arrival: 0},
+			{ID: 0, Src: 2, Dst: 3, SizeBits: 1, Arrival: 1},
+		},
+		"decreasing arrival": {
+			{ID: 0, Src: 0, Dst: 1, SizeBits: 1, Arrival: 1},
+			{ID: 1, Src: 2, Dst: 3, SizeBits: 1, Arrival: 0.5},
+		},
+	} {
+		if _, err := New(Config{Net: ft, Controller: &staticController{}, Flows: flows}); err == nil {
 			t.Errorf("%s should fail", name)
 		}
 	}

@@ -1,8 +1,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dard/internal/sched"
@@ -71,6 +73,8 @@ func duplexEvent(g *topology.Graph, at float64, l topology.LinkID, down bool) []
 	}
 }
 
+// randomFlows draws n flows arriving uniformly over [0, 2) s and returns
+// them as Config.Flows wants them: in arrival order, with dense IDs.
 func randomFlows(rng *rand.Rand, n, hosts int, maxSize float64) []workload.Flow {
 	flows := make([]workload.Flow, n)
 	for i := range flows {
@@ -80,12 +84,15 @@ func randomFlows(rng *rand.Rand, n, hosts int, maxSize float64) []workload.Flow 
 			dst++
 		}
 		flows[i] = workload.Flow{
-			ID:       i,
 			Src:      src,
 			Dst:      dst,
 			SizeBits: (0.1 + rng.Float64()) * maxSize,
 			Arrival:  rng.Float64() * 2,
 		}
+	}
+	slices.SortStableFunc(flows, func(a, b workload.Flow) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	for i := range flows {
+		flows[i].ID = i
 	}
 	return flows
 }
@@ -242,7 +249,6 @@ func TestBatchReferenceEquivalence(t *testing.T) {
 	}
 
 	res, rates, s := collect(false)
-	t.Logf("DBG diff=%d full=%d", s.diffFills, s.fullFills)
 	if s.diffFills == 0 || s.fullFills == 0 {
 		t.Fatalf("%d differential and %d fallback fills; the scenario must run both", s.diffFills, s.fullFills)
 	}

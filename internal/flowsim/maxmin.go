@@ -241,24 +241,15 @@ func (s *Sim) fillComponent(flows []int32) {
 		}
 		// Freeze every unfrozen flow crossing the bottleneck. Its
 		// unfrozen count reaches zero here, so each membership list is
-		// consumed at most once.
+		// consumed at most once. The BFS reached every link of the
+		// component's flows, so freeze subtracts from all of them.
 		for _, fid := range s.linkFlows[bottleneck] {
 			if s.newRate[fid] >= 0 {
 				continue
 			}
-			s.newRate[fid] = best
 			s.recLink[fid], s.recAt[fid] = bottleneck, level
+			s.freeze(fid, best, bottleneck)
 			remaining--
-			for _, l := range s.flowAt(int(fid)).links {
-				s.residual[l] -= best
-				if s.residual[l] < 0 {
-					s.residual[l] = 0
-				}
-				s.unfrozen[l]--
-				if l != bottleneck && s.unfrozen[l] > 0 {
-					s.lheap.update(l, s.residual[l]/float64(s.unfrozen[l]))
-				}
-			}
 		}
 	}
 }
@@ -382,6 +373,7 @@ func (s *Sim) fillDifferential() bool {
 		}
 		level = e.at
 		s.freeze(e.flow, e.rate, s.recLink[e.flow])
+		d.pending--
 	}
 	return true
 }
@@ -404,16 +396,18 @@ func (s *Sim) freezeLink(at recKey) bool {
 		if s.newRate[fid] < 0 {
 			s.recLink[fid], s.recAt[fid] = at.id, at
 			s.freeze(fid, at.share, at.id)
+			s.diff.pending--
 		}
 	}
 	return true
 }
 
-// freeze fixes a pending flow's rate and subtracts it from its tainted
-// links; untainted links replay the same subtraction from the record.
+// freeze fixes an unfrozen flow's rate and subtracts it from its links
+// in this fill: all of them in a component fill, the tainted ones in a
+// differential fill, where untainted links replay the same subtraction
+// from the record.
 func (s *Sim) freeze(fid int32, rate float64, bottleneck topology.LinkID) {
 	s.newRate[fid] = rate
-	s.diff.pending--
 	for _, l := range s.flowAt(int(fid)).links {
 		if s.linkSeen[l] != s.epoch {
 			continue
