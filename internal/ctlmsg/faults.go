@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"dard/internal/detrand"
 )
 
 // Faults models an unreliable control channel between a monitor and a
@@ -80,7 +82,7 @@ type Channel struct {
 func NewChannel(f Faults, monitorID uint64, switchID uint32) *Channel {
 	return &Channel{
 		faults: f,
-		rng:    rand.New(rand.NewSource(channelSeed(f.Seed, monitorID, switchID))),
+		rng:    rand.New(detrand.NewStd(channelSeed(f.Seed, monitorID, switchID))),
 	}
 }
 

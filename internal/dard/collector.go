@@ -42,6 +42,10 @@ type Collector struct {
 	// and a full reply per covering switch.
 	wireBytes int
 	shared    *roundScratch
+	// channels and misses are each covering switch's fault channel and
+	// count of consecutive unanswered rounds. Like round and cache they
+	// are built on the first fault round; fault-free collectors never
+	// touch them.
 	channels  map[topology.NodeID]*ctlmsg.Channel
 	faults    ctlmsg.Faults
 	retryMax  int
@@ -155,11 +159,9 @@ func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.
 		switches:  switches,
 		wireBytes: wireBytes,
 		shared:    s,
-		channels:  make(map[topology.NodeID]*ctlmsg.Channel),
 		faults:    c.opts.Faults,
 		retryMax:  c.opts.CtlRetryMax,
 		deadAfter: c.opts.DeadAfter,
-		misses:    make(map[topology.NodeID]int),
 	}
 }
 
@@ -184,6 +186,8 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 	if c.round == nil {
 		n := c.env.Topo().Graph().NumLinks()
 		c.round, c.cache = NewLinkState(n), NewLinkState(n)
+		c.channels = make(map[topology.NodeID]*ctlmsg.Channel)
+		c.misses = make(map[topology.NodeID]int)
 	}
 	c.round.Reset()
 	linkState := c.round

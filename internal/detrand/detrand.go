@@ -1,17 +1,26 @@
-// Package detrand provides a deterministic random source whose entire
-// state is one exported uint64, making it trivially checkpointable: a
-// stream can be frozen with State and resumed bit-identically with
-// SetState, with no replay and no hidden buffering.
+// Package detrand provides the simulator's deterministic random
+// sources. Both implement math/rand.Source64, so rand.New(src) layers
+// the usual distributions on top, and rand.Rand keeps no hidden state
+// for the methods the simulator uses (Float64, Intn, ExpFloat64, Perm
+// read straight through to the source): the source's position is the
+// whole stream's.
 //
-// The generator is splitmix64 (Steele, Lea & Flood, "Fast Splittable
-// Pseudorandom Number Generators", OOPSLA 2014): a 64-bit counter
-// advanced by a fixed odd increment and scrambled by two xor-multiply
-// rounds. It is not cryptographic; it exists to drive simulation
-// workloads reproducibly. The Source implements math/rand.Source64, so
-// rand.New(seededSrc) layers the usual distributions on top — and since
-// rand.Rand keeps no hidden state for the methods the simulator uses
-// (Float64, Intn, ExpFloat64 all read straight through to the source),
-// capturing the Source captures the whole stream.
+//   - Source is splitmix64 (Steele, Lea & Flood, "Fast Splittable
+//     Pseudorandom Number Generators", OOPSLA 2014): a 64-bit counter
+//     advanced by a fixed odd increment and scrambled by two
+//     xor-multiply rounds. Its entire state is one exported uint64, so a
+//     stream can be frozen with State and resumed bit-identically with
+//     SetState, with no replay and no hidden buffering. The open-loop
+//     workload uses it.
+//   - Std reproduces math/rand's default source stream for stream
+//     (rand.NewSource(seed)), but seeds in constant time and fills its
+//     607-word register only as the generator reads it. Every workload,
+//     golden and checkpoint that predates Source was drawn from that
+//     stream, so the batch workload generator, the engines' RNGs and
+//     the control-channel faults use Std to keep them bit-identical.
+//
+// Neither is cryptographic; they exist to drive simulation workloads
+// reproducibly.
 package detrand
 
 import "math/rand"

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"dard/internal/detrand"
 	"dard/internal/game"
 	"dard/internal/parallel"
 	"dard/internal/topology"
@@ -44,7 +45,7 @@ func Table1() (*Result, error) {
 		values[fmt.Sprintf("round%d/minBoNF_Gbps", round)] = minB
 	}
 	describe()
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(detrand.NewStd(1))
 	for round = 1; round <= 5; round++ {
 		movedAny := false
 		order := rng.Perm(g.NumFlows())
@@ -85,7 +86,7 @@ func NashConvergence(trials int, seed int64, workers int) (*Result, error) {
 	type trialResult struct{ steps, flows int }
 	results := make([]trialResult, trials)
 	err := parallel.ForEach(workers, trials, func(trial int) error {
-		rng := rand.New(rand.NewSource(parallel.Seed(seed, fmt.Sprintf("nash/trial=%d", trial))))
+		rng := rand.New(detrand.NewStd(parallel.Seed(seed, fmt.Sprintf("nash/trial=%d", trial))))
 		g := randomGame(rng)
 		start := make(game.Strategy, g.NumFlows())
 		for f := range start {

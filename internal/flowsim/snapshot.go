@@ -3,9 +3,9 @@ package flowsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"dard/internal/detrand"
 	"dard/internal/evq"
 	"dard/internal/sched"
 	"dard/internal/snap"
@@ -94,22 +94,21 @@ type SnapshotController interface {
 	RebuildTimer(h sched.Host, ref sched.TimerRef) (func(), error)
 }
 
-// countedSource wraps math/rand's default source and counts raw draws.
-// The stream is a pure function of the seed, so (seed, draws) is a
-// complete serialization of its state: restore replays draws from a
-// fresh source. Keeping the stock generator (rather than swapping in a
-// directly serializable one) preserves every historical run bit for
-// bit.
+// countedSource wraps math/rand's default stream (detrand.Std) and
+// counts raw draws. The stream is a pure function of the seed, so
+// (seed, draws) is a complete serialization of its state: restore
+// replays draws from a fresh source. Keeping the stock stream (rather
+// than swapping in a directly serializable one) preserves every
+// historical run bit for bit.
 //
 //dardsnap:fields encoder=Sim.Snapshot decoder=Sim.restore
 type countedSource struct {
-	src   rand.Source64 //dardlint:snapfield the stream is a pure function of (seed, draws); restore replays a fresh source
+	src   *detrand.Std //dardlint:snapfield the stream is a pure function of (seed, draws); restore replays a fresh source
 	draws uint64
 }
 
 func newCountedSource(seed int64) *countedSource {
-	// The source math/rand.NewSource returns also implements Source64.
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countedSource{src: detrand.NewStd(seed)}
 }
 
 func (c *countedSource) Int63() int64 {

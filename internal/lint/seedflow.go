@@ -6,20 +6,23 @@ import (
 	"strings"
 )
 
-// SeedFlow checks that every rand.New / rand.NewSource call is seeded
-// by an expression that visibly derives from an explicit seed: a
-// constant, an identifier or field whose name contains "seed", or a
-// call to a seed-derivation helper (CellSeed, parallel.Seed — any
-// function whose name contains "seed"). Arithmetic mixing a seed with a
-// stream index (cfg.Seed + int64(src)*7919) is fine; what is not fine
-// is a seed conjured from thin air — a loop counter, a hash of mutable
-// state, or anything touching the time package. Such seeds type-check,
-// run, and quietly decouple the run from CellSeed, which is exactly the
-// failure mode the serial==parallel tests can only catch by luck.
+// SeedFlow checks that every random source is seeded by an expression
+// that visibly derives from an explicit seed: a constant, an identifier
+// or field whose name contains "seed", or a call to a seed-derivation
+// helper (CellSeed, parallel.Seed — any function whose name contains
+// "seed"). The seeded calls are math/rand's New and NewSource, detrand's
+// constructors (NewStd, NewSeeded) and the Seed method of detrand's
+// sources, which reseeds a reused source in place. Arithmetic mixing a
+// seed with a stream index (cfg.Seed + int64(src)*7919) is fine; what
+// is not fine is a seed conjured from thin air — a loop counter, a hash
+// of mutable state, or anything touching the time package. Such seeds
+// type-check, run, and quietly decouple the run from CellSeed, which is
+// exactly the failure mode the serial==parallel tests can only catch by
+// luck.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
-	Doc: "require rand.New/rand.NewSource seeds to trace back to an explicit " +
-		"seed parameter or constant, never wall-clock or ad-hoc expressions",
+	Doc: "require rand.New/rand.NewSource and detrand seeds to trace back to an " +
+		"explicit seed parameter or constant, never wall-clock or ad-hoc expressions",
 	Run: runSeedFlow,
 }
 
@@ -30,43 +33,61 @@ func runSeedFlow(pass *Pass) {
 			if !ok {
 				return true
 			}
-			name, ok := mathRandCall(pass, call)
-			if !ok || (name != "New" && name != "NewSource") || len(call.Args) != 1 {
+			name, ok := seededCall(pass, call)
+			if !ok || len(call.Args) != 1 {
 				return true
 			}
 			arg := call.Args[0]
-			// rand.New(rand.NewSource(seed)): the inner call is checked
-			// on its own visit; don't demand the outer arg "derive" a
-			// seed name of its own.
-			if inner, ok := arg.(*ast.CallExpr); ok {
-				if n, ok := mathRandCall(pass, inner); ok && n == "NewSource" {
+			// rand.New(rand.NewSource(seed)), rand.New(detrand.NewStd(seed)):
+			// the inner call is checked on its own visit; don't demand the
+			// outer arg "derive" a seed name of its own.
+			if inner, ok := arg.(*ast.CallExpr); ok && name == "rand.New" {
+				if n, ok := seededCall(pass, inner); ok && n != "rand.New" {
 					return true
 				}
 			}
 			if !seedClean(pass, arg) {
 				pass.Reportf(arg.Pos(),
-					"rand.%s seed contains a non-seed call or wall-clock read; derive it from an explicit seed (CellSeed)", name)
+					"%s seed contains a non-seed call or wall-clock read; derive it from an explicit seed (CellSeed)", name)
 			} else if !derivesSeed(pass, arg) {
 				pass.Reportf(arg.Pos(),
-					"rand.%s seed does not trace back to an explicit seed parameter or constant; thread a seed (CellSeed) through instead", name)
+					"%s seed does not trace back to an explicit seed parameter or constant; thread a seed (CellSeed) through instead", name)
 			}
 			return true
 		})
 	}
 }
 
-// mathRandCall reports whether call's callee is a math/rand
-// package-level function, returning its name.
-func mathRandCall(pass *Pass, call *ast.CallExpr) (string, bool) {
+// seededCall reports whether call makes or reseeds a random source from
+// its argument, returning the callee as diagnostics name it:
+// "rand.New", "rand.NewSource", "detrand.NewStd", "detrand.NewSeeded",
+// "detrand.Std.Seed" or "detrand.Source.Seed".
+func seededCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
+	if !ok || fn.Pkg() == nil {
 		return "", false
 	}
-	return fn.Name(), true
+	switch {
+	case fn.Pkg().Path() == "math/rand" && (fn.Name() == "New" || fn.Name() == "NewSource"):
+		return "rand." + fn.Name(), true
+	case fn.Pkg().Name() != "detrand":
+		return "", false
+	case fn.Name() == "NewStd" || fn.Name() == "NewSeeded":
+		return "detrand." + fn.Name(), true
+	case fn.Name() == "Seed":
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			return "detrand." + t.(*types.Named).Obj().Name() + ".Seed", true
+		}
+	}
+	return "", false
 }
 
 func seedNamed(name string) bool {

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 
+	"dard/internal/detrand"
 	"dard/internal/fpcmp"
 	"dard/internal/metrics"
 	"dard/internal/sched"
@@ -143,7 +144,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		topo: cfg.Topo,
 		g:    cfg.Topo.Graph(),
 		disp: tcp.NewDispatcher(),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		rng:  rand.New(detrand.NewStd(cfg.Seed)),
 	}
 	net, err := simnet.NewNet(cfg.Topo, 0, (tcp.DefaultMSSBytes+40)*8, rt.disp.Deliver)
 	if err != nil {

@@ -155,7 +155,7 @@ func (cl *Clos) Aggrs() []NodeID { return cl.aggrs }
 
 // AggrPairOf returns the two aggregation switches serving a ToR.
 func (cl *Clos) AggrPairOf(tor NodeID) [2]NodeID {
-	pair := cl.g.Node(tor).Pod
+	pair := cl.g.node(tor).Pod
 	return [2]NodeID{cl.aggrs[2*pair], cl.aggrs[2*pair+1]}
 }
 
@@ -165,7 +165,7 @@ func (cl *Clos) AggrPairOf(tor NodeID) [2]NodeID {
 func (cl *Clos) PathSet(srcToR, dstToR NodeID) PathSet {
 	n := 1
 	if srcToR != dstToR {
-		if cl.g.Node(srcToR).Pod == cl.g.Node(dstToR).Pod {
+		if cl.g.node(srcToR).Pod == cl.g.node(dstToR).Pod {
 			n = 2
 		} else {
 			n = 4 * cl.cfg.DI
@@ -177,7 +177,7 @@ func (cl *Clos) PathSet(srcToR, dstToR NodeID) PathSet {
 // appendPathLinks implements PathProvider.
 func (cl *Clos) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
 	g := cl.g
-	sn, dn := g.Node(src), g.Node(dst)
+	sn, dn := g.node(src), g.node(dst)
 	if sn.Pod == dn.Pod {
 		return append(buf,
 			cl.torAggrUp[sn.Index*2+i],
@@ -198,7 +198,7 @@ func (cl *Clos) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
 // pairs. NewClos numbers the intermediates, then the aggrs in pair
 // order, then the ToRs, so appending in that order keeps IDs ascending.
 func (cl *Clos) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
-	sp, dp := cl.g.Node(src).Pod, cl.g.Node(dst).Pod
+	sp, dp := cl.g.node(src).Pod, cl.g.node(dst).Pod
 	if sp == dp {
 		return append(append(buf, cl.aggrs[2*sp:2*sp+2]...), src)
 	}
@@ -212,17 +212,17 @@ func (cl *Clos) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
 // demand; they exist only for traces and display.
 func (cl *Clos) pathVia(src, dst NodeID, i int) string {
 	g := cl.g
-	sn, dn := g.Node(src), g.Node(dst)
+	sn, dn := g.node(src), g.node(dst)
 	if sn.Pod == dn.Pod {
-		return g.Node(cl.aggrs[2*sn.Pod+i]).Name
+		return g.node(cl.aggrs[2*sn.Pod+i]).Name
 	}
 	di := cl.cfg.DI
 	j, rem := i/(di*2), i%(di*2)
 	m, k := rem/2, rem%2
 	return joinVia(
-		g.Node(cl.aggrs[2*sn.Pod+j]).Name,
-		g.Node(cl.intermediates[m]).Name,
-		g.Node(cl.aggrs[2*dn.Pod+k]).Name)
+		g.node(cl.aggrs[2*sn.Pod+j]).Name,
+		g.node(cl.intermediates[m]).Name,
+		g.node(cl.aggrs[2*dn.Pod+k]).Name)
 }
 
 // buildPaths enumerates the paths from srcToR to dstToR by walking the

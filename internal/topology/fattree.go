@@ -167,7 +167,7 @@ func (ft *FatTree) NumPaths(srcToR, dstToR NodeID) int {
 	switch {
 	case srcToR == dstToR:
 		return 1
-	case ft.g.Node(srcToR).Pod == ft.g.Node(dstToR).Pod:
+	case ft.g.node(srcToR).Pod == ft.g.node(dstToR).Pod:
 		return ft.cfg.P / 2
 	default:
 		return ft.cfg.P * ft.cfg.P / 4
@@ -185,7 +185,7 @@ func (ft *FatTree) PathSet(srcToR, dstToR NodeID) PathSet {
 func (ft *FatTree) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
 	g := ft.g
 	half := ft.cfg.P / 2
-	sn, dn := g.Node(src), g.Node(dst)
+	sn, dn := g.node(src), g.node(dst)
 	if sn.Pod == dn.Pod {
 		// Intra-pod: up to aggr i, down to the destination ToR.
 		return append(buf,
@@ -207,7 +207,7 @@ func (ft *FatTree) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkI
 // NewFatTree numbers the cores first, then pod by pod the aggrs before
 // the ToRs, so appending in that order keeps IDs ascending.
 func (ft *FatTree) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
-	sp, dp := ft.g.Node(src).Pod, ft.g.Node(dst).Pod
+	sp, dp := ft.g.node(src).Pod, ft.g.node(dst).Pod
 	if sp == dp {
 		return append(append(buf, ft.aggrs[sp]...), src)
 	}
@@ -221,10 +221,10 @@ func (ft *FatTree) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
 // pathVia implements PathProvider. Fat-tree labels are stored node names,
 // so they never allocate.
 func (ft *FatTree) pathVia(src, dst NodeID, i int) string {
-	if ft.g.Node(src).Pod == ft.g.Node(dst).Pod {
-		return ft.g.Node(ft.aggrs[ft.g.Node(src).Pod][i]).Name
+	if ft.g.node(src).Pod == ft.g.node(dst).Pod {
+		return ft.g.node(ft.aggrs[ft.g.node(src).Pod][i]).Name
 	}
-	return ft.g.Node(ft.cores[i]).Name
+	return ft.g.node(ft.cores[i]).Name
 }
 
 // buildPaths enumerates the paths from srcToR to dstToR by walking the

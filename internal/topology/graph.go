@@ -103,8 +103,9 @@ type LinkEvent struct {
 type Graph struct {
 	nodes []Node
 	links []Link
-	out   map[NodeID][]LinkID
-	in    map[NodeID][]LinkID
+	// out and in list each node's leaving and entering links, indexed by
+	// NodeID and grown with nodes.
+	out, in [][]LinkID
 	// between maps an ordered node pair to the connecting link. The
 	// topologies built here never have parallel links.
 	between map[[2]NodeID]LinkID
@@ -113,11 +114,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		out:     make(map[NodeID][]LinkID),
-		in:      make(map[NodeID][]LinkID),
-		between: make(map[[2]NodeID]LinkID),
-	}
+	return &Graph{between: make(map[[2]NodeID]LinkID)}
 }
 
 // AddNode appends a node and returns its ID. Pod should be -1 for nodes
@@ -125,11 +122,14 @@ func NewGraph() *Graph {
 func (g *Graph) AddNode(kind NodeKind, name string, pod, index int) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Name: name, Pod: pod, Index: index})
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	return id
 }
 
 // AddDuplex adds a bidirectional link (two directed links with the same
 // capacity and delay) between a and b, returning the a->b direction.
+// Both must be nodes of g.
 func (g *Graph) AddDuplex(a, b NodeID, capacity, delay float64) LinkID {
 	ab := g.addLink(a, b, capacity, delay)
 	ba := g.addLink(b, a, capacity, delay)
@@ -155,19 +155,32 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 
+// node returns the node with the given ID in place, for hot paths that
+// read a field or two and should not copy the name.
+func (g *Graph) node(id NodeID) *Node { return &g.nodes[id] }
+
 // Link returns the directed link with the given ID.
 func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 
 // Reverse returns the opposite direction of the given link.
 func (g *Graph) Reverse(id LinkID) LinkID { return g.reverse[id] }
 
-// Out returns the IDs of links leaving n. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) Out(n NodeID) []LinkID { return g.out[n] }
+// Out returns the IDs of links leaving n, nil for an ID outside the
+// graph. The returned slice is owned by the graph and must not be
+// modified.
+func (g *Graph) Out(n NodeID) []LinkID { return linksOf(g.out, n) }
 
-// In returns the IDs of links entering n. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) In(n NodeID) []LinkID { return g.in[n] }
+// In returns the IDs of links entering n, nil for an ID outside the
+// graph. The returned slice is owned by the graph and must not be
+// modified.
+func (g *Graph) In(n NodeID) []LinkID { return linksOf(g.in, n) }
+
+func linksOf(adj [][]LinkID, n NodeID) []LinkID {
+	if n < 0 || int(n) >= len(adj) {
+		return nil
+	}
+	return adj[n]
+}
 
 // LinkBetween returns the directed link from a to b, if one exists.
 func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
@@ -178,7 +191,7 @@ func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
 // Neighbors returns the nodes reachable over one outgoing link of n, in
 // link-creation order.
 func (g *Graph) Neighbors(n NodeID) []NodeID {
-	out := g.out[n]
+	out := g.Out(n)
 	res := make([]NodeID, len(out))
 	for i, l := range out {
 		res[i] = g.links[l].To

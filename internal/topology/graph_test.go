@@ -41,6 +41,16 @@ func TestGraphBasics(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
+	if out, in := g.Out(a), g.In(a); len(out) != 2 || len(in) != 2 || out[0] != ab || in[1] != ha {
+		t.Errorf("Out(a) = %v, In(a) = %v; want [%v ...] and [... %v]", out, in, ab, ha)
+	}
+	// An ID outside the graph has no links, and asking does not panic.
+	lone := g.AddNode(Core, "core1", -1, 0)
+	for _, n := range []NodeID{lone, NodeID(g.NumNodes()), 1 << 20, -1} {
+		if out, in := g.Out(n), g.In(n); out != nil || in != nil {
+			t.Errorf("node %d: Out = %v, In = %v, want nil", n, out, in)
+		}
+	}
 }
 
 func TestGraphValidateRejectsBadHost(t *testing.T) {

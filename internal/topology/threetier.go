@@ -182,7 +182,7 @@ func (tt *ThreeTier) AggrOversubscription() float64 {
 func (tt *ThreeTier) PathSet(srcToR, dstToR NodeID) PathSet {
 	n := 1
 	if srcToR != dstToR {
-		if tt.g.Node(srcToR).Pod == tt.g.Node(dstToR).Pod {
+		if tt.g.node(srcToR).Pod == tt.g.node(dstToR).Pod {
 			n = 2
 		} else {
 			n = 4 * tt.cfg.NumCores
@@ -194,7 +194,7 @@ func (tt *ThreeTier) PathSet(srcToR, dstToR NodeID) PathSet {
 // appendPathLinks implements PathProvider.
 func (tt *ThreeTier) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
 	g := tt.g
-	sn, dn := g.Node(src), g.Node(dst)
+	sn, dn := g.node(src), g.node(dst)
 	if sn.Pod == dn.Pod {
 		return append(buf,
 			tt.accAggrUp[sn.Index*2+i],
@@ -216,7 +216,7 @@ func (tt *ThreeTier) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []Lin
 // the aggrs before the access switches, so appending in that order
 // keeps IDs ascending.
 func (tt *ThreeTier) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
-	sp, dp := tt.g.Node(src).Pod, tt.g.Node(dst).Pod
+	sp, dp := tt.g.node(src).Pod, tt.g.node(dst).Pod
 	if sp == dp {
 		return append(append(buf, tt.aggrs[sp][:]...), src)
 	}
@@ -231,17 +231,17 @@ func (tt *ThreeTier) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
 // demand; they exist only for traces and display.
 func (tt *ThreeTier) pathVia(src, dst NodeID, i int) string {
 	g := tt.g
-	sn, dn := g.Node(src), g.Node(dst)
+	sn, dn := g.node(src), g.node(dst)
 	if sn.Pod == dn.Pod {
-		return g.Node(tt.aggrs[sn.Pod][i]).Name
+		return g.node(tt.aggrs[sn.Pod][i]).Name
 	}
 	nc := tt.cfg.NumCores
 	j, rem := i/(nc*2), i%(nc*2)
 	c, k := rem/2, rem%2
 	return joinVia(
-		g.Node(tt.aggrs[sn.Pod][j]).Name,
-		g.Node(tt.cores[c]).Name,
-		g.Node(tt.aggrs[dn.Pod][k]).Name)
+		g.node(tt.aggrs[sn.Pod][j]).Name,
+		g.node(tt.cores[c]).Name,
+		g.node(tt.aggrs[dn.Pod][k]).Name)
 }
 
 // buildPaths enumerates the paths from srcToR to dstToR by walking the

@@ -5,11 +5,13 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"dard/internal/detrand"
 	"dard/internal/fpcmp"
 	"dard/internal/topology"
 )
@@ -78,7 +80,10 @@ func (l *Layout) HostsPerPod() int {
 type Pattern interface {
 	// Name identifies the pattern, e.g. "stride(4)".
 	Name() string
-	// PickDst returns a destination host index != src.
+	// PickDst returns a destination host index != src. It may draw from
+	// rng through any method but Read, whose buffered bytes would carry
+	// over from one host's stream to the next (Generate reuses one
+	// rand.Rand for every host).
 	PickDst(rng *rand.Rand, src int) int
 }
 
@@ -242,9 +247,15 @@ func Generate(l *Layout, cfg Config) ([]Flow, error) {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, have %d", l.NumHosts)
 	}
 	var flows []Flow
+	// Every host draws its own substream, so adding hosts does not
+	// perturb others. One lazily seeded source serves them all in turn:
+	// reseeding costs O(1) and rand.Rand holds no state of its own for
+	// the draws below, so each host's stream is exactly that of a fresh
+	// rand.NewSource(cfg.Seed + host*7919).
+	seeded := detrand.NewStd(cfg.Seed)
+	rng := rand.New(seeded)
 	for src := 0; src < l.NumHosts; src++ {
-		// Per-host substream so adding hosts does not perturb others.
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(src)*7919))
+		seeded.Seed(cfg.Seed + int64(src)*7919)
 		t := 0.0
 		for {
 			t += rng.ExpFloat64() / cfg.RatePerHost
@@ -263,7 +274,7 @@ func Generate(l *Layout, cfg Config) ([]Flow, error) {
 			})
 		}
 	}
-	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Arrival < flows[j].Arrival })
+	slices.SortStableFunc(flows, func(a, b Flow) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for i := range flows {
 		flows[i].ID = i
 	}

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dard/internal/topology"
 )
@@ -218,5 +222,110 @@ func TestStaggeredOnClos(t *testing.T) {
 		if d == 0 || d >= l.NumHosts {
 			t.Fatalf("bad destination %d", d)
 		}
+	}
+}
+
+// perHostGenerate is Generate as it was first written, one fresh
+// math/rand source per host: the oracle for the reused lazily seeded one.
+func perHostGenerate(l *Layout, cfg Config) []Flow {
+	var flows []Flow
+	for src := 0; src < l.NumHosts; src++ {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(src)*7919))
+		t := 0.0
+		for {
+			t += rng.ExpFloat64() / cfg.RatePerHost
+			if t >= cfg.Duration {
+				break
+			}
+			if dst := cfg.Pattern.PickDst(rng, src); dst != src {
+				flows = append(flows, Flow{Src: src, Dst: dst, SizeBits: cfg.SizeBytes * 8, Arrival: t})
+			}
+		}
+	}
+	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Arrival < flows[j].Arrival })
+	for i := range flows {
+		flows[i].ID = i
+	}
+	return flows
+}
+
+// TestGenerateMatchesPerHostSources pins every flow Generate makes to
+// the per-host math/rand streams it has always drawn from, for each
+// pattern and for seeds math/rand normalises specially.
+func TestGenerateMatchesPerHostSources(t *testing.T) {
+	l := fatTreeLayout(t, 8)
+	patterns := []Pattern{Random{L: l}, NewStaggered(l), Stride{N: l.NumHosts, Step: l.HostsPerPod()}}
+	for _, p := range patterns {
+		for _, seed := range []int64{0, 1, -7, 42, 1<<31 - 1, -(1<<31 - 1) * 3, 1 << 40} {
+			cfg := Config{Pattern: p, RatePerHost: 5, Duration: 4, SizeBytes: 1 << 20, Seed: seed}
+			got, err := Generate(l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := perHostGenerate(l, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d flows, per-host sources make %d", p.Name(), seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: flow %d is %+v, per-host sources make %+v", p.Name(), seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateAllocs checks that Generate's allocation follows the
+// flows it makes, not the host count: on a p=32 layout (8,192 hosts)
+// with about one flow per 500 hosts it allocates about what it does on
+// p=4 (16 hosts), plus the flow slice. A fresh 5 KB source per host
+// would cost 40 MB here.
+func TestGenerateAllocs(t *testing.T) {
+	bytes := func(l *Layout) (float64, int) {
+		cfg := Config{Pattern: Stride{N: l.NumHosts, Step: l.HostsPerPod()}, RatePerHost: 1, Duration: 2e-3, Seed: 5}
+		var flows []Flow
+		var before, after runtime.MemStats
+		const runs = 4
+		runtime.ReadMemStats(&before)
+		for range runs {
+			var err error
+			if flows, err = Generate(l, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, len(flows)
+	}
+	small, _ := bytes(fatTreeLayout(t, 4))
+	big, n := bytes(fatTreeLayout(t, 32))
+	if n == 0 {
+		t.Fatal("p=32 layout generated no flows; the bound below would not see the flow slice")
+	}
+	flowBytes := float64(4 * n * int(unsafe.Sizeof(Flow{})))
+	if big > small+flowBytes+4096 {
+		t.Errorf("Generate allocates %.0f B on 8,192 hosts (%d flows) vs %.0f B on 16: more than the flows' %.0f B, so it scales with hosts",
+			big, n, small, flowBytes)
+	}
+}
+
+// BenchmarkGenerate times the batch workload on the serve-jobs shape
+// (p=8, 128 hosts) and on the paper's p=32 fabric, about one flow per
+// host each.
+func BenchmarkGenerate(b *testing.B) {
+	for _, p := range []int{8, 32} {
+		ft, err := topology.NewFatTree(topology.FatTreeConfig{P: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		l := NewLayout(ft)
+		cfg := Config{Pattern: Random{L: l}, RatePerHost: 5, Duration: 0.2, Seed: 11}
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(l, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
