@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"dard"
@@ -182,7 +183,8 @@ func TestBatchReportUnchangedByWindows(t *testing.T) {
 }
 
 // TestRunContextCanceled pins the cancellation contract on both engines:
-// the error matches ErrCanceled and the context's own error.
+// the error matches ErrCanceled and the context's own error, and names
+// ErrCanceled once.
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -207,6 +209,9 @@ func TestRunContextCanceled(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: error %v does not match context.Canceled", engine, err)
+		}
+		if n := strings.Count(err.Error(), dard.ErrCanceled.Error()); n != 1 {
+			t.Errorf("%s: error %q names ErrCanceled %d times, want once", engine, err, n)
 		}
 	}
 }

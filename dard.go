@@ -290,12 +290,46 @@ func (s Scenario) RunContext(ctx context.Context) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	// A TraceDir without a caller's Tracer records into a fresh Recorder
+	// that is written out once the run completes.
+	var rec *trace.Recorder
+	if s.Tracer == nil && s.TraceDir != "" {
+		rec = trace.NewRecorder(trace.RecorderOptions{})
+		s.Tracer = rec
+	}
+	var (
+		rep *Report
+		err error
+	)
+	if s.Engine == EnginePacket {
+		rep, err = s.runPacket(ctx)
+	} else {
+		var sess *Session
+		if sess, err = buildSession(s, nil); err == nil {
+			rep, err = sess.Run(ctx)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		if err := s.writeTrace(rec); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// prepare builds the topology (unless Topo is set) and the workload: the
+// batch of flows, or in steady mode the open arrival stream. A
+// *trace.Recorder tracer gets the run's header.
+func (s Scenario) prepare() (*Topology, []workload.Flow, flowsim.ArrivalSource, error) {
 	topo := s.Topo
 	if topo == nil {
 		var err error
 		topo, err = s.Topology.Build()
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 	var (
@@ -304,35 +338,17 @@ func (s Scenario) RunContext(ctx context.Context) (*Report, error) {
 		err      error
 	)
 	if s.Steady {
-		if s.Engine != EngineFlow {
-			return nil, fmt.Errorf("dard: steady mode requires Engine: EngineFlow (open arrivals stream through the fluid engine)")
-		}
 		arrivals, err = s.openArrivals(topo)
 	} else {
 		flows, err = s.generate(topo)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	tr, rec := s.setupTrace(topo)
-	var rep *Report
-	switch s.Engine {
-	case EngineFlow:
-		rep, err = s.runFlow(ctx, topo, flows, arrivals, tr)
-	case EnginePacket:
-		rep, err = s.runPacket(ctx, topo, flows, tr)
-	default:
-		return nil, fmt.Errorf("dard: unknown engine %q", s.Engine)
+	if r, ok := s.Tracer.(*trace.Recorder); ok {
+		r.SetMeta(s.traceMeta(topo))
 	}
-	if err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	if rec != nil {
-		if err := s.writeTrace(rec); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return topo, flows, arrivals, nil
 }
 
 // pattern builds the destination-picking pattern for the topology.
@@ -411,10 +427,11 @@ func dardCounters(rep *Report, pol sched.Policy) {
 }
 
 // flowConfig assembles the flow-engine configuration. Exactly one of
-// flows and arrivals is the workload; Run and Session both build their
-// engines from this, so a restored session reconstructs the same run an
-// uninterrupted one executes.
-func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource, tr trace.Tracer) (flowsim.Config, sched.Policy, error) {
+// flows and arrivals is the workload; Run, new sessions and restored
+// sessions all build their engines through buildSession and this, so a
+// restored session reconstructs the same run an uninterrupted one
+// executes.
+func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource) (flowsim.Config, sched.Policy, error) {
 	ctl, err := s.policy()
 	if err != nil {
 		return flowsim.Config{}, nil, err
@@ -432,26 +449,10 @@ func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flo
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
 		LinkEvents:    events,
-		Tracer:        tr,
+		Tracer:        s.Tracer,
 		ProbeInterval: s.probeInterval(),
 		Reference:     s.flowsimReference,
 	}, ctl, nil
-}
-
-func (s Scenario) runFlow(ctx context.Context, topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource, tr trace.Tracer) (*Report, error) {
-	cfg, ctl, err := s.flowConfig(topo, flows, arrivals, tr)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := flowsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.finishFlowReport(topo, res, ctl, len(flows))
 }
 
 // finishFlowReport assembles the facade report from a completed flow-run:
@@ -507,7 +508,13 @@ func (s Scenario) linkEvents(topo *Topology) ([]topology.LinkEvent, error) {
 	return events, nil
 }
 
-func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workload.Flow, tr trace.Tracer) (*Report, error) {
+// runPacket builds and runs the scenario on the packet engine; Validate
+// has ruled out steady mode there, so the workload is a batch.
+func (s Scenario) runPacket(ctx context.Context) (*Report, error) {
+	topo, flows, _, err := s.prepare()
+	if err != nil {
+		return nil, err
+	}
 	pol, err := s.policy()
 	if err != nil {
 		return nil, err
@@ -524,7 +531,7 @@ func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workloa
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
 		LinkEvents:    events,
-		Tracer:        tr,
+		Tracer:        s.Tracer,
 		ProbeInterval: s.probeInterval(),
 	})
 	if err != nil {
@@ -532,7 +539,7 @@ func (s Scenario) runPacket(ctx context.Context, topo *Topology, flows []workloa
 	}
 	res, err := rt.RunContext(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wrapCanceled(ctx, err)
 	}
 	rep := packetReport(s, topo, res)
 	rep.Flows = len(flows)

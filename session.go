@@ -93,32 +93,11 @@ func ResumeSession(data []byte, tracer trace.Tracer) (*Session, error) {
 // buildSession constructs the topology, workload, and engine; a non-nil
 // engine snapshot restores the run's position instead of starting fresh.
 func buildSession(s Scenario, engineSnap []byte) (*Session, error) {
-	topo := s.Topo
-	if topo == nil {
-		var err error
-		topo, err = s.Topology.Build()
-		if err != nil {
-			return nil, err
-		}
-	}
-	var (
-		flows    []workload.Flow
-		arrivals flowsim.ArrivalSource
-		err      error
-	)
-	if s.Steady {
-		arrivals, err = s.openArrivals(topo)
-	} else {
-		flows, err = s.generate(topo)
-	}
+	topo, flows, arrivals, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
-	tr := s.Tracer
-	if r, ok := tr.(*trace.Recorder); ok {
-		r.SetMeta(s.traceMeta(topo))
-	}
-	cfg, ctl, err := s.flowConfig(topo, flows, arrivals, tr)
+	cfg, ctl, err := s.flowConfig(topo, flows, arrivals)
 	if err != nil {
 		return nil, err
 	}

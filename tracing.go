@@ -117,22 +117,6 @@ func sanitizeFile(s string) string {
 	return b.String()
 }
 
-// setupTrace resolves the scenario's tracer: the caller's Tracer if set,
-// otherwise a fresh Recorder when TraceDir asks for a file. A
-// caller-provided *trace.Recorder gets its meta filled in either way.
-func (s Scenario) setupTrace(topo *Topology) (trace.Tracer, *trace.Recorder) {
-	tr := s.Tracer
-	var rec *trace.Recorder
-	if tr == nil && s.TraceDir != "" {
-		rec = trace.NewRecorder(trace.RecorderOptions{})
-		tr = rec
-	}
-	if r, ok := tr.(*trace.Recorder); ok {
-		r.SetMeta(s.traceMeta(topo))
-	}
-	return tr, rec
-}
-
 // writeTrace freezes the recorder and writes the JSONL file under
 // TraceDir.
 func (s Scenario) writeTrace(rec *trace.Recorder) error {
