@@ -29,6 +29,12 @@ type ClosConfig struct {
 	LinkDelay float64
 }
 
+// Name renders the name the built Clos carries, e.g. "clos(DI=8,DA=8)".
+func (c ClosConfig) Name() string { return fmt.Sprintf("clos(DI=%d,DA=%d)", c.DI, c.DA) }
+
+// Build constructs the Clos.
+func (c ClosConfig) Build() (Network, error) { return NewClos(c) }
+
 func (c *ClosConfig) applyDefaults() error {
 	if c.DI < 1 || c.DI > 1024 {
 		return fmt.Errorf("%w: clos intermediate switch count %d outside [1, 1024]", ErrConfig, c.DI)
@@ -89,7 +95,7 @@ func NewClos(cfg ClosConfig) (*Clos, error) {
 	}
 	g := NewGraph()
 	cl := &Clos{
-		base: newBase(fmt.Sprintf("clos(DI=%d,DA=%d)", cfg.DI, cfg.DA), g),
+		base: newBase(cfg.Name(), g),
 		cfg:  cfg,
 	}
 

@@ -47,6 +47,12 @@ func (c *DCellConfig) sizes() ([]int, error) {
 	return t, nil
 }
 
+// Name renders the name the built DCell carries, e.g. "dcell(n=3,l=1)".
+func (c DCellConfig) Name() string { return fmt.Sprintf("dcell(n=%d,l=%d)", c.N, c.Level) }
+
+// Build constructs the DCell.
+func (c DCellConfig) Build() (Network, error) { return NewDCell(c) }
+
 func (c *DCellConfig) applyDefaults() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: dcell needs at least two servers per cell, got n=%d", ErrConfig, c.N)
@@ -97,7 +103,7 @@ func NewDCell(cfg DCellConfig) (*DCell, error) {
 	}
 	g := NewGraph()
 	dc := &DCell{
-		base: newBase(fmt.Sprintf("dcell(n=%d,l=%d)", cfg.N, cfg.Level), g),
+		base: newBase(cfg.Name(), g),
 		cfg:  cfg,
 		t:    t,
 	}

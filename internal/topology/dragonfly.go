@@ -27,6 +27,14 @@ type DragonflyConfig struct {
 	LinkDelay float64
 }
 
+// Name renders the name the built dragonfly carries, e.g. "dragonfly(d=4,a=3,p=2)".
+func (c DragonflyConfig) Name() string {
+	return fmt.Sprintf("dragonfly(d=%d,a=%d,p=%d)", c.D, c.A, c.P)
+}
+
+// Build constructs the dragonfly.
+func (c DragonflyConfig) Build() (Network, error) { return NewDragonfly(c) }
+
 func (c *DragonflyConfig) applyDefaults() error {
 	if c.D < 1 {
 		return fmt.Errorf("%w: dragonfly needs at least one router per group, got d=%d", ErrConfig, c.D)
@@ -78,7 +86,7 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	}
 	g := NewGraph()
 	df := &Dragonfly{
-		base: newBase(fmt.Sprintf("dragonfly(d=%d,a=%d,p=%d)", cfg.D, cfg.A, cfg.P), g),
+		base: newBase(cfg.Name(), g),
 		cfg:  cfg,
 	}
 	df.noun = "router"

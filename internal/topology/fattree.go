@@ -26,6 +26,12 @@ type FatTreeConfig struct {
 	HostsPerToR int
 }
 
+// Name renders the name the built fat-tree carries, e.g. "fattree(p=8)".
+func (c FatTreeConfig) Name() string { return fmt.Sprintf("fattree(p=%d)", c.P) }
+
+// Build constructs the fat-tree.
+func (c FatTreeConfig) Build() (Network, error) { return NewFatTree(c) }
+
 func (c *FatTreeConfig) applyDefaults() error {
 	if c.P < 4 || c.P%2 != 0 {
 		return fmt.Errorf("%w: fat-tree port count must be an even integer >= 4, got %d", ErrConfig, c.P)
@@ -84,7 +90,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	half := p / 2
 	g := NewGraph()
 	ft := &FatTree{
-		base: newBase(fmt.Sprintf("fattree(p=%d)", p), g),
+		base: newBase(cfg.Name(), g),
 		cfg:  cfg,
 	}
 

@@ -37,6 +37,17 @@ type ThreeTierConfig struct {
 	LinkDelay float64
 }
 
+// Name renders the name the built three-tier network carries, e.g.
+// "threetier(cores=8,pods=4)", from the configuration with its defaults
+// applied (a dimension out of range renders as given).
+func (c ThreeTierConfig) Name() string {
+	_ = c.applyDefaults()
+	return fmt.Sprintf("threetier(cores=%d,pods=%d)", c.NumCores, c.NumPods)
+}
+
+// Build constructs the three-tier network.
+func (c ThreeTierConfig) Build() (Network, error) { return NewThreeTier(c) }
+
 func (c *ThreeTierConfig) applyDefaults() error {
 	if c.NumCores == 0 {
 		c.NumCores = 8
@@ -104,7 +115,7 @@ func NewThreeTier(cfg ThreeTierConfig) (*ThreeTier, error) {
 	}
 	g := NewGraph()
 	tt := &ThreeTier{
-		base: newBase(fmt.Sprintf("threetier(cores=%d,pods=%d)", cfg.NumCores, cfg.NumPods), g),
+		base: newBase(cfg.Name(), g),
 		cfg:  cfg,
 	}
 

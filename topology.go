@@ -1,6 +1,7 @@
 package dard
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,78 +84,69 @@ type Topology struct {
 // Build constructs the topology. The addressing plan is deferred to the
 // first facade call that renders addresses or tables.
 func (spec TopologySpec) Build() (*Topology, error) {
-	var (
-		net topology.Network
-		err error
-	)
+	cfg, err := spec.config()
+	if err != nil {
+		return nil, err
+	}
+	net, err := cfg.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &Topology{net: net, layout: workload.NewLayout(net)}, nil
+}
+
+// networkConfig is one family's construction parameters
+// (topology.FatTreeConfig and its siblings).
+type networkConfig interface {
+	// Name renders the name the built network carries.
+	Name() string
+	Build() (topology.Network, error)
+}
+
+// config resolves the spec's zero fields to the facade's defaults and
+// returns the family's construction parameters. Build and the trace file
+// name both read it, so a scenario that names its topology by spec and
+// one that carries the built Topo name it alike.
+func (spec TopologySpec) config() (networkConfig, error) {
 	switch spec.Kind {
 	case FatTree, "":
-		p := spec.P
-		if p == 0 {
-			p = 8
-		}
-		net, err = topology.NewFatTree(topology.FatTreeConfig{
-			P:            p,
+		return topology.FatTreeConfig{
+			P:            cmp.Or(spec.P, 8),
 			HostsPerToR:  spec.HostsPerToR,
 			LinkCapacity: spec.LinkCapacity,
 			LinkDelay:    spec.LinkDelay,
-		})
+		}, nil
 	case Clos:
-		d := spec.D
-		if d == 0 {
-			d = 8
-		}
-		net, err = topology.NewClos(topology.ClosConfig{
+		d := cmp.Or(spec.D, 8)
+		return topology.ClosConfig{
 			DI:           d,
 			DA:           d,
 			HostsPerToR:  spec.HostsPerToR,
 			LinkCapacity: spec.LinkCapacity,
 			LinkDelay:    spec.LinkDelay,
-		})
+		}, nil
 	case ThreeTier:
-		net, err = topology.NewThreeTier(topology.ThreeTierConfig{
+		return topology.ThreeTierConfig{
 			HostsPerAccess: spec.HostsPerToR,
 			LinkDelay:      spec.LinkDelay,
-		})
+		}, nil
 	case Dragonfly:
-		d, a, p := spec.D, spec.A, spec.HostsPerToR
-		if d == 0 {
-			d = 4
-		}
-		if a == 0 {
-			a = 3
-		}
-		if p == 0 {
-			p = 2
-		}
-		net, err = topology.NewDragonfly(topology.DragonflyConfig{
-			D:            d,
-			A:            a,
-			P:            p,
+		return topology.DragonflyConfig{
+			D:            cmp.Or(spec.D, 4),
+			A:            cmp.Or(spec.A, 3),
+			P:            cmp.Or(spec.HostsPerToR, 2),
 			LinkCapacity: spec.LinkCapacity,
 			LinkDelay:    spec.LinkDelay,
-		})
+		}, nil
 	case DCell:
-		n, level := spec.N, spec.Level
-		if n == 0 {
-			n = 3
-		}
-		if level == 0 {
-			level = 1
-		}
-		net, err = topology.NewDCell(topology.DCellConfig{
-			N:            n,
-			Level:        level,
+		return topology.DCellConfig{
+			N:            cmp.Or(spec.N, 3),
+			Level:        cmp.Or(spec.Level, 1),
 			LinkCapacity: spec.LinkCapacity,
 			LinkDelay:    spec.LinkDelay,
-		})
-	default:
-		return nil, fmt.Errorf("dard: unknown topology kind %q", spec.Kind)
+		}, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &Topology{net: net, layout: workload.NewLayout(net)}, nil
+	return nil, fmt.Errorf("dard: unknown topology kind %q", spec.Kind)
 }
 
 // addressPlan builds the hierarchical addressing plan on first use;

@@ -79,26 +79,15 @@ func (s Scenario) cell() []string {
 	return []string{name, string(s.Pattern), string(s.Scheduler), string(s.Engine)}
 }
 
-// name renders the spec's topology name without building the network,
-// mirroring the names internal/topology constructs.
+// name renders the spec's topology name without building the network:
+// the name the built network carries, or the bare kind when the kind is
+// unknown.
 func (spec TopologySpec) name() string {
-	switch spec.Kind {
-	case FatTree, "":
-		p := spec.P
-		if p == 0 {
-			p = 8
-		}
-		return fmt.Sprintf("fattree(p=%d)", p)
-	case Clos:
-		d := spec.D
-		if d == 0 {
-			d = 8
-		}
-		return fmt.Sprintf("clos(DI=%d,DA=%d)", d, d)
-	case ThreeTier:
-		return "threetier(cores=8,pods=4)"
+	cfg, err := spec.config()
+	if err != nil {
+		return string(spec.Kind)
 	}
-	return string(spec.Kind)
+	return cfg.Name()
 }
 
 // sanitizeFile maps characters outside [A-Za-z0-9._-] to '-'.

@@ -206,3 +206,27 @@ func TestMatrixTraceFilesSerialParallelIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFileNameSpecMatchesBuilt: a scenario that names its topology
+// by spec writes the trace file a scenario carrying the built Topo
+// writes, for every family, with default and explicit dimensions, so two
+// sizes of one family in one TraceDir never share a file.
+func TestTraceFileNameSpecMatchesBuilt(t *testing.T) {
+	specs := []TopologySpec{
+		{}, {Kind: FatTree, P: 6, HostsPerToR: 1},
+		{Kind: Clos}, {Kind: Clos, D: 4},
+		{Kind: ThreeTier}, {Kind: ThreeTier, HostsPerToR: 2},
+		{Kind: Dragonfly}, {Kind: Dragonfly, D: 2, A: 2, HostsPerToR: 1},
+		{Kind: DCell}, {Kind: DCell, N: 2, Level: 2},
+	}
+	for _, spec := range specs {
+		topo, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		byName := Scenario{Topology: spec}.TraceFileName()
+		if built := (Scenario{Topo: topo}).TraceFileName(); byName != built {
+			t.Errorf("%+v: spec names trace file %q, built topology %q", spec, byName, built)
+		}
+	}
+}
