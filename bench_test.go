@@ -12,6 +12,7 @@ package dard_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dard"
@@ -19,22 +20,24 @@ import (
 	"dard/internal/trace"
 )
 
-// benchExperiment runs one registered experiment per iteration and
-// reports a selection of its key values as benchmark metrics.
+// benchExperiment runs the study that renders one artifact per
+// iteration and reports a selection of that artifact's key values as
+// benchmark metrics.
 func benchExperiment(b *testing.B, id string, metricKeys map[string]string) {
 	b.Helper()
-	entry, err := experiments.Find(id)
+	study, err := experiments.Find(id)
 	if err != nil {
 		b.Fatal(err)
 	}
+	at := slices.IndexFunc(study.Artifacts, func(a experiments.Artifact) bool { return a.ID == id })
 	params := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		res, err := entry.Run(params)
+		results, err := study.Run(params)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for key, unit := range metricKeys {
-			if v, ok := res.Values[key]; ok {
+			if v, ok := results[at].Values[key]; ok {
 				b.ReportMetric(v, unit)
 			}
 		}

@@ -11,11 +11,12 @@ import (
 	"dard"
 )
 
-// The parallel runner's contract: an experiment's Result is a pure
-// function of its Params — never of the worker count, GOMAXPROCS, or
-// cell completion order. These tests pin that down for one
-// representative experiment per engine: Table 4 (flow-level sweep),
-// Figure 13 (packet-level TCP), and NashConvergence (game-level trials).
+// The parallel runner's contract: a study's Results are a pure function
+// of its Params — never of the worker count, GOMAXPROCS, or cell
+// completion order. These tests pin that down for one representative
+// study per engine: the fat-tree study (flow-level sweep), the packet
+// testbed study (packet-level TCP), and NashConvergence (game-level
+// trials).
 
 // withGOMAXPROCS runs fn under the given GOMAXPROCS and restores it.
 func withGOMAXPROCS(n int, fn func()) {
@@ -46,12 +47,12 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// assertWorkerInvariant runs the experiment serially (workers=1,
-// GOMAXPROCS=1) and compares against parallel runs at workers=2 and
-// workers=8 under matching GOMAXPROCS.
-func assertWorkerInvariant(t *testing.T, run func(workers int) (*Result, error)) {
+// assertWorkerInvariant runs a study serially (workers=1,
+// GOMAXPROCS=1) and compares every result against parallel runs at
+// workers=2 and workers=8 under matching GOMAXPROCS.
+func assertWorkerInvariant(t *testing.T, run func(workers int) ([]*Result, error)) {
 	t.Helper()
-	var serial *Result
+	var serial []*Result
 	withGOMAXPROCS(1, func() {
 		var err error
 		serial, err = run(1)
@@ -61,7 +62,7 @@ func assertWorkerInvariant(t *testing.T, run func(workers int) (*Result, error))
 	})
 	for _, workers := range []int{2, 8} {
 		workers := workers
-		var par *Result
+		var par []*Result
 		withGOMAXPROCS(workers, func() {
 			var err error
 			par, err = run(workers)
@@ -69,43 +70,61 @@ func assertWorkerInvariant(t *testing.T, run func(workers int) (*Result, error))
 				t.Fatal(err)
 			}
 		})
-		assertSameResult(t, serial.ID+"/workers="+string(rune('0'+workers)), serial, par)
+		if len(par) != len(serial) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(serial))
+		}
+		for i := range serial {
+			assertSameResult(t, fmt.Sprintf("%s/workers=%d", serial[i].ID, workers), serial[i], par[i])
+		}
 	}
 }
 
-func TestTable4SerialParallelIdentical(t *testing.T) {
-	assertWorkerInvariant(t, func(workers int) (*Result, error) {
+// quickStudy runs a study at the quick scale on the given worker count.
+func quickStudy(run func(Params) ([]*Result, error)) func(workers int) ([]*Result, error) {
+	return func(workers int) ([]*Result, error) {
 		p := Quick()
 		p.Workers = workers
-		return Table4(p)
-	})
+		return run(p)
+	}
 }
 
+// one adapts a single-result experiment to assertWorkerInvariant.
+func one(res *Result, err error) ([]*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*Result{res}, nil
+}
+
+// TestTable4SerialParallelIdentical compares all four results of the
+// fat-tree study (Figures 7-8, Tables 4-5).
+func TestTable4SerialParallelIdentical(t *testing.T) {
+	assertWorkerInvariant(t, quickStudy(FatTreeStudy))
+}
+
+// TestFigure13SerialParallelIdentical compares all three results of the
+// packet testbed study (Figures 5, 13 and 14).
 func TestFigure13SerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet engine experiment")
 	}
-	assertWorkerInvariant(t, func(workers int) (*Result, error) {
-		p := Quick()
-		p.Workers = workers
-		return Figure13(p)
-	})
+	assertWorkerInvariant(t, quickStudy(TestbedStudy))
 }
 
 func TestFailureRecoverySerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet engine experiment")
 	}
-	assertWorkerInvariant(t, func(workers int) (*Result, error) {
+	assertWorkerInvariant(t, func(workers int) ([]*Result, error) {
 		p := Quick()
 		p.Workers = workers
-		return FailureRecovery(p)
+		return one(FailureRecovery(p))
 	})
 }
 
 func TestNashConvergenceSerialParallelIdentical(t *testing.T) {
-	assertWorkerInvariant(t, func(workers int) (*Result, error) {
-		return NashConvergence(40, 9, workers)
+	assertWorkerInvariant(t, func(workers int) ([]*Result, error) {
+		return one(NashConvergence(40, 9, workers))
 	})
 }
 

@@ -4,44 +4,45 @@ import (
 	"dard"
 )
 
-// Figure9 reproduces the transfer-time CDFs on the large Clos network
-// (§4.3.2).
-func Figure9(p Params) (*Result, error) {
+// ClosStudy runs the Clos grid of §4.3.2 once and renders the four
+// artifacts drawn from it: Figure 9's transfer-time CDFs and Figure 10's
+// path-switch CDF on the large Clos network (BigD), and Table 6's mean
+// transfer times and Table 7's DARD path-switch percentiles across the
+// ClosD sizes.
+func ClosStudy(p Params) ([]*Result, error) {
 	p = p.withDefaults()
-	return transferCDFs(p, "Figure 9", "transfer time CDFs on {topo}", sizeSpec(p, dard.Clos, p.BigD), fatTreeScenario(p))
+	big, bySize, err := sizeRuns(p, dard.Clos, p.ClosD, p.BigD, "table6")
+	if err != nil {
+		return nil, err
+	}
+	return []*Result{
+		transferCDFs("Figure 9", "transfer time CDFs on {topo}", big),
+		switchCDF("Figure 10", "path switch count CDF on {topo}", big),
+		transferTable("Table 6", "average file transfer time (s) on Clos topologies", dard.Clos, p.ClosD, bySize),
+		switchTable("Table 7", "DARD 90th-percentile and max path switch times on Clos topologies", dard.Clos, p.ClosD, bySize),
+	}, nil
 }
 
-// Figure10 reproduces DARD's path-switch CDF on the large Clos network.
-func Figure10(p Params) (*Result, error) {
+// ThreeTierStudy runs the oversubscribed 8-core-3-tier grid of §4.3.2
+// once and renders Figure 11's transfer-time CDFs (DARD beats the
+// centralized scheduler under intra-pod-dominant, staggered traffic and
+// tracks it closely under stride) and Figure 12's path-switch CDF.
+func ThreeTierStudy(p Params) ([]*Result, error) {
 	p = p.withDefaults()
-	return switchCDF(p, "Figure 10", "path switch count CDF on {topo}", sizeSpec(p, dard.Clos, p.BigD), fatTreeScenario(p))
-}
-
-// Table6 reproduces the average-transfer-time table across Clos sizes.
-func Table6(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return sizeSweep(p, "Table 6", "average file transfer time (s) on Clos topologies", dard.Clos, p.ClosD)
-}
-
-// Table7 reproduces DARD's path-switch percentiles on Clos topologies.
-func Table7(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return switchSweep(p, "Table 7", "DARD 90th-percentile and max path switch times on Clos topologies", dard.Clos, p.ClosD)
-}
-
-// Figure11 reproduces the transfer-time CDFs on the oversubscribed
-// 8-core-3-tier topology (§4.3.2): DARD beats the centralized scheduler
-// under intra-pod-dominant (staggered) traffic and tracks it closely
-// under stride.
-func Figure11(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return transferCDFs(p, "Figure 11", "transfer time CDFs on {topo} (oversubscribed)", threeTierSpec(p), threeTierScenario(p))
-}
-
-// Figure12 reproduces DARD's path-switch CDF on the three-tier topology.
-func Figure12(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return switchCDF(p, "Figure 12", "path switch count CDF on {topo}", threeTierSpec(p), threeTierScenario(p))
+	topo, err := threeTierSpec(p).Build()
+	if err != nil {
+		return nil, err
+	}
+	base := threeTierScenario(p)
+	base.TraceDir = p.traceDir("figure11")
+	runs, err := runGrid(p, base, []*dard.Topology{topo}, flowSchedulers)
+	if err != nil {
+		return nil, err
+	}
+	return []*Result{
+		transferCDFs("Figure 11", "transfer time CDFs on {topo} (oversubscribed)", runs[0]),
+		switchCDF("Figure 12", "path switch count CDF on {topo}", runs[0]),
+	}, nil
 }
 
 // threeTierSpec trims the three-tier edge for laptop-scale runs: 4 hosts

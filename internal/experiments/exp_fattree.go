@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"dard"
 	"dard/internal/metrics"
@@ -37,32 +38,23 @@ func fatTreeScenario(p Params) dard.Scenario {
 	}
 }
 
-// Figure7 reproduces the transfer-time CDFs on the large fat-tree for the
-// four schedulers under each traffic pattern.
-func Figure7(p Params) (*Result, error) {
+// FatTreeStudy runs the fat-tree grid of §4.3.1 once and renders the
+// four artifacts drawn from it: Figure 7's transfer-time CDFs and
+// Figure 8's path-switch CDF on the large fat-tree (BigP), and Table 4's
+// mean transfer times and Table 5's DARD path-switch percentiles across
+// the FatTreeP sizes.
+func FatTreeStudy(p Params) ([]*Result, error) {
 	p = p.withDefaults()
-	return transferCDFs(p, "Figure 7", "transfer time CDFs on {topo}, four schedulers x three patterns",
-		sizeSpec(p, dard.FatTree, p.BigP), fatTreeScenario(p))
-}
-
-// Figure8 reproduces DARD's path-switch CDF on the large fat-tree.
-func Figure8(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return switchCDF(p, "Figure 8", "path switch count CDF on {topo}", sizeSpec(p, dard.FatTree, p.BigP), fatTreeScenario(p))
-}
-
-// Table4 reproduces the average-transfer-time table across fat-tree sizes,
-// patterns, and schedulers.
-func Table4(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return sizeSweep(p, "Table 4", "average file transfer time (s) on fat-trees", dard.FatTree, p.FatTreeP)
-}
-
-// Table5 reproduces DARD's 90th-percentile and maximum path-switch counts
-// on fat-trees.
-func Table5(p Params) (*Result, error) {
-	p = p.withDefaults()
-	return switchSweep(p, "Table 5", "DARD 90th-percentile and max path switch times on fat-trees", dard.FatTree, p.FatTreeP)
+	big, bySize, err := sizeRuns(p, dard.FatTree, p.FatTreeP, p.BigP, "table4")
+	if err != nil {
+		return nil, err
+	}
+	return []*Result{
+		transferCDFs("Figure 7", "transfer time CDFs on {topo}, four schedulers x three patterns", big),
+		switchCDF("Figure 8", "path switch count CDF on {topo}", big),
+		transferTable("Table 4", "average file transfer time (s) on fat-trees", dard.FatTree, p.FatTreeP, bySize),
+		switchTable("Table 5", "DARD 90th-percentile and max path switch times on fat-trees", dard.FatTree, p.FatTreeP, bySize),
+	}, nil
 }
 
 // sizeSpec is the fat-tree (size = P) or Clos (size = D) of one sweep
@@ -85,70 +77,67 @@ func sizeLabel(kind dard.TopologyKind, size int) string {
 	return fmt.Sprintf("p=%d", size)
 }
 
-// sweep runs the fat-tree base scenario over the sizes x patterns x
-// schedulers grid of a Table 4-7 sweep. The flat grid lets the small
-// sizes' cells overlap the big ones' on the worker pool instead of
-// sweeping size by size. Reports come back in grid order.
-func sweep(p Params, id string, kind dard.TopologyKind, sizes []int, scheds []dard.Scheduler) ([]*dard.Report, error) {
-	topos := make([]*dard.Topology, len(sizes))
-	for i, size := range sizes {
+// sizeRuns runs the fat-tree base scenario over (sizes ∪ {big}) x
+// patterns x the four flow schedulers as one grid, so every cell runs
+// once and the small sizes' cells overlap the big ones' on the worker
+// pool. It returns big's runs and one entry per size, in order; every
+// trace lands under dir.
+func sizeRuns(p Params, kind dard.TopologyKind, sizes []int, big int, dir string) (topoRuns, []topoRuns, error) {
+	all := sizes
+	if !slices.Contains(sizes, big) {
+		all = append(slices.Clip(sizes), big)
+	}
+	topos := make([]*dard.Topology, len(all))
+	for i, size := range all {
 		topo, err := sizeSpec(p, kind, size).Build()
 		if err != nil {
-			return nil, err
+			return topoRuns{}, nil, err
 		}
 		topos[i] = topo
 	}
 	base := fatTreeScenario(p)
-	base.TraceDir = p.traceDir(expTag(id))
-	return dard.RunAll(grid(base, topos, patterns, scheds), p.Workers)
+	base.TraceDir = p.traceDir(dir)
+	runs, err := runGrid(p, base, topos, flowSchedulers)
+	if err != nil {
+		return topoRuns{}, nil, err
+	}
+	return runs[slices.Index(all, big)], runs[:len(sizes)], nil
 }
 
-// sizeSweep renders a Table-4-style matrix: topology size x pattern x
-// scheduler mean transfer times.
-func sizeSweep(p Params, id, title string, kind dard.TopologyKind, sizes []int) (*Result, error) {
-	reports, err := sweep(p, id, kind, sizes, flowSchedulers)
-	if err != nil {
-		return nil, err
-	}
+// transferTable renders Tables 4 and 6: mean transfer time per topology
+// size, pattern and scheduler. runs holds one entry per size, in order.
+func transferTable(id, title string, kind dard.TopologyKind, sizes []int, runs []topoRuns) *Result {
 	tbl := metrics.NewTable(title, "size", "pattern", "ECMP", "pVLB", "DARD", "SimulatedAnnealing")
 	values := make(map[string]float64)
-	next := reports // consumed in grid order
-	for _, size := range sizes {
+	for s, size := range sizes {
 		label := sizeLabel(kind, size)
-		for _, pat := range patterns {
+		for i, pat := range patterns {
 			row := []interface{}{label, string(pat)}
 			for _, sch := range flowSchedulers {
-				mean := next[0].MeanTransferTime()
-				next = next[1:]
+				mean := runs[s].reports[sch][i].MeanTransferTime()
 				row = append(row, mean)
 				values[fmt.Sprintf("%s/%s/%s", label, pat, sch)] = mean
 			}
 			tbl.AddRowf(row...)
 		}
 	}
-	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}, nil
+	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}
 }
 
-// switchSweep renders a Table-5-style matrix: DARD path-switch p90/max
-// per topology size and pattern.
-func switchSweep(p Params, id, title string, kind dard.TopologyKind, sizes []int) (*Result, error) {
-	reports, err := sweep(p, id, kind, sizes, dardOnly)
-	if err != nil {
-		return nil, err
-	}
+// switchTable renders Tables 5 and 7: DARD's path-switch p90/max per
+// topology size and pattern. runs holds one entry per size, in order.
+func switchTable(id, title string, kind dard.TopologyKind, sizes []int, runs []topoRuns) *Result {
 	tbl := metrics.NewTable(title, "size", "pattern", "90th-pct", "max")
 	values := make(map[string]float64)
-	next := reports // consumed in grid order
-	for _, size := range sizes {
+	for s, size := range sizes {
 		label := sizeLabel(kind, size)
-		for _, pat := range patterns {
-			p90 := next[0].PathSwitchQuantile(0.9)
-			max := next[0].PathSwitchQuantile(1)
-			next = next[1:]
+		for i, pat := range patterns {
+			rep := runs[s].reports[dard.SchedulerDARD][i]
+			p90, max := rep.PathSwitchQuantile(0.9), rep.PathSwitchQuantile(1)
 			tbl.AddRowf(label, string(pat), p90, max)
 			values[fmt.Sprintf("%s/%s/p90", label, pat)] = p90
 			values[fmt.Sprintf("%s/%s/max", label, pat)] = max
 		}
 	}
-	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}, nil
+	return &Result{ID: id, Title: title, Text: tbl.String(), Values: values}
 }

@@ -79,10 +79,14 @@ func Figure4(p Params) (*Result, error) {
 	}, nil
 }
 
-// Figure5 reproduces the testbed CDF of transfer times under stride
-// traffic for DARD, ECMP, and pVLB on the packet-level engine (TCP New
-// Reno over the p=4, 100 Mbps fabric).
-func Figure5(p Params) (*Result, error) {
+// TestbedStudy runs the packet-engine testbed comparison once — the
+// p=4, 100 Mbps fat-tree under stride traffic, TCP New Reno — with
+// ECMP, pVLB, DARD and TeXCP on one derived seed, so every comparison is
+// paired, and renders the three artifacts drawn from it: Figure 5's
+// transfer-time CDF of DARD, ECMP and pVLB (§4.2), and Figure 13's
+// transfer-time and Figure 14's retransmission-rate CDFs of DARD against
+// TeXCP (§4.3.3). Figures 5 and 13 share the DARD run.
+func TestbedStudy(p Params) ([]*Result, error) {
 	p = p.withDefaults()
 	topo, err := testbedSpec().Build()
 	if err != nil {
@@ -95,29 +99,52 @@ func Figure5(p Params) (*Result, error) {
 		Seed:           p.Seed,
 		Engine:         dard.EnginePacket,
 		ElephantAgeSec: 0.5,
-		VLBIntervalSec: 1,
+		VLBIntervalSec: 1, // read by pVLB alone
 		DARD:           quickDARDTuning(),
 		TraceDir:       p.traceDir("figure5"),
 	}
-	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD}
+	scheds := []dard.Scheduler{dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD, dard.SchedulerTeXCP}
 	reports, err := dard.RunAll(grid(base, []*dard.Topology{topo}, []dard.Pattern{dard.PatternStride}, scheds), p.Workers)
 	if err != nil {
 		return nil, err
 	}
-	series := make(map[string][]float64)
-	values := make(map[string]float64)
-	for i, sch := range scheds {
-		rep := reports[i]
-		series[string(sch)] = rep.TransferTimes
-		values[string(sch)+"/mean"] = rep.MeanTransferTime()
-		values[string(sch)+"/p90"] = rep.TransferTimeQuantile(0.9)
+	ecmp, pvlb, dd, tx := reports[0], reports[1], reports[2], reports[3]
+
+	fig5 := make(map[string]float64)
+	for _, rep := range []*dard.Report{ecmp, pvlb, dd} {
+		fig5[rep.Scheduler+"/mean"] = rep.MeanTransferTime()
+		fig5[rep.Scheduler+"/p90"] = rep.TransferTimeQuantile(0.9)
 	}
-	return &Result{
-		ID:     "Figure 5",
-		Title:  "transfer time CDF, p=4 fat-tree, stride (packet engine)",
-		Text:   cdfBlock("transfer time (s)", series),
-		Values: values,
-	}, nil
+	return []*Result{{
+		ID:    "Figure 5",
+		Title: "transfer time CDF, p=4 fat-tree, stride (packet engine)",
+		Text: cdfBlock("transfer time (s)", map[string][]float64{
+			"ECMP": ecmp.TransferTimes, "pVLB": pvlb.TransferTimes, "DARD": dd.TransferTimes,
+		}),
+		Values: fig5,
+	}, {
+		// Both fill the bisection, DARD slightly ahead because its flows
+		// keep segments in order.
+		ID:    "Figure 13",
+		Title: "DARD vs TeXCP transfer time CDF, p=4 fat-tree, stride (packet engine)",
+		Text:  cdfBlock("transfer time (s)", map[string][]float64{"DARD": dd.TransferTimes, "TeXCP": tx.TransferTimes}),
+		Values: map[string]float64{
+			"DARD/mean":      dd.MeanTransferTime(),
+			"TeXCP/mean":     tx.MeanTransferTime(),
+			"DARD/coreUtil":  dd.CoreUtilization,
+			"TeXCP/coreUtil": tx.CoreUtilization,
+		},
+	}, {
+		// TeXCP's per-packet splitting reorders segments and retransmits
+		// more than DARD.
+		ID:    "Figure 14",
+		Title: "DARD vs TeXCP TCP retransmission rate CDF (packet engine)",
+		Text:  cdfBlock("retransmission rate", map[string][]float64{"DARD": dd.RetxRates, "TeXCP": tx.RetxRates}),
+		Values: map[string]float64{
+			"DARD/meanRetxRate":  dd.RetxRateMean(),
+			"TeXCP/meanRetxRate": tx.RetxRateMean(),
+		},
+	}}, nil
 }
 
 // Figure6 reproduces the testbed path-switch CDF: under staggered traffic
@@ -125,14 +152,23 @@ func Figure5(p Params) (*Result, error) {
 // times; the maximum stays below the path count.
 func Figure6(p Params) (*Result, error) {
 	p = p.withDefaults()
-	return switchCDF(p, "Figure 6", "path switch count CDF, p=4 fat-tree (DARD stability)", testbedSpec(), dard.Scenario{
+	topo, err := testbedSpec().Build()
+	if err != nil {
+		return nil, err
+	}
+	runs, err := runGrid(p, dard.Scenario{
 		RatePerHost:    p.RatePerHost,
 		Duration:       p.Duration,
 		FileSizeMB:     p.FileSizeMB / 4,
 		Seed:           p.Seed,
 		ElephantAgeSec: 0.5,
 		DARD:           quickDARDTuning(),
-	})
+		TraceDir:       p.traceDir("figure6"),
+	}, []*dard.Topology{topo}, []dard.Scheduler{dard.SchedulerDARD})
+	if err != nil {
+		return nil, err
+	}
+	return switchCDF("Figure 6", "path switch count CDF, p=4 fat-tree (DARD stability)", runs[0]), nil
 }
 
 // quickDARDTuning shortens DARD's control loop for short scaled-down

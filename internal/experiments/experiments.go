@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4). Each experiment builds its workload, runs the relevant
-// schedulers on the right engine, and renders a paper-style text block
-// plus a map of key metrics. Parameters default to laptop-scale versions
-// of the paper's settings (documented per experiment and in DESIGN.md);
-// cmd/dardbench can run them closer to paper scale.
+// evaluation (§4). Each study builds its workload, runs the relevant
+// schedulers on the right engine once, and renders every artifact drawn
+// from those runs as a paper-style text block plus a map of key
+// metrics. Parameters default to laptop-scale versions of the paper's
+// settings (documented per experiment and in DESIGN.md); cmd/dardbench
+// can run them closer to paper scale.
 package experiments
 
 import (
@@ -52,7 +53,8 @@ type Params struct {
 	ClosD []int
 	// HostsPerToR scales the edge population down (0 = family default).
 	HostsPerToR int
-	// BigP is the fat-tree used for the Figure 7/8 CDFs (paper: 32).
+	// BigP is the fat-tree used for the Figure 7/8 CDFs (paper: 32); the
+	// fat-tree study runs it with the FatTreeP sizes in one grid.
 	BigP int
 	// BigD is the Clos used for the Figure 9/10 CDFs (paper: 16).
 	BigD int
@@ -71,9 +73,14 @@ type Params struct {
 	// are bit-identical for every worker count.
 	Workers int
 	// TraceDir, when non-empty, makes every simulation cell record a
-	// JSONL event trace under TraceDir/<experiment>/ (see
-	// internal/trace). File names are derived from the cell identity, so
-	// serial and parallel sweeps write identical trees.
+	// JSONL event trace under TraceDir/<study>/ (see internal/trace),
+	// where <study> is one directory per study: table4 for the fat-tree
+	// study (Figures 7-8, Tables 4-5), table6 for the Clos study,
+	// figure11 for the three-tier study, figure5 for the packet testbed
+	// study (Figures 5, 13, 14), and the artifact's own ID otherwise.
+	// Each cell runs once, so it writes one file; file names are derived
+	// from the cell identity, so serial and parallel sweeps write
+	// identical trees.
 	TraceDir string
 }
 
@@ -178,12 +185,6 @@ func (p Params) traceDir(parts ...string) string {
 	return filepath.Join(append([]string{p.TraceDir}, parts...)...)
 }
 
-// expTag turns an artifact ID like "Table 4" into a directory name like
-// "table4".
-func expTag(id string) string {
-	return strings.ReplaceAll(strings.ToLower(id), " ", "")
-}
-
 // patterns lists the paper's three traffic patterns in presentation
 // order.
 var patterns = []dard.Pattern{dard.PatternRandom, dard.PatternStaggered, dard.PatternStride}
@@ -193,9 +194,6 @@ var patterns = []dard.Pattern{dard.PatternRandom, dard.PatternStaggered, dard.Pa
 var flowSchedulers = []dard.Scheduler{
 	dard.SchedulerECMP, dard.SchedulerPVLB, dard.SchedulerDARD, dard.SchedulerAnnealing,
 }
-
-// dardOnly is the scheduler list of the path-switch experiments.
-var dardOnly = []dard.Scheduler{dard.SchedulerDARD}
 
 // grid lays base out over topologies x patterns x schedulers, in that
 // order, for dard.RunAll. Each cell's seed is CellSeed(base.Seed, topo,
@@ -217,63 +215,68 @@ func grid(base dard.Scenario, topos []*dard.Topology, pats []dard.Pattern, sched
 	return cells
 }
 
-// transferCDFs renders Figures 7, 9 and 11: per traffic pattern, the
-// transfer-time CDFs of the four flow-engine schedulers on one
-// topology. "{topo}" in title becomes the topology's name.
-func transferCDFs(p Params, id, title string, spec dard.TopologySpec, base dard.Scenario) (*Result, error) {
-	topo, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	base.TraceDir = p.traceDir(expTag(id))
-	cells := grid(base, []*dard.Topology{topo}, patterns, flowSchedulers)
+// topoRuns is one topology's share of a study grid: each scheduler's
+// reports, one per pattern in patterns order.
+type topoRuns struct {
+	topo    *dard.Topology
+	reports map[dard.Scheduler][]*dard.Report
+}
+
+// runGrid runs base once over topos x patterns x scheds (see grid) and
+// splits the reports by topology.
+func runGrid(p Params, base dard.Scenario, topos []*dard.Topology, scheds []dard.Scheduler) ([]topoRuns, error) {
+	cells := grid(base, topos, patterns, scheds)
 	reports, err := dard.RunAll(cells, p.Workers)
 	if err != nil {
 		return nil, err
 	}
+	runs := make([]topoRuns, len(topos))
+	for i, c := range cells {
+		r := &runs[i/(len(patterns)*len(scheds))]
+		if r.reports == nil {
+			*r = topoRuns{topo: c.Topo, reports: make(map[dard.Scheduler][]*dard.Report)}
+		}
+		r.reports[c.Scheduler] = append(r.reports[c.Scheduler], reports[i])
+	}
+	return runs, nil
+}
+
+// transferCDFs renders Figures 7, 9 and 11: per traffic pattern, the
+// transfer-time CDFs of every scheduler run on one topology. "{topo}"
+// in title becomes the topology's name.
+func transferCDFs(id, title string, r topoRuns) *Result {
 	var text string
 	values := make(map[string]float64)
-	for i := 0; i < len(cells); i += len(flowSchedulers) {
-		pat := cells[i].Pattern
+	for i, pat := range patterns {
 		series := make(map[string][]float64)
-		for j, rep := range reports[i : i+len(flowSchedulers)] {
-			sch := cells[i+j].Scheduler
+		for sch, reps := range r.reports {
+			rep := reps[i]
 			series[string(sch)] = rep.TransferTimes
 			values[fmt.Sprintf("%s/%s/mean", pat, sch)] = rep.MeanTransferTime()
 		}
-		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, topo.Name()), series) + "\n"
+		text += cdfBlock(fmt.Sprintf("(%s) transfer time (s), %s", pat, r.topo.Name()), series) + "\n"
 	}
-	return &Result{ID: id, Title: strings.ReplaceAll(title, "{topo}", topo.Name()), Text: text, Values: values}, nil
+	return &Result{ID: id, Title: strings.ReplaceAll(title, "{topo}", r.topo.Name()), Text: text, Values: values}
 }
 
 // switchCDF renders Figures 6, 8, 10 and 12: DARD's path-switch CDF per
 // traffic pattern on one topology. "{topo}" in title becomes the
 // topology's name.
-func switchCDF(p Params, id, title string, spec dard.TopologySpec, base dard.Scenario) (*Result, error) {
-	topo, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	base.TraceDir = p.traceDir(expTag(id))
-	cells := grid(base, []*dard.Topology{topo}, patterns, dardOnly)
-	reports, err := dard.RunAll(cells, p.Workers)
-	if err != nil {
-		return nil, err
-	}
+func switchCDF(id, title string, r topoRuns) *Result {
 	series := make(map[string][]float64)
 	values := make(map[string]float64)
-	for i, rep := range reports {
-		pat := string(cells[i].Pattern)
-		series[pat] = rep.PathSwitches
-		values[pat+"/p90"] = rep.PathSwitchQuantile(0.9)
-		values[pat+"/max"] = rep.PathSwitchQuantile(1)
+	for i, pat := range patterns {
+		rep := r.reports[dard.SchedulerDARD][i]
+		series[string(pat)] = rep.PathSwitches
+		values[string(pat)+"/p90"] = rep.PathSwitchQuantile(0.9)
+		values[string(pat)+"/max"] = rep.PathSwitchQuantile(1)
 	}
 	return &Result{
 		ID:     id,
-		Title:  strings.ReplaceAll(title, "{topo}", topo.Name()),
+		Title:  strings.ReplaceAll(title, "{topo}", r.topo.Name()),
 		Text:   cdfBlock("path switches", series),
 		Values: values,
-	}, nil
+	}
 }
 
 // cdfBlock renders labeled samples as a quantile table.

@@ -70,15 +70,52 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
-func TestFigure5And6Testbed(t *testing.T) {
-	r5, err := Figure5(quickParams)
+// runStudy runs a study once at the quick scale and indexes its results
+// by artifact ID, so one test's assertions on several artifacts read the
+// same runs.
+func runStudy(t *testing.T, run func(Params) ([]*Result, error)) map[string]*Result {
+	t.Helper()
+	results, err := run(quickParams)
 	if err != nil {
 		t.Fatal(err)
 	}
+	byID := make(map[string]*Result, len(results))
+	for _, r := range results {
+		byID[expTag(r.ID)] = r
+	}
+	return byID
+}
+
+// TestFigure5And6Testbed checks the testbed study (Figures 5, 13 and 14,
+// packet engine) and Figure 6 (flow engine).
+func TestFigure5And6Testbed(t *testing.T) {
+	tb := runStudy(t, TestbedStudy)
+	r5 := tb["figure5"]
 	if r5.Values["DARD/mean"] > r5.Values["ECMP/mean"]*1.10 {
 		t.Errorf("packet-level DARD mean %.2fs should not trail ECMP %.2fs",
 			r5.Values["DARD/mean"], r5.Values["ECMP/mean"])
 	}
+	// §4.3.3: DARD and TeXCP achieve comparable bisection bandwidth, so
+	// their average core-link utilizations stay within 30% of each
+	// other.
+	r13 := tb["figure13"]
+	d, x := r13.Values["DARD/coreUtil"], r13.Values["TeXCP/coreUtil"]
+	if d <= 0 || x <= 0 {
+		t.Fatalf("missing utilization values: dard=%g texcp=%g", d, x)
+	}
+	if ratio := d / x; ratio < 0.7 || ratio > 1.43 {
+		t.Errorf("bisection utilization diverges: DARD %.3f vs TeXCP %.3f", d, x)
+	}
+	// Figures 5 and 13 read the same DARD run.
+	if r5.Values["DARD/mean"] != r13.Values["DARD/mean"] {
+		t.Errorf("Figure 5 DARD mean %g != Figure 13 DARD mean %g", r5.Values["DARD/mean"], r13.Values["DARD/mean"])
+	}
+	r14 := tb["figure14"]
+	if r14.Values["TeXCP/meanRetxRate"] <= r14.Values["DARD/meanRetxRate"] {
+		t.Errorf("TeXCP retx %.4f should exceed DARD %.4f",
+			r14.Values["TeXCP/meanRetxRate"], r14.Values["DARD/meanRetxRate"])
+	}
+
 	r6, err := Figure6(quickParams)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +132,11 @@ func TestFigure5And6Testbed(t *testing.T) {
 	}
 }
 
+// TestTable4Shape checks the fat-tree study: Tables 4 and 5 and Figures
+// 7 and 8 read one set of runs.
 func TestTable4Shape(t *testing.T) {
-	r, err := Table4(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft := runStudy(t, FatTreeStudy)
+	r := ft["table4"]
 	// Stride: DARD beats ECMP; the centralized scheduler is at least
 	// comparable to ECMP.
 	ecmp := r.Values["p=4/stride/ECMP"]
@@ -116,56 +153,42 @@ func TestTable4Shape(t *testing.T) {
 	if dd > sa*1.35 {
 		t.Errorf("stride: DARD %.2fs too far from centralized %.2fs", dd, sa)
 	}
-}
-
-func TestTable5Shape(t *testing.T) {
-	r, err := Table5(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range r.Values {
+	for k, v := range ft["table5"].Values {
 		if strings.HasSuffix(k, "/p90") && v > 3 {
 			t.Errorf("%s = %g, want <= 3 (little path oscillation)", k, v)
 		}
 	}
+	// At the quick scale BigP is in FatTreeP, so Figures 7 and 8 are
+	// Table 4's and Table 5's p=4 cells.
+	if got := ft["figure7"].Values["stride/DARD/mean"]; got != dd {
+		t.Errorf("Figure 7 stride/DARD mean %g != Table 4's %g", got, dd)
+	}
+	if got, want := ft["figure8"].Values["stride/max"], ft["table5"].Values["p=4/stride/max"]; got != want {
+		t.Errorf("Figure 8 stride max %g != Table 5's %g", got, want)
+	}
 }
 
 func TestClosAndThreeTier(t *testing.T) {
-	r6, err := Table6(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecmp := r6.Values["D=4/stride/ECMP"]
-	dd := r6.Values["D=4/stride/DARD"]
+	clos := runStudy(t, ClosStudy)
+	ecmp := clos["table6"].Values["D=4/stride/ECMP"]
+	dd := clos["table6"].Values["D=4/stride/DARD"]
 	if dd >= ecmp {
 		t.Errorf("Clos stride: DARD %.2fs not better than ECMP %.2fs", dd, ecmp)
 	}
-	r7, err := Table7(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range r7.Values {
+	for k, v := range clos["table7"].Values {
 		if strings.HasSuffix(k, "/p90") && v > 3 {
 			t.Errorf("Clos %s = %g, want <= 3", k, v)
 		}
 	}
-	r11, err := Figure11(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tt := runStudy(t, ThreeTierStudy)
+	r11 := tt["figure11"]
 	if r11.Values["stride/DARD/mean"] >= r11.Values["stride/ECMP/mean"] {
 		t.Error("three-tier stride: DARD should beat ECMP")
 	}
-}
-
-func TestFigure14TeXCPRetx(t *testing.T) {
-	r, err := Figure14(quickParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Values["TeXCP/meanRetxRate"] <= r.Values["DARD/meanRetxRate"] {
-		t.Errorf("TeXCP retx %.4f should exceed DARD %.4f",
-			r.Values["TeXCP/meanRetxRate"], r.Values["DARD/meanRetxRate"])
+	for k, v := range tt["figure12"].Values {
+		if strings.HasSuffix(k, "/p90") && v > 3 {
+			t.Errorf("three-tier %s = %g, want <= 3", k, v)
+		}
 	}
 }
 
@@ -214,42 +237,32 @@ func TestEngineScale(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	entries := All()
-	if len(entries) != 22 {
-		t.Fatalf("registry has %d entries, want 22", len(entries))
-	}
 	seen := make(map[string]bool)
-	for _, e := range entries {
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment ID %q", e.ID)
+	for _, s := range Studies() {
+		if s.Run == nil || len(s.Artifacts) == 0 {
+			t.Errorf("study %v incomplete", s.Artifacts)
 		}
-		seen[e.ID] = true
-		if e.Run == nil || e.Description == "" {
-			t.Errorf("experiment %q incomplete", e.ID)
+		for _, a := range s.Artifacts {
+			if seen[a.ID] {
+				t.Errorf("duplicate artifact ID %q", a.ID)
+			}
+			seen[a.ID] = true
+			if a.Description == "" {
+				t.Errorf("artifact %q has no description", a.ID)
+			}
 		}
 	}
-	if _, err := Find("table4"); err != nil {
-		t.Error(err)
+	if len(seen) != 22 {
+		t.Fatalf("registry has %d artifacts, want 22", len(seen))
 	}
-	if _, err := Find("nosuch"); err == nil {
-		t.Error("Find(nosuch) should fail")
-	}
-}
-
-// TestFigure13BisectionClose validates §4.3.3's observation that DARD and
-// TeXCP achieve comparable bisection bandwidth: their average core-link
-// utilizations stay within 30% of each other.
-func TestFigure13BisectionClose(t *testing.T) {
-	r, err := Figure13(quickParams)
+	s, err := Find("table5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, x := r.Values["DARD/coreUtil"], r.Values["TeXCP/coreUtil"]
-	if d <= 0 || x <= 0 {
-		t.Fatalf("missing utilization values: dard=%g texcp=%g", d, x)
+	if s.Artifacts[0].ID != "figure7" {
+		t.Errorf("Find(table5) returned the study of %q, want the fat-tree study", s.Artifacts[0].ID)
 	}
-	ratio := d / x
-	if ratio < 0.7 || ratio > 1.43 {
-		t.Errorf("bisection utilization diverges: DARD %.3f vs TeXCP %.3f", d, x)
+	if _, err := Find("nosuch"); err == nil {
+		t.Error("Find(nosuch) should fail")
 	}
 }
