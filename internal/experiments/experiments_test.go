@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,12 +71,29 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
-// runStudy runs a study once at the quick scale and indexes its results
-// by artifact ID, so one test's assertions on several artifacts read the
-// same runs.
-func runStudy(t *testing.T, run func(Params) ([]*Result, error)) map[string]*Result {
+// studyRuns holds each study's quick-scale results, keyed by the ID of
+// its first artifact, so tests that check different artifacts of one
+// study share a single run of it.
+var studyRuns = struct {
+	sync.Mutex
+	byStudy map[string]map[string]*Result
+}{byStudy: map[string]map[string]*Result{}}
+
+// runStudy runs the study that renders artifact id at the quick scale,
+// once per test binary, and indexes its results by artifact ID.
+func runStudy(t *testing.T, id string) map[string]*Result {
 	t.Helper()
-	results, err := run(quickParams)
+	s, err := Find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	studyRuns.Lock()
+	defer studyRuns.Unlock()
+	key := s.Artifacts[0].ID
+	if byID, ok := studyRuns.byStudy[key]; ok {
+		return byID
+	}
+	results, err := s.Run(quickParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,37 +101,17 @@ func runStudy(t *testing.T, run func(Params) ([]*Result, error)) map[string]*Res
 	for _, r := range results {
 		byID[expTag(r.ID)] = r
 	}
+	studyRuns.byStudy[key] = byID
 	return byID
 }
 
-// TestFigure5And6Testbed checks the testbed study (Figures 5, 13 and 14,
-// packet engine) and Figure 6 (flow engine).
+// TestFigure5And6Testbed checks Figure 5 (packet engine) and Figure 6
+// (flow engine).
 func TestFigure5And6Testbed(t *testing.T) {
-	tb := runStudy(t, TestbedStudy)
-	r5 := tb["figure5"]
+	r5 := runStudy(t, "figure5")["figure5"]
 	if r5.Values["DARD/mean"] > r5.Values["ECMP/mean"]*1.10 {
 		t.Errorf("packet-level DARD mean %.2fs should not trail ECMP %.2fs",
 			r5.Values["DARD/mean"], r5.Values["ECMP/mean"])
-	}
-	// §4.3.3: DARD and TeXCP achieve comparable bisection bandwidth, so
-	// their average core-link utilizations stay within 30% of each
-	// other.
-	r13 := tb["figure13"]
-	d, x := r13.Values["DARD/coreUtil"], r13.Values["TeXCP/coreUtil"]
-	if d <= 0 || x <= 0 {
-		t.Fatalf("missing utilization values: dard=%g texcp=%g", d, x)
-	}
-	if ratio := d / x; ratio < 0.7 || ratio > 1.43 {
-		t.Errorf("bisection utilization diverges: DARD %.3f vs TeXCP %.3f", d, x)
-	}
-	// Figures 5 and 13 read the same DARD run.
-	if r5.Values["DARD/mean"] != r13.Values["DARD/mean"] {
-		t.Errorf("Figure 5 DARD mean %g != Figure 13 DARD mean %g", r5.Values["DARD/mean"], r13.Values["DARD/mean"])
-	}
-	r14 := tb["figure14"]
-	if r14.Values["TeXCP/meanRetxRate"] <= r14.Values["DARD/meanRetxRate"] {
-		t.Errorf("TeXCP retx %.4f should exceed DARD %.4f",
-			r14.Values["TeXCP/meanRetxRate"], r14.Values["DARD/meanRetxRate"])
 	}
 
 	r6, err := Figure6(quickParams)
@@ -132,10 +130,9 @@ func TestFigure5And6Testbed(t *testing.T) {
 	}
 }
 
-// TestTable4Shape checks the fat-tree study: Tables 4 and 5 and Figures
-// 7 and 8 read one set of runs.
+// TestTable4Shape checks Table 4 and that Figure 7 reads its cells.
 func TestTable4Shape(t *testing.T) {
-	ft := runStudy(t, FatTreeStudy)
+	ft := runStudy(t, "table4")
 	r := ft["table4"]
 	// Stride: DARD beats ECMP; the centralized scheduler is at least
 	// comparable to ECMP.
@@ -153,15 +150,20 @@ func TestTable4Shape(t *testing.T) {
 	if dd > sa*1.35 {
 		t.Errorf("stride: DARD %.2fs too far from centralized %.2fs", dd, sa)
 	}
+	// At the quick scale BigP is in FatTreeP, so Figure 7 is Table 4's
+	// p=4 cells.
+	if got := ft["figure7"].Values["stride/DARD/mean"]; got != dd {
+		t.Errorf("Figure 7 stride/DARD mean %g != Table 4's %g", got, dd)
+	}
+}
+
+// TestTable5Shape checks Table 5 and that Figure 8 reads its cells.
+func TestTable5Shape(t *testing.T) {
+	ft := runStudy(t, "table5")
 	for k, v := range ft["table5"].Values {
 		if strings.HasSuffix(k, "/p90") && v > 3 {
 			t.Errorf("%s = %g, want <= 3 (little path oscillation)", k, v)
 		}
-	}
-	// At the quick scale BigP is in FatTreeP, so Figures 7 and 8 are
-	// Table 4's and Table 5's p=4 cells.
-	if got := ft["figure7"].Values["stride/DARD/mean"]; got != dd {
-		t.Errorf("Figure 7 stride/DARD mean %g != Table 4's %g", got, dd)
 	}
 	if got, want := ft["figure8"].Values["stride/max"], ft["table5"].Values["p=4/stride/max"]; got != want {
 		t.Errorf("Figure 8 stride max %g != Table 5's %g", got, want)
@@ -169,7 +171,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestClosAndThreeTier(t *testing.T) {
-	clos := runStudy(t, ClosStudy)
+	clos := runStudy(t, "table6")
 	ecmp := clos["table6"].Values["D=4/stride/ECMP"]
 	dd := clos["table6"].Values["D=4/stride/DARD"]
 	if dd >= ecmp {
@@ -180,7 +182,7 @@ func TestClosAndThreeTier(t *testing.T) {
 			t.Errorf("Clos %s = %g, want <= 3", k, v)
 		}
 	}
-	tt := runStudy(t, ThreeTierStudy)
+	tt := runStudy(t, "figure11")
 	r11 := tt["figure11"]
 	if r11.Values["stride/DARD/mean"] >= r11.Values["stride/ECMP/mean"] {
 		t.Error("three-tier stride: DARD should beat ECMP")
@@ -264,5 +266,33 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Find("nosuch"); err == nil {
 		t.Error("Find(nosuch) should fail")
+	}
+}
+
+// TestFigure13BisectionClose validates §4.3.3's observation that DARD and
+// TeXCP achieve comparable bisection bandwidth: their average core-link
+// utilizations stay within 30% of each other.
+func TestFigure13BisectionClose(t *testing.T) {
+	tb := runStudy(t, "figure13")
+	r := tb["figure13"]
+	d, x := r.Values["DARD/coreUtil"], r.Values["TeXCP/coreUtil"]
+	if d <= 0 || x <= 0 {
+		t.Fatalf("missing utilization values: dard=%g texcp=%g", d, x)
+	}
+	ratio := d / x
+	if ratio < 0.7 || ratio > 1.43 {
+		t.Errorf("bisection utilization diverges: DARD %.3f vs TeXCP %.3f", d, x)
+	}
+	// Figures 5 and 13 read the same DARD run.
+	if got, want := tb["figure5"].Values["DARD/mean"], r.Values["DARD/mean"]; got != want {
+		t.Errorf("Figure 5 DARD mean %g != Figure 13 DARD mean %g", got, want)
+	}
+}
+
+func TestFigure14TeXCPRetx(t *testing.T) {
+	r := runStudy(t, "figure14")["figure14"]
+	if r.Values["TeXCP/meanRetxRate"] <= r.Values["DARD/meanRetxRate"] {
+		t.Errorf("TeXCP retx %.4f should exceed DARD %.4f",
+			r.Values["TeXCP/meanRetxRate"], r.Values["DARD/meanRetxRate"])
 	}
 }
