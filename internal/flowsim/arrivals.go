@@ -2,7 +2,6 @@ package flowsim
 
 import (
 	"fmt"
-	"math"
 
 	"dard/internal/snap"
 	"dard/internal/workload"
@@ -75,28 +74,5 @@ func (src *sliceSource) RestoreState(dec *snap.Decoder) error {
 		return fmt.Errorf("flowsim: snapshot arrival position %d outside [0,%d]", pos, len(src.flows))
 	}
 	src.pos = pos
-	return nil
-}
-
-// checkFlow is the predicate every flow passes, batch or streamed, as
-// arrival number n at clock now: its ID is n, so IDs are dense and
-// sequential; its endpoints are distinct hosts; its size is positive
-// and finite; and it arrives at a finite time no earlier than now.
-func checkFlow(wf workload.Flow, n, hosts int, now float64) error {
-	if wf.ID != n {
-		return fmt.Errorf("flowsim: flow ID %d arrives as number %d, want dense sequential IDs", wf.ID, n)
-	}
-	if wf.Src < 0 || wf.Src >= hosts || wf.Dst < 0 || wf.Dst >= hosts {
-		return fmt.Errorf("flowsim: flow %d references host out of range", wf.ID)
-	}
-	if wf.Src == wf.Dst {
-		return fmt.Errorf("flowsim: flow %d is a self-flow", wf.ID)
-	}
-	if !(wf.SizeBits > 0) || math.IsInf(wf.SizeBits, 0) {
-		return fmt.Errorf("flowsim: flow %d has invalid size %g", wf.ID, wf.SizeBits)
-	}
-	if math.IsNaN(wf.Arrival) || math.IsInf(wf.Arrival, 0) || wf.Arrival < now {
-		return fmt.Errorf("flowsim: flow %d arrives at invalid time %g (now %g)", wf.ID, wf.Arrival, now)
-	}
 	return nil
 }

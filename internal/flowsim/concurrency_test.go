@@ -91,9 +91,9 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 	}
 	for i := range serial {
 		a, b := serial[i], parallelRes[i]
-		if a.MeanTransferTime() != b.MeanTransferTime() {
+		if a.TransferTimes().Mean() != b.TransferTimes().Mean() {
 			t.Errorf("controller %d: mean transfer time %g (serial) vs %g (shared)",
-				i, a.MeanTransferTime(), b.MeanTransferTime())
+				i, a.TransferTimes().Mean(), b.TransferTimes().Mean())
 		}
 		if !reflect.DeepEqual(a.TransferTimes().Values(), b.TransferTimes().Values()) {
 			t.Errorf("controller %d: transfer time distribution diverged under sharing", i)

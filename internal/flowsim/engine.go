@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"dard/internal/evq"
@@ -78,15 +77,14 @@ type Config struct {
 //
 //dardsnap:fields encoder=Sim.Snapshot decoder=Sim.restore
 type Sim struct {
+	sched.Core // switch state and accounting; its counters ride the snapshot header
+
 	cfg Config
 	// obs is the Controller's sched.Observer side, resolved once by New
 	// (nil when the policy observes nothing).
-	obs sched.Observer   //dardlint:snapfield derived from Config.Controller by New; a restored run re-derives it
-	net topology.Network //dardlint:snapfield topology is configuration, not state; restore re-derives it from the run's Config
-	g   *topology.Graph
-	rng *rand.Rand //dardlint:snapfield New rebuilds it around rngSrc; the stream position is rngSrc's draw count
+	obs sched.Observer //dardlint:snapfield derived from Config.Controller by New; a restored run re-derives it
 
-	// rngSrc is the raw source under rng. It counts draws so a
+	// rngSrc is the raw source under Rand. It counts draws so a
 	// checkpoint can record the stream position and restore replays to
 	// it — behavior is bit-identical to the plain math/rand source.
 	rngSrc *countedSource
@@ -119,25 +117,12 @@ type Sim struct {
 
 	ratesDirty bool //dardlint:snapfield snapshots are taken at a freshly recomputed boundary, so false on both sides by construction
 
-	// eleCounts is the number of active elephants on each link, kept by
-	// countElephant as flows are classified, moved and completed.
-	eleCounts []int32 //dardlint:snapfield derived from the active elephants' routes; restore recounts it
-	// portStamp is each switch's ctlmsg.StateSource.PortStamp: bumped
-	// whenever the elephant count or capacity of one of its exit links
-	// changes, so switch agents re-encode only the ports that moved.
-	portStamp []uint64 //dardlint:snapfield invalidation counter, only its changes are observable; restore moves every entry on
-
-	controlBytes  float64
-	curElephants  int
-	peakElephants int
-
 	// capacity is each link's effective capacity: the graph's nominal
 	// bandwidth, 0 while the link is down. Graph.Validate rejects
 	// non-positive nominal capacities, so 0 means down and nothing else.
 	capacity []float64
 
-	tracer     trace.Tracer //dardlint:snapfield never nil (Nop when tracing is off); the restored run injects its own sink
-	probeEvery float64      //dardlint:snapfield mirror of Config.ProbeInterval (0 when probing is off); set by New
+	probeEvery float64 //dardlint:snapfield mirror of Config.ProbeInterval (0 when probing is off); set by New
 	nextProbe  float64
 
 	// Struct-of-arrays flow state, indexed by workload flow ID. The
@@ -211,42 +196,24 @@ func New(cfg Config) (*Sim, error) {
 	if fpcmp.IsZero(cfg.MaxTime) {
 		cfg.MaxTime = 1e6
 	}
-	for _, ev := range cfg.LinkEvents {
-		if ev.Link < 0 || int(ev.Link) >= cfg.Net.Graph().NumLinks() {
-			return nil, fmt.Errorf("flowsim: link event references link %d out of range", ev.Link)
-		}
-		if math.IsNaN(ev.At) || math.IsInf(ev.At, 0) || ev.At < 0 {
-			return nil, fmt.Errorf("flowsim: link event at invalid time %g", ev.At)
-		}
+	if err := sched.CheckLinkEvents(cfg.Net, cfg.LinkEvents); err != nil {
+		return nil, fmt.Errorf("flowsim: %w", err)
 	}
 	if cfg.Arrivals != nil && len(cfg.Flows) > 0 {
 		return nil, fmt.Errorf("flowsim: Flows and Arrivals are mutually exclusive")
 	}
-	// A batch passes the streamed predicate up front, so a bad list fails
-	// here rather than mid-run; the clock a batch flow arrives at reads
-	// the previous flow's arrival.
-	hosts, now := len(cfg.Net.Hosts()), 0.0
-	for i, wf := range cfg.Flows {
-		if err := checkFlow(wf, i, hosts, now); err != nil {
-			return nil, err
-		}
-		now = wf.Arrival
+	if err := workload.CheckBatch(cfg.Flows, len(cfg.Net.Hosts())); err != nil {
+		return nil, fmt.Errorf("flowsim: %w", err)
 	}
 	g := cfg.Net.Graph()
 	capacity := make([]float64, g.NumLinks())
 	for l := range capacity {
 		capacity[l] = g.Link(topology.LinkID(l)).Capacity
 	}
-	seedSrc := newCountedSource(cfg.Seed)
 	s := &Sim{
 		cfg:       cfg,
-		net:       cfg.Net,
-		g:         g,
-		rng:       rand.New(seedSrc),
-		rngSrc:    seedSrc,
+		rngSrc:    newCountedSource(cfg.Seed),
 		pauseAt:   -1,
-		eleCounts: make([]int32, g.NumLinks()),
-		portStamp: make([]uint64, g.NumNodes()),
 		capacity:  capacity,
 		residual:  make([]float64, g.NumLinks()),
 		unfrozen:  make([]int32, g.NumLinks()),
@@ -254,8 +221,8 @@ func New(cfg Config) (*Sim, error) {
 		linkDirty: make([]bool, g.NumLinks()),
 		linkSeen:  make([]uint64, g.NumLinks()),
 		lheap:     newLinkHeap(g.NumLinks()),
-		tracer:    trace.OrNop(cfg.Tracer),
 	}
+	s.Core = sched.NewCore(cfg.Net, cfg.Seed, s.rngSrc, cfg.Tracer, s.Now)
 	s.obs, _ = cfg.Controller.(sched.Observer)
 	if cfg.Arrivals != nil {
 		s.arrivals = cfg.Arrivals
@@ -268,7 +235,7 @@ func New(cfg Config) (*Sim, error) {
 		s.refFlows = make([][]int32, g.NumLinks())
 		s.refStamp = make([]uint64, g.NumLinks())
 	}
-	if s.tracer.Enabled() && cfg.ProbeInterval > 0 {
+	if s.Tracer().Enabled() && cfg.ProbeInterval > 0 {
 		s.probeEvery = cfg.ProbeInterval
 		s.nextProbe = cfg.ProbeInterval
 	}
@@ -316,28 +283,6 @@ func (s *Sim) growFlows(n int) {
 
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
-
-// Topo returns the topology (ctlmsg.StateSource).
-func (s *Sim) Topo() topology.Network { return s.net }
-
-// Rand returns the run's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// Tracer returns the run's tracer (never nil; Nop when tracing is off).
-// Controllers use it to record path-state samples.
-func (s *Sim) Tracer() trace.Tracer { return s.tracer }
-
-// Seed returns the run's configured seed. Path policies hash it with the
-// flow identity so initial assignments are identical across controllers
-// given the same seed — the paired-comparison property the evaluation
-// relies on.
-func (s *Sim) Seed() int64 { return s.cfg.Seed }
-
-// PathSet returns the implicit equal-cost ToR-to-ToR path set of a
-// flow. Obtaining and resolving it allocates nothing.
-func (s *Sim) PathSet(srcToR, dstToR topology.NodeID) topology.PathSet {
-	return s.net.PathSet(srcToR, dstToR)
-}
 
 // Active returns the currently active flows. The slice is owned by the
 // simulator and only valid until the next event.
@@ -404,23 +349,11 @@ func (s *Sim) AfterRef(d float64, ref sched.TimerRef, fn func()) {
 	s.timers.Push(s.now+d, s.timerSeq, timer{ref: ref, fn: fn})
 }
 
-// RecordControl accounts control-plane message bytes (probes, replies,
-// controller updates) for the overhead comparison of Figure 15.
-func (s *Sim) RecordControl(bytes float64) {
-	s.controlBytes += bytes
-	if s.tracer.Enabled() {
-		s.tracer.Emit(trace.Event{T: s.now, Kind: trace.KindControlMsg, Flow: -1, Link: -1, V: bytes})
-	}
-}
-
-// ControlBytes returns the control bytes recorded so far.
-func (s *Sim) ControlBytes() float64 { return s.controlBytes }
-
 // SetPath moves a flow to another path in its equal-cost set. A change to
 // a different index counts as one path switch; re-selecting the current
 // path is a no-op.
 func (s *Sim) SetPath(f *Flow, pathIdx int) error {
-	ps := s.net.PathSet(f.SrcToR, f.DstToR)
+	ps := s.PathSet(f.SrcToR, f.DstToR)
 	if pathIdx < 0 || pathIdx >= ps.Len() {
 		return fmt.Errorf("flowsim: path index %d out of range [0,%d)", pathIdx, ps.Len())
 	}
@@ -429,30 +362,27 @@ func (s *Sim) SetPath(f *Flow, pathIdx int) error {
 	}
 	old := f.PathIdx
 	f.PathIdx = pathIdx
-	s.countElephant(f, -1)
+	elephant := f.Elephant && f.active
+	if elephant {
+		s.CountElephant(f.links, -1)
+	}
 	s.detachLinks(f)
 	s.buildRoute(f, ps, pathIdx)
 	s.attachLinks(f)
-	s.countElephant(f, +1)
+	if elephant {
+		s.CountElephant(f.links, +1)
+	}
 	f.PathSwitches++
 	s.markStateChanged()
-	if s.tracer.Enabled() {
-		s.tracer.Emit(trace.Event{
-			T: s.now, Kind: trace.KindPathSwitch,
-			Flow: int32(f.ID), Link: -1, A: int64(old), B: int64(pathIdx),
-		})
-	}
+	s.EmitPathSwitch(f.ID, old, pathIdx)
 	return nil
 }
 
-// buildRoute fills f.links with the host uplink, the ToR-to-ToR path
-// resolved straight from the implicit path set, and the host downlink,
-// reusing the slice's capacity across re-routes: a warm re-route
-// allocates nothing (pinned by TestBuildRouteAllocs).
+// buildRoute fills f.links with f's route on path pathIdx, reusing the
+// slice's capacity across re-routes: a warm re-route allocates nothing
+// (pinned by TestBuildRouteAllocs).
 func (s *Sim) buildRoute(f *Flow, ps topology.PathSet, pathIdx int) {
-	f.links = append(f.links[:0], s.net.HostUplink(f.Src))
-	f.links = ps.AppendLinks(pathIdx, f.links)
-	f.links = append(f.links, s.net.HostDownlink(f.Dst))
+	f.links = s.AppendRoute(f.links[:0], f.Flow, ps, pathIdx)
 }
 
 // attachLinks adds f to the membership list of every link on its route
@@ -513,27 +443,6 @@ func (s *Sim) markStateChanged() {
 	s.ratesDirty = true
 }
 
-// countElephant adds sign to the elephant count of every link on f's
-// route and bumps the port stamps of the switches those links leave. It
-// counts only active elephants, so callers need not check.
-func (s *Sim) countElephant(f *Flow, sign int32) {
-	if !f.Elephant || !f.active {
-		return
-	}
-	for _, l := range f.links {
-		s.eleCounts[l] += sign
-		s.portStamp[s.g.Link(l).From]++
-	}
-}
-
-// ElephantsOnLink returns the number of active elephant flows currently
-// traversing the link: the "flow_numbers" half of the switch state the
-// paper's monitors query (§2.4.2).
-func (s *Sim) ElephantsOnLink(l topology.LinkID) int { return int(s.eleCounts[l]) }
-
-// PortStamp returns the switch's port-state stamp (ctlmsg.StateSource).
-func (s *Sim) PortStamp(sw topology.NodeID) uint64 { return s.portStamp[sw] }
-
 // LinkCapacity returns a link's effective capacity: zero while failed,
 // nominal otherwise. This is the bandwidth half of the switch state the
 // monitors query.
@@ -550,17 +459,17 @@ func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
 	if down {
 		s.capacity[l] = 0
 	} else {
-		s.capacity[l] = s.g.Link(l).Capacity
+		s.capacity[l] = s.Topo().Graph().Link(l).Capacity
 	}
-	s.portStamp[s.g.Link(l).From]++
+	s.CapacityChanged(l)
 	s.markLinkDirty(l)
 	s.markStateChanged()
-	if s.tracer.Enabled() {
+	if s.Tracer().Enabled() {
 		kind := trace.KindLinkRecover
 		if down {
 			kind = trace.KindLinkFail
 		}
-		s.tracer.Emit(trace.Event{T: s.now, Kind: kind, Flow: -1, Link: int32(l)})
+		s.Tracer().Emit(trace.Event{T: s.now, Kind: kind, Flow: -1, Link: int32(l)})
 	}
 }
 
@@ -658,8 +567,8 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			s.complete(completing)
 		case tArrival <= tTimer:
 			wf, _ := s.arrivals.Next()
-			if err := checkFlow(wf, s.arrived, len(s.net.Hosts()), s.now); err != nil {
-				return nil, err
+			if err := wf.Check(s.arrived, len(s.Topo().Hosts()), s.now); err != nil {
+				return nil, fmt.Errorf("flowsim: %w", err)
 			}
 			s.arrive(wf)
 		default:
@@ -699,8 +608,9 @@ func (s *Sim) probe() {
 	if s.ratesDirty {
 		s.recomputeRates()
 	}
+	g := s.Topo().Graph()
 	if s.loadScratch == nil {
-		s.loadScratch = make([]float64, s.g.NumLinks())
+		s.loadScratch = make([]float64, g.NumLinks())
 	}
 	load := s.loadScratch
 	for i := range load {
@@ -713,17 +623,18 @@ func (s *Sim) probe() {
 		}
 	}
 	for l := range load {
-		capacity := s.g.Link(topology.LinkID(l)).Capacity
-		s.tracer.Sample(trace.MetricLinkUtil, int64(l), s.now, load[l]/capacity)
+		capacity := g.Link(topology.LinkID(l)).Capacity
+		s.Tracer().Sample(trace.MetricLinkUtil, int64(l), s.now, load[l]/capacity)
 	}
 	for _, f := range s.active {
-		s.tracer.Sample(trace.MetricFlowRate, int64(f.ID), s.now, s.rate[f.ID])
+		s.Tracer().Sample(trace.MetricFlowRate, int64(f.ID), s.now, s.rate[f.ID])
 	}
 	s.nextProbe = (math.Floor(s.now/s.probeEvery) + 1) * s.probeEvery
 }
 
 func (s *Sim) arrive(wf workload.Flow) {
-	hosts := s.net.Hosts()
+	net := s.Topo()
+	hosts := net.Hosts()
 	s.growFlows(wf.ID + 1)
 	s.arrived = wf.ID + 1
 	f := s.flowAt(wf.ID)
@@ -731,7 +642,7 @@ func (s *Sim) arrive(wf workload.Flow) {
 	*f = Flow{
 		Flow: sched.Flow{
 			ID: wf.ID, Src: src, Dst: dst,
-			SrcToR: s.net.ToROf(src), DstToR: s.net.ToROf(dst),
+			SrcToR: net.ToROf(src), DstToR: net.ToROf(dst),
 		},
 		SizeBits: wf.SizeBits,
 		Arrival:  s.now,
@@ -748,7 +659,7 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.activeIdx[wf.ID] = -1
 	s.flows[wf.ID] = f
 
-	ps := s.net.PathSet(f.SrcToR, f.DstToR)
+	ps := net.PathSet(f.SrcToR, f.DstToR)
 	idx := s.cfg.Controller.InitialPath(s, f.Flow)
 	if idx < 0 || idx >= ps.Len() {
 		idx = 0
@@ -760,25 +671,16 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.active = append(s.active, f)
 	s.doneH[wf.ID] = s.done.PushHandle(math.Inf(1), int64(wf.ID), struct{}{})
 	s.markStateChanged()
-	if s.tracer.Enabled() {
-		// T is f.Arrival, so a FlowEnd minus this is bit-for-bit the
-		// flow's TransferTime.
-		s.tracer.Emit(trace.Event{
-			T: s.now, Kind: trace.KindFlowStart,
-			Flow: int32(f.ID), Link: -1, A: int64(f.Src), B: int64(f.Dst), V: f.SizeBits,
-		})
-	}
+	s.EmitFlowStart(f.Flow, f.SizeBits)
 
+	// New turned a zero ElephantAge into the default, so classification
+	// always waits on a timer.
 	if s.cfg.ElephantAge >= 0 {
-		if fpcmp.IsZero(s.cfg.ElephantAge) {
-			s.classifyElephant(f)
-		} else {
-			s.AfterRef(s.cfg.ElephantAge, classifyRef(f.ID), func() {
-				if f.active {
-					s.classifyElephant(f)
-				}
-			})
-		}
+		s.AfterRef(s.cfg.ElephantAge, classifyRef(f.ID), func() {
+			if f.active {
+				s.classifyElephant(f)
+			}
+		})
 	}
 	if s.obs != nil {
 		s.obs.Arrived(s, f.Flow)
@@ -790,31 +692,21 @@ func (s *Sim) classifyElephant(f *Flow) {
 		return
 	}
 	f.Elephant = true
-	s.countElephant(f, +1)
-	s.curElephants++
-	if s.curElephants > s.peakElephants {
-		s.peakElephants = s.curElephants
-	}
+	s.ElephantStarted(f.links)
 	if s.obs != nil {
 		s.obs.Elephant(s, f.Flow)
 	}
 }
 
 func (s *Sim) complete(f *Flow) {
-	s.countElephant(f, -1)
+	if f.Elephant {
+		s.ElephantEnded(f.links)
+	}
 	f.Finish = s.now
 	s.remaining[f.ID] = 0
 	s.syncAt[f.ID] = s.now
 	f.active = false
-	if s.tracer.Enabled() {
-		s.tracer.Emit(trace.Event{
-			T: s.now, Kind: trace.KindFlowEnd,
-			Flow: int32(f.ID), Link: -1, A: int64(f.PathIdx), V: f.SizeBits,
-		})
-	}
-	if f.Elephant {
-		s.curElephants--
-	}
+	s.EmitFlowEnd(f.ID, f.PathIdx, f.SizeBits)
 	s.detachLinks(f)
 	// O(1) swap-delete from the active set via the flow's stored index.
 	last := len(s.active) - 1

@@ -297,8 +297,9 @@ func TestControlBytesAccounting(t *testing.T) {
 	if r.ControlBytes != 1000 {
 		t.Errorf("ControlBytes = %g, want 1000", r.ControlBytes)
 	}
-	if got := r.ControlMBps(); math.Abs(got-0.001) > 1e-12 {
-		t.Errorf("ControlMBps = %g, want 0.001", got)
+	// 1 Gb over a 1 Gb/s host link: a 1 s run, so 0.001 MB/s of control.
+	if got := r.ControlBytes / 1e6 / r.SimTime; math.Abs(got-0.001) > 1e-12 {
+		t.Errorf("control rate = %g MB/s, want 0.001", got)
 	}
 }
 

@@ -8,7 +8,8 @@
 // and the baselines run on: policies assign and re-assign per-flow
 // paths, register timers, observe flow lifecycle events, query per-link
 // elephant-flow state (the paper's switch state interface), and account
-// control-message bytes.
+// control-message bytes. The switch state and the accounting are
+// sched.Core, which the packet engine embeds too.
 package flowsim
 
 import (
@@ -26,8 +27,8 @@ import (
 // quantities — remaining bits, current rate, projected completion, the
 // recompute scratch — live in struct-of-arrays slices on the Sim indexed
 // by flow ID (see engine.go), so the recompute and completion paths walk
-// contiguous memory instead of chasing per-flow pointers. Rate and
-// Remaining read through to those arrays.
+// contiguous memory instead of chasing per-flow pointers. Rate reads
+// through to those arrays.
 type Flow struct {
 	// Flow is the identity policies see: the workload flow ID and the
 	// endpoint hosts and their attachment ToRs. IDs are dense: the
@@ -55,11 +56,6 @@ type Flow struct {
 
 // Rate returns the flow's current max-min allocation in bits/s.
 func (f *Flow) Rate() float64 { return f.sim.rate[f.ID] }
-
-// Remaining returns the unsent portion in bits. The engine materializes
-// progress lazily (only when the flow's rate changes), so the value is
-// exact as of the last rate change and decays at Rate() until the next.
-func (f *Flow) Remaining() float64 { return f.sim.remaining[f.ID] }
 
 // TransferTime returns Finish-Arrival, or NaN if unfinished.
 func (f *Flow) TransferTime() float64 {

@@ -45,11 +45,11 @@ func (s *Sim) collectResults() *Results {
 	r := &Results{
 		Controller:    s.cfg.Controller.Name(),
 		SimTime:       s.now,
-		ControlBytes:  s.controlBytes,
-		PeakElephants: s.peakElephants,
+		ControlBytes:  s.ControlBytes(),
+		PeakElephants: s.PeakElephants(),
 	}
 	r.Flows = slices.Grow(r.Flows, s.arrived) // stays nil for a run with no flows
-	g := s.net.Graph()
+	g := s.Topo().Graph()
 	for _, f := range s.flows {
 		if f == nil {
 			continue // never arrived (MaxTime cut the arrival stream)
@@ -94,16 +94,4 @@ func (r *Results) PathSwitchCounts() *metrics.Sample {
 		}
 	}
 	return &s
-}
-
-// MeanTransferTime returns the average transfer time of completed flows.
-func (r *Results) MeanTransferTime() float64 { return r.TransferTimes().Mean() }
-
-// ControlMBps returns the average control-plane traffic in MB/s over the
-// run (Figure 15's y-axis).
-func (r *Results) ControlMBps() float64 {
-	if r.SimTime <= 0 {
-		return 0
-	}
-	return r.ControlBytes / 1e6 / r.SimTime
 }

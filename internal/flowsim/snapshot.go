@@ -165,15 +165,13 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	enc.I64(s.timerSeq)
 	enc.I64(s.events)
 	enc.U64(s.rngSrc.draws)
-	enc.F64(s.controlBytes)
-	enc.I64(int64(s.curElephants))
-	enc.I64(int64(s.peakElephants))
+	s.Core.SnapshotCounters(enc)
 	enc.F64(s.nextProbe)
 	enc.Bool(s.started)
 	enc.I64(s.cfg.Seed)
 	enc.Bool(s.cfg.Reference)
 	enc.Str(s.cfg.Controller.Name())
-	enc.U32(uint32(s.g.NumLinks()))
+	enc.U32(uint32(len(s.capacity)))
 	downs := 0
 	for l := range s.capacity {
 		if s.linkDown(topology.LinkID(l)) {
@@ -302,9 +300,7 @@ func (s *Sim) restore(data []byte) error {
 	timerSeq := dec.I64()
 	events := dec.I64()
 	rngDraws := dec.U64()
-	controlBytes := dec.F64()
-	curElephants := dec.I64()
-	peakElephants := dec.I64()
+	s.Core.RestoreCounters(dec)
 	nextProbe := dec.F64()
 	started := dec.Bool()
 	seed := dec.I64()
@@ -329,8 +325,9 @@ func (s *Sim) restore(data []byte) error {
 	if ctlName != s.cfg.Controller.Name() {
 		return fmt.Errorf("snapshot controller %q does not match config controller %q", ctlName, s.cfg.Controller.Name())
 	}
-	if int(numLinks) != s.g.NumLinks() {
-		return fmt.Errorf("snapshot topology has %d links, config topology has %d", numLinks, s.g.NumLinks())
+	g := s.Topo().Graph()
+	if int(numLinks) != g.NumLinks() {
+		return fmt.Errorf("snapshot topology has %d links, config topology has %d", numLinks, g.NumLinks())
 	}
 	if arrived < 0 || (s.sliceSrc != nil && arrived > len(s.sliceSrc.flows)) {
 		return fmt.Errorf("snapshot arrived count %d out of range", arrived)
@@ -338,13 +335,10 @@ func (s *Sim) restore(data []byte) error {
 	s.now = now
 	s.timerSeq = timerSeq
 	s.events = events
-	s.controlBytes = controlBytes
-	s.curElephants = int(curElephants)
-	s.peakElephants = int(peakElephants)
 	s.nextProbe = nextProbe
 	s.rngSrc.replayTo(rngDraws)
 	for _, l := range downLinks {
-		if int(l) >= s.g.NumLinks() {
+		if int(l) >= g.NumLinks() {
 			return fmt.Errorf("snapshot fails link %d out of range", l)
 		}
 		s.capacity[l] = 0
@@ -353,7 +347,7 @@ func (s *Sim) restore(data []byte) error {
 	dec.Expect(secFlows)
 	s.growFlows(arrived)
 	s.arrived = arrived
-	hostMax := topology.NodeID(s.g.NumNodes())
+	hostMax := topology.NodeID(g.NumNodes())
 	activeFlagged := 0
 	for id := 0; id < arrived; id++ {
 		src := topology.NodeID(dec.I64())
@@ -370,14 +364,14 @@ func (s *Sim) restore(data []byte) error {
 		if src < 0 || src >= hostMax || dst < 0 || dst >= hostMax {
 			return fmt.Errorf("snapshot flow %d references node out of range", id)
 		}
-		if s.g.Node(src).Kind != topology.Host || s.g.Node(dst).Kind != topology.Host {
+		if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
 			return fmt.Errorf("snapshot flow %d endpoints are not hosts", id)
 		}
 		f := s.flowAt(id)
 		*f = Flow{
 			Flow: sched.Flow{
 				ID: id, Src: src, Dst: dst,
-				SrcToR: s.net.ToROf(src), DstToR: s.net.ToROf(dst),
+				SrcToR: s.Topo().ToROf(src), DstToR: s.Topo().ToROf(dst),
 			},
 			SizeBits:     sizeBits,
 			PathIdx:      pathIdx,
@@ -427,7 +421,7 @@ func (s *Sim) restore(data []byte) error {
 		if !f.active || s.activeIdx[id] != -1 {
 			return fmt.Errorf("snapshot active list entry %d inconsistent", id)
 		}
-		ps := s.net.PathSet(f.SrcToR, f.DstToR)
+		ps := s.PathSet(f.SrcToR, f.DstToR)
 		if f.PathIdx < 0 || f.PathIdx >= ps.Len() {
 			return fmt.Errorf("snapshot flow %d path index %d out of range [0,%d)", id, f.PathIdx, ps.Len())
 		}
@@ -442,14 +436,11 @@ func (s *Sim) restore(data []byte) error {
 	s.clearDirtyLinks()
 	s.ratesDirty = false
 	for _, f := range s.active {
-		s.countElephant(f, +1)
+		if f.Elephant {
+			s.CountElephant(f.links, +1)
+		}
 	}
-	// A restored run's agents are new and build their records on first
-	// Serve; moving every stamp on as well means no stamp from before the
-	// restore can read as current.
-	for i := range s.portStamp {
-		s.portStamp[i]++
-	}
+	s.RenewStamps()
 
 	dec.Expect(secArrivals)
 	kind := dec.U8()
@@ -525,7 +516,7 @@ func (s *Sim) rebuildTimerFn(ref sched.TimerRef) (func(), error) {
 	switch ref.Tag {
 	case tagLinkEvent:
 		l := topology.LinkID(ref.A)
-		if l < 0 || int(l) >= s.g.NumLinks() {
+		if l < 0 || int(l) >= len(s.capacity) {
 			return nil, fmt.Errorf("snapshot link-event timer references link %d out of range", ref.A)
 		}
 		down := ref.B != 0

@@ -225,7 +225,7 @@ func TestSAComparableToDARDUnderStride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.MeanTransferTime()
+		return r.TransferTimes().Mean()
 	}
 	ecmp := mean(sched.ECMP{})
 	sa := mean(New(Options{Interval: 2}))

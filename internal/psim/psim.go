@@ -1,16 +1,18 @@
 // Package psim runs workloads on the packet-level simulator: it couples
 // simnet links, TCP New Reno connections, and a path-selection policy
-// (ECMP, pVLB, DARD, or TeXCP) into one experiment, mirroring the
-// flow-level runner at packet granularity. It backs the paper's
-// testbed-style CDFs (Figure 5) and the TeXCP reordering comparison
-// (Figures 13-14).
+// (ECMP, pVLB, DARD, or TeXCP) into one experiment. The switch state
+// and accounting policies read (elephant counts, port stamps, control
+// bytes, trace events) are sched.Core, the same implementation the
+// flow-level engine embeds; psim adds the packet clock, simnet's link
+// state and TCP transfers. It backs the paper's testbed-style CDFs
+// (Figure 5) and the TeXCP reordering comparison (Figures 13-14).
 package psim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 
 	"dard/internal/detrand"
 	"dard/internal/fpcmp"
@@ -50,7 +52,9 @@ type Config struct {
 	// Policy selects paths. The runtime notifies it of flow lifecycle
 	// events if it implements sched.Observer.
 	Policy sched.Policy
-	// Flows is the workload.
+	// Flows is the workload: dense sequential IDs (0, 1, 2, ...) in
+	// non-decreasing arrival order, checked in NewRuntime with the flow
+	// engine's predicate (workload.Flow.Check).
 	Flows []workload.Flow
 	// Seed drives all policy randomness.
 	Seed int64
@@ -76,12 +80,11 @@ type Config struct {
 // implements sched.Host, and dard.FlowProgress for zero-goodput stall
 // detection.
 type Runtime struct {
+	sched.Core // switch state and accounting
+
 	cfg  Config
-	topo topology.Network
-	g    *topology.Graph
 	net  *simnet.Net
 	disp *tcp.Dispatcher
-	rng  *rand.Rand
 	// obs is the Policy's sched.Observer side (nil when it observes
 	// nothing), resolved once by NewRuntime.
 	obs sched.Observer
@@ -89,16 +92,7 @@ type Runtime struct {
 	flows     []*FlowState
 	remaining int
 
-	eleCounts []int
-	// portStamp is each switch's ctlmsg.StateSource.PortStamp, bumped
-	// whenever an exit link's elephant count or capacity changes.
-	portStamp    []uint64
-	controlBytes float64
-	// linkBuf is scratch for resolving a path's links without
-	// materializing the path (elephant accounting on every reroute).
-	linkBuf []topology.LinkID
-
-	tracer trace.Tracer // never nil (Nop when tracing is off)
+	linkBuf []topology.LinkID // Route's scratch, copied into each route it returns
 
 	// Probe state. The armed timer is canceled when the last flow
 	// departs: a canceled kernel event leaves the queue without
@@ -125,44 +119,25 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if fpcmp.IsZero(cfg.MaxTime) {
 		cfg.MaxTime = 1e4
 	}
-	hosts := cfg.Topo.Hosts()
-	for _, wf := range cfg.Flows {
-		if wf.Src < 0 || wf.Src >= len(hosts) || wf.Dst < 0 || wf.Dst >= len(hosts) || wf.Src == wf.Dst {
-			return nil, fmt.Errorf("psim: flow %d has invalid endpoints", wf.ID)
-		}
+	if err := workload.CheckBatch(cfg.Flows, len(cfg.Topo.Hosts())); err != nil {
+		return nil, fmt.Errorf("psim: %w", err)
 	}
-	for _, ev := range cfg.LinkEvents {
-		if ev.Link < 0 || int(ev.Link) >= cfg.Topo.Graph().NumLinks() {
-			return nil, fmt.Errorf("psim: link event references link %d out of range", ev.Link)
-		}
-		if math.IsNaN(ev.At) || math.IsInf(ev.At, 0) || ev.At < 0 {
-			return nil, fmt.Errorf("psim: link event at invalid time %g", ev.At)
-		}
+	if err := sched.CheckLinkEvents(cfg.Topo, cfg.LinkEvents); err != nil {
+		return nil, fmt.Errorf("psim: %w", err)
 	}
-	rt := &Runtime{
-		cfg:  cfg,
-		topo: cfg.Topo,
-		g:    cfg.Topo.Graph(),
-		disp: tcp.NewDispatcher(),
-		rng:  rand.New(detrand.NewStd(cfg.Seed)),
-	}
+	rt := &Runtime{cfg: cfg, disp: tcp.NewDispatcher()}
 	net, err := simnet.NewNet(cfg.Topo, 0, (tcp.DefaultMSSBytes+40)*8, rt.disp.Deliver)
 	if err != nil {
 		return nil, err
 	}
 	rt.net = net
+	rt.Core = sched.NewCore(cfg.Topo, cfg.Seed, detrand.NewStd(cfg.Seed), cfg.Tracer, net.K.Now)
 	rt.obs, _ = cfg.Policy.(sched.Observer)
-	rt.eleCounts = make([]int, rt.g.NumLinks())
-	rt.portStamp = make([]uint64, rt.g.NumNodes())
-	rt.tracer = trace.OrNop(cfg.Tracer)
-	if rt.tracer.Enabled() {
-		rt.net.SetTracer(rt.tracer)
+	if rt.Tracer().Enabled() {
+		rt.net.SetTracer(rt.Tracer())
 	}
 	return rt, nil
 }
-
-// Tracer returns the run's tracer (never nil; Nop when tracing is off).
-func (rt *Runtime) Tracer() trace.Tracer { return rt.tracer }
 
 // Now returns the simulation time.
 func (rt *Runtime) Now() float64 { return rt.net.K.Now() }
@@ -170,28 +145,12 @@ func (rt *Runtime) Now() float64 { return rt.net.K.Now() }
 // Net exposes the packet network (utilization counters for TeXCP).
 func (rt *Runtime) Net() *simnet.Net { return rt.net }
 
-// Topo returns the topology.
-func (rt *Runtime) Topo() topology.Network { return rt.topo }
-
-// Rand returns the run's deterministic random source.
-func (rt *Runtime) Rand() *rand.Rand { return rt.rng }
-
-// Seed returns the configured seed (sched.Host). Path policies hash it
-// with the flow identity, so initial assignments match across policies
-// and engines given the same seed.
-func (rt *Runtime) Seed() int64 { return rt.cfg.Seed }
-
 // After schedules a policy timer.
 func (rt *Runtime) After(d float64, fn func()) { rt.net.K.After(d, fn) }
 
 // AfterRef implements sched.Host: After, ignoring the checkpoint
 // descriptor (the packet kernel has no checkpoints).
 func (rt *Runtime) AfterRef(d float64, _ sched.TimerRef, fn func()) { rt.net.K.After(d, fn) }
-
-// PathSet returns the implicit equal-cost path set between two ToRs.
-func (rt *Runtime) PathSet(srcToR, dstToR topology.NodeID) topology.PathSet {
-	return rt.topo.PathSet(srcToR, dstToR)
-}
 
 // FlowPath returns the path index of the flow with the given ID.
 func (rt *Runtime) FlowPath(id int) int { return rt.flows[id].PathIdx }
@@ -230,20 +189,6 @@ func (rt *Runtime) flow(id int) *FlowState {
 	return rt.flows[id]
 }
 
-// RecordControl accounts control-plane bytes.
-func (rt *Runtime) RecordControl(bytes float64) {
-	rt.controlBytes += bytes
-	if rt.tracer.Enabled() {
-		rt.tracer.Emit(trace.Event{T: rt.Now(), Kind: trace.KindControlMsg, Flow: -1, Link: -1, V: bytes})
-	}
-}
-
-// ElephantsOnLink reports the active elephant flows assigned to a link.
-func (rt *Runtime) ElephantsOnLink(l topology.LinkID) int { return rt.eleCounts[l] }
-
-// PortStamp returns the switch's port-state stamp (ctlmsg.StateSource).
-func (rt *Runtime) PortStamp(sw topology.NodeID) uint64 { return rt.portStamp[sw] }
-
 // LinkCapacity returns a link's effective bandwidth: zero while failed,
 // nominal otherwise — the bandwidth half of the switch state monitors
 // query, matching flowsim.Sim.LinkCapacity.
@@ -251,21 +196,16 @@ func (rt *Runtime) LinkCapacity(l topology.LinkID) float64 {
 	if rt.net.LinkDown(l) {
 		return 0
 	}
-	return rt.g.Link(l).Capacity
+	return rt.Topo().Graph().Link(l).Capacity
 }
 
 // Route materializes a flow's host-to-host source route for a path
 // index. The connection owns the returned slice, so this allocates one
-// exact-size route; the path links themselves come straight from the
+// route, a copy of the links resolved into scratch straight from the
 // implicit path set.
 func (rt *Runtime) Route(f *FlowState, pathIdx int) []topology.LinkID {
-	ps := rt.topo.PathSet(f.SrcToR, f.DstToR)
-	rt.linkBuf = ps.AppendLinks(pathIdx, rt.linkBuf[:0])
-	route := make([]topology.LinkID, 0, len(rt.linkBuf)+2)
-	route = append(route, rt.topo.HostUplink(f.Src))
-	route = append(route, rt.linkBuf...)
-	route = append(route, rt.topo.HostDownlink(f.Dst))
-	return route
+	rt.linkBuf = rt.AppendRoute(rt.linkBuf[:0], f.Flow, rt.PathSet(f.SrcToR, f.DstToR), pathIdx)
+	return slices.Clone(rt.linkBuf)
 }
 
 // SetFlowPath reroutes a flow; future packets (and retransmissions) take
@@ -275,42 +215,22 @@ func (rt *Runtime) SetFlowPath(id, pathIdx int) error {
 	if f == nil {
 		return fmt.Errorf("psim: no flow %d", id)
 	}
-	ps := rt.topo.PathSet(f.SrcToR, f.DstToR)
+	ps := rt.PathSet(f.SrcToR, f.DstToR)
 	if pathIdx < 0 || pathIdx >= ps.Len() {
 		return fmt.Errorf("psim: path index %d out of range [0,%d)", pathIdx, ps.Len())
 	}
 	if pathIdx == f.PathIdx {
 		return nil
 	}
-	old := f.PathIdx
+	old, route := f.PathIdx, rt.Route(f, pathIdx)
 	if f.Elephant && f.active {
-		rt.countElephant(f, -1)
+		rt.CountElephant(f.Conn.Route(), -1)
+		rt.CountElephant(route, +1)
 	}
 	f.PathIdx = pathIdx
-	f.Conn.SetRoute(rt.Route(f, pathIdx))
-	if f.Elephant && f.active {
-		rt.countElephant(f, +1)
-	}
-	if rt.tracer.Enabled() {
-		rt.tracer.Emit(trace.Event{
-			T: rt.Now(), Kind: trace.KindPathSwitch,
-			Flow: int32(f.ID), Link: -1, A: int64(old), B: int64(pathIdx),
-		})
-	}
+	f.Conn.SetRoute(route)
+	rt.EmitPathSwitch(f.ID, old, pathIdx)
 	return nil
-}
-
-// countElephant adds sign to the elephant count of every link on f's
-// route and bumps the port stamps of the switches those links leave.
-func (rt *Runtime) countElephant(f *FlowState, sign int) {
-	ps := rt.topo.PathSet(f.SrcToR, f.DstToR)
-	rt.linkBuf = append(rt.linkBuf[:0], rt.topo.HostUplink(f.Src))
-	rt.linkBuf = ps.AppendLinks(f.PathIdx, rt.linkBuf)
-	rt.linkBuf = append(rt.linkBuf, rt.topo.HostDownlink(f.Dst))
-	for _, l := range rt.linkBuf {
-		rt.eleCounts[l] += sign
-		rt.portStamp[rt.g.Link(l).From]++
-	}
 }
 
 // Run executes the workload to completion (or MaxTime) and collects
@@ -325,24 +245,25 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 	// A pointer: the per-flow arrival closures below capture cfg, and
 	// a Config of at most 128 bytes would be copied into each of them.
 	cfg := &rt.cfg
-	hosts := rt.topo.Hosts()
+	hosts := rt.Topo().Hosts()
 	rt.flows = make([]*FlowState, len(cfg.Flows))
 	rt.remaining = len(cfg.Flows)
 	for _, ev := range cfg.LinkEvents {
 		ev := ev
 		rt.net.K.After(ev.At, func() {
 			rt.net.SetLinkDown(ev.Link, ev.Down)
-			rt.portStamp[rt.g.Link(ev.Link).From]++
+			rt.CapacityChanged(ev.Link)
 		})
 	}
 	for i := range cfg.Flows {
 		wf := cfg.Flows[i]
 		rt.net.K.After(wf.Arrival, func() {
+			net := rt.Topo()
 			src, dst := hosts[wf.Src], hosts[wf.Dst]
 			f := &FlowState{
 				Flow: sched.Flow{
 					ID: wf.ID, Src: src, Dst: dst,
-					SrcToR: rt.topo.ToROf(src), DstToR: rt.topo.ToROf(dst),
+					SrcToR: net.ToROf(src), DstToR: net.ToROf(dst),
 				},
 				Arrival:  rt.Now(),
 				SizeBits: wf.SizeBits,
@@ -351,7 +272,7 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 			rt.flows[wf.ID] = f
 
 			idx := cfg.Policy.InitialPath(rt, f.Flow)
-			if idx < 0 || idx >= rt.topo.PathSet(f.SrcToR, f.DstToR).Len() {
+			if idx < 0 || idx >= net.PathSet(f.SrcToR, f.DstToR).Len() {
 				idx = 0
 			}
 			f.PathIdx = idx
@@ -364,18 +285,14 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 			}
 			f.Conn = conn
 			rt.disp.Register(conn)
-			if rt.tracer.Enabled() {
-				conn.Tracer = rt.tracer
-				// T equals both f.Arrival and the connection's
-				// StartTime (Start runs below at the same kernel
-				// time), so FlowEnd minus this reproduces the
-				// reported TransferTime bit-for-bit.
-				rt.tracer.Emit(trace.Event{
-					T: rt.Now(), Kind: trace.KindFlowStart,
-					Flow: int32(f.ID), Link: -1,
-					A: int64(f.Src), B: int64(f.Dst), V: f.SizeBits,
-				})
+			if rt.Tracer().Enabled() {
+				conn.Tracer = rt.Tracer()
 			}
+			// T equals both f.Arrival and the connection's StartTime
+			// (Start runs below at the same kernel time), so FlowEnd
+			// minus this reproduces the reported TransferTime
+			// bit-for-bit.
+			rt.EmitFlowStart(f.Flow, f.SizeBits)
 			if pr, ok := cfg.Policy.(PacketRouter); ok {
 				conn.RoutePicker = pr.PacketRoute(rt, f)
 			}
@@ -386,7 +303,7 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 				rt.net.K.After(cfg.ElephantAge, func() {
 					if f.active {
 						f.Elephant = true
-						rt.countElephant(f, +1)
+						rt.ElephantStarted(f.Conn.Route())
 						if rt.obs != nil {
 							rt.obs.Elephant(rt, f.Flow)
 						}
@@ -396,9 +313,9 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 			conn.Start()
 		})
 	}
-	if rt.tracer.Enabled() && cfg.ProbeInterval > 0 && rt.remaining > 0 {
+	if rt.Tracer().Enabled() && cfg.ProbeInterval > 0 && rt.remaining > 0 {
 		rt.probeEvery = cfg.ProbeInterval
-		rt.lastBits = make([]float64, rt.g.NumLinks())
+		rt.lastBits = make([]float64, rt.Topo().Graph().NumLinks())
 		rt.armProbe()
 	}
 	// Advance in one-second horizons and stop as soon as the workload
@@ -423,21 +340,21 @@ func (rt *Runtime) armProbe() {
 // congestion window.
 func (rt *Runtime) probeTick() {
 	rt.probeArmed = false
-	now := rt.Now()
+	now, g, tr := rt.Now(), rt.Topo().Graph(), rt.Tracer()
 	if dt := now - rt.lastProbeAt; dt > 0 {
-		for i := 0; i < rt.g.NumLinks(); i++ {
+		for i := 0; i < g.NumLinks(); i++ {
 			l := topology.LinkID(i)
 			bits := rt.net.BitsSent(l)
-			util := (bits - rt.lastBits[i]) / (rt.g.Link(l).Capacity * dt)
+			util := (bits - rt.lastBits[i]) / (g.Link(l).Capacity * dt)
 			rt.lastBits[i] = bits
-			rt.tracer.Sample(trace.MetricLinkUtil, int64(i), now, util)
-			rt.tracer.Sample(trace.MetricQueueBits, int64(i), now, rt.net.QueueBits(l))
+			tr.Sample(trace.MetricLinkUtil, int64(i), now, util)
+			tr.Sample(trace.MetricQueueBits, int64(i), now, rt.net.QueueBits(l))
 		}
 		for _, f := range rt.flows {
 			if f == nil || !f.active || f.Conn == nil {
 				continue
 			}
-			rt.tracer.Sample(trace.MetricFlowCwnd, int64(f.ID), now, f.Conn.State().Cwnd)
+			tr.Sample(trace.MetricFlowCwnd, int64(f.ID), now, f.Conn.State().Cwnd)
 		}
 	}
 	rt.lastProbeAt = now
@@ -453,14 +370,9 @@ func (rt *Runtime) depart(f *FlowState) {
 	f.active = false
 	rt.remaining--
 	if f.Elephant {
-		rt.countElephant(f, -1)
+		rt.ElephantEnded(f.Conn.Route())
 	}
-	if rt.tracer.Enabled() {
-		rt.tracer.Emit(trace.Event{
-			T: rt.Now(), Kind: trace.KindFlowEnd,
-			Flow: int32(f.ID), Link: -1, A: int64(f.PathIdx), V: f.SizeBits,
-		})
-	}
+	rt.EmitFlowEnd(f.ID, f.PathIdx, f.SizeBits)
 	if rt.remaining == 0 && rt.probeArmed {
 		// The run ends at the last completion; a probe scheduled past it
 		// must not advance the clock (canceled events never fire), so
@@ -506,7 +418,7 @@ func (rt *Runtime) collect() *Results {
 	r := &Results{
 		Policy:       rt.cfg.Policy.Name(),
 		SimTime:      rt.Now(),
-		ControlBytes: rt.controlBytes,
+		ControlBytes: rt.ControlBytes(),
 	}
 	r.CoreUtilization = rt.coreUtilization()
 	for _, f := range rt.flows {
@@ -539,10 +451,11 @@ func (rt *Runtime) coreUtilization() float64 {
 		return 0
 	}
 	var carried, capacityTime float64
-	for i := 0; i < rt.g.NumLinks(); i++ {
+	g := rt.Topo().Graph()
+	for i := 0; i < g.NumLinks(); i++ {
 		l := topology.LinkID(i)
-		link := rt.g.Link(l)
-		if rt.g.Node(link.From).Kind != topology.Core && rt.g.Node(link.To).Kind != topology.Core {
+		link := g.Link(l)
+		if g.Node(link.From).Kind != topology.Core && g.Node(link.To).Kind != topology.Core {
 			continue
 		}
 		carried += rt.net.BitsSent(l)

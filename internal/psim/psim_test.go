@@ -1,6 +1,7 @@
 package psim
 
 import (
+	"math"
 	"testing"
 
 	"dard/internal/dard"
@@ -132,6 +133,36 @@ func TestRuntimeValidation(t *testing.T) {
 	bad := []workload.Flow{{ID: 0, Src: 0, Dst: 0, SizeBits: 1}}
 	if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: bad}); err == nil {
 		t.Error("self flow should fail")
+	}
+}
+
+// TestRuntimeRejectsBadBatch pins that a batch passes the same flow
+// predicate as the flow engine's: each of these used to pass NewRuntime
+// and then panic in Run (a sparse ID indexes past the flow table) or end
+// as an unfinished flow (a NaN size).
+func TestRuntimeRejectsBadBatch(t *testing.T) {
+	ft := fatTree(t)
+	ok := workload.Flow{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 0}
+	cases := []struct {
+		name  string
+		flows []workload.Flow
+	}{
+		{"sparse IDs", []workload.Flow{ok, {ID: 5, Src: 1, Dst: 9, SizeBits: mb(1), Arrival: 0.1}}},
+		{"NaN size", []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: math.NaN(), Arrival: 0}}},
+		{"infinite size", []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: math.Inf(1), Arrival: 0}}},
+		{"arrivals out of order", []workload.Flow{
+			{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 1},
+			{ID: 1, Src: 1, Dst: 9, SizeBits: mb(1), Arrival: 0.5},
+		}},
+		{"NaN arrival", []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: math.NaN()}}},
+		{"host out of range", []workload.Flow{{ID: 0, Src: 0, Dst: 99, SizeBits: mb(1), Arrival: 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: tc.flows, MaxTime: 10}); err == nil {
+				t.Error("invalid batch accepted")
+			}
+		})
 	}
 }
 

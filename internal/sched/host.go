@@ -36,8 +36,9 @@ type Observer interface {
 }
 
 // Host is the engine surface policies run on, implemented by
-// flowsim.Sim and psim.Runtime. A policy sees flows only by ID and
-// reads or moves their paths through the host.
+// flowsim.Sim and psim.Runtime, which embed Core for the half that does
+// not depend on the engine. A policy sees flows only by ID and reads or
+// moves their paths through the host.
 type Host interface {
 	// StateSource is the switch-state view monitors query: the
 	// topology (and its graph), per-link elephant counts and

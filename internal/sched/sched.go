@@ -5,8 +5,11 @@
 // collisions. It also defines the policy contract both engines drive:
 // Policy and Observer, the Host surface they are written against, and
 // the TimerRef checkpoint descriptor. Each policy has one implementation
-// that the flow-level and the packet-level engine both run, and this
-// package imports neither engine.
+// that the flow-level and the packet-level engine both run. Core, which
+// both engines embed, is the one implementation of the engine-independent
+// half of Host: the switch state monitors query (per-link elephant
+// counts and port stamps), control-byte and elephant accounting, and the
+// flow lifecycle trace events. This package imports neither engine.
 package sched
 
 import (

@@ -207,6 +207,44 @@ type Flow struct {
 	Arrival float64
 }
 
+// Check is the predicate every flow an engine runs passes, batch or
+// streamed, as arrival number n at clock now among hosts hosts: its ID
+// is n, so IDs are dense and sequential; its endpoints are distinct
+// hosts; its size is positive and finite; and it arrives at a finite
+// time no earlier than now.
+func (wf Flow) Check(n, hosts int, now float64) error {
+	if wf.ID != n {
+		return fmt.Errorf("flow ID %d arrives as number %d, want dense sequential IDs", wf.ID, n)
+	}
+	if wf.Src < 0 || wf.Src >= hosts || wf.Dst < 0 || wf.Dst >= hosts {
+		return fmt.Errorf("flow %d references host out of range", wf.ID)
+	}
+	if wf.Src == wf.Dst {
+		return fmt.Errorf("flow %d is a self-flow", wf.ID)
+	}
+	if !(wf.SizeBits > 0) || math.IsInf(wf.SizeBits, 0) {
+		return fmt.Errorf("flow %d has invalid size %g", wf.ID, wf.SizeBits)
+	}
+	if math.IsNaN(wf.Arrival) || math.IsInf(wf.Arrival, 0) || wf.Arrival < now {
+		return fmt.Errorf("flow %d arrives at invalid time %g (now %g)", wf.ID, wf.Arrival, now)
+	}
+	return nil
+}
+
+// CheckBatch runs Check over a batch workload before a run starts, each
+// flow arriving as its index at the previous flow's arrival time, so a
+// bad list fails up front rather than mid-run.
+func CheckBatch(flows []Flow, hosts int) error {
+	now := 0.0
+	for i, wf := range flows {
+		if err := wf.Check(i, hosts, now); err != nil {
+			return err
+		}
+		now = wf.Arrival
+	}
+	return nil
+}
+
 // Config parameterizes flow generation.
 type Config struct {
 	// Pattern picks destinations.
