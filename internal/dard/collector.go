@@ -26,7 +26,9 @@ type PathState struct {
 // Collector assembles one monitor's per-link switch state (§2.4.2). With
 // a reliable control plane it resolves synchronously from the
 // controller's port view, which carries what every exchange would
-// deliver, and counts the bytes those exchanges take. With ctlmsg faults
+// deliver, and the monitor counts the bytes those exchanges take; the
+// fold into the path state vector waits until something reads it
+// (foldPending). With ctlmsg faults
 // enabled it becomes a small asynchronous protocol: every switch
 // exchange that loses a message is retried with exponential backoff up
 // to CtlRetryMax times; a switch that still answers nothing is served
@@ -42,6 +44,10 @@ type Collector struct {
 	// and a full reply per covering switch.
 	wireBytes int
 	shared    *roundScratch
+	// epoch is the view epoch of the last fault-free round, and pending
+	// says its fold has not run yet (foldPending).
+	epoch   uint64
+	pending bool
 	// channels and misses are each covering switch's fault channel and
 	// count of consecutive unanswered rounds. Like round and cache they
 	// are built on the first fault round; fault-free collectors never
@@ -66,17 +72,18 @@ type Collector struct {
 
 // roundScratch is the state all of a Controller's monitors share on one
 // host: the switch agents of fault rounds, indexed by NodeID and built
-// on their first query, and the decoded port view fault-free rounds
-// fold from. One view serves every monitor because a fault-free round
-// runs start to finish inside one Assemble call and only ever brings
-// the view up to date with the host.
+// on their first query, and the port view fault-free rounds fold from.
+// One view serves every monitor because a fault-free round runs start
+// to finish inside one tick and only ever brings the view up to date
+// with the host; the view's undo log lets each monitor's fold wait for
+// the scheduling round that reads it.
 type roundScratch struct {
 	env    sched.Host
 	agents []*ctlmsg.SwitchAgent
 	// view holds every exit port's state as its switch last reported
 	// it; read[sw] is the PortStamp sw's ports were read at, and
 	// whether they have been read at all.
-	view *LinkState
+	view *portView
 	read []viewStamp
 	// nodes gathers new monitors' covering switches.
 	nodes []topology.NodeID
@@ -96,7 +103,7 @@ func (c *Controller) roundScratch(env sched.Host) *roundScratch {
 		c.scratch = &roundScratch{
 			env:    env,
 			agents: make([]*ctlmsg.SwitchAgent, g.NumNodes()),
-			view:   NewLinkState(g.NumLinks()),
+			view:   newPortView(g.NumLinks()),
 			read:   make([]viewStamp, g.NumNodes()),
 		}
 	}
@@ -112,7 +119,7 @@ func (s *roundScratch) refresh(sw topology.NodeID) error {
 		return nil
 	}
 	for _, l := range s.env.Topo().Graph().Out(sw) {
-		if err := s.view.Set(ctlmsg.ReadPort(s.env, l)); err != nil {
+		if err := s.view.set(ctlmsg.ReadPort(s.env, l)); err != nil {
 			return err
 		}
 	}
@@ -165,18 +172,15 @@ func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.
 	}
 }
 
-// Assemble runs one query round. done receives the per-link state, the
+// Assemble runs one fault round. done receives the per-link state, the
 // wire bytes consumed (retries and duplicates included), and whether
-// every covered link has a usable entry; with faults disabled (or when
-// every exchange succeeds without delay) it is called synchronously.
-// The link state is only valid during the call. When an earlier round is
-// still retrying, the tick is skipped — the control plane does not
-// pipeline rounds. Errors are protocol-level (marshal/agent bugs), not
-// injected faults.
+// every covered link has a usable entry; when every exchange succeeds
+// without delay it is called synchronously. The link state is only
+// valid during the call. When an earlier round is still retrying, the
+// tick is skipped — the control plane does not pipeline rounds. Errors
+// are protocol-level (marshal/agent bugs), not injected faults.
+// Fault-free rounds run through assembleView instead.
 func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, complete bool)) error {
-	if !c.faults.Enabled() {
-		return c.assembleView(done)
-	}
 	if c.inFlight {
 		return nil
 	}
@@ -245,18 +249,27 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 // assembleView is the fault-free round. On a reliable channel every
 // exchange delivers the switch's current port state, so the round brings
 // the controller's port view up to date for its covering switches and
-// hands over that view, which holds the state of every link it covers,
-// with the bytes the exchanges would have carried. Only switches whose
-// ports changed are read; a warm round allocates nothing.
-func (c *Collector) assembleView(done func(*LinkState, int, bool)) error {
+// pins the collector to the view's epoch; foldPending later folds the
+// view as it stood then. A round carries wireBytes on the wire. Only
+// switches whose ports changed are read; a warm round allocates nothing.
+func (c *Collector) assembleView() error {
 	c.seqNo++
 	for _, sw := range c.switches {
 		if err := c.shared.refresh(sw); err != nil {
 			return err
 		}
 	}
-	done(c.shared.view, c.wireBytes, true)
+	c.shared.view.pin(c)
 	return nil
+}
+
+// foldPending folds ps's path state vector from the view as it stood at
+// the collector's last fault-free round, into pv's backing array with
+// buf as link scratch (see FoldPVInto), and settles the pending fold.
+func (c *Collector) foldPending(pv []PathState, buf []topology.LinkID, ps topology.PathSet) ([]PathState, []topology.LinkID, error) {
+	pv, buf, err := foldPV(pv, buf, ps, c.shared.view.at(c.epoch))
+	c.pending = false
+	return pv, buf, err
 }
 
 // collectSwitch runs one switch's exchange chain: attempt, and on loss
@@ -338,10 +351,15 @@ func (c *Collector) channel(sw topology.NodeID) *ctlmsg.Channel {
 // congested link, with a zero-capacity (failed or dead-switch) link
 // collapsing the path's BoNF to zero. It folds into pv's backing array
 // (resized to ps.Len()) with buf as link scratch, so a monitor's
-// steady-state query tick allocates nothing once warm
+// steady-state fold allocates nothing once warm
 // (TestAssembleSteadyStateAllocs). It returns the folded pv and the
 // (possibly grown) buf; neither retains linkState.
 func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, linkState *LinkState) ([]PathState, []topology.LinkID, error) {
+	return foldPV(pv, buf, ps, linkReader{ports: linkState})
+}
+
+// foldPV is the one fold: FoldPVInto over the links r reads.
+func foldPV(pv []PathState, buf []topology.LinkID, ps topology.PathSet, r linkReader) ([]PathState, []topology.LinkID, error) {
 	n := ps.Len()
 	if cap(pv) < n {
 		pv = make([]PathState, n)
@@ -350,7 +368,7 @@ func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, link
 	}
 	for i := 0; i < n; i++ {
 		buf = ps.AppendLinks(i, buf[:0])
-		st, err := foldPathState(buf, linkState)
+		st, err := foldPathState(buf, r)
 		if err != nil {
 			return nil, buf, err
 		}
@@ -360,10 +378,10 @@ func FoldPVInto(pv []PathState, buf []topology.LinkID, ps topology.PathSet, link
 }
 
 // foldPathState reduces one path's links to its bottleneck state.
-func foldPathState(links []topology.LinkID, linkState *LinkState) (PathState, error) {
+func foldPathState(links []topology.LinkID, r linkReader) (PathState, error) {
 	st := PathState{Bandwidth: math.Inf(1), BoNF: math.Inf(1)}
 	for _, l := range links {
-		port, ok := linkState.Get(l)
+		port, ok := r.get(l)
 		if !ok {
 			return st, fmt.Errorf("no switch reported state for link %d", l)
 		}

@@ -1,7 +1,6 @@
 package dard
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
@@ -11,14 +10,9 @@ import (
 	"dard/internal/workload"
 )
 
-// monitorTick returns one warm query tick of an inter-pod monitor on a
-// p-ary fat tree: Collector.Assemble over the pair's covering switches,
-// folding the round into the path state vector exactly as
-// monitor.assemble does every query interval. The host is a finished
-// fault-free flow run. churn fails or repairs an exit link of one
-// covering switch, moving its port stamp, so the next tick re-reads that
-// switch's ports into the view instead of folding the view as it is.
-func monitorTick(tb testing.TB, p int) (tick, churn func()) {
+// idleFatTree returns a finished fault-free DARD flow run on a p-ary fat
+// tree, its controller, and the path set of an inter-pod ToR pair.
+func idleFatTree(tb testing.TB, p int) (*flowsim.Sim, *Controller, topology.PathSet) {
 	tb.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: p})
 	if err != nil {
@@ -37,46 +31,56 @@ func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 	if _, err := s.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	ps := s.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[last]))
+	return s, ctl, s.PathSet(ft.ToROf(ft.Hosts()[0]), ft.ToROf(ft.Hosts()[last]))
+}
+
+// linkChurn returns a function that fails or repairs an exit link of
+// coll's first covering switch, moving its port stamp, so the next round
+// re-reads that switch's ports into the view and logs the change.
+func linkChurn(s *flowsim.Sim, coll *Collector) func() {
+	churned := s.Topo().Graph().Out(coll.switches[0])[0]
+	down := false
+	return func() {
+		down = !down
+		s.SetLinkDown(churned, down)
+	}
+}
+
+// monitorTick returns one warm query tick of an inter-pod monitor on a
+// p-ary fat tree, with the fold a scheduling round runs when it reads
+// the path state vector: Collector.assembleView over the pair's
+// covering switches, then foldPending. churn is linkChurn's, so the
+// next tick re-reads one switch's ports instead of pinning the view as
+// it is.
+func monitorTick(tb testing.TB, p int) (tick, churn func()) {
+	tb.Helper()
+	s, ctl, ps := idleFatTree(tb, p)
 	coll := ctl.newCollector(s, 1, ps)
 	var (
-		pv      []PathState
-		buf     []topology.LinkID
-		foldErr error
+		pv  []PathState
+		buf []topology.LinkID
+		err error
 	)
-	done := func(linkState *LinkState, _ int, complete bool) {
-		if !complete {
-			foldErr = errors.New("fault-free round reported incomplete")
-			return
-		}
-		pv, buf, foldErr = FoldPVInto(pv[:0], buf, ps, linkState)
-	}
 	tick = func() {
-		if err := coll.Assemble(done); err != nil {
+		if err := coll.assembleView(); err != nil {
 			tb.Fatal(err)
 		}
-		if foldErr != nil {
-			tb.Fatal(foldErr)
+		if pv, buf, err = coll.foldPending(pv[:0], buf, ps); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	tick()
 	if len(pv) != ps.Len() {
 		tb.Fatalf("folded %d paths, want %d", len(pv), ps.Len())
 	}
-	churned := ft.Graph().Out(coll.switches[0])[0]
-	down := false
-	churn = func() {
-		down = !down
-		s.SetLinkDown(churned, down)
-	}
-	return tick, churn
+	return tick, linkChurn(s, coll)
 }
 
 // TestAssembleSteadyStateAllocs is the alloc gate for DARD's query
 // round: once warm, a fault-free monitor tick — a port-stamp check per
-// covering switch, then the fold — must not allocate, whether the view
-// is current or one switch's ports are re-read after a port-state
-// change. At p=32 a tick covers ~290 switches, so one allocation per
+// covering switch and a pin on the view — plus its fold must not
+// allocate, whether the view is current or one switch's ports are
+// re-read, and the change logged, after a port-state change. At p=32 a tick covers ~290 switches, so one allocation per
 // switch multiplies into gigabytes per run.
 func TestAssembleSteadyStateAllocs(t *testing.T) {
 	tick, churn := monitorTick(t, 8)
@@ -86,6 +90,84 @@ func TestAssembleSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { churn(); tick() }); allocs != 0 {
 		t.Fatalf("monitor tick after a port-state change allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestUndoLogStaysBounded ticks a monitor's collector through long runs
+// of port changes, folding only every 50th tick as a scheduling round
+// would. The view's undo log and pin queue keep only what a pending
+// fold can read, pruning when they fill, so their storage stays a few
+// entries long. A fold pinned before a run must still read the view as
+// it stood then; once it runs, or its monitor is released, the storage
+// the run grew must stop growing.
+func TestUndoLogStaysBounded(t *testing.T) {
+	s, ctl, ps := idleFatTree(t, 8)
+	a := ctl.newCollector(s, 1, ps)
+	b := ctl.newCollector(s, 2, ps)
+	churn := linkChurn(s, a)
+	v := a.shared.view
+	var (
+		pv  []PathState
+		buf []topology.LinkID
+	)
+	run := func(ticks int) {
+		t.Helper()
+		for i := 1; i <= ticks; i++ {
+			churn()
+			if err := a.assembleView(); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 0 {
+				var err error
+				if pv, buf, err = a.foldPending(pv[:0], buf, ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// steady runs 10000 ticks, which must not grow the log or the pin
+	// queue beyond the larger of bound and what they hold already.
+	steady := func(phase string, bound int) {
+		t.Helper()
+		undoCap, pinCap := max(bound, cap(v.undo)), max(bound, cap(v.pins))
+		run(10000)
+		if cap(v.undo) > undoCap || cap(v.pins) > pinCap {
+			t.Fatalf("%s: undo log grew to %d records and the pin queue to %d entries, want at most %d and %d",
+				phase, cap(v.undo), cap(v.pins), undoCap, pinCap)
+		}
+		if n := v.epoch - v.oldestPin(); n > 1 {
+			t.Fatalf("%s: %d logged changes still readable, want at most the last tick's 1", phase, n)
+		}
+	}
+	steady("one monitor ticking", 8)
+
+	// b pins the view, then a churns on: b's fold must see the view as
+	// it was, so the log holds every change since.
+	if err := b.assembleView(); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := FoldPVInto(nil, nil, ps, v.ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(1001) // odd: the churned link ends failed
+	if len(v.undo) < 1001 {
+		t.Fatalf("undo log holds %d records while a fold pinned before 1001 changes is pending", len(v.undo))
+	}
+	got, _, err := b.foldPending(nil, nil, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePV(got, before) {
+		t.Fatalf("fold pinned before the churn read %v, want %v", got, before)
+	}
+	steady("after the old fold ran", 0)
+
+	// A released monitor's pending fold pins nothing.
+	if err := b.assembleView(); err != nil {
+		t.Fatal(err)
+	}
+	b.pending = false // as Departed does
+	steady("after a pending monitor was released", 0)
 }
 
 // BenchmarkCollectorAssemble times one p=32 inter-pod monitor tick, the

@@ -231,6 +231,7 @@ func (c *Controller) Departed(_ sched.Host, f sched.Flow) {
 	delete(m.stalls, f.ID)
 	if len(m.flows) == 0 {
 		m.released = true
+		m.coll.pending = false // nothing reads its fold now
 		delete(h.monitors, key)
 	}
 }
@@ -308,6 +309,7 @@ func (c *Controller) runRound(env sched.Host, h *hostState) {
 // one flow between them if the estimated post-shift BoNF of the target
 // still exceeds the current minimum by more than δ.
 func (c *Controller) selfishSchedule(env sched.Host, m *monitor) {
+	m.materialize()
 	if m.pv == nil {
 		return // no path state assembled yet
 	}

@@ -101,6 +101,9 @@ func TestSelfishScheduleRule(t *testing.T) {
 		for _, mm := range h.monitors {
 			m = mm
 		}
+		// Run the pending fold first, so selfishSchedule reads the
+		// hand-built vectors below instead of refolding over them.
+		m.materialize()
 		if m.pv == nil {
 			return
 		}

@@ -2,6 +2,7 @@ package dard
 
 import (
 	"fmt"
+	"slices"
 
 	"dard/internal/sched"
 	"dard/internal/topology"
@@ -21,16 +22,18 @@ type monitor struct {
 	ctl            *Controller     //dardlint:snapfield backlink to the owning controller, wired by newMonitor
 	srcHost        topology.NodeID //dardlint:snapfield identity comes from the enclosing host record; restore hands it to newMonitor
 	srcToR, dstToR topology.NodeID //dardlint:snapfield srcToR is the host's ToR, re-derived from topology (dstToR is serialized)
-	// ps is the pair's implicit path set; the monitor stores this small
+	// ps is the pair's implicit path set, a pure function of the
+	// topology that newMonitor recomputes; the monitor stores this small
 	// handle instead of materialized paths.
-	//dardlint:snapfield pure function of the topology; newMonitor recomputes the implicit path set
 	ps topology.PathSet
 	// flows holds the IDs of the host's elephant flows towards dstToR.
 	flows map[int]struct{}
 	// pv is the path state vector assembled at the last completed query
 	// round; nil until the first round completes. An incomplete round
 	// (faults, no cached state yet) leaves the previous pv in place.
-	// Complete rounds fold into the same backing array.
+	// Complete rounds fold into the same backing array. A fault-free
+	// round's fold is pending until materialize runs it, so read pv only
+	// after materialize.
 	pv []PathState
 	// dead marks paths whose BoNF collapsed to zero, for PathDead
 	// transition events and immediate evacuation.
@@ -103,27 +106,67 @@ func (m *monitor) tickFn(env sched.Host) func() {
 }
 
 // assemble runs one round of Path State Assembling (§2.4.2) through the
-// shared collector and folds the per-port states into the path state
-// vector when the round completes.
+// shared collector. A fault round folds its per-port states into the
+// path state vector when it completes. A fault-free round only pins the
+// port view's epoch: its fold waits for the scheduling round that reads
+// the vector (materialize), since most rounds' vectors are replaced by
+// the next tick's unread. It folds at once when the tick itself needs
+// the vector: to sample MinBoNF for the tracer, or to mark and evacuate
+// dead paths, which can only appear while a port reads 0 Mbps and can
+// only clear while the monitor has one.
 func (m *monitor) assemble(env sched.Host) error {
-	return m.coll.Assemble(func(linkState *LinkState, wireBytes int, complete bool) {
-		env.RecordControl(float64(wireBytes))
-		if m.released || !complete {
-			return // keep the previous pv until a full round lands
-		}
-		pv, buf, err := FoldPVInto(m.pv[:0], m.linkBuf, m.ps, linkState)
-		if err != nil {
-			panic(fmt.Sprintf("dard: path state assembling: %v", err))
-		}
-		m.pv, m.linkBuf = pv, buf
-		m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), pv, m.dead)
-		if tr := env.Tracer(); tr.Enabled() {
-			// One congestion signal per monitor and tick: the worst
-			// path's BoNF.
-			tr.Sample(trace.MetricMinBoNF, int64(m.entity()), env.Now(), MinBoNF(pv))
-		}
-		m.ctl.evacuate(env, m)
-	})
+	if m.coll.faults.Enabled() {
+		return m.coll.Assemble(func(linkState *LinkState, wireBytes int, complete bool) {
+			env.RecordControl(float64(wireBytes))
+			if m.released || !complete {
+				return // keep the previous pv until a full round lands
+			}
+			pv, buf, err := FoldPVInto(m.pv[:0], m.linkBuf, m.ps, linkState)
+			if err != nil {
+				panic(fmt.Sprintf("dard: path state assembling: %v", err))
+			}
+			m.pv, m.linkBuf = pv, buf
+			m.folded(env)
+		})
+	}
+	if err := m.coll.assembleView(); err != nil {
+		return err
+	}
+	env.RecordControl(float64(m.coll.wireBytes))
+	if m.dead == nil {
+		m.dead = make([]bool, m.ps.Len())
+	}
+	if env.Tracer().Enabled() || m.coll.shared.view.zero > 0 || slices.Contains(m.dead, true) {
+		m.materialize()
+		m.folded(env)
+	}
+	return nil
+}
+
+// materialize runs the monitor's pending fold, if any, so m.pv holds the
+// path state vector of its last completed round. Every reader of m.pv
+// calls it first.
+func (m *monitor) materialize() {
+	if !m.coll.pending {
+		return
+	}
+	pv, buf, err := m.coll.foldPending(m.pv[:0], m.linkBuf, m.ps)
+	if err != nil {
+		panic(fmt.Sprintf("dard: path state assembling: %v", err))
+	}
+	m.pv, m.linkBuf = pv, buf
+}
+
+// folded acts on a freshly folded pv: it marks dead paths, samples the
+// monitor's congestion signal and evacuates flows off dead paths.
+func (m *monitor) folded(env sched.Host) {
+	m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
+	if tr := env.Tracer(); tr.Enabled() {
+		// One congestion signal per monitor and tick: the worst
+		// path's BoNF.
+		tr.Sample(trace.MetricMinBoNF, int64(m.entity()), env.Now(), MinBoNF(m.pv))
+	}
+	m.ctl.evacuate(env, m)
 }
 
 // victimOn picks the monitor's lowest-ID active flow on a path.

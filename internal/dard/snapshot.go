@@ -88,6 +88,7 @@ func (c *Controller) SnapshotState(_ sched.Host, enc *snap.Encoder) error {
 			for _, id := range ids {
 				enc.I64(int64(id))
 			}
+			m.materialize()
 			enc.Bool(m.pv != nil)
 			if m.pv != nil {
 				enc.U32(uint32(len(m.pv)))

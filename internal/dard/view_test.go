@@ -2,7 +2,9 @@ package dard
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dard/internal/ctlmsg"
@@ -10,17 +12,21 @@ import (
 	"dard/internal/psim"
 	"dard/internal/sched"
 	"dard/internal/topology"
+	"dard/internal/trace"
 	"dard/internal/workload"
 )
 
 // A fault-free round folds from the controller's port view, which
-// re-reads a switch only when its PortStamp moves. These tests hold the
+// re-reads a switch only when its PortStamp moves, and the fold waits
+// until something reads the path state vector. These tests hold the
 // view to the wire exchange it replaces: DARD runs on both engines
 // through arrivals, classification, moves, completions, link failures
 // and repairs and a flow-engine checkpoint, and after every step a
 // collector for every ordered ToR pair, all sharing DARD's view, must
-// hand its fold exactly the port state and byte count a wire round
-// carries.
+// hold exactly the port state and byte count a wire round carries. Each
+// pair's fold is left pending until the next step, after more changes
+// have landed, and must then equal the fold of the wire round taken at
+// its tick.
 
 // wireOracle is the fault-free round as a wire exchange, the way every
 // round ran before the port view: per covering switch, marshal the
@@ -148,20 +154,35 @@ type viewChecker struct {
 	*Controller
 	tb     testing.TB
 	sc     *viewScript
-	colls  []*Collector
+	pairs  []viewPair
 	oracle wireOracle
+	buf    []topology.LinkID
 	tally  viewTally
 }
 
+// viewPair is one ordered ToR pair's collector, its path set and the
+// fold of the wire round taken at its last check, which its pending
+// fold must reproduce.
+type viewPair struct {
+	coll     *Collector
+	ps       topology.PathSet
+	want     []PathState
+	wantDead []bool
+	got      []PathState
+}
+
 // viewTally counts the checks run, the port records they compared that
-// carried an elephant or a failed port, the checkpoint restores, and
-// DARD's own shifts.
-type viewTally struct{ checks, elephants, downPorts, restores, shifts int }
+// carried an elephant or a failed port, the deferred folds compared and
+// those among them whose vector a fold of the view as it stands would
+// have got wrong, the checkpoint restores, and DARD's own shifts.
+type viewTally struct{ checks, elephants, downPorts, folds, rewound, restores, shifts int }
 
 func (t *viewTally) add(o viewTally) {
 	t.checks += o.checks
 	t.elephants += o.elephants
 	t.downPorts += o.downPorts
+	t.folds += o.folds
+	t.rewound += o.rewound
 	t.restores += o.restores
 	t.shifts += o.shifts
 }
@@ -237,52 +258,53 @@ func (c *viewChecker) RebuildTimer(h sched.Host, ref sched.TimerRef) (func(), er
 	return c.Controller.RebuildTimer(h, ref)
 }
 
-// collectors returns a collector for every ordered pair of distinct
+// viewPairs returns a collector for every ordered pair of distinct
 // ToRs on h, the one host the checker runs on, built by DARD's
 // controller so they share its port view.
-func (c *viewChecker) collectors(h sched.Host) []*Collector {
-	if c.colls == nil {
+func (c *viewChecker) viewPairs(h sched.Host) []viewPair {
+	if c.pairs == nil {
 		net := h.Topo()
 		tors := topology.AttachSwitches(net)
 		for _, src := range tors {
 			for _, dst := range tors {
 				if src != dst {
 					id := uint64(src)<<32 | uint64(dst)
-					c.colls = append(c.colls, c.newCollector(h, id, net.PathSet(src, dst)))
+					ps := net.PathSet(src, dst)
+					c.pairs = append(c.pairs, viewPair{coll: c.newCollector(h, id, ps), ps: ps})
 				}
 			}
 		}
 	}
-	return c.colls
+	return c.pairs
 }
 
-// checkAgainst runs every pair's view round on h and requires the wire
-// oracle, run against want, to carry the same state for every link the
-// round's switches report and the same byte count. want is h except
-// right after a restore, when it is the paused run the restored one
-// resumes.
+// checkAgainst checks every pair on h. It first runs the pair's pending
+// fold, pinned at the previous check, and requires it to equal, bit for
+// bit and in its dead mask, the wire round's fold taken then. It then
+// runs the pair's view round, requires the wire oracle, run against
+// want, to carry the same state for every link the round's switches
+// report and the same byte count, and keeps the wire round's fold for
+// the next check. want is h except right after a restore, when it is
+// the paused run the restored one resumes.
 func (c *viewChecker) checkAgainst(h, want sched.Host) {
-	for _, coll := range c.collectors(h) {
-		var (
-			view      *LinkState
-			viewBytes int
-		)
-		if err := coll.Assemble(func(ls *LinkState, wireBytes int, complete bool) {
-			if !complete {
-				c.tb.Fatal("fault-free view round reported incomplete")
-			}
-			view, viewBytes = ls, wireBytes
-		}); err != nil {
+	g := h.Topo().Graph()
+	for i := range c.viewPairs(h) {
+		pair := &c.pairs[i]
+		coll := pair.coll
+		if pair.want != nil {
+			c.checkPending(h, pair)
+		}
+		if err := coll.assembleView(); err != nil {
 			c.tb.Fatal(err)
 		}
+		view := coll.shared.view.ports
 		wire, wireBytes, err := c.oracle.assemble(want, coll)
 		if err != nil {
 			c.tb.Fatal(err)
 		}
-		if viewBytes != wireBytes {
-			c.tb.Fatalf("t=%g monitor %x: view round counts %d bytes, wire round %d", h.Now(), coll.monitorID, viewBytes, wireBytes)
+		if coll.wireBytes != wireBytes {
+			c.tb.Fatalf("t=%g monitor %x: view round counts %d bytes, wire round %d", h.Now(), coll.monitorID, coll.wireBytes, wireBytes)
 		}
-		g := h.Topo().Graph()
 		for _, sw := range coll.switches {
 			for _, l := range g.Out(sw) {
 				got, gok := view.Get(l)
@@ -299,8 +321,48 @@ func (c *viewChecker) checkAgainst(h, want sched.Host) {
 				}
 			}
 		}
+		if pair.want, c.buf, err = FoldPVInto(pair.want[:0], c.buf, pair.ps, wire); err != nil {
+			c.tb.Fatal(err)
+		}
+		pair.wantDead = MarkDeadPaths(trace.Nop{}, 0, 0, pair.want, pair.wantDead)
 	}
 	c.tally.checks++
+}
+
+// checkPending runs pair's pending fold and compares it with the wire
+// fold of its tick. It counts the fold as rewound when a fold of the
+// view as it stands now differs, so the undo log decided the result.
+func (c *viewChecker) checkPending(h sched.Host, pair *viewPair) {
+	coll := pair.coll
+	if !coll.pending {
+		c.tb.Fatalf("t=%g monitor %x: fold no longer pending", h.Now(), coll.monitorID)
+	}
+	var err error
+	if pair.got, c.buf, err = coll.foldPending(pair.got[:0], c.buf, pair.ps); err != nil {
+		c.tb.Fatal(err)
+	}
+	if !samePV(pair.got, pair.want) {
+		c.tb.Fatalf("t=%g monitor %x: deferred fold %v, wire fold at its tick %v", h.Now(), coll.monitorID, pair.got, pair.want)
+	}
+	if dead := MarkDeadPaths(trace.Nop{}, 0, 0, pair.got, nil); !slices.Equal(dead, pair.wantDead) {
+		c.tb.Fatalf("t=%g monitor %x: deferred dead mask %v, wire %v", h.Now(), coll.monitorID, dead, pair.wantDead)
+	}
+	now, _, err := FoldPVInto(nil, nil, pair.ps, coll.shared.view.ports)
+	if err != nil {
+		c.tb.Fatal(err)
+	}
+	if !samePV(now, pair.want) {
+		c.tally.rewound++
+	}
+	c.tally.folds++
+}
+
+// samePV reports whether two path state vectors agree bit for bit.
+func samePV(a, b []PathState) bool {
+	return slices.EqualFunc(a, b, func(x, y PathState) bool {
+		return math.Float64bits(x.Bandwidth) == math.Float64bits(y.Bandwidth) &&
+			x.Flows == y.Flows && math.Float64bits(x.BoNF) == math.Float64bits(y.BoNF)
+	})
 }
 
 func (c *viewChecker) check(h sched.Host) { c.checkAgainst(h, h) }
@@ -361,9 +423,10 @@ func runViewScript(tb testing.TB, sc *viewScript) (flow, packet viewTally) {
 }
 
 // TestViewMatchesWire runs a handful of scripts on both engines. Across
-// them each engine's checks must have compared elephant counts and
-// failed ports, DARD must have shifted flows itself, and the flow engine
-// must have been checkpointed and restored.
+// them each engine's checks must have compared elephant counts, failed
+// ports and deferred folds, some of which only the undo log got right,
+// DARD must have shifted flows itself, and the flow engine must have
+// been checkpointed and restored.
 func TestViewMatchesWire(t *testing.T) {
 	var flow, packet viewTally
 	for seed := int64(1); seed <= 8; seed++ {
@@ -376,8 +439,8 @@ func TestViewMatchesWire(t *testing.T) {
 		viewTally
 	}{{"flow", flow}, {"packet", packet}} {
 		t.Logf("%s engine: %+v", e.name, e.viewTally)
-		if e.checks == 0 || e.elephants == 0 || e.downPorts == 0 || e.shifts == 0 {
-			t.Errorf("%s engine: %+v; want checks, elephant ports, failed ports and shifts all non-zero",
+		if e.checks == 0 || e.elephants == 0 || e.downPorts == 0 || e.rewound == 0 || e.shifts == 0 {
+			t.Errorf("%s engine: %+v; want checks, elephant ports, failed ports, rewound folds and shifts all non-zero",
 				e.name, e.viewTally)
 		}
 	}
@@ -388,7 +451,8 @@ func TestViewMatchesWire(t *testing.T) {
 
 // FuzzViewMatchesWire explores event sequences beyond the fixed seeds:
 // on both engines, and across a flow-engine checkpoint, every view round
-// must carry what the wire round carries.
+// must carry what the wire round carries, and every deferred fold must
+// equal the wire fold taken at its tick.
 func FuzzViewMatchesWire(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed)
