@@ -55,6 +55,7 @@ func FuzzTopologyBuild(f *testing.F) {
 		if err := net.Graph().Validate(); err != nil {
 			t.Fatalf("accepted topology fails validation: %v", err)
 		}
+		checkSizedExactly(t, net)
 		if len(net.Hosts()) == 0 {
 			// HostsPerToR=0 edge scaling is legal on the tree families; the
 			// path contract is about attachment switches, which need hosts.
@@ -64,4 +65,26 @@ func FuzzTopologyBuild(f *testing.F) {
 			checkPairPaths(t, net, pair[0], pair[1])
 		}
 	})
+}
+
+// checkSizedExactly requires the family's up-front size of its node,
+// link and host tables to be exactly what it built: a short count
+// regrows a table, a long one wastes it.
+func checkSizedExactly(t *testing.T, net Network) {
+	t.Helper()
+	g := net.Graph()
+	for _, c := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"nodes", len(g.nodes), cap(g.nodes)},
+		{"adjacency", len(g.out), cap(g.out)},
+		{"links", len(g.links), cap(g.links)},
+		{"reverse", len(g.reverse), cap(g.reverse)},
+		{"hosts", len(net.Hosts()), cap(net.Hosts())},
+	} {
+		if c.len != c.cap {
+			t.Errorf("%s: %s table holds %d of the %d entries it was sized for", net.Name(), c.name, c.len, c.cap)
+		}
+	}
 }

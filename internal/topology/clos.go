@@ -93,9 +93,13 @@ func NewClos(cfg ClosConfig) (*Clos, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, fmt.Errorf("clos config: %w", err)
 	}
-	g := NewGraph()
+	tors := cfg.DA / 2 * cfg.ToRsPerPair
+	hosts := tors * cfg.HostsPerToR
+	// Intermediates, aggrs, ToRs and hosts; the aggr-intermediate mesh,
+	// two uplinks per ToR and host cables.
+	g := newGraph(cfg.DI+cfg.DA+tors+hosts, cfg.DA*cfg.DI+2*tors+hosts)
 	cl := &Clos{
-		base: newBase(cfg.Name(), g),
+		base: newBase(cfg.Name(), g, hosts),
 		cfg:  cfg,
 	}
 

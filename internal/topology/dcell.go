@@ -101,15 +101,19 @@ func NewDCell(cfg DCellConfig) (*DCell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcell config: %w", err)
 	}
-	g := NewGraph()
+	total := t[cfg.Level]
+	cells := total / cfg.N
+	// Servers, cell switches and hosts; server-switch cables, total/2
+	// cables per level (each DCell_l instance of t_l servers joins its
+	// subcells pairwise with t_l/2 of them) and host cables.
+	g := newGraph(2*total+cells, 2*total+cfg.Level*total/2)
 	dc := &DCell{
-		base: newBase(cfg.Name(), g),
+		base: newBase(cfg.Name(), g, total),
 		cfg:  cfg,
 		t:    t,
 	}
 	dc.noun = "server"
 
-	total := t[cfg.Level]
 	// Pod is the top-level subcell, so workload layout spreads across the
 	// coarsest partition; a single DCell_0 is one pod.
 	podSize := total
@@ -120,7 +124,6 @@ func NewDCell(cfg DCellConfig) (*DCell, error) {
 	for id := 0; id < total; id++ {
 		dc.servers[id] = g.AddNode(Router, fmt.Sprintf("s%d", id), id/podSize, id)
 	}
-	cells := total / cfg.N
 	dc.switches = make([]NodeID, cells)
 	for c := 0; c < cells; c++ {
 		dc.switches[c] = g.AddNode(CellSwitch, fmt.Sprintf("sw%d", c), (c*cfg.N)/podSize, c)

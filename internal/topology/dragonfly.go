@@ -84,14 +84,17 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, fmt.Errorf("dragonfly config: %w", err)
 	}
-	g := NewGraph()
+	groups := cfg.A + 1
+	routers := groups * cfg.D
+	hosts := routers * cfg.P
+	// Routers and hosts; local meshes, rails and host cables.
+	g := newGraph(routers+hosts, groups*cfg.D*(cfg.D-1)/2+groups*(groups-1)/2*cfg.D+hosts)
 	df := &Dragonfly{
-		base: newBase(cfg.Name(), g),
+		base: newBase(cfg.Name(), g, hosts),
 		cfg:  cfg,
 	}
 	df.noun = "router"
 
-	groups := cfg.A + 1
 	df.routers = make([][]NodeID, groups)
 	for grp := 0; grp < groups; grp++ {
 		df.routers[grp] = make([]NodeID, cfg.D)

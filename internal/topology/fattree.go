@@ -88,9 +88,11 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	}
 	p := cfg.P
 	half := p / 2
-	g := NewGraph()
+	hosts := p * half * cfg.HostsPerToR
+	// Cores, aggrs, ToRs and hosts; aggr-core, ToR-aggr and host cables.
+	g := newGraph(half*half+2*p*half+hosts, 2*p*half*half+hosts)
 	ft := &FatTree{
-		base: newBase(cfg.Name(), g),
+		base: newBase(cfg.Name(), g, hosts),
 		cfg:  cfg,
 	}
 

@@ -106,15 +106,23 @@ type Graph struct {
 	// out and in list each node's leaving and entering links, indexed by
 	// NodeID and grown with nodes.
 	out, in [][]LinkID
-	// between maps an ordered node pair to the connecting link. The
-	// topologies built here never have parallel links.
-	between map[[2]NodeID]LinkID
 	reverse []LinkID
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{between: make(map[[2]NodeID]LinkID)}
+func NewGraph() *Graph { return newGraph(0, 0) }
+
+// newGraph returns an empty graph with room for nodes nodes and duplex
+// cables, so a family that knows its size builds without regrowing the
+// node and link tables.
+func newGraph(nodes, duplex int) *Graph {
+	return &Graph{
+		nodes:   make([]Node, 0, nodes),
+		links:   make([]Link, 0, 2*duplex),
+		out:     make([][]LinkID, 0, nodes),
+		in:      make([][]LinkID, 0, nodes),
+		reverse: make([]LinkID, 0, 2*duplex),
+	}
 }
 
 // AddNode appends a node and returns its ID. Pod should be -1 for nodes
@@ -142,7 +150,6 @@ func (g *Graph) addLink(from, to NodeID, capacity, delay float64) LinkID {
 	g.links = append(g.links, Link{ID: id, From: from, To: to, Capacity: capacity, Delay: delay})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	g.between[[2]NodeID{from, to}] = id
 	return id
 }
 
@@ -182,10 +189,16 @@ func linksOf(adj [][]LinkID, n NodeID) []LinkID {
 	return adj[n]
 }
 
-// LinkBetween returns the directed link from a to b, if one exists.
+// LinkBetween returns the directed link from a to b, if one exists. It
+// scans a's leaving links, one per port of a; the topologies built here
+// never have parallel links.
 func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
-	id, ok := g.between[[2]NodeID{a, b}]
-	return id, ok
+	for _, l := range g.Out(a) {
+		if g.links[l].To == b {
+			return l, true
+		}
+	}
+	return 0, false
 }
 
 // Neighbors returns the nodes reachable over one outgoing link of n, in

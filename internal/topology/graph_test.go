@@ -102,3 +102,24 @@ func TestNeighborsOrder(t *testing.T) {
 		t.Errorf("Neighbors = %v, want [%v %v] in creation order", nb, b, c)
 	}
 }
+
+// TestFamiliesSizedExactly builds every family at a few shapes and
+// requires each to have sized its graph up front to exactly what it
+// built (FuzzTopologyBuild checks the same on every accepted build).
+func TestFamiliesSizedExactly(t *testing.T) {
+	builds := []func() (Network, error){
+		func() (Network, error) { return NewFatTree(FatTreeConfig{P: 4}) },
+		func() (Network, error) { return NewFatTree(FatTreeConfig{P: 32, HostsPerToR: 1}) },
+		func() (Network, error) { return NewClos(ClosConfig{DI: 4, DA: 6, HostsPerToR: 3}) },
+		func() (Network, error) { return NewThreeTier(ThreeTierConfig{}) },
+		func() (Network, error) { return NewDragonfly(DragonflyConfig{D: 4, A: 3, P: 2}) },
+		func() (Network, error) { return NewDCell(DCellConfig{N: 4, Level: 2}) },
+	}
+	for _, build := range builds {
+		net, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSizedExactly(t, net)
+	}
+}

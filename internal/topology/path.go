@@ -53,12 +53,15 @@ type base struct {
 	attach map[NodeID]hostAttachment
 }
 
-func newBase(name string, g *Graph) *base {
+// newBase returns the shared state of a family with room for hosts
+// hosts.
+func newBase(name string, g *Graph, hosts int) *base {
 	return &base{
 		name:   name,
 		noun:   "ToR",
 		g:      g,
-		attach: make(map[NodeID]hostAttachment),
+		hosts:  make([]NodeID, 0, hosts),
+		attach: make(map[NodeID]hostAttachment, hosts),
 	}
 }
 

@@ -113,9 +113,14 @@ func NewThreeTier(cfg ThreeTierConfig) (*ThreeTier, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, fmt.Errorf("three-tier config: %w", err)
 	}
-	g := NewGraph()
+	aggrs := 2 * cfg.NumPods
+	access := cfg.NumPods * cfg.AccessPerPod
+	hosts := access * cfg.HostsPerAccess
+	// Cores, aggrs, access switches and hosts; aggr-core, two uplinks
+	// per access switch and host cables.
+	g := newGraph(cfg.NumCores+aggrs+access+hosts, aggrs*cfg.NumCores+2*access+hosts)
 	tt := &ThreeTier{
-		base: newBase(cfg.Name(), g),
+		base: newBase(cfg.Name(), g, hosts),
 		cfg:  cfg,
 	}
 
