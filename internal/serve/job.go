@@ -22,6 +22,9 @@ type Server struct {
 	opts Options
 	gate *parallel.Limiter
 	mux  *http.ServeMux
+	// restoreLimit bounds a restore body: maxRestoreBytes, lowered only
+	// by the tests.
+	restoreLimit int64
 
 	mu       sync.Mutex
 	jobs     map[string]*job

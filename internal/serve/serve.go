@@ -44,9 +44,10 @@ type Options struct {
 // LoadCheckpoints before serving to resume interrupted jobs.
 func New(opts Options) *Server {
 	s := &Server{
-		opts: opts,
-		gate: parallel.NewLimiter(opts.Workers),
-		jobs: make(map[string]*job),
+		opts:         opts,
+		gate:         parallel.NewLimiter(opts.Workers),
+		restoreLimit: maxRestoreBytes,
+		jobs:         make(map[string]*job),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -116,17 +117,42 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // while a hostile body cannot make the decoder buffer without limit.
 const maxSubmitBytes = 1 << 20
 
+// maxRestoreBytes bounds a POST /jobs/restore body. A checkpoint carries
+// the session snapshot and the job's whole event history, so it grows
+// with the topology and the run. Near the end of its run, a DARD job on
+// the largest fat-tree the families build (p=128, one host per ToR,
+// staggered, 0.25 flows/s/host for 1 s, 64 MB) checkpoints to 14.3 MB
+// and the p=32 perfbench flow-dard scenario to 2.5 MB; 64 MiB leaves a
+// margin of 4.5x over the first. Scenario.Validate bounds shape, not
+// cost, so a longer or denser job can checkpoint past the bound; its
+// restore is refused with 413 naming it.
+const maxRestoreBytes = 64 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes,
+// and rejects unknown fields when strict. On failure it writes the
+// error reply, 413 naming the bound for a body past it and 400 for any
+// other, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, strict bool, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: %s larger than %d bytes: %w", what, limit, err))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s: %w", what, err))
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: submission larger than %d bytes: %w", maxSubmitBytes, err))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad submission: %w", err))
+	if !decodeBody(w, r, maxSubmitBytes, "submission", true, &req) {
 		return
 	}
 	if req.CheckpointAfter < 0 {
@@ -143,8 +169,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var wire checkpointWire
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad checkpoint: %w", err))
+	if !decodeBody(w, r, s.restoreLimit, "checkpoint", false, &wire) {
 		return
 	}
 	j, err := s.restoreJob(wire, "")

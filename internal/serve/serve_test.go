@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -582,4 +583,95 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: %d %s, want 400", name, code, body)
 		}
 	}
+}
+
+// TestRestoreBodyBounded pins the restore size bound: the daemon serves
+// with a 64 MiB bound, and at a bound lowered to a real checkpoint's
+// size that checkpoint restores while the same checkpoint one byte of
+// leading whitespace longer is refused with 413 naming the bound.
+func TestRestoreBodyBounded(t *testing.T) {
+	if serve.MaxRestoreBytes != 64<<20 {
+		t.Errorf("restore bound is %d bytes, want the documented 64 MiB", serve.MaxRestoreBytes)
+	}
+	h := newHarness(t, serve.Options{})
+	id := h.submit(testScenario(5), 30)
+	h.await(id, "checkpointed", func(st status) bool { return st.Checkpointed })
+	_, blob := h.do("GET", "/jobs/"+id+"/checkpoint", nil)
+	h.srv.SetRestoreLimit(int64(len(blob)))
+
+	code, body := h.doRaw("POST", "/jobs/restore", append([]byte(" "), blob...))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("checkpoint past the bound: code %d, want 413 (%s)", code, body)
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.Itoa(len(blob)); !strings.Contains(reply.Error, "larger than "+want) {
+		t.Errorf("checkpoint past the bound: error %q does not name the %s-byte bound", reply.Error, want)
+	}
+	if code, body := h.doRaw("POST", "/jobs/restore", blob); code != http.StatusCreated {
+		t.Fatalf("checkpoint of exactly the bound: code %d, want 201 (%s)", code, body)
+	}
+}
+
+// FuzzRestoreCheckpoint feeds POST /jobs/restore arbitrary bodies,
+// seeded with a real checkpoint and broken ones. Each must be refused
+// with a JSON error (400 or 413), or restore a job, never panic: the
+// handler runs on the fuzzer's goroutine, so a panic fails the target.
+// A restored job is canceled at once.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	srv := serve.New(serve.Options{Workers: 1})
+	srv.SetRestoreLimit(1 << 20) // bodies past a mebibyte only test the bound
+	serveReq := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	sub, err := json.Marshal(map[string]any{"scenario": testScenario(3), "checkpoint_after": 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := serveReq("POST", "/jobs", sub)
+	var st status
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusCreated {
+		f.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	var blob []byte
+	for deadline := time.Now().Add(5 * time.Second); blob == nil; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			f.Fatal("job never checkpointed")
+		}
+		if rec := serveReq("GET", "/jobs/"+st.ID+"/checkpoint", nil); rec.Code == http.StatusOK {
+			blob = rec.Body.Bytes()
+		}
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add([]byte(`{"version":1,"id":"job-1","session":"","events":[]}`))
+	f.Add([]byte(`{"version":1,"session":"AAAA","events":[{}]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serveReq("POST", "/jobs/restore", body)
+		switch rec.Code {
+		case http.StatusCreated:
+			var st status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("restore answered 201 with %q: %v", rec.Body, err)
+			}
+			serveReq("DELETE", "/jobs/"+st.ID, nil)
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			var reply struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Error == "" {
+				t.Fatalf("restore answered %d without a JSON error: %q", rec.Code, rec.Body)
+			}
+		default:
+			t.Fatalf("restore answered %d: %q", rec.Code, rec.Body)
+		}
+	})
 }
