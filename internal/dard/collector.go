@@ -28,14 +28,14 @@ type PathState struct {
 // controller's port view, which carries what every exchange would
 // deliver, and the monitor counts the bytes those exchanges take; the
 // fold into the path state vector waits until something reads it
-// (foldPending). With ctlmsg faults
-// enabled it becomes a small asynchronous protocol: every switch
-// exchange that loses a message is retried with exponential backoff up
-// to CtlRetryMax times; a switch that still answers nothing is served
-// from the last round's cached state (staleness), and one that misses
-// DeadAfter consecutive rounds is presumed dead — its ports report zero
-// bandwidth, which collapses the covered paths' BoNF to zero and makes
-// Algorithm 1 route around them.
+// (foldPending). With ctlmsg faults enabled it becomes a small
+// asynchronous protocol: every switch exchange that loses a message is
+// retried with exponential backoff up to CtlRetryMax times; a switch
+// that still answers nothing is served from the last round's cached
+// state (staleness), and one that misses DeadAfter consecutive rounds
+// is presumed dead — its ports report zero bandwidth, which collapses
+// the covered paths' BoNF to zero and makes Algorithm 1 route around
+// them.
 type Collector struct {
 	env       sched.Host
 	monitorID uint64

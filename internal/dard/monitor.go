@@ -134,7 +134,7 @@ func (m *monitor) assemble(env sched.Host) error {
 	}
 	env.RecordControl(float64(m.coll.wireBytes))
 	if m.dead == nil {
-		m.dead = make([]bool, m.ps.Len())
+		m.dead = make([]bool, m.ps.Len()) // as the first fold's MarkDeadPaths would
 	}
 	if env.Tracer().Enabled() || m.coll.shared.view.zero > 0 || slices.Contains(m.dead, true) {
 		m.materialize()

@@ -15,7 +15,8 @@ import (
 // The control plane's private state is the per-host daemon map: each
 // host's round-timer flag and its monitors, each monitor carrying its
 // elephant set, last assembled path state vector, dead-path mask, and
-// collector sequence number. Everything else a monitor holds (paths,
+// collector sequence number; a monitor's pending fold runs before its
+// vector is encoded. Everything else a monitor holds (paths,
 // covering switches, channels) is a pure function of the topology and is
 // rebuilt by newMonitor, as is the controller's shared round scratch
 // (switch agents and wire buffers) on first use.
