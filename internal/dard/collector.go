@@ -268,8 +268,16 @@ func (c *Collector) assembleView() error {
 // buf as link scratch (see FoldPVInto), and settles the pending fold.
 func (c *Collector) foldPending(pv []PathState, buf []topology.LinkID, ps topology.PathSet) ([]PathState, []topology.LinkID, error) {
 	pv, buf, err := foldPV(pv, buf, ps, c.shared.view.at(c.epoch))
-	c.pending = false
+	c.release()
 	return pv, buf, err
+}
+
+// release settles the collector's pending fold, if any, so the view
+// stops keeping the changes it would have read.
+func (c *Collector) release() {
+	if c.pending {
+		c.shared.view.unpin(c)
+	}
 }
 
 // collectSwitch runs one switch's exchange chain: attempt, and on loss
@@ -381,9 +389,12 @@ func foldPV(pv []PathState, buf []topology.LinkID, ps topology.PathSet, r linkRe
 func foldPathState(links []topology.LinkID, r linkReader) (PathState, error) {
 	st := PathState{Bandwidth: math.Inf(1), BoNF: math.Inf(1)}
 	for _, l := range links {
-		port, ok := r.get(l)
+		port, ok := r.ports.Get(l)
 		if !ok {
 			return st, fmt.Errorf("no switch reported state for link %d", l)
+		}
+		if r.view != nil && r.view.changed[l] > r.epoch {
+			port = r.view.rewind(l, r.epoch)
 		}
 		capacity := float64(port.BandwidthMbps) * 1e6
 		n := int(port.ElephantFlows)

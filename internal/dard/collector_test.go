@@ -94,7 +94,8 @@ func TestAssembleSteadyStateAllocs(t *testing.T) {
 
 // TestUndoLogStaysBounded ticks a monitor's collector through long runs
 // of port changes, folding only every 50th tick as a scheduling round
-// would. The view's undo log and pin queue keep only what a pending
+// would, and through a run with no change while another fold stays
+// pending. The view's undo log and pin queue keep only what a pending
 // fold can read, pruning when they fill, so their storage stays a few
 // entries long. A fold pinned before a run must still read the view as
 // it stood then; once it runs, or its monitor is released, the storage
@@ -140,6 +141,26 @@ func TestUndoLogStaysBounded(t *testing.T) {
 	}
 	steady("one monitor ticking", 8)
 
+	// With no port changing, every tick pins the same epoch: b's pending
+	// fold must not make a's ticks and folds pile up pins.
+	if err := b.assembleView(); err != nil {
+		t.Fatal(err)
+	}
+	pinCap := max(8, cap(v.pins))
+	for i := 0; i < 10000; i++ {
+		if err := a.assembleView(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if pv, buf, err = a.foldPending(pv[:0], buf, ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(v.pins) > pinCap {
+		t.Fatalf("quiet ticks grew the pin queue to %d entries, want at most %d", cap(v.pins), pinCap)
+	}
+	b.release()
+
 	// b pins the view, then a churns on: b's fold must see the view as
 	// it was, so the log holds every change since.
 	if err := b.assembleView(); err != nil {
@@ -166,7 +187,7 @@ func TestUndoLogStaysBounded(t *testing.T) {
 	if err := b.assembleView(); err != nil {
 		t.Fatal(err)
 	}
-	b.pending = false // as Departed does
+	b.release() // as Departed does
 	steady("after a pending monitor was released", 0)
 }
 

@@ -231,7 +231,7 @@ func (c *Controller) Departed(_ sched.Host, f sched.Flow) {
 	delete(m.stalls, f.ID)
 	if len(m.flows) == 0 {
 		m.released = true
-		m.coll.pending = false // nothing reads its fold now
+		m.coll.release() // nothing reads its fold now
 		delete(h.monitors, key)
 	}
 }

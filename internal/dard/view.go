@@ -1,6 +1,8 @@
 package dard
 
 import (
+	"sort"
+
 	"dard/internal/ctlmsg"
 	"dard/internal/topology"
 )
@@ -29,11 +31,12 @@ type portView struct {
 	changed []uint64
 	undo    []undoRecord
 	first   uint64 // the epoch of undo[0]'s change
-	// pins holds the collectors whose folds are pending, each with the
-	// epoch it pinned, in pin order; entries before pinHead are gone.
-	// An entry whose collector has since folded, been released or
-	// re-pinned at a later epoch is stale.
-	pins    []viewPin
+	// pins counts the pending folds pinned at each epoch, in epoch
+	// order; entries before pinHead are gone, and one whose count fell
+	// to zero is dropped when it reaches the front. Each entry's epoch
+	// is distinct and was current when pinned, so there are never more
+	// entries than undo records plus one.
+	pins    []epochPins
 	pinHead int
 	// zero counts the ports reading 0 Mbps: failed links and presumed
 	// dead switches, the only source of a zero path BoNF.
@@ -47,9 +50,9 @@ type undoRecord struct {
 	prev uint64
 }
 
-type viewPin struct {
-	c     *Collector
+type epochPins struct {
 	epoch uint64
+	n     int
 }
 
 func newPortView(numLinks int) *portView {
@@ -88,38 +91,56 @@ func (v *portView) set(p ctlmsg.PortState) error {
 // at returns a reader of the view as it stood at epoch, which must be
 // the current epoch or one a collector still pins.
 func (v *portView) at(epoch uint64) linkReader {
+	if epoch == v.epoch {
+		return linkReader{ports: v.ports} // nothing to rewind
+	}
 	return linkReader{ports: v.ports, view: v, epoch: epoch}
 }
 
-// rewind turns l's current state p back to the state it had at epoch.
-func (v *portView) rewind(l topology.LinkID, p ctlmsg.PortState, epoch uint64) ctlmsg.PortState {
-	for e := v.changed[l]; e > epoch; {
-		r := v.undo[e-v.first]
-		p, e = r.old, r.prev
+// rewind returns the state l had at epoch, which is older than l's last
+// change: the state the first change after epoch overwrote.
+func (v *portView) rewind(l topology.LinkID, epoch uint64) ctlmsg.PortState {
+	r := v.undo[v.changed[l]-v.first]
+	for r.prev > epoch {
+		r = v.undo[r.prev-v.first]
 	}
-	return p
+	return r.old
 }
 
 // pin marks c's fold pending at the current epoch.
 func (v *portView) pin(c *Collector) {
-	if c.pending && c.epoch == v.epoch {
-		return
+	if c.pending {
+		if c.epoch == v.epoch {
+			return
+		}
+		v.unpin(c)
 	}
 	c.epoch, c.pending = v.epoch, true
+	if n := len(v.pins); n > v.pinHead && v.pins[n-1].epoch == v.epoch {
+		v.pins[n-1].n++
+		return
+	}
 	if len(v.pins) == cap(v.pins) {
-		v.oldestPin() // drops stale entries from the front
+		v.oldestPin() // drops settled entries from the front
 		n := copy(v.pins, v.pins[v.pinHead:])
 		v.pins, v.pinHead = v.pins[:n], 0
 	}
-	v.pins = append(v.pins, viewPin{c: c, epoch: v.epoch})
+	v.pins = append(v.pins, epochPins{epoch: v.epoch, n: 1})
+}
+
+// unpin settles c's pending fold: it has run, or nothing will read it.
+func (v *portView) unpin(c *Collector) {
+	c.pending = false
+	live := v.pins[v.pinHead:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].epoch >= c.epoch })
+	live[i].n--
 }
 
 // oldestPin returns the oldest epoch a pending fold still reads, or the
-// current epoch when none is pending. Pins are taken in epoch order, so
-// the first live entry holds it.
+// current epoch when none is pending.
 func (v *portView) oldestPin() uint64 {
 	for ; v.pinHead < len(v.pins); v.pinHead++ {
-		if p := v.pins[v.pinHead]; p.c.pending && p.c.epoch == p.epoch {
+		if p := v.pins[v.pinHead]; p.n > 0 {
 			return p.epoch
 		}
 	}
@@ -142,12 +163,4 @@ type linkReader struct {
 	ports *LinkState
 	view  *portView // nil: read ports as it stands
 	epoch uint64
-}
-
-func (r linkReader) get(l topology.LinkID) (ctlmsg.PortState, bool) {
-	p, ok := r.ports.Get(l)
-	if ok && r.view != nil {
-		p = r.view.rewind(l, p, r.epoch)
-	}
-	return p, ok
 }
