@@ -139,3 +139,9 @@ func TestClosConfigErrors(t *testing.T) {
 		}
 	}
 }
+
+// buildPaths is the oracle pathset_test.go checks PathSet against: it
+// walks cl.Graph() with walkUpDown.
+func (cl *Clos) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
+	return walkUpDown(cl.Graph(), srcToR, dstToR)
+}

@@ -57,26 +57,11 @@ func (c *FatTreeConfig) applyDefaults() error {
 	return nil
 }
 
-// FatTree is a p-port fat-tree topology.
+// FatTree is a p-port fat-tree topology: the grouped up/down tree, in
+// which aggr a of every pod reaches only core group a.
 type FatTree struct {
-	*base
+	upDown
 	cfg FatTreeConfig
-
-	cores []NodeID // (p/2)^2 cores; core c attaches to aggr group c/(p/2)
-	// aggrs[pod][a] is aggregation switch a of the pod.
-	aggrs [][]NodeID
-	// tors[pod][t] is ToR t of the pod.
-	tors [][]NodeID
-
-	// Uplink index tables backing PathSet: every path is resolved from
-	// these O(p^3) entries (a few MB even at p=128) instead of per-pair
-	// storage. Downlinks are the graph's Reverse of the same entries.
-	//
-	// torAggrUp[torIdx*half + a] is ToR torIdx -> aggr a of its pod.
-	torAggrUp []LinkID
-	// aggrCoreUp[aggrIdx*half + i] is aggr aggrIdx -> core (a*half + i)
-	// where a is the aggr's position in its pod.
-	aggrCoreUp []LinkID
 }
 
 var _ Network = (*FatTree)(nil)
@@ -91,185 +76,60 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	hosts := p * half * cfg.HostsPerToR
 	// Cores, aggrs, ToRs and hosts; aggr-core, ToR-aggr and host cables.
 	g := newGraph(half*half+2*p*half+hosts, 2*p*half*half+hosts)
-	ft := &FatTree{
-		base: newBase(cfg.Name(), g, hosts),
-		cfg:  cfg,
-	}
+	b := newBase(cfg.Name(), g, hosts)
 
-	numCores := half * half
-	ft.cores = make([]NodeID, numCores)
-	for c := 0; c < numCores; c++ {
-		ft.cores[c] = g.AddNode(Core, fmt.Sprintf("core%d", c+1), -1, c)
+	cores := make([]NodeID, half*half)
+	for c := range cores {
+		cores[c] = g.AddNode(Core, fmt.Sprintf("core%d", c+1), -1, c)
 	}
-
-	ft.aggrs = make([][]NodeID, p)
-	ft.tors = make([][]NodeID, p)
+	aggrs := make([]NodeID, 0, p*half)
+	tors := make([]NodeID, 0, p*half)
 	hostIdx := 0
 	for pod := 0; pod < p; pod++ {
-		ft.aggrs[pod] = make([]NodeID, half)
-		ft.tors[pod] = make([]NodeID, half)
 		for a := 0; a < half; a++ {
-			ft.aggrs[pod][a] = g.AddNode(Aggr, fmt.Sprintf("aggr%d_%d", pod+1, a+1), pod, pod*half+a)
+			aggrs = append(aggrs, g.AddNode(Aggr, fmt.Sprintf("aggr%d_%d", pod+1, a+1), pod, pod*half+a))
 		}
 		for t := 0; t < half; t++ {
-			ft.tors[pod][t] = g.AddNode(ToR, fmt.Sprintf("tor%d_%d", pod+1, t+1), pod, pod*half+t)
+			tors = append(tors, g.AddNode(ToR, fmt.Sprintf("tor%d_%d", pod+1, t+1), pod, pod*half+t))
 		}
+		podAggrs, podToRs := aggrs[pod*half:], tors[pod*half:]
 		// Aggr <-> core: aggr a serves core group a.
-		for a := 0; a < half; a++ {
+		for a, aggr := range podAggrs {
 			for i := 0; i < half; i++ {
-				g.AddDuplex(ft.aggrs[pod][a], ft.cores[a*half+i], cfg.LinkCapacity, cfg.LinkDelay)
+				g.AddDuplex(aggr, cores[a*half+i], cfg.LinkCapacity, cfg.LinkDelay)
 			}
 		}
 		// ToR <-> every aggr in the pod.
-		for t := 0; t < half; t++ {
-			for a := 0; a < half; a++ {
-				g.AddDuplex(ft.tors[pod][t], ft.aggrs[pod][a], cfg.LinkCapacity, cfg.LinkDelay)
+		for _, tor := range podToRs {
+			for _, aggr := range podAggrs {
+				g.AddDuplex(tor, aggr, cfg.LinkCapacity, cfg.LinkDelay)
 			}
 		}
 		// Hosts.
-		for t := 0; t < half; t++ {
+		for _, tor := range podToRs {
 			for h := 0; h < cfg.HostsPerToR; h++ {
 				hostIdx++
-				ft.attachHost(fmt.Sprintf("E%d", hostIdx), pod, hostIdx-1,
-					ft.tors[pod][t], cfg.LinkCapacity, cfg.LinkDelay)
+				b.attachHost(fmt.Sprintf("E%d", hostIdx), pod, hostIdx-1, tor, cfg.LinkCapacity, cfg.LinkDelay)
 			}
 		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("fat-tree construction: %w", err)
 	}
-	ft.torAggrUp = make([]LinkID, p*half*half)
-	ft.aggrCoreUp = make([]LinkID, p*half*half)
-	for pod := 0; pod < p; pod++ {
-		for t := 0; t < half; t++ {
-			torIdx := pod*half + t
-			for a := 0; a < half; a++ {
-				ft.torAggrUp[torIdx*half+a] = mustLink(g, ft.tors[pod][t], ft.aggrs[pod][a])
-			}
-		}
-		for a := 0; a < half; a++ {
-			aggrIdx := pod*half + a
-			for i := 0; i < half; i++ {
-				ft.aggrCoreUp[aggrIdx*half+i] = mustLink(g, ft.aggrs[pod][a], ft.cores[a*half+i])
-			}
-		}
-	}
-	return ft, nil
+	return &FatTree{upDown: newUpDown(b, cores, aggrs, tors, true), cfg: cfg}, nil
 }
 
 // P returns the port count.
 func (ft *FatTree) P() int { return ft.cfg.P }
 
 // Cores lists the core switches.
-func (ft *FatTree) Cores() []NodeID { return ft.cores }
+func (ft *FatTree) Cores() []NodeID { return ft.tops }
 
 // AggrsOfPod lists the aggregation switches of a pod.
-func (ft *FatTree) AggrsOfPod(pod int) []NodeID { return ft.aggrs[pod] }
+func (ft *FatTree) AggrsOfPod(pod int) []NodeID { return ft.podAggrs(pod) }
 
 // ToRsOfPod lists the ToR switches of a pod.
-func (ft *FatTree) ToRsOfPod(pod int) []NodeID { return ft.tors[pod] }
-
-// NumPaths reports the equal-cost path count between two distinct ToRs:
-// p^2/4 across pods (one per core), p/2 within a pod (one per aggr).
-func (ft *FatTree) NumPaths(srcToR, dstToR NodeID) int {
-	switch {
-	case srcToR == dstToR:
-		return 1
-	case ft.g.node(srcToR).Pod == ft.g.node(dstToR).Pod:
-		return ft.cfg.P / 2
-	default:
-		return ft.cfg.P * ft.cfg.P / 4
-	}
-}
-
-// PathSet implements Network. Path i is pinned to buildPaths order:
-// intra-pod path i goes via aggr i of the pod; inter-pod path i goes via
-// core i, whose aggr on either side is the core's group i/(p/2).
-func (ft *FatTree) PathSet(srcToR, dstToR NodeID) PathSet {
-	return PathSet{r: ft, src: srcToR, dst: dstToR, n: int32(ft.NumPaths(srcToR, dstToR))}
-}
-
-// appendPathLinks implements PathProvider.
-func (ft *FatTree) appendPathLinks(src, dst NodeID, i int, buf []LinkID) []LinkID {
-	g := ft.g
-	half := ft.cfg.P / 2
-	sn, dn := g.node(src), g.node(dst)
-	if sn.Pod == dn.Pod {
-		// Intra-pod: up to aggr i, down to the destination ToR.
-		return append(buf,
-			ft.torAggrUp[sn.Index*half+i],
-			g.Reverse(ft.torAggrUp[dn.Index*half+i]))
-	}
-	// Inter-pod: core i lives in group i/half; both pods reach it through
-	// their aggr of that group, at core offset i%half.
-	group, off := i/half, i%half
-	return append(buf,
-		ft.torAggrUp[sn.Index*half+group],
-		ft.aggrCoreUp[(sn.Pod*half+group)*half+off],
-		g.Reverse(ft.aggrCoreUp[(dn.Pod*half+group)*half+off]),
-		g.Reverse(ft.torAggrUp[dn.Index*half+group]))
-}
-
-// appendSwitches implements PathProvider: the source ToR and its pod's
-// aggrs, plus every core and the destination pod's aggrs across pods.
-// NewFatTree numbers the cores first, then pod by pod the aggrs before
-// the ToRs, so appending in that order keeps IDs ascending.
-func (ft *FatTree) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
-	sp, dp := ft.g.node(src).Pod, ft.g.node(dst).Pod
-	if sp == dp {
-		return append(append(buf, ft.aggrs[sp]...), src)
-	}
-	buf = append(buf, ft.cores...)
-	if sp < dp {
-		return append(append(append(buf, ft.aggrs[sp]...), src), ft.aggrs[dp]...)
-	}
-	return append(append(append(buf, ft.aggrs[dp]...), ft.aggrs[sp]...), src)
-}
-
-// pathVia implements PathProvider. Fat-tree labels are stored node names,
-// so they never allocate.
-func (ft *FatTree) pathVia(src, dst NodeID, i int) string {
-	if ft.g.node(src).Pod == ft.g.node(dst).Pod {
-		return ft.g.node(ft.aggrs[ft.g.node(src).Pod][i]).Name
-	}
-	return ft.g.node(ft.cores[i]).Name
-}
-
-// buildPaths enumerates the paths from srcToR to dstToR by walking the
-// graph, independently of the index tables PathSet decodes: the link
-// sequences and their Via labels, in PathSet order. Inter-pod paths are
-// labeled by core switch ("core1".."coreN" as in the paper's Figure 1);
-// intra-pod paths by aggregation switch. It is the oracle
-// pathset_test.go checks PathSet against.
-func (ft *FatTree) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
-	if srcToR == dstToR {
-		return [][]LinkID{nil}, []string{"direct"}
-	}
-	g := ft.g
-	half := ft.cfg.P / 2
-	srcPod := g.Node(srcToR).Pod
-	dstPod := g.Node(dstToR).Pod
-	var links [][]LinkID
-	var vias []string
-	if srcPod == dstPod {
-		for a := 0; a < half; a++ {
-			aggr := ft.aggrs[srcPod][a]
-			links = append(links, []LinkID{mustLink(g, srcToR, aggr), mustLink(g, aggr, dstToR)})
-			vias = append(vias, g.Node(aggr).Name)
-		}
-		return links, vias
-	}
-	for c, core := range ft.cores {
-		group := c / half
-		up := ft.aggrs[srcPod][group]
-		down := ft.aggrs[dstPod][group]
-		links = append(links, []LinkID{
-			mustLink(g, srcToR, up),
-			mustLink(g, up, core),
-			mustLink(g, core, down),
-			mustLink(g, down, dstToR),
-		})
-		vias = append(vias, g.Node(core).Name)
-	}
-	return links, vias
+func (ft *FatTree) ToRsOfPod(pod int) []NodeID {
+	lo, hi := pod*ft.width, (pod+1)*ft.width
+	return ft.tors[lo:hi:hi]
 }

@@ -167,3 +167,32 @@ func TestFatTreeDefaultCapacity(t *testing.T) {
 		t.Errorf("default delay = %g, want 0.1ms", l.Delay)
 	}
 }
+
+// buildPaths enumerates the paths from srcToR to dstToR by walking the
+// graph, in PathIdx order: intra-pod paths go via each aggr the two ToRs
+// share; inter-pod paths via each core in ID order, labeled by the core
+// ("core1".."coreN" as in the paper's Figure 1), through the one aggr of
+// each pod that reaches it. It is the oracle pathset_test.go checks
+// PathSet against.
+func (ft *FatTree) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
+	g := ft.Graph()
+	switch {
+	case srcToR == dstToR:
+		return [][]LinkID{nil}, []string{"direct"}
+	case g.Node(srcToR).Pod == g.Node(dstToR).Pod:
+		return walkIntraPod(g, srcToR, dstToR)
+	}
+	var links [][]LinkID
+	var vias []string
+	for _, core := range g.NodesOfKind(Core) {
+		up, _ := walkIntraPod(g, srcToR, core)
+		down, _ := walkIntraPod(g, core, dstToR)
+		if len(up) != 1 || len(down) != 1 {
+			panic(fmt.Sprintf("core %s reaches %d aggrs of the source pod and %d of the destination's, want 1 each",
+				g.Node(core).Name, len(up), len(down)))
+		}
+		links = append(links, append(up[0], down[0]...))
+		vias = append(vias, g.Node(core).Name)
+	}
+	return links, vias
+}

@@ -25,9 +25,10 @@ type Network interface {
 	AttachNoun() string
 	// PathSet returns the implicit equal-cost path set from srcToR to
 	// dstToR. For srcToR == dstToR the set holds a single empty path.
-	// The handle is a small value. The tree families back it with
-	// construction-time index tables and store nothing per pair; the
-	// non-tree families build each pair's entry once, on first use.
+	// The handle is a small value. The tree families back it with the
+	// uplink tables of their shared up/down provider and store nothing
+	// per pair; the non-tree families build each pair's entry once, on
+	// first use.
 	PathSet(srcToR, dstToR NodeID) PathSet
 	// HostUplink returns the host->ToR link of a host.
 	HostUplink(host NodeID) LinkID

@@ -13,9 +13,11 @@ package topology
 // offers. Path order and Via labels are pinned exactly: flow state
 // stores (pair, PathIdx) across snapshots and reports compare
 // byte-identically, so any reordering or relabeling would be a silent
-// behavior change. Each tree family keeps its original graph-walking
-// enumeration (buildPaths) as the oracle, and the golden equivalence
-// test in pathset_test.go diffs every ToR pair against it.
+// behavior change. Two test-only oracles check the tree families over
+// every ToR pair: a breadth-first search requires each set to be
+// exactly the pair's shortest switch-link walks (shortest_test.go),
+// and a graph walk per family (buildPaths) pins their order and labels
+// (pathset_test.go).
 type PathSet struct {
 	r        PathProvider
 	src, dst NodeID
@@ -27,14 +29,15 @@ type PathSet struct {
 // src and dst are distinct attachment switches of the same Network; i
 // is in [0, numPaths).
 //
-// Two implementation styles exist. The tree families (fat-tree, Clos,
-// three-tier) implement the interface directly on the topology with
-// O(1) uplink index-table lookups — the structural fact NIRA-style
-// up/down addressing rests on, where a path is fully determined by its
-// branch choice. The non-tree families (dragonfly, DCell) have no
-// up/down hierarchy to index, so they delegate to sourceRouted: an
-// explicit per-pair source-routed path list, built deterministically on
-// first use and shared by every handle for the pair.
+// Two implementations exist. The tree families (fat-tree, Clos,
+// three-tier) embed one, upDown, which decodes a path index into its
+// uphill and downhill branch choice and resolves it with O(1) uplink
+// table lookups — the structural fact NIRA-style up/down addressing
+// rests on, where a path is fully determined by its branch choice. The
+// non-tree families (dragonfly, DCell) have no up/down hierarchy to
+// index, so they delegate to sourceRouted: an explicit per-pair
+// source-routed path list, built deterministically on first use and
+// shared by every handle for the pair.
 //
 // Both styles honor one contract, pinned by pathprops_test.go across
 // every family: paths are loop-free link-contiguous src->dst walks over

@@ -87,3 +87,9 @@ func TestThreeTierConfigErrors(t *testing.T) {
 		t.Error("negative capacity should fail")
 	}
 }
+
+// buildPaths is the oracle pathset_test.go checks PathSet against: it
+// walks tt.Graph() with walkUpDown.
+func (tt *ThreeTier) buildPaths(srcToR, dstToR NodeID) ([][]LinkID, []string) {
+	return walkUpDown(tt.Graph(), srcToR, dstToR)
+}
