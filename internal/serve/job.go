@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -128,6 +132,9 @@ func (s *Server) newJob(req submitRequest) (*job, error) {
 func (s *Server) restoreJob(wire checkpointWire, id string) (*job, error) {
 	if wire.Version != checkpointVersion {
 		return nil, fmt.Errorf("serve: checkpoint version %d, this build reads %d", wire.Version, checkpointVersion)
+	}
+	if sum := eventsCRC(wire.Events); sum != wire.EventsCRC {
+		return nil, fmt.Errorf("serve: checkpoint event history (%d events) sums to CRC %08x, recorded %08x", len(wire.Events), sum, wire.EventsCRC)
 	}
 	if len(wire.Session) == 0 {
 		return nil, fmt.Errorf("serve: checkpoint carries no session")
@@ -356,11 +363,13 @@ func (j *job) snapshotWire() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	events := j.stream.Events()
 	return json.Marshal(checkpointWire{
-		Version: checkpointVersion,
-		ID:      j.id,
-		Session: sessBlob,
-		Events:  j.stream.Events(),
+		Version:   checkpointVersion,
+		ID:        j.id,
+		Session:   sessBlob,
+		Events:    events,
+		EventsCRC: eventsCRC(events),
 	})
 }
 
@@ -370,18 +379,42 @@ func (j *job) ckptPath() string {
 
 // checkpointVersion is the job checkpoint container version; the
 // embedded session blob carries its own (dard.SessionSnapshotVersion).
-const checkpointVersion = 1
+// Version 2 added events_crc.
+const checkpointVersion = 2
 
 // checkpointWire is a job checkpoint: the session snapshot (scenario +
 // engine state) plus the full trace history, so a restored job's stream
-// replays identically from offset zero.
+// replays identically from offset zero. The session blob carries its
+// own CRC; EventsCRC guards the history.
 //
 //dardsnap:fields encoder=job.snapshotWire decoder=Server.restoreJob
 type checkpointWire struct {
-	Version int           `json:"version"`
-	ID      string        `json:"id"`
-	Session []byte        `json:"session"`
-	Events  []trace.Event `json:"events"`
+	Version   int           `json:"version"`
+	ID        string        `json:"id"`
+	Session   []byte        `json:"session"`
+	Events    []trace.Event `json:"events"`
+	EventsCRC uint32        `json:"events_crc"`
+}
+
+// eventsCRC is the CRC-32 (IEEE) of an event history: its length, then
+// each event's fields in declaration order, little-endian, floats by
+// their bits. It sums the values a restore replays, not their JSON
+// spelling, and an empty history does not sum to zero, so a checkpoint
+// stripped of both its events and its checksum is refused too.
+func eventsCRC(events []trace.Event) uint32 {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 41), uint64(len(events)))
+	sum := crc32.ChecksumIEEE(buf)
+	for _, e := range events {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(e.T))
+		buf = append(buf, byte(e.Kind))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Flow))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Link))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.A))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.B))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.V))
+		sum = crc32.Update(sum, crc32.IEEETable, buf)
+	}
+	return sum
 }
 
 func writeAtomic(path string, data []byte) error {
@@ -476,7 +509,9 @@ func (s *Server) LoadCheckpoints() (resumed []string, errs []error) {
 			continue
 		}
 		var wire checkpointWire
-		if err := json.Unmarshal(data, &wire); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&wire); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", name, err))
 			continue
 		}

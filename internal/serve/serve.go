@@ -128,15 +128,14 @@ const maxSubmitBytes = 1 << 20
 // restore is refused with 413 naming it.
 const maxRestoreBytes = 64 << 20
 
-// decodeBody decodes r's JSON body into v, reading at most limit bytes,
-// and rejects unknown fields when strict. On failure it writes the
-// error reply, 413 naming the bound for a body past it and 400 for any
-// other, and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, strict bool, v any) bool {
+// decodeBody decodes r's JSON body into v, reading at most limit bytes
+// and rejecting unknown fields, so a misspelled or renamed key is an
+// error rather than a zero value. On failure it writes the error reply,
+// 413 naming the bound for a body past it and 400 for any other, and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		return true
@@ -152,7 +151,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if !decodeBody(w, r, maxSubmitBytes, "submission", true, &req) {
+	if !decodeBody(w, r, maxSubmitBytes, "submission", &req) {
 		return
 	}
 	if req.CheckpointAfter < 0 {
@@ -169,7 +168,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var wire checkpointWire
-	if !decodeBody(w, r, s.restoreLimit, "checkpoint", false, &wire) {
+	if !decodeBody(w, r, s.restoreLimit, "checkpoint", &wire) {
 		return
 	}
 	j, err := s.restoreJob(wire, "")

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -386,7 +387,7 @@ func TestOnDemandCheckpointAndCancel(t *testing.T) {
 	if err := json.Unmarshal(blob, &wire); err != nil {
 		t.Fatalf("checkpoint blob is not JSON: %v", err)
 	}
-	if wire.Version != 1 || len(wire.Session) == 0 || len(wire.Events) == 0 {
+	if wire.Version != serve.CheckpointVersion || len(wire.Session) == 0 || len(wire.Events) == 0 {
 		t.Fatalf("checkpoint blob incomplete: version %d, %d session bytes, %d events",
 			wire.Version, len(wire.Session), len(wire.Events))
 	}
@@ -554,6 +555,30 @@ func TestRestoreRejectsRenamedCheckpoint(t *testing.T) {
 	}
 }
 
+// editEvent changes the first event's "A" field in a checkpoint blob,
+// keeping the JSON valid: the history a restore would replay differs
+// in one integer.
+func editEvent(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	at := bytes.Index(blob, []byte(`"events":[`))
+	loc := regexp.MustCompile(`"A":(-?[0-9]+)`).FindSubmatchIndex(blob[at:])
+	if at < 0 || loc == nil {
+		t.Fatalf("checkpoint has no event with an A field: %.200s", blob)
+	}
+	a, err := strconv.Atoi(string(blob[at+loc[2] : at+loc[3]]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(bytes.Clone(blob[:at+loc[2]]), strconv.Itoa(a+60)...)
+	return append(out, blob[at+loc[3]:]...)
+}
+
+// renameEvents renames a checkpoint's "events" key, which a lenient
+// decoder would skip, restoring an empty history.
+func renameEvents(blob []byte) []byte {
+	return bytes.Replace(blob, []byte(`"events":`), []byte(`"evnets":`), 1)
+}
+
 // TestRestoreRejectsCorruption: a corrupted checkpoint answers 400,
 // never a crash or a silently wrong job.
 func TestRestoreRejectsCorruption(t *testing.T) {
@@ -562,10 +587,24 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	h.await(id, "checkpointed", func(st status) bool { return st.Checkpointed })
 	_, blob := h.do("GET", "/jobs/"+id+"/checkpoint", nil)
 
+	version := []byte(`"version":` + strconv.Itoa(serve.CheckpointVersion))
+	if !bytes.Contains(blob, version) {
+		t.Fatalf("checkpoint does not record %s", version)
+	}
 	for name, breakIt := range map[string]func([]byte) []byte{
-		"not json":   func([]byte) []byte { return []byte("ceci n'est pas un checkpoint") },
-		"version":    func(b []byte) []byte { return bytes.Replace(b, []byte(`"version":1`), []byte(`"version":9`), 1) },
-		"no session": func(b []byte) []byte { return bytes.Replace(b, []byte(`"session":"`), []byte(`"session":"","x":"`), 1) },
+		"not json": func([]byte) []byte { return []byte("ceci n'est pas un checkpoint") },
+		"version":  func(b []byte) []byte { return bytes.Replace(b, version, []byte(`"version":9`), 1) },
+		"no session": func(b []byte) []byte {
+			return regexp.MustCompile(`"session":"[^"]*"`).ReplaceAll(b, []byte(`"session":""`))
+		},
+		"unknown key": func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"session":"`), []byte(`"x":1,"session":"`), 1)
+		},
+		"event edited":   func(b []byte) []byte { return editEvent(t, b) },
+		"events renamed": renameEvents,
+		"events stripped": func(b []byte) []byte {
+			return regexp.MustCompile(`,"events":\[[^\]]*\],"events_crc":[0-9]+`).ReplaceAll(b, nil)
+		},
 		"bit flipped": func(b []byte) []byte {
 			// Flip a base64 character deep inside the session payload.
 			i := bytes.Index(b, []byte(`"session":"`)) + 200
@@ -578,9 +617,67 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			return out
 		},
 	} {
-		code, body := h.doRaw("POST", "/jobs/restore", breakIt(blob))
+		broken := breakIt(blob)
+		if bytes.Equal(broken, blob) {
+			t.Fatalf("%s: left the checkpoint unchanged", name)
+		}
+		code, body := h.doRaw("POST", "/jobs/restore", broken)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", name, code, body)
+		}
+	}
+	if code, body := h.doRaw("POST", "/jobs/restore", blob); code != http.StatusCreated {
+		t.Fatalf("unbroken checkpoint: %d %s, want 201", code, body)
+	}
+}
+
+// TestLoadCheckpointsRejectsEditedHistory: boot-time restore refuses a
+// checkpoint file whose event history was edited or whose events key
+// was renamed, as POST /jobs/restore does, and still resumes the good
+// file beside them.
+func TestLoadCheckpointsRejectsEditedHistory(t *testing.T) {
+	h := newHarness(t, serve.Options{})
+	id := h.submit(testScenario(13), 30)
+	h.await(id, "checkpointed", func(st status) bool { return st.Checkpointed })
+	_, blob := h.do("GET", "/jobs/"+id+"/checkpoint", nil)
+	var wire struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(blob, &wire); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	files := map[string][]byte{
+		wire.ID:   blob,
+		"job-101": editEvent(t, blob),
+		"job-102": renameEvents(blob),
+	}
+	for name, data := range files {
+		if name != wire.ID {
+			// The blob records its own ID; point it at the file name so
+			// only the history differs.
+			data = bytes.Replace(data, []byte(`"id":"`+wire.ID+`"`), []byte(`"id":"`+name+`"`), 1)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".ckpt"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h2 := newHarness(t, serve.Options{StateDir: dir})
+	resumed, errs := h2.srv.LoadCheckpoints()
+	if len(resumed) != 1 || resumed[0] != wire.ID {
+		t.Errorf("resumed %v, want only the unedited %s", resumed, wire.ID)
+	}
+	if len(errs) != 2 {
+		t.Fatalf("want two refusals, got %v", errs)
+	}
+	for _, err := range errs {
+		msg := err.Error()
+		switch {
+		case strings.HasPrefix(msg, "job-101.ckpt") && strings.Contains(msg, "CRC"):
+		case strings.HasPrefix(msg, "job-102.ckpt") && strings.Contains(msg, "unknown field"):
+		default:
+			t.Errorf("unexpected refusal: %v", err)
 		}
 	}
 }
@@ -650,8 +747,8 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(`{"version":1,"id":"job-1","session":"","events":[]}`))
-	f.Add([]byte(`{"version":1,"session":"AAAA","events":[{}]}`))
+	f.Add([]byte(`{"version":2,"id":"job-1","session":"","events":[]}`))
+	f.Add([]byte(`{"version":2,"session":"AAAA","events":[{}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
