@@ -89,7 +89,8 @@ const (
 )
 
 // Tuning carries the DARD control-loop knobs (§3.1); zero values take
-// the paper's settings.
+// the paper's settings. Scenario.Validate rejects non-finite values and
+// positive intervals under 1 ms.
 type Tuning struct {
 	// QueryInterval is the monitor's switch-state polling period (s).
 	QueryInterval float64
@@ -195,7 +196,8 @@ type Scenario struct {
 	Engine Engine
 	// DARD tunes the DARD control loop.
 	DARD Tuning
-	// VLBIntervalSec is pVLB's re-pick period (default 5 s).
+	// VLBIntervalSec is pVLB's re-pick period (default 5 s; at least
+	// 1 ms when positive).
 	VLBIntervalSec float64
 	// ElephantAgeSec is the detection threshold (default 1 s).
 	ElephantAgeSec float64
@@ -219,7 +221,8 @@ type Scenario struct {
 	TraceDir string
 	// TraceProbeInterval spaces the utilization/queue/rate probes in
 	// seconds while tracing: zero means DefaultTraceProbeInterval,
-	// negative disables probes. Ignored when not tracing.
+	// negative disables probes, and a positive spacing must be at least
+	// 1 ms. Ignored when not tracing.
 	TraceProbeInterval float64
 	// Steady switches the workload from a pre-generated batch to an open
 	// stream of Poisson arrivals pulled one at a time (flow engine only).

@@ -265,6 +265,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"packet engine", map[string]any{"scenario": map[string]any{"Engine": "packet"}}, ""},
 		{"unknown field", map[string]any{"scenarioo": map[string]any{}}, ""},
 		{"negative checkpoint_after", map[string]any{"scenario": map[string]any{}, "checkpoint_after": -1}, ""},
+		// Each of these used to hold a worker slot forever: the run spun
+		// at one simulated instant.
+		{"query interval below the floor", map[string]any{"scenario": map[string]any{"DARD": map[string]any{"QueryInterval": 1e-300}}}, "DARD.QueryInterval"},
+		{"schedule interval below the floor", map[string]any{"scenario": map[string]any{"DARD": map[string]any{"ScheduleInterval": 1e-300, "DisableJitter": true}}}, "DARD.ScheduleInterval"},
+		{"pVLB interval below the floor", map[string]any{"scenario": map[string]any{"Scheduler": "pVLB", "VLBIntervalSec": 1e-300}}, "VLBIntervalSec"},
+		{"probe interval below the floor", map[string]any{"scenario": map[string]any{"TraceProbeInterval": 1e-300}}, "TraceProbeInterval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

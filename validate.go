@@ -5,6 +5,13 @@ import (
 	"math"
 )
 
+// minIntervalSec is the shortest positive period Validate accepts for a
+// timer that re-arms itself: DARD's query and scheduling rounds, pVLB's
+// re-pick and the trace probes. At 1e-300 s such a timer no longer
+// advances the simulated clock, so the run never ends; 1 ms is far below
+// any period the experiments use (0.1 s and up).
+const minIntervalSec = 1e-3
+
 // Validate checks the scenario without building a topology or running
 // anything, so a serving layer can reject a bad submission before
 // committing a worker to it. Every failure is a *ValidationError naming
@@ -68,6 +75,25 @@ func (s Scenario) Validate() error {
 		return invalid("Duration", "workload: rate %g and duration %g must be positive", s.RatePerHost, s.Duration)
 	}
 
+	for _, iv := range []struct {
+		field string
+		sec   float64
+	}{
+		{"DARD.QueryInterval", s.DARD.QueryInterval},
+		{"DARD.ScheduleInterval", s.DARD.ScheduleInterval},
+		{"VLBIntervalSec", s.VLBIntervalSec},
+		{"TraceProbeInterval", s.TraceProbeInterval},
+	} {
+		if math.IsNaN(iv.sec) || math.IsInf(iv.sec, 0) {
+			return invalid(iv.field, "dard: %s %g s must be finite", iv.field, iv.sec)
+		}
+		if iv.sec > 0 && iv.sec < minIntervalSec {
+			return invalid(iv.field, "dard: %s %g s is below the %g s floor", iv.field, iv.sec, minIntervalSec)
+		}
+	}
+	if j := s.DARD.ScheduleJitter; math.IsNaN(j) || math.IsInf(j, 0) {
+		return invalid("DARD.ScheduleJitter", "dard: DARD.ScheduleJitter %g s must be finite", j)
+	}
 	if err := s.DARD.faults(s.Seed).Validate(); err != nil {
 		return &ValidationError{Field: "DARD", Err: err}
 	}

@@ -21,6 +21,14 @@ func TestValidateAcceptsEquivalenceScenarios(t *testing.T) {
 	if err := (dard.Scenario{Scheduler: dard.SchedulerTeXCP, Engine: dard.EnginePacket}).Validate(); err != nil {
 		t.Errorf("TeXCP on the packet engine: %v", err)
 	}
+	floor := dard.Scenario{
+		DARD:               dard.Tuning{QueryInterval: 1e-3, ScheduleInterval: 1e-3, DisableJitter: true},
+		VLBIntervalSec:     1e-3,
+		TraceProbeInterval: 1e-3,
+	}
+	if err := floor.Validate(); err != nil {
+		t.Errorf("periods at the 1 ms floor: %v", err)
+	}
 	steady := dard.Scenario{Steady: true, Duration: -1, MaxTimeSec: 30}
 	if err := steady.Validate(); err != nil {
 		t.Errorf("unbounded steady run with MaxTimeSec: %v", err)
@@ -50,6 +58,17 @@ func TestValidateRejections(t *testing.T) {
 		{"unbounded steady without max time", dard.Scenario{Steady: true, Duration: -1}, "MaxTimeSec", "needs MaxTimeSec"},
 		{"fault probability out of range", dard.Scenario{DARD: dard.Tuning{CtlLossProb: 1.5}}, "DARD", ""},
 		{"link failure at negative time", dard.Scenario{LinkFailures: []dard.LinkFailure{{AtSec: -1, From: "a", To: "b"}}}, "LinkFailures", "invalid time"},
+		// Periods that stop the simulated clock or make it NaN.
+		{"query interval below the floor", dard.Scenario{DARD: dard.Tuning{QueryInterval: 1e-300}}, "DARD.QueryInterval", "below the 0.001 s floor"},
+		{"NaN query interval", dard.Scenario{DARD: dard.Tuning{QueryInterval: math.NaN()}}, "DARD.QueryInterval", "must be finite"},
+		{"packet query interval below the floor", dard.Scenario{Engine: dard.EnginePacket, DARD: dard.Tuning{QueryInterval: 1e-300}}, "DARD.QueryInterval", "floor"},
+		{"schedule interval below the floor", dard.Scenario{DARD: dard.Tuning{ScheduleInterval: 1e-300, DisableJitter: true}}, "DARD.ScheduleInterval", "floor"},
+		{"infinite schedule interval", dard.Scenario{DARD: dard.Tuning{ScheduleInterval: math.Inf(1)}}, "DARD.ScheduleInterval", "must be finite"},
+		{"NaN schedule jitter", dard.Scenario{DARD: dard.Tuning{ScheduleJitter: math.NaN()}}, "DARD.ScheduleJitter", "must be finite"},
+		{"pVLB interval below the floor", dard.Scenario{Scheduler: dard.SchedulerPVLB, VLBIntervalSec: 1e-300}, "VLBIntervalSec", "floor"},
+		{"NaN pVLB interval", dard.Scenario{Scheduler: dard.SchedulerPVLB, VLBIntervalSec: math.NaN()}, "VLBIntervalSec", "must be finite"},
+		{"probe interval below the floor", dard.Scenario{Engine: dard.EnginePacket, TraceProbeInterval: 1e-300}, "TraceProbeInterval", "floor"},
+		{"NaN probe interval", dard.Scenario{TraceProbeInterval: math.NaN()}, "TraceProbeInterval", "must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,6 +109,15 @@ func TestValidateMatchesRun(t *testing.T) {
 		{RatePerHost: math.NaN()},
 		{RatePerHost: math.Inf(1)},
 		{Duration: math.Inf(1)},
+		// Before Validate caught these, each run spun at one simulated
+		// instant (the packet ones past their context's deadline) or
+		// drove the clock to NaN.
+		{DARD: dard.Tuning{QueryInterval: 1e-300}},
+		{DARD: dard.Tuning{QueryInterval: math.NaN()}},
+		{DARD: dard.Tuning{ScheduleInterval: 1e-300, DisableJitter: true}},
+		{Scheduler: dard.SchedulerPVLB, VLBIntervalSec: 1e-300},
+		{Engine: dard.EnginePacket, DARD: dard.Tuning{QueryInterval: 1e-300}},
+		{Engine: dard.EnginePacket, TraceProbeInterval: 1e-300},
 	} {
 		verr := s.Validate()
 		if verr == nil {
