@@ -17,10 +17,6 @@ type StateSource interface {
 	ElephantsOnLink(l topology.LinkID) int
 	// LinkCapacity returns a link's effective bandwidth in bits/s.
 	LinkCapacity(l topology.LinkID) float64
-	// PortStamp returns a switch's port-state stamp. It must change
-	// whenever the elephant count or the capacity of any exit link of sw
-	// changes; agents re-read their ports only when it does.
-	PortStamp(sw topology.NodeID) uint64
 }
 
 // SwitchAgent answers state queries for one switch, the role OpenFlow's
@@ -29,13 +25,6 @@ type SwitchAgent struct {
 	src      StateSource
 	switchID topology.NodeID
 	out      []topology.LinkID
-	// records holds the encoded port records, PortStateLen bytes per
-	// exit port, as of the source's stamp; built is false until the first
-	// Serve fills them. The reply header echoes each query, so it is
-	// encoded per Serve and not cached.
-	records []byte
-	stamp   uint64
-	built   bool
 }
 
 // NewSwitchAgent builds the agent for a switch.
@@ -51,12 +40,7 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 	if len(out) > 0xffff {
 		return nil, fmt.Errorf("ctlmsg: switch %d has too many ports (%d)", switchID, len(out))
 	}
-	return &SwitchAgent{
-		src:      src,
-		switchID: switchID,
-		out:      out,
-		records:  make([]byte, len(out)*PortStateLen),
-	}, nil
+	return &SwitchAgent{src: src, switchID: switchID, out: out}, nil
 }
 
 // Links returns the exit links the agent reports on, in stable order.
@@ -65,10 +49,9 @@ func NewSwitchAgent(src StateSource, switchID topology.NodeID) (*SwitchAgent, er
 func (a *SwitchAgent) Links() []topology.LinkID { return a.out }
 
 // Serve handles one marshaled query and appends the marshaled reply,
-// carrying the current state of every exit port, to dst. The port
-// records are re-read and re-encoded only when the source's PortStamp
-// for this switch has moved since the last Serve. A caller that passes
-// the same buffer back every exchange serves without allocating.
+// carrying the current state of every exit port as ReadPort reads it,
+// to dst. A caller that passes the same buffer back every exchange
+// serves without allocating.
 func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	var q Query
 	if err := q.UnmarshalBinary(queryBytes); err != nil {
@@ -77,14 +60,11 @@ func (a *SwitchAgent) Serve(dst, queryBytes []byte) ([]byte, error) {
 	if q.SwitchID != uint32(a.switchID) {
 		return dst, fmt.Errorf("ctlmsg: query for switch %d delivered to %d", q.SwitchID, a.switchID)
 	}
-	if stamp := a.src.PortStamp(a.switchID); !a.built || stamp != a.stamp {
-		for i, l := range a.out {
-			putPortState(a.records[i*PortStateLen:], ReadPort(a.src, l))
-		}
-		a.stamp, a.built = stamp, true
-	}
 	dst = appendReplyHeader(dst, q.SwitchID, q.SeqNo, len(a.out))
-	return append(dst, a.records...), nil
+	for _, l := range a.out {
+		dst = appendPortState(dst, ReadPort(a.src, l))
+	}
+	return dst, nil
 }
 
 // ReadPort returns the state a switch reports for its exit link l: the

@@ -52,7 +52,6 @@ type idleState struct{ *topology.FatTree }
 func (s idleState) Topo() topology.Network                 { return s.FatTree }
 func (idleState) ElephantsOnLink(topology.LinkID) int      { return 0 }
 func (s idleState) LinkCapacity(l topology.LinkID) float64 { return s.Graph().Link(l).Capacity }
-func (idleState) PortStamp(topology.NodeID) uint64         { return 0 }
 
 // idleFabric returns the state of an idle p=4 fat-tree.
 func idleFabric(t *testing.T) (idleState, *topology.FatTree) {

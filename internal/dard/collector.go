@@ -48,82 +48,71 @@ type Collector struct {
 	// says its fold has not run yet (foldPending).
 	epoch   uint64
 	pending bool
-	// channels and misses are each covering switch's fault channel and
-	// count of consecutive unanswered rounds. Like round and cache they
-	// are built on the first fault round; fault-free collectors never
-	// touch them.
-	channels  map[topology.NodeID]*ctlmsg.Channel
+
 	faults    ctlmsg.Faults
 	retryMax  int
 	deadAfter int
 
 	seqNo    uint32
 	inFlight bool
-	misses   map[topology.NodeID]int
+	// peers holds, in switches order, each covering switch's agent, fault
+	// channel and count of consecutive unanswered rounds. Like round and
+	// cache it is built on the first fault round; fault-free collectors
+	// never touch it.
+	peers []faultPeer
 	// round and cache are the link state of fault rounds, built on the
 	// first one: what the round in flight has assembled, and the last
 	// state each link was reported with. Fault rounds cannot use the
-	// shared scratch because rounds of different collectors interleave
+	// shared view because rounds of different collectors interleave
 	// while their retries wait; one collector's rounds never pipeline
 	// (inFlight skips an overlapping tick), so one round table per
 	// collector is enough.
 	round, cache *LinkState
 }
 
+// faultPeer is one covering switch as a fault round reaches it.
+type faultPeer struct {
+	agent  *ctlmsg.SwitchAgent
+	ch     *ctlmsg.Channel
+	misses int
+}
+
 // roundScratch is the state all of a Controller's monitors share on one
-// host: the switch agents of fault rounds, indexed by NodeID and built
-// on their first query, and the port view fault-free rounds fold from.
-// One view serves every monitor because a fault-free round runs start
-// to finish inside one tick and only ever brings the view up to date
-// with the host; the view's undo log lets each monitor's fold wait for
-// the scheduling round that reads it.
+// host: the port view fault-free rounds fold from. One view serves every
+// monitor because a fault-free round runs start to finish inside one
+// tick and only ever brings the view up to date with the host; the
+// view's undo log lets each monitor's fold wait for the scheduling round
+// that reads it.
 type roundScratch struct {
-	env    sched.Host
-	agents []*ctlmsg.SwitchAgent
-	// view holds every exit port's state as its switch last reported
-	// it; read[sw] is the PortStamp sw's ports were read at, and
-	// whether they have been read at all.
-	view *portView
-	read []viewStamp
+	env sched.Host
+	// view holds every port's state as the host's change feed last
+	// named it; changed is the drain's buffer.
+	view    *portView
+	changed []topology.LinkID
 	// nodes gathers new monitors' covering switches.
 	nodes []topology.NodeID
 }
 
-type viewStamp struct {
-	stamp uint64
-	ok    bool
-}
-
 // roundScratch returns the controller's shared scratch for env, building
-// it on first use (and afresh for a new host, whose agents and view
-// must answer from that host's state).
+// it on first use (and afresh for a new host, whose view must answer
+// from that host's state).
 func (c *Controller) roundScratch(env sched.Host) *roundScratch {
 	if c.scratch == nil || c.scratch.env != env {
-		g := env.Topo().Graph()
-		c.scratch = &roundScratch{
-			env:    env,
-			agents: make([]*ctlmsg.SwitchAgent, g.NumNodes()),
-			view:   newPortView(g.NumLinks()),
-			read:   make([]viewStamp, g.NumNodes()),
-		}
+		c.scratch = &roundScratch{env: env, view: newPortView(env.Topo().Graph().NumLinks())}
 	}
 	return c.scratch
 }
 
-// refresh brings sw's exit ports in the view up to date: it re-reads
-// them, exactly as the switch's agent would encode them, only when the
-// host's PortStamp for sw has moved since the view last read them.
-func (s *roundScratch) refresh(sw topology.NodeID) error {
-	stamp := s.env.PortStamp(sw)
-	if r := s.read[sw]; r.ok && r.stamp == stamp {
-		return nil
-	}
-	for _, l := range s.env.Topo().Graph().Out(sw) {
+// drain brings the view up to date with the host: it re-reads, exactly
+// as a switch agent would encode them, the ports the host's change feed
+// names, which on the first drain are all of them.
+func (s *roundScratch) drain() error {
+	s.changed = s.env.AppendChangedPorts(s.changed[:0])
+	for _, l := range s.changed {
 		if err := s.view.set(ctlmsg.ReadPort(s.env, l)); err != nil {
 			return err
 		}
 	}
-	s.read[sw] = viewStamp{stamp: stamp, ok: true}
 	return nil
 }
 
@@ -135,18 +124,6 @@ func (s *roundScratch) coveringSwitches(ps topology.PathSet) []topology.NodeID {
 	switches := make([]topology.NodeID, len(s.nodes))
 	copy(switches, s.nodes)
 	return switches
-}
-
-func (s *roundScratch) agent(sw topology.NodeID) (*ctlmsg.SwitchAgent, error) {
-	if int(sw) < len(s.agents) && s.agents[sw] != nil {
-		return s.agents[sw], nil
-	}
-	a, err := ctlmsg.NewSwitchAgent(s.env, sw)
-	if err != nil {
-		return nil, err
-	}
-	s.agents[sw] = a
-	return a, nil
 }
 
 // newCollector builds the collector for one monitor over the switches
@@ -184,15 +161,21 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 	if c.inFlight {
 		return nil
 	}
-	c.inFlight = true
-	c.seqNo++
-	seq := c.seqNo
 	if c.round == nil {
 		n := c.env.Topo().Graph().NumLinks()
 		c.round, c.cache = NewLinkState(n), NewLinkState(n)
-		c.channels = make(map[topology.NodeID]*ctlmsg.Channel)
-		c.misses = make(map[topology.NodeID]int)
+		c.peers = make([]faultPeer, len(c.switches))
+		for i, sw := range c.switches {
+			agent, err := ctlmsg.NewSwitchAgent(c.env, sw)
+			if err != nil {
+				return err
+			}
+			c.peers[i] = faultPeer{agent: agent, ch: ctlmsg.NewChannel(c.faults, c.monitorID, uint32(sw))}
+		}
 	}
+	c.inFlight = true
+	c.seqNo++
+	seq := c.seqNo
 	c.round.Reset()
 	linkState := c.round
 	set := func(ls *LinkState, p ctlmsg.PortState) {
@@ -203,31 +186,27 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 	totalBytes := 0
 	complete := true
 	remaining := len(c.switches)
-	for _, sw := range c.switches {
-		sw := sw
-		c.collectSwitch(sw, seq, 0, 0, func(ports []ctlmsg.PortState, bytes int, ok bool) {
+	for i, sw := range c.switches {
+		peer := &c.peers[i]
+		c.collectSwitch(peer, sw, seq, 0, 0, func(ports []ctlmsg.PortState, bytes int, ok bool) {
 			totalBytes += bytes
 			if ok {
-				c.misses[sw] = 0
+				peer.misses = 0
 				for _, p := range ports {
 					set(linkState, p)
 					set(c.cache, p)
 				}
 			} else {
-				c.misses[sw]++
-				agent, err := c.shared.agent(sw)
-				if err != nil {
-					panic(fmt.Sprintf("dard: collector: %v", err))
-				}
-				if c.misses[sw] >= c.deadAfter {
+				peer.misses++
+				if peer.misses >= c.deadAfter {
 					// Presumed dead: every port it covered reports zero
 					// bandwidth, so the paths through it read BoNF 0.
-					for _, l := range agent.Links() {
+					for _, l := range peer.agent.Links() {
 						set(linkState, ctlmsg.PortState{LinkID: uint32(l)})
 					}
 				} else {
 					// Serve the last state it did report, if any.
-					for _, l := range agent.Links() {
+					for _, l := range peer.agent.Links() {
 						if p, have := c.cache.Get(l); have {
 							set(linkState, p)
 						} else {
@@ -247,17 +226,15 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 }
 
 // assembleView is the fault-free round. On a reliable channel every
-// exchange delivers the switch's current port state, so the round brings
-// the controller's port view up to date for its covering switches and
-// pins the collector to the view's epoch; foldPending later folds the
-// view as it stood then. A round carries wireBytes on the wire. Only
-// switches whose ports changed are read; a warm round allocates nothing.
+// exchange delivers the switch's current port state, so the round drains
+// the host's changed ports into the controller's port view and pins the
+// collector to the view's epoch; foldPending later folds the view as it
+// stood then. A round carries wireBytes on the wire. Only ports that
+// changed are read; a warm round allocates nothing.
 func (c *Collector) assembleView() error {
 	c.seqNo++
-	for _, sw := range c.switches {
-		if err := c.shared.refresh(sw); err != nil {
-			return err
-		}
+	if err := c.shared.drain(); err != nil {
+		return err
 	}
 	c.shared.view.pin(c)
 	return nil
@@ -283,19 +260,15 @@ func (c *Collector) release() {
 // collectSwitch runs one switch's exchange chain: attempt, and on loss
 // re-attempt after an exponentially backed-off delay until the retry
 // budget runs out. resolve fires exactly once per chain.
-func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytesSoFar int, resolve func(ports []ctlmsg.PortState, bytes int, ok bool)) {
-	agent, err := c.shared.agent(sw)
-	if err != nil {
-		panic(fmt.Sprintf("dard: collector: %v", err))
-	}
-	ch := c.channel(sw)
+func (c *Collector) collectSwitch(peer *faultPeer, sw topology.NodeID, seq uint32, attempt, bytesSoFar int, resolve func(ports []ctlmsg.PortState, bytes int, ok bool)) {
+	ch := peer.ch
 	q := c.query(sw)
 	q.SeqNo = seq
 	qb, err := q.MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("dard: collector: marshal query: %v", err))
 	}
-	rb, wire, ok, err := ch.TryExchange(agent, qb)
+	rb, wire, ok, err := ch.TryExchange(peer.agent, qb)
 	if err != nil {
 		panic(fmt.Sprintf("dard: collector: exchange with switch %d: %v", sw, err))
 	}
@@ -317,7 +290,7 @@ func (c *Collector) collectSwitch(sw topology.NodeID, seq uint32, attempt, bytes
 	}
 	if attempt < c.retryMax {
 		c.env.AfterRef(ch.Delay()+ctlmsg.Backoff(CtlRetryBackoff, attempt), sched.TimerRef{}, func() {
-			c.collectSwitch(sw, seq, attempt+1, bytes, resolve)
+			c.collectSwitch(peer, sw, seq, attempt+1, bytes, resolve)
 		})
 		return
 	}
@@ -343,15 +316,6 @@ func (c *Collector) parseReply(reply *ctlmsg.Reply, rb []byte) error {
 		return fmt.Errorf("reply sequence %d for query %d", reply.SeqNo, c.seqNo)
 	}
 	return nil
-}
-
-func (c *Collector) channel(sw topology.NodeID) *ctlmsg.Channel {
-	ch := c.channels[sw]
-	if ch == nil {
-		ch = ctlmsg.NewChannel(c.faults, c.monitorID, uint32(sw))
-		c.channels[sw] = ch
-	}
-	return ch
 }
 
 // FoldPVInto folds the per-link port state into the path state vector

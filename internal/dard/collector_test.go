@@ -35,8 +35,8 @@ func idleFatTree(tb testing.TB, p int) (*flowsim.Sim, *Controller, topology.Path
 }
 
 // linkChurn returns a function that fails or repairs an exit link of
-// coll's first covering switch, moving its port stamp, so the next round
-// re-reads that switch's ports into the view and logs the change.
+// coll's first covering switch, so the host's change feed names it and
+// the next round re-reads that port into the view and logs the change.
 func linkChurn(s *flowsim.Sim, coll *Collector) func() {
 	churned := s.Topo().Graph().Out(coll.switches[0])[0]
 	down := false
@@ -50,8 +50,8 @@ func linkChurn(s *flowsim.Sim, coll *Collector) func() {
 // p-ary fat tree, with the fold a scheduling round runs when it reads
 // the path state vector: Collector.assembleView over the pair's
 // covering switches, then foldPending. churn is linkChurn's, so the
-// next tick re-reads one switch's ports instead of pinning the view as
-// it is.
+// next tick drains one changed port instead of pinning the view as it
+// is.
 func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 	tb.Helper()
 	s, ctl, ps := idleFatTree(tb, p)
@@ -77,11 +77,11 @@ func monitorTick(tb testing.TB, p int) (tick, churn func()) {
 }
 
 // TestAssembleSteadyStateAllocs is the alloc gate for DARD's query
-// round: once warm, a fault-free monitor tick — a port-stamp check per
-// covering switch and a pin on the view — plus its fold must not
-// allocate, whether the view is current or one switch's ports are
-// re-read, and the change logged, after a port-state change. At p=32 a tick covers ~290 switches, so one allocation per
-// switch multiplies into gigabytes per run.
+// round: once warm, a fault-free monitor tick — a drain of the host's
+// change feed and a pin on the view — plus its fold must not allocate,
+// whether nothing changed or a changed port is drained, re-read and its
+// change logged. The drain reuses the view's buffer and the host's
+// list; one allocation per tick multiplies into gigabytes per p=32 run.
 func TestAssembleSteadyStateAllocs(t *testing.T) {
 	tick, churn := monitorTick(t, 8)
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
@@ -193,7 +193,7 @@ func TestUndoLogStaysBounded(t *testing.T) {
 
 // BenchmarkCollectorAssemble times one p=32 inter-pod monitor tick, the
 // control-plane share of a flow-engine DARD run on the paper's fabric.
-// The host is idle, so the round re-reads no switch.
+// The host is idle, so the round drains no port.
 func BenchmarkCollectorAssemble(b *testing.B) {
 	tick, _ := monitorTick(b, 32)
 	b.ReportAllocs()
@@ -204,8 +204,8 @@ func BenchmarkCollectorAssemble(b *testing.B) {
 }
 
 // BenchmarkCollectorAssembleChurn is BenchmarkCollectorAssemble with one
-// covering switch's port state changed before every tick, so each tick
-// also re-reads that switch's ports.
+// port of a covering switch changed before every tick, so each tick
+// also drains and re-reads that port.
 func BenchmarkCollectorAssembleChurn(b *testing.B) {
 	tick, churn := monitorTick(b, 32)
 	b.ReportAllocs()

@@ -17,7 +17,7 @@ import (
 )
 
 // A fault-free round folds from the controller's port view, which
-// re-reads a switch only when its PortStamp moves, and the fold waits
+// re-reads only the ports the host's change feed names, and the fold waits
 // until something reads the path state vector. These tests hold the
 // view to the wire exchange it replaces: DARD runs on both engines
 // through arrivals, classification, moves, completions, link failures
@@ -31,9 +31,9 @@ import (
 // wireOracle is the fault-free round as a wire exchange, the way every
 // round ran before the port view: per covering switch, marshal the
 // collector's query, serve it, parse the reply and record its ports.
-// Each agent is built fresh, so it has no reply cache and reads the host
-// itself. The oracle replays the sequence number of the round the view
-// just ran instead of advancing it.
+// The agents read the host itself, not the feed. The oracle replays the
+// sequence number of the round the view just ran instead of advancing
+// it.
 type wireOracle struct {
 	links        *LinkState
 	query, reply []byte

@@ -440,7 +440,6 @@ func (s *Sim) restore(data []byte) error {
 			s.CountElephant(f.links, +1)
 		}
 	}
-	s.RenewStamps()
 
 	dec.Expect(secArrivals)
 	kind := dec.U8()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"dard/internal/snap"
 	"dard/internal/topology"
@@ -19,20 +20,27 @@ import (
 //
 // A route is a flow's full host-to-host link list (AppendRoute). The engine calls
 // ElephantStarted when a flow becomes an elephant, ElephantEnded when an
-// elephant completes, and CountElephant(route, -1) and (newRoute, +1)
-// around an active elephant's path switch.
+// elephant completes, CountElephant(route, -1) and (newRoute, +1)
+// around an active elephant's path switch, and CapacityChanged when a
+// link fails or recovers. Those two hooks feed the port-change list
+// AppendChangedPorts drains, so a link's port state must change through
+// them and nowhere else.
 //
 //dardsnap:fields encoder=Core.SnapshotCounters decoder=Core.RestoreCounters
 type Core struct {
 	topo   topology.Network //dardlint:snapfield configuration, not state; the restoring engine rebuilds its Core from the run's Config
-	g      *topology.Graph  //dardlint:snapfield topo's graph, cached for the per-link loops
 	seed   int64            //dardlint:snapfield configuration; the flow engine checks it against its snapshot header itself
 	rng    *rand.Rand       //dardlint:snapfield wraps the engine's source, whose stream position the engine checkpoints
 	tracer trace.Tracer     //dardlint:snapfield never nil (Nop when tracing is off); the restored run injects its own sink
 	now    func() float64   //dardlint:snapfield the engine's clock, wired by NewCore
 
-	eleCounts []int32  //dardlint:snapfield derived from the active elephants' routes; the restoring engine recounts them through CountElephant
-	portStamp []uint64 //dardlint:snapfield invalidation counter, only its changes are observable; RenewStamps moves every entry on at restore
+	eleCounts []int32 //dardlint:snapfield derived from the active elephants' routes; the restoring engine recounts them through CountElephant
+
+	// changed lists, each once, the links whose port state moved since
+	// the last AppendChangedPorts, and marked flags them. Both stay nil
+	// until the first drain, so a run nobody drains records nothing.
+	changed []topology.LinkID //dardlint:snapfield change feed, not state: a restored run's first drain returns every link
+	marked  []bool            //dardlint:snapfield change feed, not state: a restored run's first drain returns every link
 
 	controlBytes  float64
 	elephants     int
@@ -43,16 +51,13 @@ type Core struct {
 // source, which the engine seeds from seed, and now the engine's clock,
 // read to timestamp trace events; a nil tracer disables tracing.
 func NewCore(net topology.Network, seed int64, seeded rand.Source, tracer trace.Tracer, now func() float64) Core {
-	g := net.Graph()
 	return Core{
 		topo:      net,
-		g:         g,
 		seed:      seed,
 		rng:       rand.New(seeded),
 		tracer:    trace.OrNop(tracer),
 		now:       now,
-		eleCounts: make([]int32, g.NumLinks()),
-		portStamp: make([]uint64, g.NumNodes()),
+		eleCounts: make([]int32, net.Graph().NumLinks()),
 	}
 }
 
@@ -108,11 +113,35 @@ func (c *Core) ControlBytes() float64 { return c.controlBytes }
 // paper's monitors query (§2.4.2).
 func (c *Core) ElephantsOnLink(l topology.LinkID) int { return int(c.eleCounts[l]) }
 
-// PortStamp returns the switch's port-state stamp (ctlmsg.StateSource):
-// it moves whenever the elephant count or capacity of one of the
-// switch's exit links changes, so switch agents re-encode only the ports
-// that moved.
-func (c *Core) PortStamp(sw topology.NodeID) uint64 { return c.portStamp[sw] }
+// AppendChangedPorts drains the port-change feed (Host): it appends to
+// dst, each once, every link whose elephant count or capacity changed
+// since the last drain, and forgets them. The first drain appends every
+// link, so its reader starts from a full read of the fabric; a run is
+// drained by at most one reader, its DARD controller.
+func (c *Core) AppendChangedPorts(dst []topology.LinkID) []topology.LinkID {
+	if c.marked == nil {
+		c.marked = make([]bool, len(c.eleCounts))
+		dst = slices.Grow(dst, len(c.marked))
+		for l := range c.marked {
+			dst = append(dst, topology.LinkID(l))
+		}
+		return dst
+	}
+	dst = append(dst, c.changed...)
+	for _, l := range c.changed {
+		c.marked[l] = false
+	}
+	c.changed = c.changed[:0]
+	return dst
+}
+
+// mark records that l's port state changed, once until the next drain.
+func (c *Core) mark(l topology.LinkID) {
+	if c.marked != nil && !c.marked[l] {
+		c.marked[l] = true
+		c.changed = append(c.changed, l)
+	}
+}
 
 // PeakElephants returns the most elephants that were active at once (the
 // x-axis of Figure 15).
@@ -127,11 +156,11 @@ func (c *Core) AppendRoute(dst []topology.LinkID, f Flow, ps topology.PathSet, p
 }
 
 // CountElephant adds sign to the elephant count of every link of route
-// and bumps the port stamps of the switches those links leave.
+// and marks those links changed.
 func (c *Core) CountElephant(route []topology.LinkID, sign int32) {
 	for _, l := range route {
 		c.eleCounts[l] += sign
-		c.portStamp[c.g.Link(l).From]++
+		c.mark(l)
 	}
 }
 
@@ -148,18 +177,9 @@ func (c *Core) ElephantEnded(route []topology.LinkID) {
 	c.elephants--
 }
 
-// CapacityChanged bumps the port stamp of the switch link l leaves, for
-// an engine whose link just failed or recovered.
-func (c *Core) CapacityChanged(l topology.LinkID) { c.portStamp[c.g.Link(l).From]++ }
-
-// RenewStamps moves every port stamp on. A restored run's switch agents
-// are new and build their records on first Serve; renewing the stamps as
-// well means no stamp from before the restore can read as current.
-func (c *Core) RenewStamps() {
-	for i := range c.portStamp {
-		c.portStamp[i]++
-	}
-}
+// CapacityChanged marks l changed, for an engine whose link just failed
+// or recovered.
+func (c *Core) CapacityChanged(l topology.LinkID) { c.mark(l) }
 
 // EmitFlowStart traces a flow's arrival. T is the arrival time, so a
 // FlowEnd's T minus this is bit-for-bit the flow's transfer time.
@@ -193,8 +213,8 @@ func (c *Core) SnapshotCounters(enc *snap.Encoder) {
 }
 
 // RestoreCounters decodes what SnapshotCounters wrote. The restoring
-// engine recounts its active elephants through CountElephant, then
-// calls RenewStamps.
+// engine then recounts its active elephants through CountElephant; its
+// change feed is new, so the first drain reads every port afresh.
 func (c *Core) RestoreCounters(dec *snap.Decoder) {
 	c.controlBytes = dec.F64()
 	c.elephants = int(dec.I64())

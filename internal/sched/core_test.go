@@ -50,13 +50,14 @@ func counts(ft *topology.FatTree, c *sched.Core) []int {
 	return out
 }
 
-// stamps returns every node's port stamp.
-func stamps(ft *topology.FatTree, c *sched.Core) []uint64 {
-	out := make([]uint64, ft.Graph().NumNodes())
-	for n := range out {
-		out[n] = c.PortStamp(topology.NodeID(n))
-	}
-	return out
+// drained returns the links c's change feed names, sorted.
+func drained(c *sched.Core) []topology.LinkID { return sortedLinks(c.AppendChangedPorts(nil)) }
+
+// sortedLinks returns a sorted copy of links.
+func sortedLinks(links []topology.LinkID) []topology.LinkID {
+	links = slices.Clone(links)
+	slices.Sort(links)
+	return links
 }
 
 // wantCounts is the per-link count of elephants on the given routes.
@@ -97,40 +98,50 @@ func TestCoreElephantCountsFollowRoutes(t *testing.T) {
 	}
 }
 
-func TestCorePortStampsTrackExitLinks(t *testing.T) {
+// TestCorePortFeedNamesChangedLinks pins the change feed's contract:
+// nothing is recorded before the first drain, which names every link;
+// after it, a drain names exactly the links whose elephant count or
+// capacity changed since the previous one, each once, appended to the
+// caller's buffer.
+func TestCorePortFeedNamesChangedLinks(t *testing.T) {
 	var now float64
 	ft, c := newCore(t, nil, &now)
-	g := ft.Graph()
 	r := route(ft, 0, 8, 0)
-	exits := map[topology.NodeID]bool{}
-	for _, l := range r {
-		exits[g.Link(l).From] = true
+	c.ElephantStarted(r)
+	all := make([]topology.LinkID, ft.Graph().NumLinks())
+	for l := range all {
+		all[l] = topology.LinkID(l)
 	}
-	// check applies op and requires exactly the switches in moved to
-	// change stamp.
-	check := func(what string, moved map[topology.NodeID]bool, op func()) {
+	if got := drained(c); !slices.Equal(got, all) {
+		t.Fatalf("first drain named %d links, want all %d", len(got), len(all))
+	}
+	if got := drained(c); len(got) != 0 {
+		t.Fatalf("drain with nothing changed named %v", got)
+	}
+	// check applies op and requires the next drain to name exactly want.
+	check := func(what string, want []topology.LinkID, op func()) {
 		t.Helper()
-		before := stamps(ft, c)
 		op()
-		after := stamps(ft, c)
-		for n := range after {
-			changed := after[n] != before[n]
-			if changed != moved[topology.NodeID(n)] {
-				t.Errorf("%s: node %d stamp changed=%v, want %v", what, n, changed, moved[topology.NodeID(n)])
-			}
+		if got, want := drained(c), sortedLinks(want); !slices.Equal(got, want) {
+			t.Errorf("%s: drain named %v, want %v", what, got, want)
 		}
 	}
-	check("elephant added", exits, func() { c.ElephantStarted(r) })
-	check("elephant moved off", exits, func() { c.CountElephant(r, -1) })
-	check("elephant moved on", exits, func() { c.CountElephant(r, +1) })
-	check("elephant removed", exits, func() { c.ElephantEnded(r) })
 	l := r[1] // the ToR's uplink
-	check("capacity changed", map[topology.NodeID]bool{g.Link(l).From: true}, func() { c.CapacityChanged(l) })
-	all := map[topology.NodeID]bool{}
-	for n := 0; n < g.NumNodes(); n++ {
-		all[topology.NodeID(n)] = true
+	check("elephant added", r, func() { c.ElephantStarted(r) })
+	check("elephant moved off", r, func() { c.CountElephant(r, -1) })
+	check("elephant moved off and back on", r, func() { c.CountElephant(r, -1); c.CountElephant(r, +1) })
+	check("elephant removed", r, func() { c.ElephantEnded(r) })
+	check("capacity changed", []topology.LinkID{l}, func() { c.CapacityChanged(l) })
+	check("capacity changed twice and elephant removed", r, func() {
+		c.CapacityChanged(l)
+		c.CapacityChanged(l)
+		c.ElephantEnded(r)
+	})
+	check("nothing", nil, func() {})
+	c.CapacityChanged(l)
+	if got := c.AppendChangedPorts([]topology.LinkID{99}); !slices.Equal(got, []topology.LinkID{99, l}) {
+		t.Errorf("drain into a non-empty buffer = %v, want [99 %d]", got, l)
 	}
-	check("stamps renewed", all, c.RenewStamps)
 }
 
 func TestCorePeakElephantsNeverDecrease(t *testing.T) {

@@ -61,6 +61,11 @@ type Host interface {
 	RecordControl(bytes float64)
 	// Tracer returns the run's tracer (never nil).
 	Tracer() trace.Tracer
+	// AppendChangedPorts drains the port-change feed into buf: the
+	// links whose elephant count or capacity changed since the last
+	// drain, every link on the first. The run's DARD controller is its
+	// only reader.
+	AppendChangedPorts(buf []topology.LinkID) []topology.LinkID
 	// FlowByID returns the flow with the given ID; ok is false before
 	// its arrival.
 	FlowByID(id int) (f Flow, ok bool)
