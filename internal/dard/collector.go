@@ -39,7 +39,7 @@ type PathState struct {
 type Collector struct {
 	env       sched.Host
 	monitorID uint64
-	switches  []topology.NodeID
+	ps        topology.PathSet
 	// wireBytes is what one fault-free round puts on the wire: a query
 	// and a full reply per covering switch.
 	wireBytes int
@@ -55,11 +55,12 @@ type Collector struct {
 
 	seqNo    uint32
 	inFlight bool
-	// peers holds, in switches order, each covering switch's agent, fault
-	// channel and count of consecutive unanswered rounds. Like round and
-	// cache it is built on the first fault round; fault-free collectors
-	// never touch it.
-	peers []faultPeer
+	// switches are the sorted switches covering ps, and peers holds, in
+	// that order, each one's agent, fault channel and count of
+	// consecutive unanswered rounds. Like round and cache they are built
+	// on the first fault round; fault-free collectors never touch them.
+	switches []topology.NodeID
+	peers    []faultPeer
 	// round and cache are the link state of fault rounds, built on the
 	// first one: what the round in flight has assembled, and the last
 	// state each link was reported with. Fault rounds cannot use the
@@ -89,7 +90,7 @@ type roundScratch struct {
 	// named it; changed is the drain's buffer.
 	view    *portView
 	changed []topology.LinkID
-	// nodes gathers new monitors' covering switches.
+	// nodes gathers a new monitor's covering switches.
 	nodes []topology.NodeID
 }
 
@@ -104,11 +105,17 @@ func (c *Controller) roundScratch(env sched.Host) *roundScratch {
 }
 
 // drain brings the view up to date with the host: it re-reads, exactly
-// as a switch agent would encode them, the ports the host's change feed
-// names, which on the first drain are all of them.
+// as a switch agent would encode them, the switch-to-switch ports the
+// host's change feed names, which on the first drain are all of them.
+// Host links are skipped: a flow cannot route around its first and last
+// hop, so no fold reads them (§2.2).
 func (s *roundScratch) drain() error {
+	g := s.env.Topo().Graph()
 	s.changed = s.env.AppendChangedPorts(s.changed[:0])
 	for _, l := range s.changed {
+		if !g.IsSwitchLink(l) {
+			continue
+		}
 		if err := s.view.set(ctlmsg.ReadPort(s.env, l)); err != nil {
 			return err
 		}
@@ -116,31 +123,22 @@ func (s *roundScratch) drain() error {
 	return nil
 }
 
-// coveringSwitches returns the sorted switches ps's paths leave from,
-// exactly the four switch groups of §2.4.2, as an exact-size slice the
-// caller owns.
-func (s *roundScratch) coveringSwitches(ps topology.PathSet) []topology.NodeID {
-	s.nodes = ps.AppendSwitches(s.nodes[:0])
-	switches := make([]topology.NodeID, len(s.nodes))
-	copy(switches, s.nodes)
-	return switches
-}
-
 // newCollector builds the collector for one monitor over the switches
-// covering its path set. coveringSwitches sorts them, and the collector
-// launches exchanges in that order so runs are deterministic.
+// covering its path set, exactly the four switch groups of §2.4.2.
+// AppendSwitches sorts them, and fault rounds launch exchanges in that
+// order so runs are deterministic.
 func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.PathSet) *Collector {
 	s := c.roundScratch(env)
-	switches := s.coveringSwitches(ps)
+	s.nodes = ps.AppendSwitches(s.nodes[:0])
 	g := env.Topo().Graph()
 	wireBytes := 0
-	for _, sw := range switches {
+	for _, sw := range s.nodes {
 		wireBytes += ctlmsg.ExchangeLen(len(g.Out(sw)))
 	}
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
-		switches:  switches,
+		ps:        ps,
 		wireBytes: wireBytes,
 		shared:    s,
 		faults:    c.opts.Faults,
@@ -164,6 +162,7 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 	if c.round == nil {
 		n := c.env.Topo().Graph().NumLinks()
 		c.round, c.cache = NewLinkState(n), NewLinkState(n)
+		c.switches = c.ps.AppendSwitches(nil)
 		c.peers = make([]faultPeer, len(c.switches))
 		for i, sw := range c.switches {
 			agent, err := ctlmsg.NewSwitchAgent(c.env, sw)

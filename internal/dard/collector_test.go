@@ -38,7 +38,7 @@ func idleFatTree(tb testing.TB, p int) (*flowsim.Sim, *Controller, topology.Path
 // coll's first covering switch, so the host's change feed names it and
 // the next round re-reads that port into the view and logs the change.
 func linkChurn(s *flowsim.Sim, coll *Collector) func() {
-	churned := s.Topo().Graph().Out(coll.switches[0])[0]
+	churned := s.Topo().Graph().Out(coll.ps.AppendSwitches(nil)[0])[0]
 	down := false
 	return func() {
 		down = !down
@@ -256,10 +256,11 @@ func TestLinkStateReset(t *testing.T) {
 	}
 }
 
-// TestCoveringSwitches checks the monitor's covering switches against
-// the definition — the set of upstream endpoints of every path link —
-// on a tree and a non-tree family, with one gather buffer reused across
-// pairs so stale entries would show.
+// TestCoveringSwitches checks the monitor's covering switches
+// (PathSet.AppendSwitches, as newCollector gathers them) against the
+// definition — the set of upstream endpoints of every path link — on a
+// tree and a non-tree family, with one gather buffer reused across pairs
+// so stale entries would show.
 func TestCoveringSwitches(t *testing.T) {
 	ft := fatTree(t)
 	df, err := topology.NewDragonfly(topology.DragonflyConfig{D: 4, A: 3, P: 2})
@@ -268,7 +269,7 @@ func TestCoveringSwitches(t *testing.T) {
 	}
 	for _, net := range []topology.Network{ft, df} {
 		g := net.Graph()
-		var s roundScratch
+		var buf []topology.NodeID
 		src := net.ToROf(net.Hosts()[0])
 		for _, h := range net.Hosts() {
 			dst := net.ToROf(h)
@@ -282,12 +283,13 @@ func TestCoveringSwitches(t *testing.T) {
 					want[g.Link(l).From] = true
 				}
 			}
-			got := s.coveringSwitches(ps)
+			buf = ps.AppendSwitches(buf[:0])
+			got := buf
 			if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
 				t.Fatalf("%s %d->%d: %v is not sorted and unique", net.Name(), src, dst, got)
 			}
-			if len(got) != len(want) || cap(got) != len(got) {
-				t.Fatalf("%s %d->%d: got %d switches (cap %d), want exactly %d", net.Name(), src, dst, len(got), cap(got), len(want))
+			if len(got) != len(want) {
+				t.Fatalf("%s %d->%d: got %d switches, want exactly %d", net.Name(), src, dst, len(got), len(want))
 			}
 			for _, sw := range got {
 				if !want[sw] {

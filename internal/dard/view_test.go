@@ -36,6 +36,7 @@ import (
 // it.
 type wireOracle struct {
 	links        *LinkState
+	switches     []topology.NodeID
 	query, reply []byte
 	msg          ctlmsg.Reply
 }
@@ -48,7 +49,8 @@ func (o *wireOracle) assemble(env sched.Host, c *Collector) (*LinkState, int, er
 	}
 	o.links.Reset()
 	total := 0
-	for _, sw := range c.switches {
+	o.switches = c.ps.AppendSwitches(o.switches[:0])
+	for _, sw := range o.switches {
 		agent, err := ctlmsg.NewSwitchAgent(env, sw)
 		if err != nil {
 			return nil, 0, err
@@ -282,10 +284,11 @@ func (c *viewChecker) viewPairs(h sched.Host) []viewPair {
 // fold, pinned at the previous check, and requires it to equal, bit for
 // bit and in its dead mask, the wire round's fold taken then. It then
 // runs the pair's view round, requires the wire oracle, run against
-// want, to carry the same state for every link the round's switches
-// report and the same byte count, and keeps the wire round's fold for
-// the next check. want is h except right after a restore, when it is
-// the paused run the restored one resumes.
+// want, to carry the same state for every switch-to-switch link the
+// round's switches report (the links folds read) and the same byte
+// count, and keeps the wire round's fold for the next check. Last it
+// requires the view to hold no host port at all. want is h except right
+// after a restore, when it is the paused run the restored one resumes.
 func (c *viewChecker) checkAgainst(h, want sched.Host) {
 	g := h.Topo().Graph()
 	for i := range c.viewPairs(h) {
@@ -305,8 +308,11 @@ func (c *viewChecker) checkAgainst(h, want sched.Host) {
 		if coll.wireBytes != wireBytes {
 			c.tb.Fatalf("t=%g monitor %x: view round counts %d bytes, wire round %d", h.Now(), coll.monitorID, coll.wireBytes, wireBytes)
 		}
-		for _, sw := range coll.switches {
+		for _, sw := range c.oracle.switches {
 			for _, l := range g.Out(sw) {
+				if !g.IsSwitchLink(l) {
+					continue // no fold reads a host port; the view must not hold one (below)
+				}
 				got, gok := view.Get(l)
 				exp, eok := wire.Get(l)
 				if !gok || !eok || got != exp {
@@ -325,6 +331,11 @@ func (c *viewChecker) checkAgainst(h, want sched.Host) {
 			c.tb.Fatal(err)
 		}
 		pair.wantDead = MarkDeadPaths(trace.Nop{}, 0, 0, pair.want, pair.wantDead)
+	}
+	for l := range topology.LinkID(g.NumLinks()) {
+		if p, ok := c.scratch.view.ports.Get(l); ok && !g.IsSwitchLink(l) {
+			c.tb.Fatalf("t=%g: view holds host port %d: %+v", h.Now(), l, p)
+		}
 	}
 	c.tally.checks++
 }

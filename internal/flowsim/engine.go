@@ -117,11 +117,6 @@ type Sim struct {
 
 	ratesDirty bool //dardlint:snapfield snapshots are taken at a freshly recomputed boundary, so false on both sides by construction
 
-	// capacity is each link's effective capacity: the graph's nominal
-	// bandwidth, 0 while the link is down. Graph.Validate rejects
-	// non-positive nominal capacities, so 0 means down and nothing else.
-	capacity []float64
-
 	probeEvery float64 //dardlint:snapfield mirror of Config.ProbeInterval (0 when probing is off); set by New
 	nextProbe  float64
 
@@ -206,15 +201,10 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("flowsim: %w", err)
 	}
 	g := cfg.Net.Graph()
-	capacity := make([]float64, g.NumLinks())
-	for l := range capacity {
-		capacity[l] = g.Link(topology.LinkID(l)).Capacity
-	}
 	s := &Sim{
 		cfg:       cfg,
 		rngSrc:    newCountedSource(cfg.Seed),
 		pauseAt:   -1,
-		capacity:  capacity,
 		residual:  make([]float64, g.NumLinks()),
 		unfrozen:  make([]int32, g.NumLinks()),
 		linkFlows: make([][]int32, g.NumLinks()),
@@ -443,34 +433,13 @@ func (s *Sim) markStateChanged() {
 	s.ratesDirty = true
 }
 
-// LinkCapacity returns a link's effective capacity: zero while failed,
-// nominal otherwise. This is the bandwidth half of the switch state the
-// monitors query.
-func (s *Sim) LinkCapacity(l topology.LinkID) float64 { return s.capacity[l] }
-
-// linkDown reports whether l is failed.
-func (s *Sim) linkDown(l topology.LinkID) bool { return s.capacity[l] <= 0 }
-
 // SetLinkDown fails or repairs a link immediately.
 func (s *Sim) SetLinkDown(l topology.LinkID, down bool) {
-	if s.linkDown(l) == down {
+	if !s.Core.SetLinkDown(l, down) {
 		return
 	}
-	if down {
-		s.capacity[l] = 0
-	} else {
-		s.capacity[l] = s.Topo().Graph().Link(l).Capacity
-	}
-	s.CapacityChanged(l)
 	s.markLinkDirty(l)
 	s.markStateChanged()
-	if s.Tracer().Enabled() {
-		kind := trace.KindLinkRecover
-		if down {
-			kind = trace.KindLinkFail
-		}
-		s.Tracer().Emit(trace.Event{T: s.now, Kind: kind, Flow: -1, Link: int32(l)})
-	}
 }
 
 // Run executes the simulation until every flow completes or MaxTime is

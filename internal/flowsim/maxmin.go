@@ -174,7 +174,7 @@ func (s *Sim) fillComponents() {
 						s.reachLink(fl)
 					}
 					if s.unfrozen[fl] == 1 {
-						if e := (linkEntry{s.capacity[fl], fl}); single.id < 0 || linkLess(e, single) {
+						if e := (linkEntry{s.LinkCapacity(fl), fl}); single.id < 0 || linkLess(e, single) {
 							single = e
 						}
 					}
@@ -197,7 +197,7 @@ func (s *Sim) fillComponents() {
 func (s *Sim) reachLink(l topology.LinkID) {
 	s.linkSeen[l] = s.epoch
 	s.linkUsed = append(s.linkUsed, l)
-	c, n := s.capacity[l], int32(len(s.linkFlows[l]))
+	c, n := s.LinkCapacity(l), int32(len(s.linkFlows[l]))
 	s.residual[l] = c
 	s.unfrozen[l] = n
 	if n > 1 {
@@ -323,9 +323,9 @@ func (s *Sim) fillDifferential() bool {
 		if d.work += len(members); d.work > d.limit {
 			return false
 		}
-		s.residual[l], s.unfrozen[l] = s.capacity[l], int32(len(members))
+		s.residual[l], s.unfrozen[l] = s.LinkCapacity(l), int32(len(members))
 		if len(members) > 0 {
-			s.lheap.push(l, s.capacity[l]/float64(len(members)))
+			s.lheap.push(l, s.LinkCapacity(l)/float64(len(members)))
 		}
 		for _, fid := range members {
 			if s.seen[fid] != s.epoch && !s.touch(fid, level) {
@@ -466,7 +466,7 @@ func (s *Sim) taint(l topology.LinkID, level recKey) bool {
 		}
 		return 0
 	})
-	residual := s.capacity[l]
+	residual := s.LinkCapacity(l)
 	for _, e := range d.replay {
 		if residual -= e.rate; residual < 0 {
 			residual = 0

@@ -171,19 +171,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	enc.I64(s.cfg.Seed)
 	enc.Bool(s.cfg.Reference)
 	enc.Str(s.cfg.Controller.Name())
-	enc.U32(uint32(len(s.capacity)))
-	downs := 0
-	for l := range s.capacity {
-		if s.linkDown(topology.LinkID(l)) {
-			downs++
-		}
-	}
-	enc.U32(uint32(downs))
-	for l := range s.capacity {
-		if s.linkDown(topology.LinkID(l)) {
-			enc.U32(uint32(l))
-		}
-	}
+	s.Core.SnapshotLinks(enc)
 	enc.I64(int64(s.arrived))
 
 	enc.Mark(secFlows)
@@ -306,11 +294,8 @@ func (s *Sim) restore(data []byte) error {
 	seed := dec.I64()
 	reference := dec.Bool()
 	ctlName := dec.Str()
-	numLinks := dec.U32()
-	nDown := int(dec.Count(4))
-	downLinks := make([]uint32, 0, nDown)
-	for i := 0; i < nDown; i++ {
-		downLinks = append(downLinks, dec.U32())
+	if err := s.Core.RestoreLinks(dec); err != nil {
+		return err
 	}
 	arrived := int(dec.I64())
 	if err := dec.Err(); err != nil {
@@ -326,9 +311,6 @@ func (s *Sim) restore(data []byte) error {
 		return fmt.Errorf("snapshot controller %q does not match config controller %q", ctlName, s.cfg.Controller.Name())
 	}
 	g := s.Topo().Graph()
-	if int(numLinks) != g.NumLinks() {
-		return fmt.Errorf("snapshot topology has %d links, config topology has %d", numLinks, g.NumLinks())
-	}
 	if arrived < 0 || (s.sliceSrc != nil && arrived > len(s.sliceSrc.flows)) {
 		return fmt.Errorf("snapshot arrived count %d out of range", arrived)
 	}
@@ -337,12 +319,6 @@ func (s *Sim) restore(data []byte) error {
 	s.events = events
 	s.nextProbe = nextProbe
 	s.rngSrc.replayTo(rngDraws)
-	for _, l := range downLinks {
-		if int(l) >= g.NumLinks() {
-			return fmt.Errorf("snapshot fails link %d out of range", l)
-		}
-		s.capacity[l] = 0
-	}
 
 	dec.Expect(secFlows)
 	s.growFlows(arrived)
@@ -515,7 +491,7 @@ func (s *Sim) rebuildTimerFn(ref sched.TimerRef) (func(), error) {
 	switch ref.Tag {
 	case tagLinkEvent:
 		l := topology.LinkID(ref.A)
-		if l < 0 || int(l) >= len(s.capacity) {
+		if l < 0 || int(l) >= s.Topo().Graph().NumLinks() {
 			return nil, fmt.Errorf("snapshot link-event timer references link %d out of range", ref.A)
 		}
 		down := ref.B != 0

@@ -1,10 +1,11 @@
 // Package psim runs workloads on the packet-level simulator: it couples
 // simnet links, TCP New Reno connections, and a path-selection policy
 // (ECMP, pVLB, DARD, or TeXCP) into one experiment. The switch state
-// and accounting policies read (elephant counts, port stamps, control
-// bytes, trace events) are sched.Core, the same implementation the
-// flow-level engine embeds; psim adds the packet clock, simnet's link
-// state and TCP transfers. It backs the paper's testbed-style CDFs
+// and accounting policies read (elephant counts, link capacities and
+// failures, the port-change feed, control bytes, trace events) are
+// sched.Core, the same implementation the flow-level engine embeds;
+// psim adds the packet clock, simnet's data plane and TCP transfers.
+// It backs the paper's testbed-style CDFs
 // (Figure 5) and the TeXCP reordering comparison (Figures 13-14).
 package psim
 
@@ -189,16 +190,6 @@ func (rt *Runtime) flow(id int) *FlowState {
 	return rt.flows[id]
 }
 
-// LinkCapacity returns a link's effective bandwidth: zero while failed,
-// nominal otherwise — the bandwidth half of the switch state monitors
-// query, matching flowsim.Sim.LinkCapacity.
-func (rt *Runtime) LinkCapacity(l topology.LinkID) float64 {
-	if rt.net.LinkDown(l) {
-		return 0
-	}
-	return rt.Topo().Graph().Link(l).Capacity
-}
-
 // Route materializes a flow's host-to-host source route for a path
 // index. The connection owns the returned slice, so this allocates one
 // route, a copy of the links resolved into scratch straight from the
@@ -252,7 +243,7 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 		ev := ev
 		rt.net.K.After(ev.At, func() {
 			rt.net.SetLinkDown(ev.Link, ev.Down)
-			rt.CapacityChanged(ev.Link)
+			rt.SetLinkDown(ev.Link, ev.Down)
 		})
 	}
 	for i := range cfg.Flows {

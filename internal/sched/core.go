@@ -14,15 +14,15 @@ import (
 // Core is the engine-independent half of Host and ctlmsg.StateSource,
 // embedded by both engines (flowsim.Sim and psim.Runtime): the run's
 // topology, seed, random source and tracer, the switch state DARD's
-// monitors query (§2.4), and the control-byte and elephant accounting.
-// An engine adds its clock and timers, LinkCapacity, flow storage and
-// routing.
+// monitors query (§2.4) — each link's effective capacity and elephant
+// count — and the control-byte and elephant accounting. An engine adds
+// its clock and timers, flow storage and routing.
 //
 // A route is a flow's full host-to-host link list (AppendRoute). The engine calls
 // ElephantStarted when a flow becomes an elephant, ElephantEnded when an
 // elephant completes, CountElephant(route, -1) and (newRoute, +1)
-// around an active elephant's path switch, and CapacityChanged when a
-// link fails or recovers. Those two hooks feed the port-change list
+// around an active elephant's path switch, and SetLinkDown when a link
+// fails or recovers. Those hooks feed the port-change list
 // AppendChangedPorts drains, so a link's port state must change through
 // them and nowhere else.
 //
@@ -35,6 +35,10 @@ type Core struct {
 	now    func() float64   //dardlint:snapfield the engine's clock, wired by NewCore
 
 	eleCounts []int32 //dardlint:snapfield derived from the active elephants' routes; the restoring engine recounts them through CountElephant
+	// capacity is each link's effective capacity: the graph's nominal
+	// bandwidth, 0 while the link is down. Graph.Validate rejects
+	// non-positive nominal capacities, so 0 means down and nothing else.
+	capacity []float64 //dardlint:snapfield the flow engine's snapshot header carries the failed links at their own offset, through SnapshotLinks and RestoreLinks
 
 	// changed lists, each once, the links whose port state moved since
 	// the last AppendChangedPorts, and marked flags them. Both stay nil
@@ -51,13 +55,19 @@ type Core struct {
 // source, which the engine seeds from seed, and now the engine's clock,
 // read to timestamp trace events; a nil tracer disables tracing.
 func NewCore(net topology.Network, seed int64, seeded rand.Source, tracer trace.Tracer, now func() float64) Core {
+	g := net.Graph()
+	capacity := make([]float64, g.NumLinks())
+	for l := range capacity {
+		capacity[l] = g.Link(topology.LinkID(l)).Capacity
+	}
 	return Core{
 		topo:      net,
 		seed:      seed,
 		rng:       rand.New(seeded),
 		tracer:    trace.OrNop(tracer),
 		now:       now,
-		eleCounts: make([]int32, net.Graph().NumLinks()),
+		eleCounts: make([]int32, len(capacity)),
+		capacity:  capacity,
 	}
 }
 
@@ -177,9 +187,33 @@ func (c *Core) ElephantEnded(route []topology.LinkID) {
 	c.elephants--
 }
 
-// CapacityChanged marks l changed, for an engine whose link just failed
-// or recovered.
-func (c *Core) CapacityChanged(l topology.LinkID) { c.mark(l) }
+// LinkCapacity returns a link's effective bandwidth in bits/s: nominal,
+// 0 while the link is down. It is the bandwidth half of the switch
+// state the paper's monitors query (§2.4.2).
+func (c *Core) LinkCapacity(l topology.LinkID) float64 { return c.capacity[l] }
+
+// LinkDown reports whether l is failed.
+func (c *Core) LinkDown(l topology.LinkID) bool { return c.capacity[l] <= 0 }
+
+// SetLinkDown fails or repairs l: it updates l's effective capacity,
+// marks l changed and traces a LinkFail or LinkRecover at the engine's
+// clock. It returns false, and does nothing, when l is already in that
+// state.
+func (c *Core) SetLinkDown(l topology.LinkID, down bool) bool {
+	if c.LinkDown(l) == down {
+		return false
+	}
+	kind, capacity := trace.KindLinkRecover, c.topo.Graph().Link(l).Capacity
+	if down {
+		kind, capacity = trace.KindLinkFail, 0
+	}
+	c.capacity[l] = capacity
+	c.mark(l)
+	if c.tracer.Enabled() {
+		c.tracer.Emit(trace.Event{T: c.now(), Kind: kind, Flow: -1, Link: int32(l)})
+	}
+	return true
+}
 
 // EmitFlowStart traces a flow's arrival. T is the arrival time, so a
 // FlowEnd's T minus this is bit-for-bit the flow's transfer time.
@@ -219,4 +253,39 @@ func (c *Core) RestoreCounters(dec *snap.Decoder) {
 	c.controlBytes = dec.F64()
 	c.elephants = int(dec.I64())
 	c.peakElephants = int(dec.I64())
+}
+
+// SnapshotLinks encodes the link count and the failed links' IDs in
+// ascending order, in the flow engine's snapshot header.
+func (c *Core) SnapshotLinks(enc *snap.Encoder) {
+	enc.U32(uint32(len(c.capacity)))
+	downs := 0
+	for l := range c.capacity {
+		if c.LinkDown(topology.LinkID(l)) {
+			downs++
+		}
+	}
+	enc.U32(uint32(downs))
+	for l := range c.capacity {
+		if c.LinkDown(topology.LinkID(l)) {
+			enc.U32(uint32(l))
+		}
+	}
+}
+
+// RestoreLinks decodes what SnapshotLinks wrote and fails those links
+// of a fresh Core. A restored failure is state, not an event: it is not
+// traced, and the new change feed's first drain reads it anyway.
+func (c *Core) RestoreLinks(dec *snap.Decoder) error {
+	if n := int(dec.U32()); n != len(c.capacity) && dec.Err() == nil {
+		return fmt.Errorf("snapshot topology has %d links, config topology has %d", n, len(c.capacity))
+	}
+	for i := dec.Count(4); i > 0; i-- {
+		l := dec.U32()
+		if int(l) >= len(c.capacity) {
+			return fmt.Errorf("snapshot fails link %d out of range", l)
+		}
+		c.capacity[l] = 0
+	}
+	return dec.Err()
 }

@@ -131,16 +131,97 @@ func TestCorePortFeedNamesChangedLinks(t *testing.T) {
 	check("elephant moved off", r, func() { c.CountElephant(r, -1) })
 	check("elephant moved off and back on", r, func() { c.CountElephant(r, -1); c.CountElephant(r, +1) })
 	check("elephant removed", r, func() { c.ElephantEnded(r) })
-	check("capacity changed", []topology.LinkID{l}, func() { c.CapacityChanged(l) })
-	check("capacity changed twice and elephant removed", r, func() {
-		c.CapacityChanged(l)
-		c.CapacityChanged(l)
+	check("link failed", []topology.LinkID{l}, func() { c.SetLinkDown(l, true) })
+	check("link failed again", nil, func() { c.SetLinkDown(l, true) })
+	check("link repaired, failed and elephant removed", r, func() {
+		c.SetLinkDown(l, false)
+		c.SetLinkDown(l, true)
 		c.ElephantEnded(r)
 	})
 	check("nothing", nil, func() {})
-	c.CapacityChanged(l)
+	c.SetLinkDown(l, false)
 	if got := c.AppendChangedPorts([]topology.LinkID{99}); !slices.Equal(got, []topology.LinkID{99, l}) {
 		t.Errorf("drain into a non-empty buffer = %v, want [99 %d]", got, l)
+	}
+}
+
+// TestCoreLinkDownOwnsCapacityAndTrace pins SetLinkDown's contract: a
+// change flips the link's effective capacity, marks it in the change
+// feed and traces one LinkFail or LinkRecover with the link at the
+// engine's clock; a repeat returns false and does none of that; and a
+// snapshot's failed links restore silently.
+func TestCoreLinkDownOwnsCapacityAndTrace(t *testing.T) {
+	now := 1.25
+	tr := &switchTracer{on: true}
+	ft, c := newCore(t, tr, &now)
+	l := route(ft, 0, 8, 0)[1]
+	nominal := ft.Graph().Link(l).Capacity
+	if c.LinkDown(l) || c.LinkCapacity(l) != nominal {
+		t.Fatalf("fresh link: down %v, capacity %g; want up at %g", c.LinkDown(l), c.LinkCapacity(l), nominal)
+	}
+	drained(c) // switch the feed on
+	step := func(down, changed bool, at float64, kind trace.Kind) {
+		t.Helper()
+		now = at
+		tr.events = nil
+		if got := c.SetLinkDown(l, down); got != changed {
+			t.Fatalf("SetLinkDown(%v) at %g = %v, want %v", down, at, got, changed)
+		}
+		wantCap, wantFeed, wantEvents := nominal, []topology.LinkID(nil), []trace.Event(nil)
+		if down {
+			wantCap = 0
+		}
+		if changed {
+			wantFeed = []topology.LinkID{l}
+			wantEvents = []trace.Event{{T: at, Kind: kind, Flow: -1, Link: int32(l)}}
+		}
+		if c.LinkDown(l) != down || c.LinkCapacity(l) != wantCap {
+			t.Errorf("after SetLinkDown(%v): down %v, capacity %g; want capacity %g", down, c.LinkDown(l), c.LinkCapacity(l), wantCap)
+		}
+		if got := drained(c); !slices.Equal(got, wantFeed) {
+			t.Errorf("after SetLinkDown(%v): drain named %v, want %v", down, got, wantFeed)
+		}
+		if !slices.Equal(tr.events, wantEvents) {
+			t.Errorf("after SetLinkDown(%v): events %+v, want %+v", down, tr.events, wantEvents)
+		}
+	}
+	step(true, true, 2, trace.KindLinkFail)
+	step(true, false, 3, 0)
+	step(false, true, 4, trace.KindLinkRecover)
+	step(false, false, 5, 0)
+
+	// The failed links survive a snapshot round trip into a fresh Core,
+	// which emits nothing for them and leaves the others nominal.
+	other := route(ft, 1, 9, 1)[2]
+	c.SetLinkDown(l, true)
+	c.SetLinkDown(other, true)
+	enc := snap.NewEncoder(1)
+	c.SnapshotLinks(enc)
+	dec, err := snap.NewDecoder(enc.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtr := &switchTracer{on: true}
+	_, restored := newCore(t, rtr, &now)
+	if err := restored.RestoreLinks(dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range ft.Graph().NumLinks() {
+		lid := topology.LinkID(id)
+		if restored.LinkDown(lid) != (lid == l || lid == other) || restored.LinkCapacity(lid) != c.LinkCapacity(lid) {
+			t.Errorf("restored link %d: down %v, capacity %g; want capacity %g", lid, restored.LinkDown(lid), restored.LinkCapacity(lid), c.LinkCapacity(lid))
+		}
+	}
+	if len(rtr.events) != 0 {
+		t.Errorf("restore emitted %+v, want nothing", rtr.events)
+	}
+	// A restored failure is already in effect: failing it again is a
+	// no-op, and repairing it traces the recovery.
+	if restored.SetLinkDown(l, true) || !restored.SetLinkDown(l, false) || len(rtr.events) != 1 || rtr.events[0].Kind != trace.KindLinkRecover {
+		t.Errorf("restored link: fail/repair events %+v, want one LinkRecover", rtr.events)
 	}
 }
 

@@ -267,7 +267,9 @@ func (n *Net) failDrop(l topology.LinkID, p *Packet) {
 // until the link is repaired. A packet already serializing when the
 // failure hits was committed before the cut and escapes onto the wire
 // (packet-boundary failure semantics); repairing restores the nominal
-// rate with an empty queue.
+// rate with an empty queue. This is the data plane only: the link's
+// effective capacity and its LinkFail/LinkRecover trace events are
+// sched.Core's.
 func (n *Net) SetLinkDown(l topology.LinkID, down bool) {
 	ls := &n.links[l]
 	if ls.down == down {
@@ -282,17 +284,7 @@ func (n *Net) SetLinkDown(l topology.LinkID, down bool) {
 		}
 		ls.queueBits = 0
 	}
-	if n.tracer.Enabled() {
-		kind := trace.KindLinkRecover
-		if down {
-			kind = trace.KindLinkFail
-		}
-		n.tracer.Emit(trace.Event{T: n.K.Now(), Kind: kind, Flow: -1, Link: int32(l)})
-	}
 }
-
-// LinkDown reports whether a directed link is currently failed.
-func (n *Net) LinkDown(l topology.LinkID) bool { return n.links[l].down }
 
 // FailDrops reports the packets a link has lost to failure so far
 // (flushed on link-down plus arrivals while down).
