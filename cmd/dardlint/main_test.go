@@ -97,7 +97,7 @@ func TestAuditOnRepoIsClean(t *testing.T) {
 
 // TestSnapfieldCatchesNewField is the end-to-end mutation test for the
 // snapshot-completeness analyzer: copy the module, grow a registered
-// struct (OpenPoisson) by one field that neither the encoder nor the
+// struct (sched.Core) by one field that neither the encoder nor the
 // decoder knows about, and the sweep must name it. This is the whole
 // point of the registry — a new field cannot land without a checkpoint
 // decision.
@@ -109,32 +109,32 @@ func TestSnapfieldCatchesNewField(t *testing.T) {
 	tmp := t.TempDir()
 	copyFile(t, filepath.Join(root, "go.mod"), filepath.Join(tmp, "go.mod"))
 	for _, dir := range []string{
-		"internal/workload", "internal/detrand", "internal/evq",
-		"internal/fpcmp", "internal/snap", "internal/topology",
+		"internal/sched", "internal/ctlmsg", "internal/detrand",
+		"internal/fpcmp", "internal/snap", "internal/topology", "internal/trace",
 	} {
 		copyDir(t, filepath.Join(root, dir), filepath.Join(tmp, dir))
 	}
 
-	openPath := filepath.Join(tmp, "internal", "workload", "open.go")
-	src, err := os.ReadFile(openPath)
+	corePath := filepath.Join(tmp, "internal", "sched", "core.go")
+	src, err := os.ReadFile(corePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := bytes.Replace(src, []byte("\tnextID int\n"), []byte("\tnextID int\n\tburst  float64\n"), 1)
+	mutated := bytes.Replace(src, []byte("\tpeakElephants int\n"), []byte("\tpeakElephants int\n\tburst         float64\n"), 1)
 	if bytes.Equal(mutated, src) {
-		t.Fatal("mutation anchor `nextID int` not found in open.go")
+		t.Fatal("mutation anchor `peakElephants int` not found in core.go")
 	}
-	if err := os.WriteFile(openPath, mutated, 0o644); err != nil {
+	if err := os.WriteFile(corePath, mutated, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	diags, err := Check(tmp, []string{"./internal/workload"}, []*lint.Analyzer{lint.Snapfield})
+	diags, err := Check(tmp, []string{"./internal/sched"}, []*lint.Analyzer{lint.Snapfield})
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, d := range lint.Unsuppressed(diags) {
-		if d.Analyzer == "snapfield" && strings.Contains(d.Message, "field burst of snapshotted struct OpenPoisson") {
+		if d.Analyzer == "snapfield" && strings.Contains(d.Message, "field burst of snapshotted struct Core") {
 			found = true
 		}
 	}

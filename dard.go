@@ -228,10 +228,9 @@ type Scenario struct {
 	// stream of Poisson arrivals pulled one at a time (flow engine only).
 	// Duration > 0 bounds the arrival window exactly as in batch mode; a
 	// negative Duration streams arrivals indefinitely, so the run ends at
-	// MaxTimeSec with in-flight flows reported unfinished. The stream is
-	// seeded per source host like the batch generator but draws from a
-	// different generator, so a bounded steady run sees a workload of
-	// the same rate and pattern, not the batch run's flows.
+	// MaxTimeSec with in-flight flows reported unfinished. The batch
+	// workload is this stream drained, so a bounded steady run sees the
+	// batch run's flows and, with the same WindowSec, reports the same.
 	Steady bool
 	// WindowSec aggregates completed transfers into tumbling windows of
 	// this width and reports per-window throughput and Jain fairness in
@@ -384,8 +383,8 @@ func (s Scenario) generate(topo *Topology) ([]workload.Flow, error) {
 	return workload.Generate(topo.layout, s.workloadConfig(pattern))
 }
 
-// openArrivals builds the steady-state streaming source over the same
-// per-host substreams the batch generator draws from.
+// openArrivals builds the steady-state streaming source, the stream
+// the batch generator drains.
 func (s Scenario) openArrivals(topo *Topology) (*workload.OpenPoisson, error) {
 	pattern, err := s.pattern(topo)
 	if err != nil {

@@ -7,13 +7,13 @@ import (
 )
 
 func TestDeterministicStream(t *testing.T) {
-	a, b := NewSeeded(42), NewSeeded(42)
+	a, b := NewStd(42), NewStd(42)
 	for i := 0; i < 1000; i++ {
 		if x, y := a.Uint64(), b.Uint64(); x != y {
 			t.Fatalf("streams diverge at draw %d: %x vs %x", i, x, y)
 		}
 	}
-	c := NewSeeded(43)
+	c := NewStd(43)
 	same := 0
 	a.Seed(42)
 	for i := 0; i < 100; i++ {
@@ -26,39 +26,51 @@ func TestDeterministicStream(t *testing.T) {
 	}
 }
 
+// TestStateRoundTrip pins the checkpoint contract: a stream's state is
+// its seed and draw count, so a fresh source replayed to the count
+// continues exactly where the original stood, on either side of the
+// 273-draw closed form and of the first register wrap.
 func TestStateRoundTrip(t *testing.T) {
-	src := NewSeeded(7)
-	for i := 0; i < 17; i++ {
-		src.Uint64()
-	}
-	saved := src.State()
-	want := make([]uint64, 50)
-	for i := range want {
-		want[i] = src.Uint64()
-	}
-	restored := &Source{}
-	restored.SetState(saved)
-	for i := range want {
-		if got := restored.Uint64(); got != want[i] {
-			t.Fatalf("restored stream diverges at draw %d", i)
+	for _, n := range []int{0, 17, stdTap - 1, stdTap, stdTap + 1, stdLen, 3*stdLen + 5} {
+		src := NewStd(7)
+		for i := 0; i < n; i++ {
+			src.Uint64()
+		}
+		saved := src.Draws()
+		if saved != uint64(n) {
+			t.Fatalf("after %d draws Draws() = %d", n, saved)
+		}
+		want := make([]uint64, 50)
+		for i := range want {
+			want[i] = src.Uint64()
+		}
+		restored := NewStd(7)
+		restored.Replay(saved)
+		for i := range want {
+			if got := restored.Uint64(); got != want[i] {
+				t.Fatalf("restored at %d: stream diverges at draw %d", n, i)
+			}
+		}
+		if restored.Draws() != src.Draws() {
+			t.Fatalf("restored at %d: Draws() %d, original %d", n, restored.Draws(), src.Draws())
 		}
 	}
 }
 
 // TestRandRandLayering pins the property the checkpoint codec relies on:
 // rand.Rand keeps no hidden state for the distribution methods the
-// simulator uses, so capturing the Source's state mid-stream and
-// layering a fresh rand.Rand on the restored source reproduces the
-// original draws exactly.
+// simulator uses, so replaying a fresh Std to the draw count and
+// layering a fresh rand.Rand on it reproduces the original draws
+// exactly.
 func TestRandRandLayering(t *testing.T) {
-	seededSrc := NewSeeded(99)
+	seededSrc := NewStd(99)
 	rng := rand.New(seededSrc)
-	for i := 0; i < 31; i++ {
+	for i := 0; i < 131; i++ {
 		rng.Float64()
 		rng.Intn(17)
 		rng.ExpFloat64()
 	}
-	saved := seededSrc.State()
+	saved := seededSrc.Draws()
 
 	type draw struct {
 		f float64
@@ -70,8 +82,8 @@ func TestRandRandLayering(t *testing.T) {
 		want[i] = draw{rng.Float64(), rng.Intn(17), rng.ExpFloat64()}
 	}
 
-	restoredSrc := &Source{}
-	restoredSrc.SetState(saved)
+	restoredSrc := NewStd(99)
+	restoredSrc.Replay(saved)
 	rng2 := rand.New(restoredSrc)
 	for i := range want {
 		got := draw{rng2.Float64(), rng2.Intn(17), rng2.ExpFloat64()}
@@ -82,7 +94,7 @@ func TestRandRandLayering(t *testing.T) {
 }
 
 func TestInt63NonNegative(t *testing.T) {
-	src := NewSeeded(-1)
+	src := NewStd(-1)
 	for i := 0; i < 1000; i++ {
 		if v := src.Int63(); v < 0 {
 			t.Fatalf("Int63 returned negative %d", v)
@@ -145,21 +157,56 @@ func TestStdMatchesMathRand(t *testing.T) {
 	}
 }
 
+// checkStdReplay replays got to draw n of seed's stream and compares
+// its count and its next draws with math/rand's source advanced n
+// draws.
+func checkStdReplay(t *testing.T, seed int64, got *Std, n int, mix uint64) {
+	t.Helper()
+	got.Replay(uint64(n))
+	if got.Draws() != uint64(n) {
+		t.Fatalf("seed %d: Replay(%d) left Draws() = %d", seed, n, got.Draws())
+	}
+	want := rand.NewSource(seed).(rand.Source64)
+	for range n {
+		want.Int63()
+	}
+	checkStdStream(t, seed, want, got, stdLen+1, mix)
+	if got.Draws() != uint64(n+stdLen+1) {
+		t.Fatalf("seed %d: %d draws after Replay(%d) left Draws() = %d", seed, stdLen+1, n, got.Draws())
+	}
+}
+
 // FuzzStdMatchesMathRand compares Std with math/rand's source for
 // arbitrary seeds, draw counts and Int63/Uint64 mixes, reseeding both
-// mid-stream.
+// mid-stream, and replays Std forward and back to counts on both sides
+// of draw 273 (where the register is first filled) and of the first
+// wrap at 607.
 func FuzzStdMatchesMathRand(f *testing.F) {
 	for i, seed := range stdSeeds {
-		f.Add(seed, uint16(i*97), uint64(i)*0x9e3779b97f4a7c15, seed+1)
+		f.Add(seed, uint16(i*97), uint64(i)*0x9e3779b97f4a7c15, seed+1, uint16(i*61))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, draws uint16, mix uint64, reseed int64) {
+	for _, n := range []uint16{stdTap - 1, stdTap, stdTap + 1, stdLen - 1, stdLen, stdLen + stdTap} {
+		f.Add(int64(n), n, uint64(n), int64(n)<<20, n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, mix uint64, reseed int64, replay uint16) {
 		n := int(draws) % (4 * stdLen)
 		want := rand.NewSource(seed).(rand.Source64)
 		got := NewStd(seed)
+		if got.Draws() != 0 {
+			t.Fatalf("seed %d: fresh Draws() = %d", seed, got.Draws())
+		}
 		checkStdStream(t, seed, want, got, n, mix)
+		if got.Draws() != uint64(n) {
+			t.Fatalf("seed %d: %d draws left Draws() = %d", seed, n, got.Draws())
+		}
 		want.Seed(reseed)
 		got.Seed(reseed)
 		checkStdStream(t, reseed, want, got, stdLen+n, ^mix)
+		// got now stands past the first wrap: replaying to m goes back
+		// to the seed, and replaying on to m+k goes forward from there.
+		m := int(replay) % (3 * stdLen)
+		checkStdReplay(t, reseed, got, m, mix)
+		checkStdReplay(t, reseed, got, m+n, ^mix)
 	})
 }
 

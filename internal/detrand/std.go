@@ -9,7 +9,7 @@ const (
 	stdMul  = 48271     // Lehmer multiplier
 	stdMask = 1<<63 - 1 // Int63's mask
 	stdZero = 89482311  // math/rand's stand-in for a zero seed
-	stdMark = stdLen/64 + 1
+	stdFeed = stdLen - stdTap
 )
 
 // stdPow[i] is stdMul^(21+3i) mod stdMod: the jump from a seed to the
@@ -27,30 +27,41 @@ var stdPow = func() (pow [stdLen]uint64) {
 	return pow
 }()
 
-// Std is math/rand's default generator with O(1) seeding: for every
-// seed its stream is bit for bit the one rand.NewSource(seed) produces,
-// through Int63 and Uint64 alike.
+// Std is math/rand's default generator with O(1) seeding and no
+// register until a stream is long: for every seed its stream is bit for
+// bit the one rand.NewSource(seed) produces, through Int63 and Uint64
+// alike.
 //
 // math/rand seeds its additive lagged-Fibonacci register by running a
 // Lehmer generator 1,841 steps to fill all 607 words, although a
-// workload host may draw only a handful of numbers. Std instead fills a
-// word the first time the generator reads it: word i takes the Lehmer
-// values 21+3i to 23+3i, reached by one multiplication with a
-// precomputed power, and XORs in math/rand's table for that word.
-// Seeding only resets the tap positions and the materialised mask, so a
-// caller that needs many short streams can reseed one Std instead of
-// allocating a 5 KB source per stream.
+// workload host draws only a handful of numbers. Draw j adds register
+// words 333-j (the feed, which it overwrites) and 606-j (the tap). For
+// j < 273 neither word has been written yet, so draw j is the sum of
+// two seeded words, and a seeded word is three Lehmer values, each one
+// multiplication with a precomputed power away from the seed, XORed with
+// math/rand's table. Std computes those first 273 draws from the seed
+// and the draw count alone. Draw 273 reads word 333, which draw 0 wrote:
+// there Std fills the whole register once, applies the 273 writes it
+// skipped, and from then on runs math/rand's own loop.
+//
+// So a Std is its seed, its draw count and, past 273 draws, a pointer
+// to the register (4.9 KB, allocated once and kept across Seed). Replay
+// repositions a stream by count, which is how checkpoints restore one.
+// Copies of a Std that has drawn past 273 share that register, so copy
+// only fresh or short streams.
 //
 // The zero value is not seeded; use NewStd or Seed. Std is not safe for
 // concurrent use.
 type Std struct {
+	seed  uint64 // normalised to [1, stdMod)
+	draws uint64
+	reg   *stdReg // math/rand's register, valid once draws > stdTap
+}
+
+// stdReg is math/rand's register and its two read positions.
+type stdReg struct {
 	tap, feed int
-	// cold counts the draws left until the feed index has read, and so
-	// filled, every word; from then on Uint64 is math/rand's own loop.
-	cold int
-	seed uint64          // normalised to [1, stdMod)
-	have [stdMark]uint64 // bit i: word i filled since the last Seed
-	vec  [stdLen]int64   // the lagged-Fibonacci register
+	vec       [stdLen]int64
 }
 
 // NewStd returns a source positioned at the start of the stream
@@ -66,8 +77,6 @@ func NewStd(seed int64) *Std {
 // the seed is taken modulo 2^31-1, negative remainders are wrapped, and
 // zero becomes 89482311.
 func (s *Std) Seed(seed int64) {
-	s.tap = 0
-	s.feed = stdLen - stdTap
 	seed %= stdMod
 	if seed < 0 {
 		seed += stdMod
@@ -76,60 +85,82 @@ func (s *Std) Seed(seed int64) {
 		seed = stdZero
 	}
 	s.seed = uint64(seed)
-	s.cold = stdLen
-	s.have = [stdMark]uint64{}
+	s.draws = 0
+}
+
+// Draws returns how many values the source has produced since Seed.
+func (s *Std) Draws() uint64 { return s.draws }
+
+// Replay positions the source at draw n of its seed's stream, as if it
+// had produced n values since Seed. Up to 273 it only sets the count;
+// past it, it draws the difference, from the seed if n lies behind the
+// current position. Int63 and Uint64 advance the stream alike, so a
+// count restores a stream whatever mix of calls produced it.
+func (s *Std) Replay(n uint64) {
+	if n < s.draws {
+		s.draws = 0
+	}
+	if s.draws < stdTap {
+		s.draws = min(n, stdTap)
+	}
+	for s.draws < n {
+		s.Uint64()
+	}
 }
 
 // Uint64 returns the next 64 random bits.
 func (s *Std) Uint64() uint64 {
-	if s.cold > 0 {
-		return s.coldUint64()
+	j := s.draws
+	s.draws++
+	if j < stdTap {
+		return uint64(s.word(stdFeed-1-int(j)) + s.word(stdLen-1-int(j)))
 	}
-	s.tap--
-	if s.tap < 0 {
-		s.tap += stdLen
+	if j == stdTap {
+		s.fill()
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += stdLen
+	r := s.reg
+	r.tap--
+	if r.tap < 0 {
+		r.tap += stdLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	r.feed--
+	if r.feed < 0 {
+		r.feed += stdLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
 	return uint64(x)
 }
 
-// coldUint64 is Uint64 while some register word may be unread: it
-// fills each word on its first read.
-func (s *Std) coldUint64() uint64 {
-	s.cold--
-	s.tap--
-	if s.tap < 0 {
-		s.tap += stdLen
+// fill builds the register as math/rand's would stand after the first
+// 273 draws: every word seeded, and the feed words those draws wrote
+// holding their sums.
+func (s *Std) fill() {
+	if s.reg == nil {
+		s.reg = new(stdReg)
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += stdLen
+	r := s.reg
+	for i := range r.vec {
+		r.vec[i] = s.word(i)
 	}
-	x := s.word(s.feed) + s.word(s.tap)
-	s.vec[s.feed] = x
-	return uint64(x)
+	for j := range stdTap {
+		r.vec[stdFeed-1-j] += r.vec[stdLen-1-j]
+	}
+	r.tap = stdLen - stdTap
+	r.feed = stdFeed - stdTap
 }
 
-// word returns register word i, computing it on first read as
-// math/rand's seeding writes it: three consecutive Lehmer values packed
-// at bit offsets 40, 20 and 0, XORed with the cooked table.
+// word returns register word i as math/rand's seeding writes it: three
+// consecutive Lehmer values packed at bit offsets 40, 20 and 0, XORed
+// with the cooked table.
 func (s *Std) word(i int) int64 {
-	if s.have[i>>6]&(1<<(i&63)) == 0 {
-		s.have[i>>6] |= 1 << (i & 63)
-		x := s.seed * stdPow[i] % stdMod
-		u := x << 40
-		x = x * stdMul % stdMod
-		u ^= x << 20
-		x = x * stdMul % stdMod
-		u ^= x
-		s.vec[i] = int64(u) ^ stdCooked[i]
-	}
-	return s.vec[i]
+	x := s.seed * stdPow[i] % stdMod
+	u := x << 40
+	x = x * stdMul % stdMod
+	u ^= x << 20
+	x = x * stdMul % stdMod
+	u ^= x
+	return int64(u) ^ stdCooked[i]
 }
 
 // Int63 returns the next 63 random bits as a non-negative int64.

@@ -84,11 +84,6 @@ type Sim struct {
 	// (nil when the policy observes nothing).
 	obs sched.Observer //dardlint:snapfield derived from Config.Controller by New; a restored run re-derives it
 
-	// rngSrc is the raw source under Rand. It counts draws so a
-	// checkpoint can record the stream position and restore replays to
-	// it — behavior is bit-identical to the plain math/rand source.
-	rngSrc *countedSource
-
 	now float64
 	// slabs hold all Flow structs in fixed-size chunks indexed by
 	// workload flow ID (flowAt). Chunking keeps every *Flow stable while
@@ -97,9 +92,8 @@ type Sim struct {
 	slabs    [][]Flow
 	flows    []*Flow //dardlint:snapfield by-workload-ID index into slabs (nil until arrival); restore rebuilds it flow by flow
 	active   []*Flow
-	arrivals ArrivalSource
-	sliceSrc *sliceSource // non-nil when arrivals wraps Config.Flows
-	arrived  int          // flows consumed from the source == next expected ID
+	arrivals ArrivalSource //dardlint:snapfield rebuilt from the Config; restore replays it to the header's arrived count, checking each flow against its record
+	arrived  int           // flows consumed from the source == next expected ID
 	timers   evq.Queue[timer]
 	timerSeq int64
 
@@ -203,7 +197,6 @@ func New(cfg Config) (*Sim, error) {
 	g := cfg.Net.Graph()
 	s := &Sim{
 		cfg:       cfg,
-		rngSrc:    newCountedSource(cfg.Seed),
 		pauseAt:   -1,
 		residual:  make([]float64, g.NumLinks()),
 		unfrozen:  make([]int32, g.NumLinks()),
@@ -212,13 +205,12 @@ func New(cfg Config) (*Sim, error) {
 		linkSeen:  make([]uint64, g.NumLinks()),
 		lheap:     newLinkHeap(g.NumLinks()),
 	}
-	s.Core = sched.NewCore(cfg.Net, cfg.Seed, s.rngSrc, cfg.Tracer, s.Now)
+	s.Core = sched.NewCore(cfg.Net, cfg.Seed, cfg.Tracer, s.Now)
 	s.obs, _ = cfg.Controller.(sched.Observer)
 	if cfg.Arrivals != nil {
 		s.arrivals = cfg.Arrivals
 	} else {
-		s.sliceSrc = &sliceSource{flows: cfg.Flows}
-		s.arrivals = s.sliceSrc
+		s.arrivals = &sliceSource{flows: cfg.Flows}
 	}
 	s.growFlows(len(cfg.Flows))
 	if cfg.Reference {

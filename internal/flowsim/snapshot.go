@@ -3,9 +3,9 @@ package flowsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
-	"dard/internal/detrand"
 	"dard/internal/evq"
 	"dard/internal/sched"
 	"dard/internal/snap"
@@ -27,8 +27,11 @@ import (
 //     iterating it, and float addition is order-sensitive),
 //   - link failure state, control-byte and elephant accounting,
 //   - the pending timers' (at, seq) keys and rebuild descriptors,
-//   - the arrival source's position and the controller's private state.
+//   - the controller's private state.
 //
+// The arrival source is not in the list: it is a pure function of the
+// Config, so restore replays it to the arrived count instead, and the
+// flow records double as the check that it was built the same way.
 // Everything else is reconstructible: per-link membership lists are
 // rebuilt by re-attaching active flows — maxmin.go's header proves
 // membership ORDER cannot affect the arithmetic — and the completion
@@ -39,8 +42,28 @@ import (
 // the uninterrupted run; the facade's checkpoint equivalence test pins
 // byte-identical reports for every scheduler.
 
-// SnapVersion is the engine snapshot format version.
-const SnapVersion uint16 = 1
+// SnapVersion is the engine snapshot format version. Version 2 dropped
+// the arrival-source section: restore replays the source instead.
+const SnapVersion uint16 = 2
+
+// MaxRandDraws caps the RNG draw count a snapshot may carry: Restore
+// replays the stream draw by draw, about 4 ns each, so a forged header
+// costs at most about 70 ms. The largest count any checkpoint in this
+// repository reaches is 298 (a DARD run of the facade's checkpoint
+// tests; perfbench serve-jobs' reach 6), and a pVLB run draws about
+// once per flow and re-pick, so the cap leaves room for runs four
+// orders of magnitude longer. Snapshot refuses a run past the cap
+// rather than write a checkpoint Restore would refuse.
+const MaxRandDraws = 1 << 24
+
+// ErrRandDraws marks a snapshot whose RNG draw count exceeds
+// MaxRandDraws.
+var ErrRandDraws = errors.New("flowsim: RNG draw count above MaxRandDraws")
+
+// flowRecordMin is the smallest encoded flow record: an inactive
+// flow's endpoints, size, arrival, finish, path index, path length and
+// flags.
+const flowRecordMin = 5*8 + 2*4 + 1
 
 // ErrPaused is returned by RunContext when a pause was requested. The
 // run's state is intact: Snapshot it, call RunContext again, or both.
@@ -94,54 +117,11 @@ type SnapshotController interface {
 	RebuildTimer(h sched.Host, ref sched.TimerRef) (func(), error)
 }
 
-// countedSource wraps math/rand's default stream (detrand.Std) and
-// counts raw draws. The stream is a pure function of the seed, so
-// (seed, draws) is a complete serialization of its state: restore
-// replays draws from a fresh source. Keeping the stock stream (rather
-// than swapping in a directly serializable one) preserves every
-// historical run bit for bit.
-//
-//dardsnap:fields encoder=Sim.Snapshot decoder=Sim.restore
-type countedSource struct {
-	src   *detrand.Std //dardlint:snapfield the stream is a pure function of (seed, draws); restore replays a fresh source
-	draws uint64
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: detrand.NewStd(seed)}
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
-
-// replayTo advances a fresh source to the given draw count. Int63 and
-// Uint64 advance the underlying generator identically, so the mix of
-// calls that produced the count does not matter.
-func (c *countedSource) replayTo(draws uint64) {
-	for c.draws < draws {
-		c.draws++
-		c.src.Int63()
-	}
-}
-
 // Section tags of the snapshot layout.
 const (
 	secHeader     = 'H'
 	secFlows      = 'F'
 	secActive     = 'A'
-	secArrivals   = 'W'
 	secController = 'C'
 	secTimers     = 'T'
 )
@@ -158,13 +138,16 @@ const (
 // always encodes identically — and carry a CRC; Restore rejects
 // corruption.
 func (s *Sim) Snapshot() ([]byte, error) {
+	if d := s.RandDraws(); d > MaxRandDraws {
+		return nil, fmt.Errorf("%w: %w (the run has drawn %d)", ErrUnsnapshottable, ErrRandDraws, d)
+	}
 	enc := snap.NewEncoder(SnapVersion)
 
 	enc.Mark(secHeader)
 	enc.F64(s.now)
 	enc.I64(s.timerSeq)
 	enc.I64(s.events)
-	enc.U64(s.rngSrc.draws)
+	enc.U64(s.RandDraws())
 	s.Core.SnapshotCounters(enc)
 	enc.F64(s.nextProbe)
 	enc.Bool(s.started)
@@ -204,19 +187,6 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	enc.U32(uint32(len(s.active)))
 	for _, f := range s.active {
 		enc.U32(uint32(f.ID))
-	}
-
-	enc.Mark(secArrivals)
-	if s.sliceSrc != nil {
-		enc.U8(0)
-		s.sliceSrc.SnapshotState(enc)
-	} else {
-		src, ok := s.arrivals.(SnapshotArrivalSource)
-		if !ok {
-			return nil, fmt.Errorf("%w: arrival source %T cannot checkpoint", ErrUnsnapshottable, s.arrivals)
-		}
-		enc.U8(1)
-		src.SnapshotState(enc)
 	}
 
 	enc.Mark(secController)
@@ -310,21 +280,29 @@ func (s *Sim) restore(data []byte) error {
 	if ctlName != s.cfg.Controller.Name() {
 		return fmt.Errorf("snapshot controller %q does not match config controller %q", ctlName, s.cfg.Controller.Name())
 	}
-	g := s.Topo().Graph()
-	if arrived < 0 || (s.sliceSrc != nil && arrived > len(s.sliceSrc.flows)) {
-		return fmt.Errorf("snapshot arrived count %d out of range", arrived)
+	if rngDraws > MaxRandDraws {
+		return fmt.Errorf("%w: snapshot records %d draws, above the cap of %d", ErrRandDraws, rngDraws, MaxRandDraws)
+	}
+	// Every flow record takes at least flowRecordMin bytes, so the blob
+	// bounds the count before the flow tables grow to it.
+	if arrived < 0 || arrived > dec.Remaining()/flowRecordMin {
+		return fmt.Errorf("snapshot arrived count %d out of range for %d bytes of records", arrived, dec.Remaining())
 	}
 	s.now = now
 	s.timerSeq = timerSeq
 	s.events = events
 	s.nextProbe = nextProbe
-	s.rngSrc.replayTo(rngDraws)
+	s.ReplayRand(rngDraws)
 
+	// The arrival source is rebuilt from the Config: replay the arrived
+	// flows through it, and require each to be the flow the snapshot
+	// recorded, which is also what validates the records' endpoints.
 	dec.Expect(secFlows)
 	s.growFlows(arrived)
 	s.arrived = arrived
-	hostMax := topology.NodeID(g.NumNodes())
+	hosts := s.Topo().Hosts()
 	activeFlagged := 0
+	prev := 0.0
 	for id := 0; id < arrived; id++ {
 		src := topology.NodeID(dec.I64())
 		dst := topology.NodeID(dec.I64())
@@ -337,11 +315,19 @@ func (s *Sim) restore(data []byte) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if src < 0 || src >= hostMax || dst < 0 || dst >= hostMax {
-			return fmt.Errorf("snapshot flow %d references node out of range", id)
+		wf, ok := s.arrivals.Next()
+		if !ok {
+			return fmt.Errorf("snapshot records %d arrivals, the workload ends after %d", arrived, id)
 		}
-		if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
-			return fmt.Errorf("snapshot flow %d endpoints are not hosts", id)
+		if err := wf.Check(id, len(hosts), prev); err != nil {
+			return err
+		}
+		prev = wf.Arrival
+		if src != hosts[wf.Src] || dst != hosts[wf.Dst] ||
+			math.Float64bits(sizeBits) != math.Float64bits(wf.SizeBits) ||
+			math.Float64bits(arrival) != math.Float64bits(wf.Arrival) {
+			return fmt.Errorf("snapshot flow %d (node %d -> %d, %g bits at %g) is not the workload's (node %d -> %d, %g bits at %g)",
+				id, src, dst, sizeBits, arrival, hosts[wf.Src], hosts[wf.Dst], wf.SizeBits, wf.Arrival)
 		}
 		f := s.flowAt(id)
 		*f = Flow{
@@ -415,37 +401,6 @@ func (s *Sim) restore(data []byte) error {
 		if f.Elephant {
 			s.CountElephant(f.links, +1)
 		}
-	}
-
-	dec.Expect(secArrivals)
-	kind := dec.U8()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	switch kind {
-	case 0:
-		if s.sliceSrc == nil {
-			return fmt.Errorf("snapshot has a finite workload, config has a generated one")
-		}
-		if err := s.sliceSrc.RestoreState(dec); err != nil {
-			return err
-		}
-		if s.sliceSrc.pos != arrived {
-			return fmt.Errorf("snapshot arrival position %d does not match arrived count %d", s.sliceSrc.pos, arrived)
-		}
-	case 1:
-		if s.sliceSrc != nil {
-			return fmt.Errorf("snapshot has a generated workload, config has a finite one")
-		}
-		src, ok := s.arrivals.(SnapshotArrivalSource)
-		if !ok {
-			return fmt.Errorf("%w: arrival source %T cannot restore", ErrUnsnapshottable, s.arrivals)
-		}
-		if err := src.RestoreState(dec); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("snapshot arrival source kind %d unknown", kind)
 	}
 
 	dec.Expect(secController)

@@ -2,6 +2,8 @@ package flowsim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -58,7 +60,9 @@ func snapFuzzConfig(net topology.Network, g *topology.Graph) Config {
 // once more — decode(encode) is the identity on the codec's image. The
 // seed corpus holds genuine snapshots taken at several pause points of
 // a real run, so the fuzzer mutates from live formats rather than only
-// garbage.
+// garbage. Nearly every mutation here fails the CRC, so the frame
+// checks are what this target exercises; FuzzSnapshotSemantics
+// re-CRCs its mutations to reach the checks behind it.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
 	if err != nil {
@@ -96,6 +100,56 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("restored sim cannot snapshot: %v", err)
 		}
 		again, err := Restore(snapFuzzConfig(ft, g), b1)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		b2, err := again.Snapshot()
+		if err != nil {
+			t.Fatalf("second restore cannot snapshot: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("snapshot round-trip is not idempotent:\n  first:  %x\n  second: %x", b1, b2)
+		}
+	})
+}
+
+// FuzzSnapshotSemantics mutates a snapshot's body and recomputes its
+// CRC, so every mutation passes the frame check that stops almost all
+// of FuzzSnapshotRoundTrip's inputs and lands on Restore's semantic
+// checks: the RNG draw cap, the arrived bound, the replayed-flow
+// comparison, section marks, the active list and the timers. The
+// property is FuzzSnapshotRoundTrip's: reject with an error, or accept
+// a state that re-encodes byte-identically; never panic or hang. The
+// seeds are batch and steady snapshots (kind 0 and 1) at several pause
+// points, minus their CRC trailers.
+func FuzzSnapshotSemantics(f *testing.F) {
+	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	configs := []func(t testing.TB) Config{
+		func(testing.TB) Config { return snapFuzzConfig(ft, ft.Graph()) },
+		func(t testing.TB) Config { return steadySnapConfig(t, ft, 42, 0) },
+	}
+	for kind, mk := range configs {
+		for _, pauseAt := range []int64{1, 17, 61, 97} {
+			_, blob := pausedSnapshot(f, mk(f), pauseAt)
+			f.Add(uint8(kind), blob[:len(blob)-4])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		mk := configs[int(kind)%len(configs)]
+		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+		sim, err := Restore(mk(t), data)
+		if err != nil {
+			return
+		}
+		b1, err := sim.Snapshot()
+		if err != nil {
+			t.Fatalf("restored sim cannot snapshot: %v", err)
+		}
+		again, err := Restore(mk(t), b1)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
 		}

@@ -11,8 +11,8 @@ import (
 // or field whose name contains "seed", or a call to a seed-derivation
 // helper (CellSeed, parallel.Seed — any function whose name contains
 // "seed"). The seeded calls are math/rand's New and NewSource, detrand's
-// constructors (NewStd, NewSeeded) and the Seed method of detrand's
-// sources, which reseeds a reused source in place. Arithmetic mixing a
+// constructor NewStd and Std's Seed method, which reseeds a reused or
+// value-held source in place. Arithmetic mixing a
 // seed with a stream index (cfg.Seed + int64(src)*7919) is fine; what
 // is not fine is a seed conjured from thin air — a loop counter, a hash
 // of mutable state, or anything touching the time package. Such seeds
@@ -60,8 +60,7 @@ func runSeedFlow(pass *Pass) {
 
 // seededCall reports whether call makes or reseeds a random source from
 // its argument, returning the callee as diagnostics name it:
-// "rand.New", "rand.NewSource", "detrand.NewStd", "detrand.NewSeeded",
-// "detrand.Std.Seed" or "detrand.Source.Seed".
+// "rand.New", "rand.NewSource", "detrand.NewStd" or "detrand.Std.Seed".
 func seededCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -76,7 +75,7 @@ func seededCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "rand." + fn.Name(), true
 	case fn.Pkg().Name() != "detrand":
 		return "", false
-	case fn.Name() == "NewStd" || fn.Name() == "NewSeeded":
+	case fn.Name() == "NewStd":
 		return "detrand." + fn.Name(), true
 	case fn.Name() == "Seed":
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {

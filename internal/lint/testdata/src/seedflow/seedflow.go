@@ -40,26 +40,26 @@ func bad(p Params, i int, now time.Time) {
 // detrand's constructors and Seed methods are seeded calls too: moving
 // a stream from rand.NewSource onto detrand keeps its seed checked.
 func goodDetrand(p Params, seed int64, src int) {
-	_ = rand.New(detrand.NewStd(seed))              // inner constructor checks its own seed
-	_ = detrand.NewSeeded(CellSeed(p.Seed, "cell")) // derivation helper
+	_ = rand.New(detrand.NewStd(seed))           // inner constructor checks its own seed
+	_ = detrand.NewStd(CellSeed(p.Seed, "cell")) // derivation helper
 	seeded := detrand.NewStd(p.Seed)
 	seeded.Seed(p.Seed + int64(src)*7919) // reseed a reused source per stream
 	_ = rand.New(seeded)                  // seed-named source, as before
-	var mix detrand.Source
-	mix.Seed(seed)
+	var held detrand.Std
+	held.Seed(seed) // a source held by value
 }
 
 func badDetrand(i int, now time.Time) {
 	_ = detrand.NewStd(int64(i))                // want `detrand.NewStd seed does not trace back`
-	_ = detrand.NewSeeded(now.UnixNano())       // want `detrand.NewSeeded seed contains a non-seed call`
-	_ = rand.New(detrand.NewSeeded(int64(i)))   // want `detrand.NewSeeded seed does not trace back`
+	_ = detrand.NewStd(now.UnixNano())          // want `detrand.NewStd seed contains a non-seed call`
+	_ = rand.New(detrand.NewStd(int64(i)))      // want `detrand.NewStd seed does not trace back`
 	_ = rand.New(detrand.NewStd(hash("state"))) // want `detrand.NewStd seed contains a non-seed call`
 	std := detrand.NewStd(1)
 	std.Seed(int64(i))              // want `detrand.Std.Seed seed does not trace back`
 	std.Seed(time.Now().UnixNano()) // want `detrand.Std.Seed seed contains a non-seed call or wall-clock read`
 	_ = rand.New(std)               // want `rand.New seed does not trace back`
-	var mix detrand.Source
-	mix.Seed(int64(i)) // want `detrand.Source.Seed seed does not trace back`
+	var held detrand.Std
+	held.Seed(int64(i)) // want `detrand.Std.Seed seed does not trace back`
 }
 
 func suppressed(i int) {

@@ -15,7 +15,6 @@ import (
 	"math"
 	"slices"
 
-	"dard/internal/detrand"
 	"dard/internal/fpcmp"
 	"dard/internal/metrics"
 	"dard/internal/sched"
@@ -132,7 +131,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	rt.net = net
-	rt.Core = sched.NewCore(cfg.Topo, cfg.Seed, detrand.NewStd(cfg.Seed), cfg.Tracer, net.K.Now)
+	rt.Core = sched.NewCore(cfg.Topo, cfg.Seed, cfg.Tracer, net.K.Now)
 	rt.obs, _ = cfg.Policy.(sched.Observer)
 	if rt.Tracer().Enabled() {
 		rt.net.SetTracer(rt.Tracer())

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"dard/internal/detrand"
 	"dard/internal/snap"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -30,7 +31,8 @@ import (
 type Core struct {
 	topo   topology.Network //dardlint:snapfield configuration, not state; the restoring engine rebuilds its Core from the run's Config
 	seed   int64            //dardlint:snapfield configuration; the flow engine checks it against its snapshot header itself
-	rng    *rand.Rand       //dardlint:snapfield wraps the engine's source, whose stream position the engine checkpoints
+	src    *detrand.Std     //dardlint:snapfield the flow engine's snapshot header carries its draw count at its own offset, through RandDraws and ReplayRand
+	rng    *rand.Rand       //dardlint:snapfield wraps src, whose draw count is the stream's whole position
 	tracer trace.Tracer     //dardlint:snapfield never nil (Nop when tracing is off); the restored run injects its own sink
 	now    func() float64   //dardlint:snapfield the engine's clock, wired by NewCore
 
@@ -51,18 +53,20 @@ type Core struct {
 	peakElephants int
 }
 
-// NewCore builds the core of a run on net. seeded is the run's random
-// source, which the engine seeds from seed, and now the engine's clock,
-// read to timestamp trace events; a nil tracer disables tracing.
-func NewCore(net topology.Network, seed int64, seeded rand.Source, tracer trace.Tracer, now func() float64) Core {
+// NewCore builds the core of a run on net: its random source is
+// math/rand's stream for seed (detrand.Std), and now is the engine's
+// clock, read to timestamp trace events; a nil tracer disables tracing.
+func NewCore(net topology.Network, seed int64, tracer trace.Tracer, now func() float64) Core {
 	g := net.Graph()
 	capacity := make([]float64, g.NumLinks())
 	for l := range capacity {
 		capacity[l] = g.Link(topology.LinkID(l)).Capacity
 	}
+	seeded := detrand.NewStd(seed)
 	return Core{
 		topo:      net,
 		seed:      seed,
+		src:       seeded,
 		rng:       rand.New(seeded),
 		tracer:    trace.OrNop(tracer),
 		now:       now,
@@ -98,6 +102,14 @@ func (c *Core) Seed() int64 { return c.seed }
 
 // Rand returns the run's deterministic random source.
 func (c *Core) Rand() *rand.Rand { return c.rng }
+
+// RandDraws returns how many values the run's random source has
+// produced: with the seed, its whole position.
+func (c *Core) RandDraws() uint64 { return c.src.Draws() }
+
+// ReplayRand positions a fresh run's random source at draw n, where a
+// checkpointed run's RandDraws stood.
+func (c *Core) ReplayRand(n uint64) { c.src.Replay(n) }
 
 // Tracer returns the run's tracer (never nil; Nop when tracing is off).
 func (c *Core) Tracer() trace.Tracer { return c.tracer }

@@ -27,7 +27,7 @@ func (s *switchTracer) Sample(trace.Metric, int64, float64, float64) {}
 func newCore(t *testing.T, tr trace.Tracer, now *float64) (*topology.FatTree, *sched.Core) {
 	t.Helper()
 	ft := fatTree(t)
-	c := sched.NewCore(ft, 7, rand.NewSource(7), tr, func() float64 { return *now })
+	c := sched.NewCore(ft, 7, tr, func() float64 { return *now })
 	return ft, &c
 }
 

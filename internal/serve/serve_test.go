@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -634,6 +636,57 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	if code, body := h.doRaw("POST", "/jobs/restore", blob); code != http.StatusCreated {
 		t.Fatalf("unbroken checkpoint: %d %s, want 201", code, body)
+	}
+}
+
+// TestRestoreRefusesForgedDrawCount: a checkpoint whose engine blob
+// claims 2^62 RNG draws, its CRC recomputed so the frame check passes,
+// is answered 400 at once instead of replaying the stream in the
+// handler for ever; the same checkpoint re-encoded unedited restores.
+func TestRestoreRefusesForgedDrawCount(t *testing.T) {
+	h := newHarness(t, serve.Options{})
+	id := h.submit(testScenario(13), 30)
+	h.await(id, "checkpointed", func(st status) bool { return st.Checkpointed })
+	_, blob := h.do("GET", "/jobs/"+id+"/checkpoint", nil)
+
+	// withDraws re-encodes the checkpoint with the engine blob's draw
+	// count (after the frame header, section mark, clock, timer
+	// sequence and event count) set to draws, or unedited when negative.
+	withDraws := func(draws int64) []byte {
+		var wire, sess map[string]json.RawMessage
+		var session, engine []byte
+		must := func(err error) {
+			if err != nil {
+				t.Helper()
+				t.Fatal(err)
+			}
+		}
+		must(json.Unmarshal(blob, &wire))
+		must(json.Unmarshal(wire["session"], &session))
+		must(json.Unmarshal(session, &sess))
+		must(json.Unmarshal(sess["engine"], &engine))
+		if draws >= 0 {
+			binary.LittleEndian.PutUint64(engine[6+1+3*8:], uint64(draws))
+			n := len(engine) - 4
+			binary.LittleEndian.PutUint32(engine[n:], crc32.ChecksumIEEE(engine[:n]))
+		}
+		var err error
+		sess["engine"], err = json.Marshal(engine)
+		must(err)
+		session, err = json.Marshal(sess)
+		must(err)
+		wire["session"], err = json.Marshal(session)
+		must(err)
+		out, err := json.Marshal(wire)
+		must(err)
+		return out
+	}
+	code, body := h.doRaw("POST", "/jobs/restore", withDraws(1<<62))
+	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("draw count")) {
+		t.Errorf("forged draw count: %d %s, want 400 naming the draw count", code, body)
+	}
+	if code, body := h.doRaw("POST", "/jobs/restore", withDraws(-1)); code != http.StatusCreated {
+		t.Fatalf("re-encoded checkpoint: %d %s, want 201", code, body)
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"dard/internal/detrand"
-	"dard/internal/snap"
 )
 
 func openTestConfig(seed int64, duration float64) (*Layout, Config) {
@@ -119,7 +116,7 @@ func TestOpenPoissonMergeOrder(t *testing.T) {
 
 	var want []Flow
 	for h := 0; h < l.NumHosts; h++ {
-		rng := rand.New(detrand.NewSeeded(cfg.Seed + int64(h)*7919))
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(h)*7919))
 		at := 0.0
 		for {
 			at += rng.ExpFloat64() / cfg.RatePerHost
@@ -148,75 +145,6 @@ func TestOpenPoissonMergeOrder(t *testing.T) {
 	}
 }
 
-func TestOpenPoissonSnapshotResume(t *testing.T) {
-	l, cfg := openTestConfig(42, 0)
-	op, err := NewOpenPoisson(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, op, 137)
-
-	enc := snap.NewEncoder(1)
-	op.SnapshotState(enc)
-	blob := enc.Finish()
-	rest := drain(t, op, 100)
-
-	resumed, err := NewOpenPoisson(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := snap.NewDecoder(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Done(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-encoding the restored state must reproduce the snapshot bytes.
-	enc2 := snap.NewEncoder(1)
-	resumed.SnapshotState(enc2)
-	if blob2 := enc2.Finish(); string(blob2) != string(blob) {
-		t.Fatal("restored stream re-encodes differently")
-	}
-
-	got := drain(t, resumed, 100)
-	for i := range rest {
-		if got[i] != rest[i] {
-			t.Fatalf("resumed flow %d = %+v, uninterrupted stream had %+v", i, got[i], rest[i])
-		}
-	}
-}
-
-func TestOpenPoissonRestoreRejectsMismatch(t *testing.T) {
-	l, cfg := openTestConfig(1, 0)
-	op, err := NewOpenPoisson(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := snap.NewEncoder(1)
-	op.SnapshotState(enc)
-	blob := enc.Finish()
-
-	smaller := &Layout{NumHosts: 4}
-	other, err := NewOpenPoisson(smaller, Config{
-		Pattern: Random{L: smaller}, RatePerHost: 5, SizeBytes: 1 << 20, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := snap.NewDecoder(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.RestoreState(dec); err == nil {
-		t.Fatal("restore across host counts succeeded")
-	}
-}
-
 func TestOpenPoissonConfigValidation(t *testing.T) {
 	l := &Layout{NumHosts: 8}
 	cases := []Config{
@@ -235,67 +163,35 @@ func TestOpenPoissonConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOpenPoissonRestoreRejectsCorruptTimes feeds RestoreState blobs
-// that are well-formed but inconsistent: a live stream whose candidate
-// time differs from its stream time in any bit, and stream times that
-// are negative or NaN. Each must be refused; the untouched state must
-// restore.
-func TestOpenPoissonRestoreRejectsCorruptTimes(t *testing.T) {
-	l, cfg := openTestConfig(5, 0)
-	op, err := NewOpenPoisson(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, op, 20)
-	// encode writes op's state as SnapshotState does, after edit has
-	// changed host 3's stream and candidate times.
-	encode := func(edit func(st, ct *float64)) []byte {
-		enc := snap.NewEncoder(1)
-		enc.I64(int64(op.nextID))
-		enc.U32(uint32(len(op.hosts)))
-		for h := range op.hosts {
-			hs := &op.hosts[h]
-			st, ct := hs.t, hs.cand.t
-			if h == 3 {
-				edit(&st, &ct)
-			}
-			enc.U64(hs.src.State())
-			enc.F64(st)
-			enc.Bool(hs.live)
-			if hs.live {
-				enc.F64(ct)
-				enc.I64(int64(hs.cand.dst))
+// TestOpenPoissonRejectsNonFiniteDuration: a NaN or infinite window
+// never retires a host, so the stream would run forever; NewOpenPoisson
+// refuses it with Generate's error, while a zero or negative window
+// still means an unbounded stream.
+func TestOpenPoissonRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l, cfg := openTestConfig(3, d)
+		_, err := NewOpenPoisson(l, cfg)
+		if err == nil {
+			t.Fatalf("duration %g accepted", d)
+		}
+		if d > 0 || math.IsNaN(d) {
+			_, gerr := Generate(l, cfg)
+			if gerr == nil || gerr.Error() != err.Error() {
+				t.Errorf("duration %g: NewOpenPoisson says %q, Generate %v", d, err, gerr)
 			}
 		}
-		return enc.Finish()
 	}
-	if !op.hosts[3].live {
-		t.Fatal("host 3 retired in an unbounded stream")
-	}
-	restore := func(blob []byte) error {
-		fresh, err := NewOpenPoisson(l, cfg)
+	for _, d := range []float64{0, -1} {
+		l, cfg := openTestConfig(3, d)
+		op, err := NewOpenPoisson(l, cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("duration %g: %v", d, err)
 		}
-		dec, err := snap.NewDecoder(blob)
-		if err != nil {
-			t.Fatal(err)
+		if n := len(drain(t, op, 300)); n != 300 {
+			t.Errorf("duration %g: stream ended after %d flows, want unbounded", d, n)
 		}
-		return fresh.RestoreState(dec)
-	}
-	if err := restore(encode(func(st, ct *float64) {})); err != nil {
-		t.Fatalf("untouched state refused: %v", err)
-	}
-	nan := math.NaN()
-	for name, edit := range map[string]func(st, ct *float64){
-		"candidate one ulp late":  func(st, ct *float64) { *ct = math.Nextafter(*ct, math.Inf(1)) },
-		"candidate one ulp early": func(st, ct *float64) { *ct = math.Nextafter(*ct, 0) },
-		"negative time":           func(st, ct *float64) { *st, *ct = -*st, -*ct },
-		"NaN time":                func(st, ct *float64) { *st, *ct = nan, nan },
-		"zero and negative zero":  func(st, ct *float64) { *st, *ct = 0, math.Copysign(0, -1) },
-	} {
-		if err := restore(encode(edit)); err == nil {
-			t.Errorf("%s: restore accepted the blob", name)
+		if _, err := Generate(l, cfg); err == nil {
+			t.Errorf("duration %g: Generate accepted a window that never closes", d)
 		}
 	}
 }

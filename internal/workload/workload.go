@@ -5,14 +5,10 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
-	"dard/internal/detrand"
-	"dard/internal/fpcmp"
 	"dard/internal/topology"
 )
 
@@ -82,8 +78,8 @@ type Pattern interface {
 	Name() string
 	// PickDst returns a destination host index != src. It may draw from
 	// rng through any method but Read, whose buffered bytes would carry
-	// over from one host's stream to the next (Generate reuses one
-	// rand.Rand for every host).
+	// over from one host's stream to the next (OpenPoisson shares one
+	// rand.Rand among its hosts).
 	PickDst(rng *rand.Rand, src int) int
 }
 
@@ -254,7 +250,8 @@ type Config struct {
 	// with a 0.2 s expectation, i.e. 5 flows/s.
 	RatePerHost float64
 	// Duration is the arrival window in seconds; flows arriving after it
-	// are not generated.
+	// are not generated. It must be finite; zero or negative leaves an
+	// OpenPoisson stream unbounded, and Generate refuses it.
 	Duration float64
 	// SizeBytes is the transfer size; the paper uses 128 MB elephants.
 	SizeBytes float64
@@ -265,56 +262,23 @@ type Config struct {
 // DefaultSizeBytes is the paper's 128 MB elephant transfer.
 const DefaultSizeBytes = 128 << 20
 
-// Generate produces the flow arrivals for every host, merged and sorted by
-// arrival time.
+// Generate produces the flow arrivals of every host over the window
+// cfg.Duration, merged by arrival time: a bounded OpenPoisson stream,
+// drained.
 func Generate(l *Layout, cfg Config) ([]Flow, error) {
-	if cfg.Pattern == nil {
-		return nil, fmt.Errorf("workload: nil pattern")
-	}
-	if cfg.RatePerHost <= 0 || cfg.Duration <= 0 {
+	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("workload: rate %g and duration %g must be positive", cfg.RatePerHost, cfg.Duration)
 	}
-	// A NaN or infinite rate or window never ends the arrival loop below.
-	if math.IsNaN(cfg.RatePerHost) || math.IsInf(cfg.RatePerHost, 0) || math.IsNaN(cfg.Duration) || math.IsInf(cfg.Duration, 0) {
-		return nil, fmt.Errorf("workload: rate %g and duration %g must be finite", cfg.RatePerHost, cfg.Duration)
-	}
-	if fpcmp.IsZero(cfg.SizeBytes) {
-		cfg.SizeBytes = DefaultSizeBytes
-	}
-	if l.NumHosts < 2 {
-		return nil, fmt.Errorf("workload: need at least 2 hosts, have %d", l.NumHosts)
+	op, err := NewOpenPoisson(l, cfg)
+	if err != nil {
+		return nil, err
 	}
 	var flows []Flow
-	// Every host draws its own substream, so adding hosts does not
-	// perturb others. One lazily seeded source serves them all in turn:
-	// reseeding costs O(1) and rand.Rand holds no state of its own for
-	// the draws below, so each host's stream is exactly that of a fresh
-	// rand.NewSource(cfg.Seed + host*7919).
-	seeded := detrand.NewStd(cfg.Seed)
-	rng := rand.New(seeded)
-	for src := 0; src < l.NumHosts; src++ {
-		seeded.Seed(cfg.Seed + int64(src)*7919)
-		t := 0.0
-		for {
-			t += rng.ExpFloat64() / cfg.RatePerHost
-			if t >= cfg.Duration {
-				break
-			}
-			dst := cfg.Pattern.PickDst(rng, src)
-			if dst == src {
-				continue // self-flows are meaningless
-			}
-			flows = append(flows, Flow{
-				Src:      src,
-				Dst:      dst,
-				SizeBits: cfg.SizeBytes * 8,
-				Arrival:  t,
-			})
+	for {
+		wf, ok := op.Next()
+		if !ok {
+			return flows, nil
 		}
+		flows = append(flows, wf)
 	}
-	slices.SortStableFunc(flows, func(a, b Flow) int { return cmp.Compare(a.Arrival, b.Arrival) })
-	for i := range flows {
-		flows[i].ID = i
-	}
-	return flows, nil
 }

@@ -226,7 +226,8 @@ func TestStaggeredOnClos(t *testing.T) {
 }
 
 // perHostGenerate is Generate as it was first written, one fresh
-// math/rand source per host: the oracle for the reused lazily seeded one.
+// math/rand source per host and a stable sort: the oracle for the
+// merged stream of detrand.Std sources Generate drains.
 func perHostGenerate(l *Layout, cfg Config) []Flow {
 	var flows []Flow
 	for src := 0; src < l.NumHosts; src++ {
@@ -251,24 +252,31 @@ func perHostGenerate(l *Layout, cfg Config) []Flow {
 
 // TestGenerateMatchesPerHostSources pins every flow Generate makes to
 // the per-host math/rand streams it has always drawn from, for each
-// pattern and for seeds math/rand normalises specially.
+// pattern and for seeds math/rand normalises specially. The p=4 case
+// runs hosts 50 flows/s for 10 s, so their streams pass draw 273, where
+// detrand.Std fills its register, and 607, where the register wraps.
 func TestGenerateMatchesPerHostSources(t *testing.T) {
-	l := fatTreeLayout(t, 8)
-	patterns := []Pattern{Random{L: l}, NewStaggered(l), Stride{N: l.NumHosts, Step: l.HostsPerPod()}}
-	for _, p := range patterns {
-		for _, seed := range []int64{0, 1, -7, 42, 1<<31 - 1, -(1<<31 - 1) * 3, 1 << 40} {
-			cfg := Config{Pattern: p, RatePerHost: 5, Duration: 4, SizeBytes: 1 << 20, Seed: seed}
-			got, err := Generate(l, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := perHostGenerate(l, cfg)
-			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: %d flows, per-host sources make %d", p.Name(), seed, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s seed %d: flow %d is %+v, per-host sources make %+v", p.Name(), seed, i, got[i], want[i])
+	for _, c := range []struct {
+		p              int
+		rate, duration float64
+	}{{8, 5, 4}, {4, 50, 10}} {
+		l := fatTreeLayout(t, c.p)
+		patterns := []Pattern{Random{L: l}, NewStaggered(l), Stride{N: l.NumHosts, Step: l.HostsPerPod()}}
+		for _, p := range patterns {
+			for _, seed := range []int64{0, 1, -7, 42, 1<<31 - 1, -(1<<31 - 1) * 3, 1 << 40} {
+				cfg := Config{Pattern: p, RatePerHost: c.rate, Duration: c.duration, SizeBytes: 1 << 20, Seed: seed}
+				got, err := Generate(l, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := perHostGenerate(l, cfg)
+				if len(got) != len(want) {
+					t.Fatalf("p=%d %s seed %d: %d flows, per-host sources make %d", c.p, p.Name(), seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("p=%d %s seed %d: flow %d is %+v, per-host sources make %+v", c.p, p.Name(), seed, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -13,8 +13,9 @@ import (
 
 // SessionSnapshotVersion is the format version of Session.Snapshot's
 // wire container. The embedded engine blob carries its own version
-// (flowsim.SnapVersion) and CRC.
-const SessionSnapshotVersion = 1
+// (flowsim.SnapVersion) and CRC. Version 2 carries engine blobs whose
+// arrivals restore by replay (flowsim.SnapVersion 2).
+const SessionSnapshotVersion = 2
 
 // Session is a resumable flow-engine run: a Scenario plus the live
 // simulation behind it. Unlike Run, which executes to completion, a
