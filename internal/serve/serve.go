@@ -240,16 +240,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, canFlush := w.(http.Flusher)
+	// buf collects the batch's lines and goes out in writes of about
+	// streamChunk bytes, so a long replay never holds its whole NDJSON
+	// form at once.
+	buf := make([]byte, 0, streamChunk+512)
 	for {
 		batch, next, closed := j.stream.Wait(from, r.Context().Done())
 		for _, e := range batch {
-			line, err := trace.MarshalEventLine(e)
-			if err != nil {
+			var err error
+			if buf, err = trace.AppendEventLine(buf, e); err != nil {
 				return
 			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
+			buf = append(buf, '\n')
+			if len(buf) >= streamChunk {
+				if _, err := w.Write(buf); err != nil {
+					return
+				}
+				buf = buf[:0]
+			}
+		}
+		if len(buf) > 0 {
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
+			buf = buf[:0]
 		}
 		if canFlush && len(batch) > 0 {
 			flusher.Flush()
@@ -260,6 +274,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// streamChunk is about the size of handleEvents' writes. It is larger
+// than net/http's 2 KiB response buffer, so a chunk goes to the
+// connection without being copied through that buffer first.
+const streamChunk = 4 << 10
 
 // metricsReply is the GET /jobs/{id}/metrics body.
 type metricsReply struct {

@@ -59,7 +59,9 @@ const (
 	KindPathDead
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind; the empty slot 0 and anything past the
+// table are unknown kinds.
+var kindNames = [...]string{
 	KindFlowStart:   "FlowStart",
 	KindFlowEnd:     "FlowEnd",
 	KindPathSwitch:  "PathSwitch",
@@ -74,19 +76,20 @@ var kindNames = map[Kind]string{
 
 // String returns the stable event name used in exports.
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "Unknown"
 }
 
 // kindsByName is the reverse of kindNames, built once up front so
-// ParseKind is a plain lookup rather than a map iteration.
+// ParseKind is a plain lookup.
 var kindsByName = func() map[string]Kind {
 	out := make(map[string]Kind, len(kindNames))
-	//dardlint:ordered kindNames is a bijection, so each name owns its slot
 	for k, n := range kindNames {
-		out[n] = k
+		if n != "" {
+			out[n] = Kind(k)
+		}
 	}
 	return out
 }()
@@ -146,7 +149,9 @@ const (
 	MetricMinBoNF
 )
 
-var metricNames = map[Metric]string{
+// metricNames is indexed by Metric; the empty slot 0 and anything past
+// the table are unknown metrics.
+var metricNames = [...]string{
 	MetricLinkUtil:  "link_util",
 	MetricQueueBits: "queue_bits",
 	MetricFlowCwnd:  "flow_cwnd",
@@ -156,19 +161,20 @@ var metricNames = map[Metric]string{
 
 // String returns the stable metric name used in exports.
 func (m Metric) String() string {
-	if n, ok := metricNames[m]; ok {
-		return n
+	if int(m) < len(metricNames) && metricNames[m] != "" {
+		return metricNames[m]
 	}
 	return "unknown"
 }
 
 // metricsByName is the reverse of metricNames, built once up front so
-// ParseMetric is a plain lookup rather than a map iteration.
+// ParseMetric is a plain lookup.
 var metricsByName = func() map[string]Metric {
 	out := make(map[string]Metric, len(metricNames))
-	//dardlint:ordered metricNames is a bijection, so each name owns its slot
 	for m, n := range metricNames {
-		out[n] = m
+		if n != "" {
+			out[n] = Metric(m)
+		}
 	}
 	return out
 }()
