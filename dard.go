@@ -224,13 +224,12 @@ type Scenario struct {
 	// negative disables probes, and a positive spacing must be at least
 	// 1 ms. Ignored when not tracing.
 	TraceProbeInterval float64
-	// Steady switches the workload from a pre-generated batch to an open
-	// stream of Poisson arrivals pulled one at a time (flow engine only).
-	// Duration > 0 bounds the arrival window exactly as in batch mode; a
-	// negative Duration streams arrivals indefinitely, so the run ends at
-	// MaxTimeSec with in-flight flows reported unfinished. The batch
-	// workload is this stream drained, so a bounded steady run sees the
-	// batch run's flows and, with the same WindowSec, reports the same.
+	// Steady runs the workload as an open stream (flow engine only).
+	// Every run pulls its flows from one stream of Poisson arrivals, so
+	// Duration > 0 bounds the arrival window as in any run and, with the
+	// same WindowSec, a bounded steady run reports what the plain run
+	// does. A negative Duration streams arrivals indefinitely, so the run
+	// ends at MaxTimeSec with in-flight flows reported unfinished.
 	Steady bool
 	// WindowSec aggregates completed transfers into tumbling windows of
 	// this width and reports per-window throughput and Jain fairness in
@@ -277,8 +276,8 @@ func (s Scenario) withDefaults() Scenario {
 // WindowSec is left zero.
 const DefaultWindowSec = 1.0
 
-// Run builds the topology (unless Topo is set), generates the workload,
-// and executes the scenario.
+// Run builds the topology (unless Topo is set) and the workload, and
+// executes the scenario.
 func (s Scenario) Run() (*Report, error) { return s.RunContext(context.Background()) }
 
 // RunContext is Run with cooperative cancellation: when ctx is canceled
@@ -321,35 +320,36 @@ func (s Scenario) RunContext(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// prepare builds the topology (unless Topo is set) and the workload: the
-// batch of flows, or in steady mode the open arrival stream. A
-// *trace.Recorder tracer gets the run's header.
-func (s Scenario) prepare() (*Topology, []workload.Flow, flowsim.ArrivalSource, error) {
+// prepare builds the topology (unless Topo is set) and the workload, the
+// run's stream of Poisson arrivals. A *trace.Recorder tracer gets the
+// run's header.
+func (s Scenario) prepare() (*Topology, *workload.OpenPoisson, error) {
 	topo := s.Topo
 	if topo == nil {
 		var err error
 		topo, err = s.Topology.Build()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	var (
-		flows    []workload.Flow
-		arrivals flowsim.ArrivalSource
-		err      error
-	)
-	if s.Steady {
-		arrivals, err = s.openArrivals(topo)
-	} else {
-		flows, err = s.generate(topo)
-	}
+	pattern, err := s.pattern(topo)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	src, err := workload.NewOpenPoisson(topo.layout, workload.Config{
+		Pattern:     pattern,
+		RatePerHost: s.RatePerHost,
+		Duration:    s.Duration,
+		SizeBytes:   s.FileSizeMB * (1 << 20),
+		Seed:        s.Seed,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if r, ok := s.Tracer.(*trace.Recorder); ok {
 		r.SetMeta(s.traceMeta(topo))
 	}
-	return topo, flows, arrivals, nil
+	return topo, src, nil
 }
 
 // pattern builds the destination-picking pattern for the topology.
@@ -363,34 +363,6 @@ func (s Scenario) pattern(topo *Topology) (workload.Pattern, error) {
 		return workload.Stride{N: topo.layout.NumHosts, Step: topo.layout.HostsPerPod()}, nil
 	}
 	return nil, fmt.Errorf("dard: unknown pattern %q", s.Pattern)
-}
-
-func (s Scenario) workloadConfig(pattern workload.Pattern) workload.Config {
-	return workload.Config{
-		Pattern:     pattern,
-		RatePerHost: s.RatePerHost,
-		Duration:    s.Duration,
-		SizeBytes:   s.FileSizeMB * (1 << 20),
-		Seed:        s.Seed,
-	}
-}
-
-func (s Scenario) generate(topo *Topology) ([]workload.Flow, error) {
-	pattern, err := s.pattern(topo)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(topo.layout, s.workloadConfig(pattern))
-}
-
-// openArrivals builds the steady-state streaming source, the stream
-// the batch generator drains.
-func (s Scenario) openArrivals(topo *Topology) (*workload.OpenPoisson, error) {
-	pattern, err := s.pattern(topo)
-	if err != nil {
-		return nil, err
-	}
-	return workload.NewOpenPoisson(topo.layout, s.workloadConfig(pattern))
 }
 
 // policy builds the scenario's path policy, which either engine drives.
@@ -427,12 +399,11 @@ func dardCounters(rep *Report, pol sched.Policy) {
 	}
 }
 
-// flowConfig assembles the flow-engine configuration. Exactly one of
-// flows and arrivals is the workload; Run, new sessions and restored
-// sessions all build their engines through buildSession and this, so a
-// restored session reconstructs the same run an uninterrupted one
-// executes.
-func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flowsim.ArrivalSource) (flowsim.Config, sched.Policy, error) {
+// flowConfig assembles the flow-engine configuration on the workload
+// src. Run, new sessions and restored sessions all build their engines
+// through buildSession and this, so a restored session reconstructs the
+// same run an uninterrupted one executes.
+func (s Scenario) flowConfig(topo *Topology, src workload.Source) (flowsim.Config, sched.Policy, error) {
 	ctl, err := s.policy()
 	if err != nil {
 		return flowsim.Config{}, nil, err
@@ -444,8 +415,7 @@ func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flo
 	return flowsim.Config{
 		Net:           topo.net,
 		Controller:    ctl,
-		Flows:         flows,
-		Arrivals:      arrivals,
+		Arrivals:      src,
 		Seed:          s.Seed,
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
@@ -456,15 +426,18 @@ func (s Scenario) flowConfig(topo *Topology, flows []workload.Flow, arrivals flo
 	}, ctl, nil
 }
 
-// finishFlowReport assembles the facade report from a completed flow-run:
-// the base metrics, the controller's DARD counters, and (when a window
-// width is configured) the steady-state windowed metrics.
-func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl sched.Policy, generated int) (*Report, error) {
+// finishFlowReport assembles the facade report from a completed flow-run
+// on the workload src: the base metrics, the controller's DARD counters,
+// and (when a window width is configured) the steady-state windowed
+// metrics. The flows a MaxTimeSec cut kept from arriving are still in a
+// bounded src, and count as unfinished.
+func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl sched.Policy, src workload.Source) (*Report, error) {
 	rep := flowReport(s, topo, res)
-	rep.Flows = generated
-	if s.Steady {
-		// An open stream has no pre-generated count; report arrivals.
-		rep.Flows = len(res.Flows)
+	if s.Duration > 0 {
+		for _, ok := src.Next(); ok; _, ok = src.Next() {
+			rep.Flows++
+			rep.Unfinished++
+		}
 	}
 	dardCounters(rep, ctl)
 	if s.WindowSec > 0 {
@@ -508,9 +481,9 @@ func (s Scenario) linkEvents(topo *Topology) ([]topology.LinkEvent, error) {
 }
 
 // runPacket builds and runs the scenario on the packet engine; Validate
-// has ruled out steady mode there, so the workload is a batch.
+// has ruled out steady mode there, so the workload is bounded.
 func (s Scenario) runPacket(ctx context.Context) (*Report, error) {
-	topo, flows, _, err := s.prepare()
+	topo, src, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +498,7 @@ func (s Scenario) runPacket(ctx context.Context) (*Report, error) {
 	rt, err := psim.NewRuntime(psim.Config{
 		Topo:          topo.net,
 		Policy:        pol,
-		Flows:         flows,
+		Arrivals:      src,
 		Seed:          s.Seed,
 		ElephantAge:   s.ElephantAgeSec,
 		MaxTime:       s.MaxTimeSec,
@@ -541,7 +514,6 @@ func (s Scenario) runPacket(ctx context.Context) (*Report, error) {
 		return nil, wrapCanceled(ctx, err)
 	}
 	rep := packetReport(s, topo, res)
-	rep.Flows = len(flows)
 	dardCounters(rep, pol)
 	return rep, nil
 }

@@ -25,7 +25,7 @@ func testSim(t *testing.T) (*flowsim.Sim, *topology.FatTree) {
 		t.Fatal(err)
 	}
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 5e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: nullController{}, Flows: flows, ElephantAge: 0.1})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: nullController{}, Arrivals: workload.List(flows), ElephantAge: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAgentServesPortStates(t *testing.T) {
 	}
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 5e9, Arrival: 0}}
 	sim, err := flowsim.New(flowsim.Config{
-		Net: ft, Controller: &probeController{probe: probeAt}, Flows: flows, ElephantAge: 0.1,
+		Net: ft, Controller: &probeController{probe: probeAt}, Arrivals: workload.List(flows), ElephantAge: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)

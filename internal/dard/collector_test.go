@@ -23,7 +23,7 @@ func idleFatTree(tb testing.TB, p int) (*flowsim.Sim, *Controller, topology.Path
 	s, err := flowsim.New(flowsim.Config{
 		Net:        ft,
 		Controller: ctl,
-		Flows:      []workload.Flow{{ID: 0, Src: 0, Dst: last, SizeBits: 1e6}},
+		Arrivals:   workload.List([]workload.Flow{{ID: 0, Src: 0, Dst: last, SizeBits: 1e6}}),
 	})
 	if err != nil {
 		tb.Fatal(err)

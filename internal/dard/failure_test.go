@@ -24,7 +24,7 @@ func TestDARDRoutesAroundFailure(t *testing.T) {
 	s, err := flowsim.New(flowsim.Config{
 		Net:         ft,
 		Controller:  path0Controller{ctl},
-		Flows:       flows,
+		Arrivals:    workload.List(flows),
 		Seed:        1,
 		ElephantAge: 0.25,
 		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},
@@ -64,7 +64,7 @@ func lossyRun(t *testing.T, f ctlmsg.Faults) *flowsim.Results {
 	s, err := flowsim.New(flowsim.Config{
 		Net:         ft,
 		Controller:  path0Controller{ctl},
-		Flows:       flows,
+		Arrivals:    workload.List(flows),
 		Seed:        1,
 		ElephantAge: 0.25,
 		LinkEvents:  []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},

@@ -31,7 +31,7 @@ func TestPerFlowMonitorsAblation(t *testing.T) {
 	}{
 		{"flow", func(t *testing.T, ctl *Controller) (float64, int) {
 			s, err := flowsim.New(flowsim.Config{
-				Net: fatTree(t), Controller: ctl, Flows: flows(8e9), Seed: 4, ElephantAge: 0.25,
+				Net: fatTree(t), Controller: ctl, Arrivals: workload.List(flows(8e9)), Seed: 4, ElephantAge: 0.25,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -50,7 +50,7 @@ func TestPerFlowMonitorsAblation(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt, err := psim.NewRuntime(psim.Config{
-				Topo: ft, Policy: ctl, Flows: flows(8 * 8 * (1 << 20)), Seed: 4, ElephantAge: 0.25, MaxTime: 300,
+				Topo: ft, Policy: ctl, Arrivals: workload.List(flows(8 * 8 * (1 << 20))), Seed: 4, ElephantAge: 0.25, MaxTime: 300,
 			})
 			if err != nil {
 				t.Fatal(err)

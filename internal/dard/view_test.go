@@ -385,7 +385,7 @@ func (c *viewChecker) check(h sched.Host) { c.checkAgainst(h, h) }
 func runViewScript(tb testing.TB, sc *viewScript) (flow, packet viewTally) {
 	tb.Helper()
 	cfg := flowsim.Config{
-		Net: sc.ft, Flows: sc.flows, Seed: 1, ElephantAge: sc.elephantAge,
+		Net: sc.ft, Arrivals: workload.List(sc.flows), Seed: 1, ElephantAge: sc.elephantAge,
 		LinkEvents: sc.linkEvents, MaxTime: 60,
 	}
 	fc := newViewChecker(tb, sc)
@@ -402,6 +402,7 @@ func runViewScript(tb testing.TB, sc *viewScript) (flow, packet viewTally) {
 		}
 		resumed := newViewChecker(tb, sc)
 		cfg.Controller = resumed
+		cfg.Arrivals = workload.List(sc.flows)
 		rs, err := flowsim.Restore(cfg, blob)
 		if err != nil {
 			tb.Fatal(err)
@@ -420,7 +421,7 @@ func runViewScript(tb testing.TB, sc *viewScript) (flow, packet viewTally) {
 
 	pc := newViewChecker(tb, sc)
 	rt, err := psim.NewRuntime(psim.Config{
-		Topo: sc.ft, Policy: pc, Flows: sc.flows, Seed: 1, ElephantAge: sc.elephantAge,
+		Topo: sc.ft, Policy: pc, Arrivals: workload.List(sc.flows), Seed: 1, ElephantAge: sc.elephantAge,
 		LinkEvents: sc.linkEvents, MaxTime: 60,
 	})
 	if err != nil {

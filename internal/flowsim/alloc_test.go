@@ -18,7 +18,7 @@ func TestBuildRouteAllocs(t *testing.T) {
 	// Host 0 is in pod 1, host 8 in pod 3: an inter-pod pair with the
 	// full p^2/4-path set.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 1e6, Arrival: 0}}
-	s, err := New(Config{Net: ft, Controller: &staticController{}, Flows: flows})
+	s, err := New(Config{Net: ft, Controller: &staticController{}, Arrivals: workload.List(flows)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func recomputeAllocs(t *testing.T, ft *topology.FatTree, nFlows int) (allocs flo
 	g := ft.Graph()
 	rng := rand.New(rand.NewSource(3))
 	flows := randomFlows(rng, nFlows, len(ft.Hosts()), 4e9)
-	s, err := New(Config{Net: ft, Controller: &batchController{interval: 0.2, batch: 2}, Flows: flows})
+	s, err := New(Config{Net: ft, Controller: &batchController{interval: 0.2, batch: 2}, Arrivals: workload.List(flows)})
 	if err != nil {
 		t.Fatal(err)
 	}

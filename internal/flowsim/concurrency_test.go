@@ -25,7 +25,7 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := workload.Generate(workload.NewLayout(ft), workload.Config{
+	src, err := workload.NewOpenPoisson(workload.NewLayout(ft), workload.Config{
 		Pattern:     workload.Stride{N: len(ft.Hosts()), Step: 4},
 		RatePerHost: 1.5,
 		Duration:    6,
@@ -35,6 +35,7 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := workload.Drain(src)
 	controllers := func() []sched.Policy {
 		return []sched.Policy{
 			sched.ECMP{},
@@ -48,7 +49,7 @@ func TestSimsShareNetworkConcurrently(t *testing.T) {
 		sim, err := flowsim.New(flowsim.Config{
 			Net:         ft,
 			Controller:  ctl,
-			Flows:       flows,
+			Arrivals:    workload.List(flows),
 			Seed:        5,
 			ElephantAge: 0.25,
 		})
@@ -112,7 +113,7 @@ func TestTracedSimsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := workload.Generate(workload.NewLayout(ft), workload.Config{
+	src, err := workload.NewOpenPoisson(workload.NewLayout(ft), workload.Config{
 		Pattern:     workload.Stride{N: len(ft.Hosts()), Step: 4},
 		RatePerHost: 2,
 		Duration:    6,
@@ -122,13 +123,14 @@ func TestTracedSimsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := workload.Drain(src)
 
 	runOne := func() (*flowsim.Results, *trace.Recorder) {
 		rec := trace.NewRecorder(trace.RecorderOptions{})
 		sim, err := flowsim.New(flowsim.Config{
 			Net:           ft,
 			Controller:    hedera.New(hedera.Options{Interval: 0.5}),
-			Flows:         flows,
+			Arrivals:      workload.List(flows),
 			Seed:          9,
 			ElephantAge:   0.25,
 			Tracer:        rec,

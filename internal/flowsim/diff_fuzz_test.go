@@ -93,7 +93,7 @@ func differentialRun(t *testing.T, seed int64, nFlows, batch, flaps, caps uint8)
 				period:          0.4,
 				flaps:           int(flaps) % 16,
 			},
-			Flows:       append([]workload.Flow(nil), flows...),
+			Arrivals:    workload.List(append([]workload.Flow(nil), flows...)),
 			Seed:        seed,
 			ElephantAge: 0.25,
 			MaxTime:     60,

@@ -74,7 +74,7 @@ func duplexEvent(g *topology.Graph, at float64, l topology.LinkID, down bool) []
 }
 
 // randomFlows draws n flows arriving uniformly over [0, 2) s and returns
-// them as Config.Flows wants them: in arrival order, with dense IDs.
+// them as a workload.Source yields them: in arrival order, with dense IDs.
 func randomFlows(rng *rand.Rand, n, hosts int, maxSize float64) []workload.Flow {
 	flows := make([]workload.Flow, n)
 	for i := range flows {
@@ -144,7 +144,7 @@ func TestReferenceEquivalence(t *testing.T) {
 		}
 		cfg := Config{
 			Net:         ft,
-			Flows:       flows,
+			Arrivals:    workload.List(flows),
 			Seed:        int64(trial),
 			ElephantAge: 0.25,
 			MaxTime:     120,
@@ -154,6 +154,7 @@ func TestReferenceEquivalence(t *testing.T) {
 		inc := run(t, cfg)
 		cfg.Reference = true
 		cfg.Controller = &switchingController{interval: 0.2}
+		cfg.Arrivals = workload.List(flows)
 		ref := run(t, cfg)
 		diffResults(t, inc, ref)
 	}
@@ -216,7 +217,7 @@ func TestBatchReferenceEquivalence(t *testing.T) {
 		cfg := Config{
 			Net:         ft,
 			Controller:  &batchController{interval: 0.15, batch: 6},
-			Flows:       flows,
+			Arrivals:    workload.List(flows),
 			Seed:        42,
 			ElephantAge: 0.25,
 			MaxTime:     120,
@@ -325,7 +326,7 @@ func TestFabricEquivalenceAndFairness(t *testing.T) {
 	events = append(events, duplexEvent(g, 3.0, events[0].Link, false)...)
 	cfg := Config{
 		Net:         ft,
-		Flows:       flows,
+		Arrivals:    workload.List(flows),
 		Seed:        17,
 		ElephantAge: 0.25,
 		MaxTime:     300,
@@ -357,6 +358,7 @@ func TestFabricEquivalenceAndFairness(t *testing.T) {
 
 	cfg.Reference = true
 	cfg.Controller = &switchingController{interval: 0.25}
+	cfg.Arrivals = workload.List(flows)
 	ref := run(t, cfg)
 	diffResults(t, inc, ref)
 }

@@ -16,7 +16,7 @@ func TestLinkFailureStrandsStaticFlow(t *testing.T) {
 	s, err := New(Config{
 		Net:        ft,
 		Controller: &staticController{},
-		Flows:      flows,
+		Arrivals:   workload.List(flows),
 		LinkEvents: []topology.LinkEvent{{At: 1, Link: path[1], Down: true}},
 		MaxTime:    30,
 	})
@@ -39,7 +39,7 @@ func TestLinkRepairResumesFlow(t *testing.T) {
 	s, err := New(Config{
 		Net:        ft,
 		Controller: &staticController{},
-		Flows:      flows,
+		Arrivals:   workload.List(flows),
 		LinkEvents: []topology.LinkEvent{
 			{At: 1, Link: path[1], Down: true},
 			{At: 3, Link: path[1], Down: false},

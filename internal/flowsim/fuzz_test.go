@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dard/internal/topology"
+	"dard/internal/workload"
 )
 
 // fuzzFlipController is the fuzz harness's controller: batched random
@@ -116,7 +117,7 @@ func fuzzAgainstReference(t *testing.T, net topology.Network, seed int64, nFlows
 				flips:           flips,
 				at:              0.7,
 			},
-			Flows:       flows,
+			Arrivals:    workload.List(flows),
 			Seed:        seed,
 			ElephantAge: 0.25,
 			MaxTime:     120,

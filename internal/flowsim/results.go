@@ -28,9 +28,11 @@ func (fs FlowStat) Completed() bool { return !math.IsNaN(fs.Finish) }
 type Results struct {
 	// Controller is the strategy name.
 	Controller string
-	// Flows holds one entry per workload flow, in ID order.
+	// Flows holds one entry per arrived flow, in ID order; flows MaxTime
+	// kept from arriving have none.
 	Flows []FlowStat
-	// Unfinished counts flows cut off by MaxTime (0 on a clean run).
+	// Unfinished counts arrived flows cut off by MaxTime (0 on a clean
+	// run).
 	Unfinished int
 	// SimTime is the timestamp of the last processed event.
 	SimTime float64
@@ -51,9 +53,6 @@ func (s *Sim) collectResults() *Results {
 	r.Flows = slices.Grow(r.Flows, s.arrived) // stays nil for a run with no flows
 	g := s.Topo().Graph()
 	for _, f := range s.flows {
-		if f == nil {
-			continue // never arrived (MaxTime cut the arrival stream)
-		}
 		st := FlowStat{
 			ID:           f.ID,
 			Arrival:      f.Arrival,

@@ -315,7 +315,7 @@ func (s *Sim) restore(data []byte) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		wf, ok := s.arrivals.Next()
+		wf, ok := s.cfg.Arrivals.Next()
 		if !ok {
 			return fmt.Errorf("snapshot records %d arrivals, the workload ends after %d", arrived, id)
 		}

@@ -43,7 +43,7 @@ func snapFuzzConfig(net topology.Network, g *topology.Graph) Config {
 		Controller: &staticController{pathIdx: func(s *Sim, f sched.Flow) int {
 			return s.Rand().Intn(s.PathSet(f.SrcToR, f.DstToR).Len())
 		}},
-		Flows:       flows,
+		Arrivals:    workload.List(flows),
 		Seed:        99,
 		ElephantAge: 0.2,
 		LinkEvents:  events,
@@ -120,8 +120,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // comparison, section marks, the active list and the timers. The
 // property is FuzzSnapshotRoundTrip's: reject with an error, or accept
 // a state that re-encodes byte-identically; never panic or hang. The
-// seeds are batch and steady snapshots (kind 0 and 1) at several pause
-// points, minus their CRC trailers.
+// seeds are snapshots of a listed and a streamed workload (kind 0 and
+// 1) at several pause points, minus their CRC trailers.
 func FuzzSnapshotSemantics(f *testing.F) {
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{P: 4})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 func steadySnapConfig(t testing.TB, ft *topology.FatTree, seed int64, duration float64) Config {
 	t.Helper()
 	cfg := snapFuzzConfig(ft, ft.Graph())
-	cfg.Flows = nil
 	cfg.Arrivals = openArrivals(t, ft, seed, duration)
 	cfg.MaxTime = 4
 	return cfg
@@ -142,15 +141,19 @@ func TestSteadyRestoreReplaysArrivals(t *testing.T) {
 // TestSteadyRestoreRejectsMismatch: the replayed flows must be the
 // recorded ones, so a snapshot refuses a source built differently (other
 // seed, a window that closes before the recorded arrivals), while a
-// bounded stream's snapshot resumes on the batch list Generate drains
-// from the same workload, since the two are the same flows.
+// bounded stream's snapshot resumes on a list of the stream's flows
+// drained up front, since the two are the same flows.
 func TestSteadyRestoreRejectsMismatch(t *testing.T) {
 	ft := testFatTree(t)
 	_, blob := pausedSnapshot(t, steadySnapConfig(t, ft, 42, 0), 137)
 	for name, cfg := range map[string]Config{
-		"other seed":    steadySnapConfig(t, ft, 43, 0),
-		"short window":  steadySnapConfig(t, ft, 42, 0.5),
-		"no flows left": func() Config { c := snapFuzzConfig(ft, ft.Graph()); c.Flows = c.Flows[:3]; return c }(),
+		"other seed":   steadySnapConfig(t, ft, 43, 0),
+		"short window": steadySnapConfig(t, ft, 42, 0.5),
+		"no flows left": func() Config {
+			c := snapFuzzConfig(ft, ft.Graph())
+			c.Arrivals = workload.List(workload.Drain(c.Arrivals)[:3])
+			return c
+		}(),
 	} {
 		if _, err := Restore(cfg, blob); err == nil {
 			t.Errorf("%s: restore accepted the snapshot", name)
@@ -159,18 +162,14 @@ func TestSteadyRestoreRejectsMismatch(t *testing.T) {
 
 	orig, blob := pausedSnapshot(t, steadySnapConfig(t, ft, 42, 3), 137)
 	want := finalSnapshot(t, orig)
-	flows, err := workload.Generate(steadyWorkload(ft, 42, 3))
+	listed := steadySnapConfig(t, ft, 42, 3)
+	listed.Arrivals = workload.List(workload.Drain(listed.Arrivals))
+	resumed, err := Restore(listed, blob)
 	if err != nil {
-		t.Fatal(err)
-	}
-	batch := steadySnapConfig(t, ft, 42, 3)
-	batch.Arrivals, batch.Flows = nil, flows
-	resumed, err := Restore(batch, blob)
-	if err != nil {
-		t.Fatalf("bounded steady snapshot refused on the batch list: %v", err)
+		t.Fatalf("bounded steady snapshot refused on the drained list: %v", err)
 	}
 	if got := finalSnapshot(t, resumed); !bytes.Equal(got, want) {
-		t.Fatal("steady snapshot resumed on the batch list ends elsewhere")
+		t.Fatal("steady snapshot resumed on the drained list ends elsewhere")
 	}
 }
 

@@ -34,7 +34,7 @@ func TestDARDPacketLevelRoutesAroundFailure(t *testing.T) {
 	link := failedLink(ft)
 	d := dard.New(dard.Options{QueryInterval: 0.25, ScheduleInterval: 0.5, ScheduleJitter: 0.5, Delta: 1e6})
 	rt, err := NewRuntime(Config{
-		Topo: ft, Policy: pinnedDARD{d}, Flows: flows, Seed: 3, ElephantAge: 0.25, MaxTime: 300,
+		Topo: ft, Policy: pinnedDARD{d}, Arrivals: workload.List(flows), Seed: 3, ElephantAge: 0.25, MaxTime: 300,
 		LinkEvents: []topology.LinkEvent{
 			{At: 1, Link: link, Down: true},
 			{At: 60, Link: link, Down: false},
@@ -76,7 +76,7 @@ func TestECMPPacketLevelRecoversAfterRepair(t *testing.T) {
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 4, SizeBits: mb(4), Arrival: 0}}
 	link := failedLink(ft)
 	rt, err := NewRuntime(Config{
-		Topo: ft, Policy: pinnedDARD{dard.New(dard.Options{ScheduleInterval: 1e6})}, Flows: flows,
+		Topo: ft, Policy: pinnedDARD{dard.New(dard.Options{ScheduleInterval: 1e6})}, Arrivals: workload.List(flows),
 		Seed: 3, ElephantAge: 1e6, MaxTime: 300,
 		LinkEvents: []topology.LinkEvent{
 			{At: 0.1, Link: link, Down: true},
@@ -101,7 +101,7 @@ func TestECMPPacketLevelRecoversAfterRepair(t *testing.T) {
 func TestLinkEventValidation(t *testing.T) {
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 0}}
-	base := Config{Topo: ft, Policy: sched.ECMP{}, Flows: flows, MaxTime: 10}
+	base := Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(flows), MaxTime: 10}
 	cases := []struct {
 		name string
 		ev   topology.LinkEvent

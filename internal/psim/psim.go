@@ -52,10 +52,10 @@ type Config struct {
 	// Policy selects paths. The runtime notifies it of flow lifecycle
 	// events if it implements sched.Observer.
 	Policy sched.Policy
-	// Flows is the workload: dense sequential IDs (0, 1, 2, ...) in
-	// non-decreasing arrival order, checked in NewRuntime with the flow
-	// engine's predicate (workload.Flow.Check).
-	Flows []workload.Flow
+	// Arrivals is the workload (nil: no flows). NewRuntime drains it,
+	// checking each flow with the flow engine's predicate
+	// (workload.Flow.Check), so it must be bounded.
+	Arrivals workload.Source
 	// Seed drives all policy randomness.
 	Seed int64
 	// ElephantAge is the detection threshold in seconds (0 means 1 s,
@@ -89,6 +89,7 @@ type Runtime struct {
 	// nothing), resolved once by NewRuntime.
 	obs sched.Observer
 
+	arrivals  []workload.Flow // Config.Arrivals, drained by NewRuntime
 	flows     []*FlowState
 	remaining int
 
@@ -119,13 +120,20 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if fpcmp.IsZero(cfg.MaxTime) {
 		cfg.MaxTime = 1e4
 	}
-	if err := workload.CheckBatch(cfg.Flows, len(cfg.Topo.Hosts())); err != nil {
-		return nil, fmt.Errorf("psim: %w", err)
-	}
 	if err := sched.CheckLinkEvents(cfg.Topo, cfg.LinkEvents); err != nil {
 		return nil, fmt.Errorf("psim: %w", err)
 	}
 	rt := &Runtime{cfg: cfg, disp: tcp.NewDispatcher()}
+	if cfg.Arrivals != nil {
+		rt.arrivals = workload.Drain(cfg.Arrivals)
+	}
+	now := 0.0
+	for i, wf := range rt.arrivals {
+		if err := wf.Check(i, len(cfg.Topo.Hosts()), now); err != nil {
+			return nil, fmt.Errorf("psim: %w", err)
+		}
+		now = wf.Arrival
+	}
 	net, err := simnet.NewNet(cfg.Topo, 0, (tcp.DefaultMSSBytes+40)*8, rt.disp.Deliver)
 	if err != nil {
 		return nil, err
@@ -236,8 +244,8 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 	// a Config of at most 128 bytes would be copied into each of them.
 	cfg := &rt.cfg
 	hosts := rt.Topo().Hosts()
-	rt.flows = make([]*FlowState, len(cfg.Flows))
-	rt.remaining = len(cfg.Flows)
+	rt.flows = make([]*FlowState, len(rt.arrivals))
+	rt.remaining = len(rt.arrivals)
 	for _, ev := range cfg.LinkEvents {
 		ev := ev
 		rt.net.K.After(ev.At, func() {
@@ -245,8 +253,7 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
 			rt.SetLinkDown(ev.Link, ev.Down)
 		})
 	}
-	for i := range cfg.Flows {
-		wf := cfg.Flows[i]
+	for _, wf := range rt.arrivals {
 		rt.net.K.After(wf.Arrival, func() {
 			net := rt.Topo()
 			src, dst := hosts[wf.Src], hosts[wf.Dst]

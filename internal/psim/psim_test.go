@@ -24,7 +24,7 @@ func runPolicy(t *testing.T, pol sched.Policy, flows []workload.Flow, seed int64
 	t.Helper()
 	ft := fatTree(t)
 	rt, err := NewRuntime(Config{
-		Topo: ft, Policy: pol, Flows: flows, Seed: seed, ElephantAge: 0.5, MaxTime: 300,
+		Topo: ft, Policy: pol, Arrivals: workload.List(flows), Seed: seed, ElephantAge: 0.5, MaxTime: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestElephantCountsConsistent(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: mb(4), Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: mb(4), Arrival: 0},
 	}
-	rt, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: flows, Seed: 4, ElephantAge: 0.2, MaxTime: 300})
+	rt, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 4, ElephantAge: 0.2, MaxTime: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestRuntimeValidation(t *testing.T) {
 		t.Error("nil policy should fail")
 	}
 	bad := []workload.Flow{{ID: 0, Src: 0, Dst: 0, SizeBits: 1}}
-	if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: bad}); err == nil {
+	if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(bad)}); err == nil {
 		t.Error("self flow should fail")
 	}
 }
 
-// TestRuntimeRejectsBadBatch pins that a batch passes the same flow
-// predicate as the flow engine's: each of these used to pass NewRuntime
-// and then panic in Run (a sparse ID indexes past the flow table) or end
-// as an unfinished flow (a NaN size).
+// TestRuntimeRejectsBadBatch pins that NewRuntime checks the workload it
+// drains with the flow engine's predicate: each of these used to pass
+// NewRuntime and then panic in Run (a sparse ID indexes past the flow
+// table) or end as an unfinished flow (a NaN size).
 func TestRuntimeRejectsBadBatch(t *testing.T) {
 	ft := fatTree(t)
 	ok := workload.Flow{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 0}
@@ -159,8 +159,8 @@ func TestRuntimeRejectsBadBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: tc.flows, MaxTime: 10}); err == nil {
-				t.Error("invalid batch accepted")
+			if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(tc.flows), MaxTime: 10}); err == nil {
+				t.Error("invalid workload accepted")
 			}
 		})
 	}
@@ -169,7 +169,7 @@ func TestRuntimeRejectsBadBatch(t *testing.T) {
 func TestSetPathValidation(t *testing.T) {
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(8), Arrival: 0}}
-	rt, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Flows: flows, Seed: 5, MaxTime: 300})
+	rt, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 5, MaxTime: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 
 	rec := trace.NewRecorder(trace.RecorderOptions{})
 	rt, err := NewRuntime(Config{
-		Topo: fatTree(t), Policy: dardPolicy(), Flows: traceFlows(),
+		Topo: fatTree(t), Policy: dardPolicy(), Arrivals: workload.List(traceFlows()),
 		Seed: 3, ElephantAge: 0.5, MaxTime: 300, Tracer: rec, ProbeInterval: 0.05,
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func (outOfRange) InitialPath(sched.Host, sched.Flow) int { return 1 << 20 }
 // an out-of-range initial path falls back to path 0.
 func TestFlowAccessors(t *testing.T) {
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(8), Arrival: 0.2}}
-	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: outOfRange{}, Flows: flows, Seed: 2, MaxTime: 300})
+	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: outOfRange{}, Arrivals: workload.List(flows), Seed: 2, MaxTime: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestUnfinishedFlows(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: mb(64), Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: mb(1), Arrival: 5},
 	}
-	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Flows: flows, Seed: 1, MaxTime: 2})
+	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 1, MaxTime: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestUnfinishedFlows(t *testing.T) {
 // TestRunContextCanceled: a canceled context stops the run at its next
 // horizon with the context's error.
 func TestRunContextCanceled(t *testing.T) {
-	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Flows: traceFlows(), Seed: 1})
+	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Arrivals: workload.List(traceFlows()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func (c *feedChecker) check(h sched.Host) { c.checkAgainst(h, h) }
 func runFeedScript(tb testing.TB, sc *feedScript) (flow, packet tally) {
 	tb.Helper()
 	cfg := flowsim.Config{
-		Net: sc.ft, Flows: sc.flows, Seed: 1, ElephantAge: sc.elephantAge,
+		Net: sc.ft, Arrivals: workload.List(sc.flows), Seed: 1, ElephantAge: sc.elephantAge,
 		LinkEvents: sc.linkEvents, MaxTime: 60,
 	}
 	fc := &feedChecker{tb: tb, sc: sc}
@@ -225,6 +225,7 @@ func runFeedScript(tb testing.TB, sc *feedScript) (flow, packet tally) {
 		}
 		resumed := &feedChecker{tb: tb, sc: sc}
 		cfg.Controller = resumed
+		cfg.Arrivals = workload.List(sc.flows)
 		rs, err := flowsim.Restore(cfg, blob)
 		if err != nil {
 			tb.Fatal(err)
@@ -241,7 +242,7 @@ func runFeedScript(tb testing.TB, sc *feedScript) (flow, packet tally) {
 
 	pc := &feedChecker{tb: tb, sc: sc}
 	rt, err := psim.NewRuntime(psim.Config{
-		Topo: sc.ft, Policy: pc, Flows: sc.flows, Seed: 1, ElephantAge: sc.elephantAge,
+		Topo: sc.ft, Policy: pc, Arrivals: workload.List(sc.flows), Seed: 1, ElephantAge: sc.elephantAge,
 		LinkEvents: sc.linkEvents, MaxTime: 60,
 	})
 	if err != nil {

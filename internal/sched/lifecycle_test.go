@@ -98,7 +98,7 @@ func TestPolicyLifecycleBothEngines(t *testing.T) {
 		run  func(p sched.Policy) (unfinished int, err error)
 	}{
 		{"flow", func(p sched.Policy) (int, error) {
-			s, err := flowsim.New(flowsim.Config{Net: ft, Controller: p, Flows: flows, Seed: 1, ElephantAge: elephantAge})
+			s, err := flowsim.New(flowsim.Config{Net: ft, Controller: p, Arrivals: workload.List(flows), Seed: 1, ElephantAge: elephantAge})
 			if err != nil {
 				return 0, err
 			}
@@ -109,7 +109,7 @@ func TestPolicyLifecycleBothEngines(t *testing.T) {
 			return r.Unfinished, nil
 		}},
 		{"packet", func(p sched.Policy) (int, error) {
-			rt, err := psim.NewRuntime(psim.Config{Topo: ft, Policy: p, Flows: flows, Seed: 1, ElephantAge: elephantAge, MaxTime: 60})
+			rt, err := psim.NewRuntime(psim.Config{Topo: ft, Policy: p, Arrivals: workload.List(flows), Seed: 1, ElephantAge: elephantAge, MaxTime: 60})
 			if err != nil {
 				return 0, err
 			}

@@ -31,7 +31,7 @@ func TestECMPSpreadsFlows(t *testing.T) {
 	}
 	counts := make(map[int]int)
 	probe := &probeController{inner: sched.ECMP{}, onAssign: func(idx int) { counts[idx]++ }}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: probe, Flows: flows, Seed: 1})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: probe, Arrivals: workload.List(flows), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestECMPPermanentAssignment(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: 5e9, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: 5e9, Arrival: 0},
 	}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Flows: flows, Seed: 2})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestECMPSinglehPathShortcut(t *testing.T) {
 	ft := fatTree(t)
 	// Same-ToR flow has a single path; InitialPath must return 0.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 1, SizeBits: 1e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Flows: flows, Seed: 3})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPVLBRepicks(t *testing.T) {
 	// A long flow with a short re-pick interval switches paths several
 	// times but keeps making progress.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 10e9, Arrival: 0}} // 10 s alone
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 1}, Flows: flows, Seed: 4})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 1}, Arrivals: workload.List(flows), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPVLBDefaultInterval(t *testing.T) {
 	v := &sched.PVLB{}
 	ft := fatTree(t)
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: 1e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: v, Flows: flows, Seed: 5})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: v, Arrivals: workload.List(flows), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPVLBSamePathNoSwitch(t *testing.T) {
 	ft := fatTree(t)
 	// Same-ToR flows have one path: the repick chain must not install.
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 1, SizeBits: 10e9, Arrival: 0}}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 0.5}, Flows: flows, Seed: 6})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: &sched.PVLB{Interval: 0.5}, Arrivals: workload.List(flows), Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStatic(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 8, SizeBits: 1e9, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: 1e9, Arrival: 0},
 	}
-	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.Static{}, Flows: flows})
+	s, err := flowsim.New(flowsim.Config{Net: ft, Controller: sched.Static{}, Arrivals: workload.List(flows)})
 	if err != nil {
 		t.Fatal(err)
 	}

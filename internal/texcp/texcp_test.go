@@ -17,7 +17,7 @@ func run(t *testing.T, pol sched.Policy, flows []workload.Flow, seed int64) *psi
 		t.Fatal(err)
 	}
 	rt, err := psim.NewRuntime(psim.Config{
-		Topo: ft, Policy: pol, Flows: flows, Seed: seed, ElephantAge: 0.5, MaxTime: 300,
+		Topo: ft, Policy: pol, Arrivals: workload.List(flows), Seed: seed, ElephantAge: 0.5, MaxTime: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTeXCPWeightsAdaptAwayFromLoad(t *testing.T) {
 		{ID: 1, Src: 0, Dst: 8, SizeBits: mb(10), Arrival: 0.2},
 	}
 	rt, err := psim.NewRuntime(psim.Config{
-		Topo: ft, Policy: &pinned{Policy: pol}, Flows: flows, Seed: 3, ElephantAge: 0.5, MaxTime: 300,
+		Topo: ft, Policy: &pinned{Policy: pol}, Arrivals: workload.List(flows), Seed: 3, ElephantAge: 0.5, MaxTime: 300,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func TestGenerateArrivalSpacingProperty(t *testing.T) {
 	l := NewLayout(ft)
 	f := func(seed int64, rateRaw uint8) bool {
 		rate := 0.1 + float64(rateRaw%40)/10
-		flows, err := Generate(l, Config{
+		flows, err := drained(l, Config{
 			Pattern: Random{L: l}, RatePerHost: rate, Duration: 5, Seed: seed,
 		})
 		if err != nil {

@@ -203,8 +203,8 @@ type Flow struct {
 	Arrival float64
 }
 
-// Check is the predicate every flow an engine runs passes, batch or
-// streamed, as arrival number n at clock now among hosts hosts: its ID
+// Check is the predicate every flow an engine takes from its Source
+// passes, as arrival number n at clock now among hosts hosts: its ID
 // is n, so IDs are dense and sequential; its endpoints are distinct
 // hosts; its size is positive and finite; and it arrives at a finite
 // time no earlier than now.
@@ -227,20 +227,6 @@ func (wf Flow) Check(n, hosts int, now float64) error {
 	return nil
 }
 
-// CheckBatch runs Check over a batch workload before a run starts, each
-// flow arriving as its index at the previous flow's arrival time, so a
-// bad list fails up front rather than mid-run.
-func CheckBatch(flows []Flow, hosts int) error {
-	now := 0.0
-	for i, wf := range flows {
-		if err := wf.Check(i, hosts, now); err != nil {
-			return err
-		}
-		now = wf.Arrival
-	}
-	return nil
-}
-
 // Config parameterizes flow generation.
 type Config struct {
 	// Pattern picks destinations.
@@ -250,8 +236,8 @@ type Config struct {
 	// with a 0.2 s expectation, i.e. 5 flows/s.
 	RatePerHost float64
 	// Duration is the arrival window in seconds; flows arriving after it
-	// are not generated. It must be finite; zero or negative leaves an
-	// OpenPoisson stream unbounded, and Generate refuses it.
+	// are not generated. It must be finite; zero or negative leaves the
+	// stream unbounded.
 	Duration float64
 	// SizeBytes is the transfer size; the paper uses 128 MB elephants.
 	SizeBytes float64
@@ -261,24 +247,3 @@ type Config struct {
 
 // DefaultSizeBytes is the paper's 128 MB elephant transfer.
 const DefaultSizeBytes = 128 << 20
-
-// Generate produces the flow arrivals of every host over the window
-// cfg.Duration, merged by arrival time: a bounded OpenPoisson stream,
-// drained.
-func Generate(l *Layout, cfg Config) ([]Flow, error) {
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("workload: rate %g and duration %g must be positive", cfg.RatePerHost, cfg.Duration)
-	}
-	op, err := NewOpenPoisson(l, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var flows []Flow
-	for {
-		wf, ok := op.Next()
-		if !ok {
-			return flows, nil
-		}
-		flows = append(flows, wf)
-	}
-}

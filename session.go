@@ -32,7 +32,7 @@ type Session struct {
 	topo     *Topology
 	sim      *flowsim.Sim
 	ctl      sched.Policy
-	flows    []workload.Flow // batch workload; nil in steady mode
+	src      workload.Source
 }
 
 // sessionWire is the JSON container a session snapshot travels in: the
@@ -94,11 +94,11 @@ func ResumeSession(data []byte, tracer trace.Tracer) (*Session, error) {
 // buildSession constructs the topology, workload, and engine; a non-nil
 // engine snapshot restores the run's position instead of starting fresh.
 func buildSession(s Scenario, engineSnap []byte) (*Session, error) {
-	topo, flows, arrivals, err := s.prepare()
+	topo, src, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
-	cfg, ctl, err := s.flowConfig(topo, flows, arrivals)
+	cfg, ctl, err := s.flowConfig(topo, src)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func buildSession(s Scenario, engineSnap []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{scenario: s, topo: topo, sim: sim, ctl: ctl, flows: flows}, nil
+	return &Session{scenario: s, topo: topo, sim: sim, ctl: ctl, src: src}, nil
 }
 
 // Run executes the session until completion, pause, or cancellation.
@@ -126,7 +126,7 @@ func (sess *Session) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
-	return sess.scenario.finishFlowReport(sess.topo, res, sess.ctl, len(sess.flows))
+	return sess.scenario.finishFlowReport(sess.topo, res, sess.ctl, sess.src)
 }
 
 // Snapshot serializes the paused (or finished, or not yet started)

@@ -70,8 +70,7 @@ func (s Scenario) Validate() error {
 			return invalid("MaxTimeSec", "dard: an unbounded steady run (Duration <= 0) needs MaxTimeSec to end")
 		}
 	} else if s.Duration <= 0 {
-		// The batch generator requires a positive arrival window; only the
-		// steady stream may be unbounded.
+		// Only a steady run may stream arrivals without end.
 		return invalid("Duration", "workload: rate %g and duration %g must be positive", s.RatePerHost, s.Duration)
 	}
 
