@@ -206,7 +206,7 @@ func directLines(t *testing.T, sc dard.Scenario) ([]string, []byte) {
 	}
 	var lines []string
 	for _, e := range stream.Events() {
-		b, err := trace.MarshalEventLine(e)
+		b, err := trace.AppendEventLine(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,8 +84,8 @@ func FuzzAppendEventLine(f *testing.F) {
 		got, err := AppendEventLine(append([]byte(nil), prefix...), e)
 		want, wantErr := oracleEventLine(e)
 		sameEncoding(t, "event line", prefix, got, err, want, wantErr)
-		if line, err := MarshalEventLine(e); wantErr == nil && (err != nil || !bytes.Equal(line, want)) {
-			t.Fatalf("MarshalEventLine %q, %v; want %q", line, err, want)
+		if line, err := AppendEventLine(nil, e); wantErr == nil && (err != nil || !bytes.Equal(line, want)) {
+			t.Fatalf("AppendEventLine(nil) %q, %v; want %q", line, err, want)
 		}
 
 		got, err = AppendEventStruct(append([]byte(nil), prefix...), e)

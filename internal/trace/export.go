@@ -138,10 +138,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// MarshalEventLine returns one event's single-line JSON wire form — the
-// same shape WriteJSONL emits per event, without the trailing newline.
-func MarshalEventLine(e Event) ([]byte, error) { return AppendEventLine(nil, e) }
-
 // AppendEventLine appends one event's JSONL wire form, without the
 // trailing newline, to dst: exactly the bytes encoding/json writes for
 // jsonlLine{Event: &wireEvent{...}}, so streamed lines and exported

@@ -85,9 +85,9 @@ func TestStreamerSeedRebuildsHistory(t *testing.T) {
 	restored.Seed(history)
 }
 
-func TestMarshalEventLineMatchesJSONL(t *testing.T) {
+func TestAppendEventLineMatchesJSONL(t *testing.T) {
 	ev := Event{T: 1.5, Kind: KindPathSwitch, Flow: 3, Link: -1, A: 0, B: 2, V: 0}
-	line, err := MarshalEventLine(ev)
+	line, err := AppendEventLine(nil, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMarshalEventLineMatchesJSONL(t *testing.T) {
 		t.Fatalf("JSONL export has %d lines, want meta + event", len(lines))
 	}
 	if !bytes.Equal(line, lines[1]) {
-		t.Fatalf("MarshalEventLine = %s, WriteJSONL emits %s", line, lines[1])
+		t.Fatalf("AppendEventLine = %s, WriteJSONL emits %s", line, lines[1])
 	}
 }
 
