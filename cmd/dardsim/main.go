@@ -25,9 +25,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dardsim", flag.ContinueOnError)
-	kind := fs.String("topo", "fattree", "topology kind: fattree, clos, threetier")
+	kind := fs.String("topo", "fattree", "topology kind: fattree, clos, threetier, dragonfly (a=3, routers per group -d) or dcell (n=3, level 1)")
 	p := fs.Int("p", 4, "fat-tree port count")
-	d := fs.Int("d", 4, "Clos D_I = D_A")
+	d := fs.Int("d", 4, "Clos D_I = D_A; dragonfly routers per group")
 	hostsPerToR := fs.Int("hosts-per-tor", 0, "override hosts per ToR")
 	capacity := fs.Float64("capacity", 0, "link capacity in bits/s (0 = 1 Gbps)")
 	scheduler := fs.String("scheduler", "DARD", "ECMP, pVLB, DARD, SimulatedAnnealing, TeXCP")

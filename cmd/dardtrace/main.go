@@ -51,9 +51,9 @@ func run(args []string, out io.Writer) error {
 	flows := fs.Int("flows", 0, "number of per-flow timelines to print")
 	flowID := fs.Int("flow", -1, "print one flow's timeline by ID")
 
-	kind := fs.String("topo", "fattree", "topology kind: fattree, clos, threetier")
+	kind := fs.String("topo", "fattree", "topology kind: fattree, clos, threetier, dragonfly (a=3, routers per group -d) or dcell (n=3, level 1)")
 	p := fs.Int("p", 4, "fat-tree port count")
-	d := fs.Int("d", 4, "Clos D_I = D_A")
+	d := fs.Int("d", 4, "Clos D_I = D_A; dragonfly routers per group")
 	hostsPerToR := fs.Int("hosts-per-tor", 0, "override hosts per ToR")
 	capacity := fs.Float64("capacity", 0, "link capacity in bits/s (0 = 1 Gbps)")
 	scheduler := fs.String("scheduler", "DARD", "ECMP, pVLB, DARD, SimulatedAnnealing, TeXCP")
