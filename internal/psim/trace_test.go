@@ -1,8 +1,11 @@
 package psim
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -176,5 +179,36 @@ func TestRunContextCanceled(t *testing.T) {
 	cancel()
 	if _, err := rt.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v", err)
+	}
+}
+
+// TestArrivalTiesProbeTicks pins the trace of a run whose arrivals fall
+// on probe ticks (every 0.25 s) and on DARD's query ticks. An arrival
+// ties after the link events at its time and before every other event,
+// so each tick samples the flow that arrived at that instant; the
+// digest was taken when all arrivals were queued before the run began.
+func TestArrivalTiesProbeTicks(t *testing.T) {
+	var flows []workload.Flow
+	for i, ends := range [][2]int{{0, 8}, {1, 9}, {4, 12}, {5, 13}, {2, 10}} {
+		flows = append(flows, workload.Flow{ID: i, Src: ends[0], Dst: ends[1], SizeBits: mb(8), Arrival: 0.25 * float64(i)})
+	}
+	rec := trace.NewRecorder(trace.RecorderOptions{})
+	rt, err := NewRuntime(Config{
+		Topo: fatTree(t), Policy: dardPolicy(), Arrivals: workload.List(flows),
+		Seed: 3, ElephantAge: 0.5, Tracer: rec, ProbeInterval: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, rec.Take()); err != nil {
+		t.Fatal(err)
+	}
+	const want = "95556ab0cfd8a5417ee00ab40537d10ce883de5b843971ed1588bd00e1b94417"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("trace SHA-256 %s, want %s", got, want)
 	}
 }
