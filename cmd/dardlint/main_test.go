@@ -109,8 +109,9 @@ func TestSnapfieldCatchesNewField(t *testing.T) {
 	tmp := t.TempDir()
 	copyFile(t, filepath.Join(root, "go.mod"), filepath.Join(tmp, "go.mod"))
 	for _, dir := range []string{
-		"internal/sched", "internal/ctlmsg", "internal/detrand",
+		"internal/sched", "internal/ctlmsg", "internal/detrand", "internal/evq",
 		"internal/fpcmp", "internal/snap", "internal/topology", "internal/trace",
+		"internal/workload",
 	} {
 		copyDir(t, filepath.Join(root, dir), filepath.Join(tmp, dir))
 	}

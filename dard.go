@@ -390,15 +390,6 @@ func (s Scenario) policy() (sched.Policy, error) {
 	return nil, fmt.Errorf("dard: unknown scheduler %q", s.Scheduler)
 }
 
-// dardCounters copies the DARD controller's shift and round counts into
-// the report; other policies leave them zero.
-func dardCounters(rep *Report, pol sched.Policy) {
-	if dc, ok := pol.(*idard.Controller); ok {
-		rep.DARDShifts = dc.Shifts
-		rep.DARDRounds = dc.Rounds
-	}
-}
-
 // flowConfig assembles the flow-engine configuration on the workload
 // src. Run, new sessions and restored sessions all build their engines
 // through buildSession and this, so a restored session reconstructs the
@@ -427,19 +418,12 @@ func (s Scenario) flowConfig(topo *Topology, src workload.Source) (flowsim.Confi
 }
 
 // finishFlowReport assembles the facade report from a completed flow-run
-// on the workload src: the base metrics, the controller's DARD counters,
+// on the workload src: the base metrics, the report tail (finishReport),
 // and (when a window width is configured) the steady-state windowed
-// metrics. The flows a MaxTimeSec cut kept from arriving are still in a
-// bounded src, and count as unfinished.
+// metrics.
 func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl sched.Policy, src workload.Source) (*Report, error) {
 	rep := flowReport(s, topo, res)
-	if s.Duration > 0 {
-		for _, ok := src.Next(); ok; _, ok = src.Next() {
-			rep.Flows++
-			rep.Unfinished++
-		}
-	}
-	dardCounters(rep, ctl)
+	s.finishReport(rep, src, ctl)
 	if s.WindowSec > 0 {
 		ws, err := steadyWindows(s.WindowSec, res)
 		if err != nil {
@@ -448,6 +432,25 @@ func (s Scenario) finishFlowReport(topo *Topology, res *flowsim.Results, ctl sch
 		rep.Windows = ws
 	}
 	return rep, nil
+}
+
+// finishReport completes either engine's report with what the engine
+// does not know. An engine reports arrived flows only, so the flows a
+// bounded src still holds, those a MaxTimeSec cut kept from arriving,
+// count as unfinished; an unbounded steady source is not drained. The
+// DARD controller's shift and round counts are copied in; other
+// policies leave them zero.
+func (s Scenario) finishReport(rep *Report, src workload.Source, pol sched.Policy) {
+	if s.Duration > 0 {
+		for _, ok := src.Next(); ok; _, ok = src.Next() {
+			rep.Flows++
+			rep.Unfinished++
+		}
+	}
+	if dc, ok := pol.(*idard.Controller); ok {
+		rep.DARDShifts = dc.Shifts
+		rep.DARDRounds = dc.Rounds
+	}
 }
 
 // linkEvents resolves the scenario's named link failures to directed
@@ -514,6 +517,6 @@ func (s Scenario) runPacket(ctx context.Context) (*Report, error) {
 		return nil, wrapCanceled(ctx, err)
 	}
 	rep := packetReport(s, topo, res)
-	dardCounters(rep, pol)
+	s.finishReport(rep, src, pol)
 	return rep, nil
 }

@@ -583,18 +583,14 @@ func (s *Sim) probe() {
 }
 
 func (s *Sim) arrive(wf workload.Flow) {
-	net := s.Topo()
-	hosts := net.Hosts()
+	sf, ps, idx := s.Admit(s, s.cfg.Controller, wf)
 	s.growFlows(wf.ID + 1)
 	s.arrived = wf.ID + 1
 	f := s.flowAt(wf.ID)
-	src, dst := hosts[wf.Src], hosts[wf.Dst]
 	*f = Flow{
-		Flow: sched.Flow{
-			ID: wf.ID, Src: src, Dst: dst,
-			SrcToR: net.ToROf(src), DstToR: net.ToROf(dst),
-		},
+		Flow:     sf,
 		SizeBits: wf.SizeBits,
+		PathIdx:  idx,
 		Arrival:  s.now,
 		Finish:   math.NaN(),
 		sim:      s,
@@ -608,13 +604,6 @@ func (s *Sim) arrive(wf workload.Flow) {
 	s.finishAt[wf.ID] = math.Inf(1)
 	s.activeIdx[wf.ID] = -1
 	s.flows[wf.ID] = f
-
-	ps := net.PathSet(f.SrcToR, f.DstToR)
-	idx := s.cfg.Controller.InitialPath(s, f.Flow)
-	if idx < 0 || idx >= ps.Len() {
-		idx = 0
-	}
-	f.PathIdx = idx
 	s.buildRoute(f, ps, idx)
 	s.attachLinks(f)
 	s.activeIdx[wf.ID] = int32(len(s.active))

@@ -52,9 +52,10 @@ type Config struct {
 	// Policy selects paths. The runtime notifies it of flow lifecycle
 	// events if it implements sched.Observer.
 	Policy sched.Policy
-	// Arrivals is the workload (nil: no flows). NewRuntime drains it,
-	// checking each flow with the flow engine's predicate
-	// (workload.Flow.Check), so it must be bounded.
+	// Arrivals is the workload (nil: no flows), pulled one flow at a
+	// time as the run reaches it. Each flow is checked with the flow
+	// engine's predicate (workload.Flow.Check) before it is scheduled;
+	// a bad one fails the run.
 	Arrivals workload.Source
 	// Seed drives all policy randomness.
 	Seed int64
@@ -89,9 +90,10 @@ type Runtime struct {
 	// nothing), resolved once by NewRuntime.
 	obs sched.Observer
 
-	arrivals  []workload.Flow // Config.Arrivals, drained by NewRuntime
-	flows     []*FlowState
-	remaining int
+	flows      []*FlowState // the arrived flows, by ID
+	remaining  int          // flows armed or arrived and not yet departed
+	arrivalSeq int64        // the kernel sequence number of every arrival
+	err        error        // a bad flow the source yielded mid-run
 
 	linkBuf []topology.LinkID // Route's scratch, copied into each route it returns
 
@@ -123,17 +125,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err := sched.CheckLinkEvents(cfg.Topo, cfg.LinkEvents); err != nil {
 		return nil, fmt.Errorf("psim: %w", err)
 	}
+	if cfg.Arrivals == nil {
+		cfg.Arrivals = workload.List(nil)
+	}
 	rt := &Runtime{cfg: cfg, disp: tcp.NewDispatcher()}
-	if cfg.Arrivals != nil {
-		rt.arrivals = workload.Drain(cfg.Arrivals)
-	}
-	now := 0.0
-	for i, wf := range rt.arrivals {
-		if err := wf.Check(i, len(cfg.Topo.Hosts()), now); err != nil {
-			return nil, fmt.Errorf("psim: %w", err)
-		}
-		now = wf.Arrival
-	}
 	net, err := simnet.NewNet(cfg.Topo, 0, (tcp.DefaultMSSBytes+40)*8, rt.disp.Deliver)
 	if err != nil {
 		return nil, err
@@ -240,91 +235,102 @@ func (rt *Runtime) Run() (*Results, error) { return rt.RunContext(context.Backgr
 // context's error. The packet kernel has no pause/snapshot protocol, so
 // unlike flowsim a canceled packet run cannot be resumed.
 func (rt *Runtime) RunContext(ctx context.Context) (*Results, error) {
-	// A pointer: the per-flow arrival closures below capture cfg, and
-	// a Config of at most 128 bytes would be copied into each of them.
-	cfg := &rt.cfg
-	hosts := rt.Topo().Hosts()
-	rt.flows = make([]*FlowState, len(rt.arrivals))
-	rt.remaining = len(rt.arrivals)
-	for _, ev := range cfg.LinkEvents {
+	for _, ev := range rt.cfg.LinkEvents {
 		ev := ev
 		rt.net.K.After(ev.At, func() {
 			rt.net.SetLinkDown(ev.Link, ev.Down)
 			rt.SetLinkDown(ev.Link, ev.Down)
 		})
 	}
-	for _, wf := range rt.arrivals {
-		rt.net.K.After(wf.Arrival, func() {
-			net := rt.Topo()
-			src, dst := hosts[wf.Src], hosts[wf.Dst]
-			f := &FlowState{
-				Flow: sched.Flow{
-					ID: wf.ID, Src: src, Dst: dst,
-					SrcToR: net.ToROf(src), DstToR: net.ToROf(dst),
-				},
-				Arrival:  rt.Now(),
-				SizeBits: wf.SizeBits,
-				active:   true,
-			}
-			rt.flows[wf.ID] = f
-
-			idx := cfg.Policy.InitialPath(rt, f.Flow)
-			if idx < 0 || idx >= net.PathSet(f.SrcToR, f.DstToR).Len() {
-				idx = 0
-			}
-			f.PathIdx = idx
-			conn, err := tcp.NewConn(rt.net, wf.ID, rt.Route(f, idx), wf.SizeBits, tcp.Options{}, func(*tcp.Conn) {
-				rt.depart(f)
-			})
-			if err != nil {
-				// Validated in NewRuntime; a failure here is a bug.
-				panic(fmt.Sprintf("psim: NewConn: %v", err))
-			}
-			f.Conn = conn
-			rt.disp.Register(conn)
-			if rt.Tracer().Enabled() {
-				conn.Tracer = rt.Tracer()
-			}
-			// T equals both f.Arrival and the connection's StartTime
-			// (Start runs below at the same kernel time), so FlowEnd
-			// minus this reproduces the reported TransferTime
-			// bit-for-bit.
-			rt.EmitFlowStart(f.Flow, f.SizeBits)
-			if pr, ok := cfg.Policy.(PacketRouter); ok {
-				conn.RoutePicker = pr.PacketRoute(rt, f)
-			}
-			if rt.obs != nil {
-				rt.obs.Arrived(rt, f.Flow)
-			}
-			if cfg.ElephantAge >= 0 {
-				rt.net.K.After(cfg.ElephantAge, func() {
-					if f.active {
-						f.Elephant = true
-						rt.ElephantStarted(f.Conn.Route())
-						if rt.obs != nil {
-							rt.obs.Elephant(rt, f.Flow)
-						}
-					}
-				})
-			}
-			conn.Start()
-		})
+	rt.arrivalSeq = rt.net.K.Reserve()
+	if err := rt.armArrival(); err != nil {
+		return nil, err
 	}
-	if rt.Tracer().Enabled() && cfg.ProbeInterval > 0 && rt.remaining > 0 {
-		rt.probeEvery = cfg.ProbeInterval
+	if rt.Tracer().Enabled() && rt.cfg.ProbeInterval > 0 && rt.remaining > 0 {
+		rt.probeEvery = rt.cfg.ProbeInterval
 		rt.lastBits = make([]float64, rt.Topo().Graph().NumLinks())
 		rt.armProbe()
 	}
 	// Advance in one-second horizons and stop as soon as the workload
 	// drains: policy timer chains (TeXCP probes, DARD queries) re-arm
 	// forever and must not keep the simulation alive until MaxTime.
-	for horizon := 1.0; rt.remaining > 0 && horizon <= cfg.MaxTime && rt.net.K.Pending() > 0; horizon++ {
+	for horizon := 1.0; rt.remaining > 0 && horizon <= rt.cfg.MaxTime && rt.net.K.Pending() > 0; horizon++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("psim: canceled at t=%g: %w", rt.Now(), err)
 		}
 		rt.net.K.Run(horizon)
+		if rt.err != nil {
+			return nil, rt.err
+		}
 	}
 	return rt.collect(), nil
+}
+
+// armArrival schedules the source's next flow, once it passes the flow
+// engine's check. Every arrival goes at its absolute time under the one
+// sequence number RunContext reserved after the link events, so it ties
+// after the link events at its time and before every other event, as if
+// all arrivals had been queued before the run began.
+func (rt *Runtime) armArrival() error {
+	wf, ok := rt.cfg.Arrivals.Peek()
+	if !ok {
+		return nil
+	}
+	if err := wf.Check(len(rt.flows), len(rt.Topo().Hosts()), rt.Now()); err != nil {
+		return fmt.Errorf("psim: %w", err)
+	}
+	rt.remaining++
+	rt.net.K.AtSeq(wf.Arrival, rt.arrivalSeq, rt.arrive)
+	return nil
+}
+
+// arrive starts the flow armArrival scheduled: it takes the flow from
+// the source, arms the following one and opens the flow's connection. A
+// bad following flow stops the run at once.
+func (rt *Runtime) arrive() {
+	wf, _ := rt.cfg.Arrivals.Next()
+	f := &FlowState{Arrival: rt.Now(), SizeBits: wf.SizeBits, active: true}
+	f.Flow, _, f.PathIdx = rt.Admit(rt, rt.cfg.Policy, wf)
+	rt.flows = append(rt.flows, f)
+	if err := rt.armArrival(); err != nil {
+		rt.err = err
+		rt.net.K.Stop()
+		return
+	}
+	conn, err := tcp.NewConn(rt.net, f.ID, rt.Route(f, f.PathIdx), f.SizeBits, tcp.Options{}, func(*tcp.Conn) {
+		rt.depart(f)
+	})
+	if err != nil {
+		// Checked by armArrival; a failure here is a bug.
+		panic(fmt.Sprintf("psim: NewConn: %v", err))
+	}
+	f.Conn = conn
+	rt.disp.Register(conn)
+	if rt.Tracer().Enabled() {
+		conn.Tracer = rt.Tracer()
+	}
+	// T equals both f.Arrival and the connection's StartTime (Start runs
+	// below at the same kernel time), so FlowEnd minus this reproduces
+	// the reported TransferTime bit-for-bit.
+	rt.EmitFlowStart(f.Flow, f.SizeBits)
+	if pr, ok := rt.cfg.Policy.(PacketRouter); ok {
+		conn.RoutePicker = pr.PacketRoute(rt, f)
+	}
+	if rt.obs != nil {
+		rt.obs.Arrived(rt, f.Flow)
+	}
+	if rt.cfg.ElephantAge >= 0 {
+		rt.net.K.After(rt.cfg.ElephantAge, func() {
+			if f.active {
+				f.Elephant = true
+				rt.ElephantStarted(f.Conn.Route())
+				if rt.obs != nil {
+					rt.obs.Elephant(rt, f.Flow)
+				}
+			}
+		})
+	}
+	conn.Start()
 }
 
 func (rt *Runtime) armProbe() {
@@ -348,7 +354,7 @@ func (rt *Runtime) probeTick() {
 			tr.Sample(trace.MetricQueueBits, int64(i), now, rt.net.QueueBits(l))
 		}
 		for _, f := range rt.flows {
-			if f == nil || !f.active || f.Conn == nil {
+			if !f.active {
 				continue
 			}
 			tr.Sample(trace.MetricFlowCwnd, int64(f.ID), now, f.Conn.State().Cwnd)
@@ -419,10 +425,6 @@ func (rt *Runtime) collect() *Results {
 	}
 	r.CoreUtilization = rt.coreUtilization()
 	for _, f := range rt.flows {
-		if f == nil || f.Conn == nil {
-			r.Unfinished++
-			continue
-		}
 		fs := FlowStat{
 			ID:           f.ID,
 			Arrival:      f.Arrival,

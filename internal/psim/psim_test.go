@@ -131,15 +131,26 @@ func TestRuntimeValidation(t *testing.T) {
 		t.Error("nil policy should fail")
 	}
 	bad := []workload.Flow{{ID: 0, Src: 0, Dst: 0, SizeBits: 1}}
-	if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(bad)}); err == nil {
+	if _, err := runErr(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(bad)}); err == nil {
 		t.Error("self flow should fail")
 	}
 }
 
-// TestRuntimeRejectsBadBatch pins that NewRuntime checks the workload it
-// drains with the flow engine's predicate: each of these used to pass
-// NewRuntime and then panic in Run (a sparse ID indexes past the flow
-// table) or end as an unfinished flow (a NaN size).
+// runErr builds a runtime on cfg and runs it, returning the runtime (nil
+// if NewRuntime failed) and the first error.
+func runErr(cfg Config) (*Runtime, error) {
+	rt, err := NewRuntime(cfg)
+	if err == nil {
+		_, err = rt.Run()
+	}
+	return rt, err
+}
+
+// TestRuntimeRejectsBadBatch pins that the run checks each flow it pulls
+// with the flow engine's predicate: each of these once passed NewRuntime
+// and then panicked in Run (a sparse ID indexes past the flow table) or
+// ended as an unfinished flow (a NaN size). A bad flow is found as the
+// run starts, or as the flow before it arrives, and stops the run there.
 func TestRuntimeRejectsBadBatch(t *testing.T) {
 	ft := fatTree(t)
 	ok := workload.Flow{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: 0}
@@ -156,11 +167,24 @@ func TestRuntimeRejectsBadBatch(t *testing.T) {
 		}},
 		{"NaN arrival", []workload.Flow{{ID: 0, Src: 0, Dst: 8, SizeBits: mb(1), Arrival: math.NaN()}}},
 		{"host out of range", []workload.Flow{{ID: 0, Src: 0, Dst: 99, SizeBits: mb(1), Arrival: 0}}},
+		{"self flow behind a transfer", []workload.Flow{
+			{ID: 0, Src: 0, Dst: 8, SizeBits: mb(8), Arrival: 0},
+			{ID: 1, Src: 1, Dst: 9, SizeBits: mb(1), Arrival: 0.25},
+			{ID: 2, Src: 4, Dst: 4, SizeBits: mb(1), Arrival: 0.5},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewRuntime(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(tc.flows), MaxTime: 10}); err == nil {
-				t.Error("invalid workload accepted")
+			rt, err := runErr(Config{Topo: ft, Policy: sched.ECMP{}, Arrivals: workload.List(tc.flows), MaxTime: 10})
+			if err == nil {
+				t.Fatal("invalid workload accepted")
+			}
+			found := 0.0
+			if n := len(tc.flows); n > 1 {
+				found = tc.flows[n-2].Arrival
+			}
+			if rt != nil && rt.Now() != found {
+				t.Errorf("the run went on to t=%g after finding the bad flow at t=%g", rt.Now(), found)
 			}
 		})
 	}

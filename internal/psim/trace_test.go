@@ -145,14 +145,15 @@ func TestFlowAccessors(t *testing.T) {
 	}
 }
 
-// TestUnfinishedFlows: a run cut off at MaxTime reports the flows still
-// transferring and the ones that never arrived as unfinished.
+// TestUnfinishedFlows: a run cut off at MaxTime reports the flow still
+// transferring as unfinished and leaves the one that never arrived in
+// its source.
 func TestUnfinishedFlows(t *testing.T) {
-	flows := []workload.Flow{
+	src := workload.List([]workload.Flow{
 		{ID: 0, Src: 0, Dst: 8, SizeBits: mb(64), Arrival: 0},
 		{ID: 1, Src: 1, Dst: 9, SizeBits: mb(1), Arrival: 5},
-	}
-	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Arrivals: workload.List(flows), Seed: 1, MaxTime: 2})
+	})
+	rt, err := NewRuntime(Config{Topo: fatTree(t), Policy: sched.ECMP{}, Arrivals: src, Seed: 1, MaxTime: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,11 @@ func TestUnfinishedFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Unfinished != 2 || len(r.Flows) != 1 || r.Flows[0].Completed() {
-		t.Fatalf("unfinished %d, flows %+v; want both unfinished and one started", r.Unfinished, r.Flows)
+	if r.Unfinished != 1 || len(r.Flows) != 1 || r.Flows[0].Completed() {
+		t.Fatalf("unfinished %d, flows %+v; want the one arrived flow unfinished", r.Unfinished, r.Flows)
+	}
+	if wf, ok := src.Peek(); !ok || wf.ID != 1 {
+		t.Errorf("source peeks %+v, %v after the cut; want flow 1", wf, ok)
 	}
 	if r.TransferTimes().N() != 0 {
 		t.Error("an unfinished flow entered the transfer-time sample")

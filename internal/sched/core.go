@@ -10,6 +10,7 @@ import (
 	"dard/internal/snap"
 	"dard/internal/topology"
 	"dard/internal/trace"
+	"dard/internal/workload"
 )
 
 // Core is the engine-independent half of Host and ctlmsg.StateSource,
@@ -168,6 +169,22 @@ func (c *Core) mark(l topology.LinkID) {
 // PeakElephants returns the most elephants that were active at once (the
 // x-axis of Figure 15).
 func (c *Core) PeakElephants() int { return c.peakElephants }
+
+// Admit resolves an arriving workload flow into what policies see of it,
+// its host and ToR node IDs, and asks pol for its initial path on h, the
+// engine embedding c. An index outside the flow's path set ps falls back
+// to path 0.
+func (c *Core) Admit(h Host, pol Policy, wf workload.Flow) (f Flow, ps topology.PathSet, pathIdx int) {
+	hosts := c.topo.Hosts()
+	src, dst := hosts[wf.Src], hosts[wf.Dst]
+	f = Flow{ID: wf.ID, Src: src, Dst: dst, SrcToR: c.topo.ToROf(src), DstToR: c.topo.ToROf(dst)}
+	ps = c.topo.PathSet(f.SrcToR, f.DstToR)
+	pathIdx = pol.InitialPath(h, f)
+	if pathIdx < 0 || pathIdx >= ps.Len() {
+		pathIdx = 0
+	}
+	return f, ps, pathIdx
+}
 
 // AppendRoute appends f's route on path pathIdx of ps, its path set, to
 // dst: the source host's uplink, the ToR-to-ToR path and the destination

@@ -6,7 +6,11 @@
 // simulator ("we use source routing to assign a path to a flow", §3.2).
 package simnet
 
-import "dard/internal/evq"
+import (
+	"math"
+
+	"dard/internal/evq"
+)
 
 // eventKind selects how the kernel dispatches a packet's pending event.
 // A packet has at most one event pending — it is serializing, in flight
@@ -63,6 +67,7 @@ func (t Timer) Reset(d float64) bool {
 // events need the Net that owns the kernel.
 type Kernel struct {
 	now   float64
+	until float64 // the bound of the Run in progress; Stop lowers it
 	seq   int64
 	calls evq.Queue[func()]
 	pkts  evq.Lanes[*Packet]
@@ -80,6 +85,22 @@ func (k *Kernel) After(d float64, fn func()) Timer {
 	}
 	k.seq++
 	return Timer{k: k, h: k.calls.PushHandle(k.now+d, k.seq, fn)}
+}
+
+// Reserve takes the next sequence number without scheduling anything.
+// Callbacks AtSeq later schedules under it tie with other events at
+// their time as if they had been scheduled with After now.
+func (k *Kernel) Reserve() int64 {
+	k.seq++
+	return k.seq
+}
+
+// AtSeq schedules fn at absolute time at (now, if at is earlier) under
+// seq, a number Reserve returned. At most one callback may be pending
+// under a reserved number at a time: the queue's order needs each
+// pending sequence number to be unique.
+func (k *Kernel) AtSeq(at float64, seq int64, fn func()) {
+	k.calls.Push(max(at, k.now), seq, fn)
 }
 
 // schedule queues p's next event d seconds from now, taking the next
@@ -138,16 +159,22 @@ func (k *Kernel) Step() bool {
 	return ok
 }
 
-// Run processes events until the queue drains or time would exceed until.
+// Run processes events until the queue drains, time would exceed
+// until, or a callback calls Stop.
 func (k *Kernel) Run(until float64) {
+	k.until = until
 	for {
 		at, call, ok := k.next()
-		if !ok || at > until {
+		if !ok || at > k.until {
 			return
 		}
 		k.fire(call)
 	}
 }
+
+// Stop ends the Run in progress once the running callback returns;
+// pending events stay queued.
+func (k *Kernel) Stop() { k.until = math.Inf(-1) }
 
 // Pending reports the number of queued events, callbacks and packet
 // events alike; canceled callbacks leave the queue at once and are not

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,6 +40,50 @@ func TestKernelRunHorizon(t *testing.T) {
 	k.Run(10)
 	if !fired {
 		t.Error("event not fired after extending horizon")
+	}
+}
+
+// TestKernelAtSeq: a callback scheduled under a reserved sequence
+// number ties as if it had been scheduled with After at the
+// reservation, whenever it is queued, and never fires before now.
+func TestKernelAtSeq(t *testing.T) {
+	var k Kernel
+	var order []string
+	k.After(1, func() { order = append(order, "before") })
+	seq := k.Reserve()
+	k.After(1, func() { order = append(order, "after") })
+	k.After(0.5, func() {
+		k.AtSeq(1, seq, func() {
+			order = append(order, "reserved")
+			// Already past: it fires at now, still ahead of "after".
+			k.AtSeq(0.25, seq, func() {
+				if k.Now() != 1 {
+					t.Errorf("a past AtSeq fired at %g, want 1", k.Now())
+				}
+				order = append(order, "past")
+			})
+		})
+	})
+	k.Run(math.Inf(1))
+	if want := "[before reserved past after]"; fmt.Sprint(order) != want {
+		t.Errorf("order = %v, want %s", order, want)
+	}
+}
+
+// TestKernelStop: a callback's Stop ends the Run at once and leaves the
+// rest queued for the next Run.
+func TestKernelStop(t *testing.T) {
+	var k Kernel
+	n := 0
+	k.After(1, func() { n++; k.Stop() })
+	k.After(1, func() { n++ })
+	k.Run(10)
+	if n != 1 || k.Pending() != 1 {
+		t.Fatalf("after Stop: %d fired, %d pending; want 1 and 1", n, k.Pending())
+	}
+	k.Run(10)
+	if n != 2 {
+		t.Errorf("the next Run fired %d, want 2", n)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // OpenPoisson streams the paper's Poisson flow arrivals one at a time,
-// in arrival order. It is the one generator, and a Source: the flow
-// engine pulls from it as it runs and the packet engine drains it, so
-// the stream can be unbounded (Duration <= 0) for a flow run that ends
-// only at its time limit or when it is paused or canceled.
+// in arrival order. It is the one generator, and a Source: each engine
+// pulls from it as it runs, so the stream can be unbounded (Duration <=
+// 0) for a run that ends only at its time limit or when it is paused or
+// canceled.
 //
 // Source host h draws its inter-arrival gaps and destinations from
 // math/rand's stream for Seed + h*7919 (detrand.Std), so the flows host

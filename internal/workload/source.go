@@ -1,16 +1,16 @@
 package workload
 
 // Source streams a workload into an engine one flow at a time.
-// OpenPoisson is the paper's workload; List serves a fixed list. The
-// flow engine pulls from its source as it runs, which is what lets a
-// run be open-ended; the packet engine drains its source before the run
-// starts.
+// OpenPoisson is the paper's workload; List serves a fixed list. Every
+// engine pulls from its source as it runs, which is what lets a run be
+// open-ended, and holds at most the next flow ahead of its clock; a
+// flow a run never reached stays in the source.
 //
 // Flows come out with dense sequential IDs (0, 1, 2, ...) in
 // non-decreasing arrival order, and the engines check each one with
-// Flow.Check as they take it. The flow engine calls Peek at every event
-// boundary to learn the next arrival time, so a source keeps its next
-// flow materialized: Peek is cheap and does not advance the stream.
+// Flow.Check before they schedule it. Engines Peek for the next arrival
+// time (the flow engine at every event boundary), so a source keeps its
+// next flow materialized: Peek is cheap and does not advance the stream.
 //
 // A source is a pure function of how it was built: a checkpoint records
 // only how many flows the run took, and a restore, handed a source

@@ -105,17 +105,14 @@ func flowReport(s Scenario, topo *Topology, res *flowsim.Results) *Report {
 }
 
 func packetReport(s Scenario, topo *Topology, res *psim.Results) *Report {
-	// psim drained the workload, and its Unfinished counts every flow of
-	// it that did not complete.
-	tt := res.TransferTimes().Values()
 	return &Report{
 		Scheduler:       res.Policy,
 		Engine:          EnginePacket,
 		Topology:        topo.Name(),
 		Pattern:         s.Pattern,
-		Flows:           len(tt) + res.Unfinished,
+		Flows:           len(res.Flows),
 		Unfinished:      res.Unfinished,
-		TransferTimes:   tt,
+		TransferTimes:   res.TransferTimes().Values(),
 		PathSwitches:    res.PathSwitchCounts().Values(),
 		RetxRates:       res.RetxRates().Values(),
 		ControlBytes:    res.ControlBytes,
