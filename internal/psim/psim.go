@@ -410,6 +410,9 @@ type Results struct {
 	Unfinished   int
 	SimTime      float64
 	ControlBytes float64
+	// PeakElephants is the most elephants active at once (Figure 15's
+	// x-axis).
+	PeakElephants int
 	// CoreUtilization is the average utilization of the top-tier
 	// (bisection) links over the run: total bits the core-adjacent links
 	// carried divided by their aggregate capacity-time. §4.3.3 compares
@@ -419,9 +422,10 @@ type Results struct {
 
 func (rt *Runtime) collect() *Results {
 	r := &Results{
-		Policy:       rt.cfg.Policy.Name(),
-		SimTime:      rt.Now(),
-		ControlBytes: rt.ControlBytes(),
+		Policy:        rt.cfg.Policy.Name(),
+		SimTime:       rt.Now(),
+		ControlBytes:  rt.ControlBytes(),
+		PeakElephants: rt.PeakElephants(),
 	}
 	r.CoreUtilization = rt.coreUtilization()
 	for _, f := range rt.flows {

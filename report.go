@@ -38,7 +38,7 @@ type Report struct {
 
 	// ControlBytes is the total control-plane traffic; SimTime the
 	// simulated duration; PeakElephants the maximum concurrent elephant
-	// count (flow engine only).
+	// count.
 	ControlBytes  float64
 	SimTime       float64
 	PeakElephants int
@@ -117,6 +117,7 @@ func packetReport(s Scenario, topo *Topology, res *psim.Results) *Report {
 		RetxRates:       res.RetxRates().Values(),
 		ControlBytes:    res.ControlBytes,
 		SimTime:         res.SimTime,
+		PeakElephants:   res.PeakElephants,
 		CoreUtilization: res.CoreUtilization,
 	}
 }
