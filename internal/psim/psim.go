@@ -405,8 +405,11 @@ func (fs FlowStat) Completed() bool { return !math.IsNaN(fs.TransferTime) }
 
 // Results aggregates a packet-level run.
 type Results struct {
-	Policy       string
-	Flows        []FlowStat
+	Policy string
+	// Flows holds one entry per arrived flow, in ID order; flows MaxTime
+	// kept from arriving stay in the source and have none.
+	Flows []FlowStat
+	// Unfinished counts arrived flows that did not complete.
 	Unfinished   int
 	SimTime      float64
 	ControlBytes float64
