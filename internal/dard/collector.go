@@ -90,8 +90,6 @@ type roundScratch struct {
 	// named it; changed is the drain's buffer.
 	view    *portView
 	changed []topology.LinkID
-	// nodes gathers a new monitor's covering switches.
-	nodes []topology.NodeID
 }
 
 // roundScratch returns the controller's shared scratch for env, building
@@ -124,23 +122,20 @@ func (s *roundScratch) drain() error {
 }
 
 // newCollector builds the collector for one monitor over the switches
-// covering its path set, exactly the four switch groups of §2.4.2.
-// AppendSwitches sorts them, and fault rounds launch exchanges in that
-// order so runs are deterministic.
+// covering its path set, exactly the four switch groups of §2.4.2. A
+// fault-free round exchanges a query and a full reply with each, and an
+// exchange's length is linear in the switch's port count
+// (ctlmsg.ExchangeLen), so the round's bytes follow from the switch
+// count and the port sum alone, without listing the switches. Fault
+// rounds list them on their first round.
 func (c *Controller) newCollector(env sched.Host, monitorID uint64, ps topology.PathSet) *Collector {
-	s := c.roundScratch(env)
-	s.nodes = ps.AppendSwitches(s.nodes[:0])
-	g := env.Topo().Graph()
-	wireBytes := 0
-	for _, sw := range s.nodes {
-		wireBytes += ctlmsg.ExchangeLen(len(g.Out(sw)))
-	}
+	switches, ports := ps.SwitchPorts()
 	return &Collector{
 		env:       env,
 		monitorID: monitorID,
 		ps:        ps,
-		wireBytes: wireBytes,
-		shared:    s,
+		wireBytes: switches*ctlmsg.ExchangeLen(0) + ports*ctlmsg.PortStateLen,
+		shared:    c.roundScratch(env),
 		faults:    c.opts.Faults,
 		retryMax:  c.opts.CtlRetryMax,
 		deadAfter: c.opts.DeadAfter,
@@ -339,7 +334,7 @@ func foldPV(pv []PathState, buf []topology.LinkID, ps topology.PathSet, r linkRe
 	}
 	for i := 0; i < n; i++ {
 		buf = ps.AppendLinks(i, buf[:0])
-		st, err := foldPathState(buf, r)
+		st, err := foldPathState(buf, r, math.Inf(-1))
 		if err != nil {
 			return nil, buf, err
 		}
@@ -348,8 +343,12 @@ func foldPV(pv []PathState, buf []topology.LinkID, ps topology.PathSet, r linkRe
 	return pv, buf, nil
 }
 
-// foldPathState reduces one path's links to its bottleneck state.
-func foldPathState(links []topology.LinkID, r linkReader) (PathState, error) {
+// foldPathState reduces one path's links to its bottleneck state. A
+// path's BoNF only falls as its links fold in, so the fold stops at the
+// first link that brings it to floor or below, returning the state so
+// far: a caller that only wants paths above floor has its answer. A
+// floor of -Inf folds every link.
+func foldPathState(links []topology.LinkID, r linkReader, floor float64) (PathState, error) {
 	st := PathState{Bandwidth: math.Inf(1), BoNF: math.Inf(1)}
 	for _, l := range links {
 		port, ok := r.ports.Get(l)
@@ -370,6 +369,9 @@ func foldPathState(links []topology.LinkID, r linkReader) (PathState, error) {
 		}
 		if bonf < st.BoNF || (math.IsInf(st.BoNF, 1) && capacity < st.Bandwidth) {
 			st = PathState{Bandwidth: capacity, Flows: n, BoNF: bonf}
+			if st.BoNF <= floor {
+				break
+			}
 		}
 	}
 	return st, nil
@@ -400,15 +402,34 @@ func MarkDeadPaths(tr trace.Tracer, now float64, entity int64, pv []PathState, d
 	if dead == nil {
 		dead = make([]bool, len(pv))
 	}
+	dead, _ = markDeadPaths(tr, now, entity, pv, dead)
+	return dead
+}
+
+// markDeadPaths is MarkDeadPaths for a monitor: a nil mask stays nil
+// while no path is dead, so a monitor whose paths all live never
+// allocates one, and it also returns how many paths are dead, so a
+// tick learns whether any is without scanning the mask.
+func markDeadPaths(tr trace.Tracer, now float64, entity int64, pv []PathState, dead []bool) ([]bool, int) {
+	n := 0
 	for i, st := range pv {
-		isDead := fpcmp.IsZero(st.BoNF)
-		if isDead && !dead[i] && tr.Enabled() {
+		if !fpcmp.IsZero(st.BoNF) {
+			if dead != nil {
+				dead[i] = false
+			}
+			continue
+		}
+		n++
+		if dead == nil {
+			dead = make([]bool, len(pv))
+		}
+		if !dead[i] && tr.Enabled() {
 			tr.Emit(trace.Event{
 				T: now, Kind: trace.KindPathDead, Flow: -1, Link: -1,
 				A: int64(i), B: entity,
 			})
 		}
-		dead[i] = isDead
+		dead[i] = true
 	}
-	return dead
+	return dead, n
 }

@@ -309,14 +309,13 @@ func (c *Controller) runRound(env sched.Host, h *hostState) {
 // one flow between them if the estimated post-shift BoNF of the target
 // still exceeds the current minimum by more than δ.
 func (c *Controller) selfishSchedule(env sched.Host, m *monitor) {
-	m.materialize()
-	if m.pv == nil {
-		return // no path state assembled yet
-	}
 	if prog, ok := env.(FlowProgress); ok {
-		c.detectStalls(env, prog, m)
+		m.materialize() // stall marks write into the vector
+		if m.pv != nil {
+			c.detectStalls(env, prog, m)
+		}
 	}
-	dec, ok := Decide(m.pv, m.flowVector(env), c.opts.Delta)
+	dec, ok := m.decide(env, c.opts.Delta)
 	if !ok {
 		return
 	}
@@ -366,7 +365,7 @@ func (c *Controller) detectStalls(env sched.Host, prog FlowProgress, m *monitor)
 		}
 	}
 	if marked {
-		m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
+		m.markDead(env)
 	}
 }
 
@@ -378,10 +377,9 @@ func (c *Controller) detectStalls(env sched.Host, prog FlowProgress, m *monitor)
 // or every stranded flow has had its chance.
 func (c *Controller) evacuate(env sched.Host, m *monitor) {
 	for i := 0; i < len(m.flows); i++ {
-		fv := m.flowVector(env)
 		stranded := false
-		for p, n := range fv {
-			if n > 0 && p < len(m.dead) && m.dead[p] {
+		for _, p := range m.activePaths(env, len(m.pv)) {
+			if p < len(m.dead) && m.dead[p] {
 				stranded = true
 				break
 			}
@@ -389,7 +387,7 @@ func (c *Controller) evacuate(env sched.Host, m *monitor) {
 		if !stranded {
 			return
 		}
-		dec, ok := Decide(m.pv, fv, c.opts.Delta)
+		dec, ok := m.decide(env, c.opts.Delta)
 		if !ok || dec.From >= len(m.dead) || !m.dead[dec.From] {
 			return
 		}

@@ -32,17 +32,24 @@ type monitor struct {
 	// round; nil until the first round completes. An incomplete round
 	// (faults, no cached state yet) leaves the previous pv in place.
 	// Complete rounds fold into the same backing array. A fault-free
-	// round's fold is pending until materialize runs it, so read pv only
-	// after materialize.
+	// round's fold is pending until materialize runs it: scheduling
+	// rounds read single entries from the pinned view instead
+	// (pathReader), and every reader of pv itself materializes first.
 	pv []PathState
 	// dead marks paths whose BoNF collapsed to zero, for PathDead
-	// transition events and immediate evacuation.
-	dead []bool
-	coll *Collector
-	// fv and linkBuf are scratch reused across query ticks and
+	// transition events and immediate evacuation; nil until a path
+	// first dies. nDead counts its true entries, so the fault-free tick
+	// learns whether any path is dead without scanning it.
+	dead  []bool
+	nDead int //dardlint:snapfield derived from the dead mask, which the decoder recounts
+	coll  *Collector
+	// active and linkBuf are scratch reused across query ticks and
 	// scheduling rounds.
-	fv      []int             //dardlint:snapfield scratch, overwritten before every use
+	active  []int             //dardlint:snapfield scratch, overwritten before every use
 	linkBuf []topology.LinkID //dardlint:snapfield scratch, overwritten before every use
+	// viewLinks counts the path links scheduling rounds folded from the
+	// port view.
+	viewLinks int //dardlint:snapfield observability count; read only by tests
 
 	// lastAcked and stalls track each elephant's cumulative-ACK point and
 	// zero-progress round count for stall detection; nil unless the host
@@ -108,12 +115,13 @@ func (m *monitor) tickFn(env sched.Host) func() {
 // assemble runs one round of Path State Assembling (§2.4.2) through the
 // shared collector. A fault round folds its per-port states into the
 // path state vector when it completes. A fault-free round only pins the
-// port view's epoch: its fold waits for the scheduling round that reads
-// the vector (materialize), since most rounds' vectors are replaced by
-// the next tick's unread. It folds at once when the tick itself needs
-// the vector: to sample MinBoNF for the tracer, or to mark and evacuate
-// dead paths, which can only appear while a port reads 0 Mbps and can
-// only clear while the monitor has one.
+// port view's epoch; the next scheduling round reads from the view as
+// it stood then, folding just the paths Algorithm 1 can pick (decide).
+// The whole vector is folded only where it is read in full: at once
+// when the tick itself needs it, to sample MinBoNF for the tracer or to
+// mark and evacuate dead paths, which can only appear while a port
+// reads 0 Mbps and can only clear while the monitor has one; and later
+// by the snapshot encoder and the packet engine's stall detection.
 func (m *monitor) assemble(env sched.Host) error {
 	if m.coll.faults.Enabled() {
 		return m.coll.Assemble(func(linkState *LinkState, wireBytes int, complete bool) {
@@ -133,10 +141,7 @@ func (m *monitor) assemble(env sched.Host) error {
 		return err
 	}
 	env.RecordControl(float64(m.coll.wireBytes))
-	if m.dead == nil {
-		m.dead = make([]bool, m.ps.Len()) // as the first fold's MarkDeadPaths would
-	}
-	if env.Tracer().Enabled() || m.coll.shared.view.zero > 0 || slices.Contains(m.dead, true) {
+	if env.Tracer().Enabled() || m.coll.shared.view.zero > 0 || m.nDead > 0 {
 		m.materialize()
 		m.folded(env)
 	}
@@ -145,7 +150,8 @@ func (m *monitor) assemble(env sched.Host) error {
 
 // materialize runs the monitor's pending fold, if any, so m.pv holds the
 // path state vector of its last completed round. Every reader of m.pv
-// calls it first.
+// calls it first; the scheduling round reads the pinned view instead
+// and leaves the fold pending.
 func (m *monitor) materialize() {
 	if !m.coll.pending {
 		return
@@ -160,13 +166,18 @@ func (m *monitor) materialize() {
 // folded acts on a freshly folded pv: it marks dead paths, samples the
 // monitor's congestion signal and evacuates flows off dead paths.
 func (m *monitor) folded(env sched.Host) {
-	m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
+	m.markDead(env)
 	if tr := env.Tracer(); tr.Enabled() {
 		// One congestion signal per monitor and tick: the worst
 		// path's BoNF.
 		tr.Sample(trace.MetricMinBoNF, int64(m.entity()), env.Now(), MinBoNF(m.pv))
 	}
 	m.ctl.evacuate(env, m)
+}
+
+// markDead marks the paths of pv that are dead (markDeadPaths).
+func (m *monitor) markDead(env sched.Host) {
+	m.dead, m.nDead = markDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
 }
 
 // victimOn picks the monitor's lowest-ID active flow on a path.
@@ -183,22 +194,38 @@ func (m *monitor) victimOn(env sched.Host, path int) (int, bool) {
 	return victim, found
 }
 
-// flowVector builds FV: the number of the monitor's elephant flows on
-// each of its len(pv) paths (§2.5). The returned slice is the monitor's
-// scratch, valid until the next call.
-func (m *monitor) flowVector(env sched.Host) []int {
-	n := len(m.pv)
-	if cap(m.fv) < n {
-		m.fv = make([]int, n)
-	}
-	fv := m.fv[:n]
-	for i := range fv {
-		fv[i] = 0
-	}
+// activePaths returns the non-zero entries of FV, the flow vector over
+// n paths (§2.5): the distinct paths the monitor's elephant flows sit
+// on, in ascending order. The returned slice is the monitor's scratch,
+// valid until the next call.
+func (m *monitor) activePaths(env sched.Host, n int) []int {
+	active := m.active[:0]
 	for id := range m.flows {
 		if p := env.FlowPath(id); p >= 0 && p < n {
-			fv[p]++
+			active = append(active, p)
 		}
 	}
-	return fv
+	slices.Sort(active)
+	m.active = slices.Compact(active)
+	return m.active
+}
+
+// decide runs Algorithm 1 over the monitor's path state: from the port
+// view at the collector's pin while a fault-free round's fold is
+// pending, which stays pending for the readers of the whole vector, or
+// else from pv. ok is false when there is no path state yet or no
+// shift should happen.
+func (m *monitor) decide(env sched.Host, delta float64) (dec Decision, ok bool) {
+	r := pathReader{pv: m.pv, ps: m.ps, buf: m.linkBuf}
+	if m.coll.pending {
+		r.pv, r.r = nil, m.coll.shared.view.at(m.coll.epoch)
+	} else if m.pv == nil {
+		return Decision{}, false // no path state assembled yet
+	}
+	dec, ok, err := r.decide(m.activePaths(env, r.len()), delta)
+	m.linkBuf, m.viewLinks = r.buf, m.viewLinks+r.links
+	if err != nil {
+		panic(fmt.Sprintf("dard: path state assembling: %v", err))
+	}
+	return dec, ok
 }

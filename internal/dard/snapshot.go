@@ -99,9 +99,16 @@ func (c *Controller) SnapshotState(_ sched.Host, enc *snap.Encoder) error {
 					enc.F64(st.BoNF)
 				}
 			}
-			enc.U32(uint32(len(m.dead)))
-			for _, d := range m.dead {
-				enc.Bool(d)
+			// A monitor allocates its mask once a path dies; until
+			// then it is encoded as if its first round had: an
+			// entry per path once there is a PV.
+			nDead := len(m.dead)
+			if nDead == 0 && m.pv != nil {
+				nDead = m.ps.Len()
+			}
+			enc.U32(uint32(nDead))
+			for i := range nDead {
+				enc.Bool(i < len(m.dead) && m.dead[i])
 			}
 			enc.U32(m.coll.seqNo)
 		}
@@ -220,9 +227,14 @@ func (c *Controller) restoreMonitor(env sched.Host, n topology.NodeID, h *hostSt
 		if nDead != m.ps.Len() {
 			return fmt.Errorf("dard: snapshot dead mask has %d entries for %d paths", nDead, m.ps.Len())
 		}
-		m.dead = make([]bool, nDead)
-		for i := range m.dead {
-			m.dead[i] = dec.Bool()
+		dead := make([]bool, nDead)
+		for i := range dead {
+			if dead[i] = dec.Bool(); dead[i] {
+				m.nDead++
+			}
+		}
+		if m.nDead > 0 {
+			m.dead = dead // else nil, as before a path dies
 		}
 	}
 	m.coll.seqNo = dec.U32()

@@ -169,6 +169,33 @@ func TestPathSetSwitches(t *testing.T) {
 	}
 }
 
+// TestPathSetSwitchPorts requires SwitchPorts to count exactly the
+// switches AppendSwitches lists and sum their exit ports, for every
+// family and pair.
+func TestPathSetSwitchPorts(t *testing.T) {
+	for _, fam := range propFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			net, err := fam.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := net.Graph()
+			for _, pair := range samplePairs(net, 0) {
+				ps := net.PathSet(pair[0], pair[1])
+				switches := ps.AppendSwitches(nil)
+				wantPorts := 0
+				for _, sw := range switches {
+					wantPorts += len(g.Out(sw))
+				}
+				if n, ports := ps.SwitchPorts(); n != len(switches) || ports != wantPorts {
+					t.Fatalf("pair (%d,%d): SwitchPorts %d switches, %d ports; want %d, %d",
+						pair[0], pair[1], n, ports, len(switches), wantPorts)
+				}
+			}
+		})
+	}
+}
+
 // TestPathIdxStability pins enumeration determinism: two independent
 // constructions of the same configuration must agree bit-identically on
 // node IDs, path counts, link sequences, and Via labels. PathIdx is

@@ -55,6 +55,9 @@ type PathProvider interface {
 	// appendSwitches appends the upstream endpoint of every link of
 	// every path to buf, each switch once, in ascending ID order.
 	appendSwitches(src, dst NodeID, buf []NodeID) []NodeID
+	// switchPorts counts the switches appendSwitches lists and sums
+	// their exit ports.
+	switchPorts(src, dst NodeID) (switches, ports int)
 }
 
 // Len reports the number of equal-cost paths in the set. A same-ToR pair
@@ -85,6 +88,18 @@ func (ps PathSet) AppendSwitches(buf []NodeID) []NodeID {
 		return buf
 	}
 	return ps.r.appendSwitches(ps.src, ps.dst, buf)
+}
+
+// SwitchPorts reports how many switches AppendSwitches lists and the
+// sum of their exit-port counts (Graph.Out, host ports included): the
+// two numbers that size a DARD monitor's query round, since a switch's
+// reply carries one record per exit port. Neither lists the switches;
+// the direct same-ToR path has none.
+func (ps PathSet) SwitchPorts() (switches, ports int) {
+	if ps.src == ps.dst {
+		return 0, 0
+	}
+	return ps.r.switchPorts(ps.src, ps.dst)
 }
 
 // Via returns the label of path i — the branch choice that determines

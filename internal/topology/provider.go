@@ -41,8 +41,10 @@ type srcEntry struct {
 	once  sync.Once
 	links [][]LinkID
 	vias  []string
-	// switches is the sorted upstream endpoint of every path link.
+	// switches is the sorted upstream endpoint of every path link, and
+	// ports sums their exit ports.
 	switches []NodeID
+	ports    int
 }
 
 func newSourceRouted(g *Graph, build func(src, dst NodeID) ([][]LinkID, []string)) *sourceRouted {
@@ -81,6 +83,9 @@ func (sr *sourceRouted) entry(src, dst NodeID) *srcEntry {
 		}
 		slices.Sort(e.switches)
 		e.switches = slices.Compact(e.switches)
+		for _, sw := range e.switches {
+			e.ports += len(sr.g.Out(sw))
+		}
 	})
 	return e
 }
@@ -96,4 +101,10 @@ func (e *srcEntry) pathVia(_, _ NodeID, i int) string { return e.vias[i] }
 // appendSwitches implements PathProvider from the entry's sorted set.
 func (e *srcEntry) appendSwitches(_, _ NodeID, buf []NodeID) []NodeID {
 	return append(buf, e.switches...)
+}
+
+// switchPorts implements PathProvider from the counts the entry's build
+// took.
+func (e *srcEntry) switchPorts(_, _ NodeID) (switches, ports int) {
+	return len(e.switches), e.ports
 }

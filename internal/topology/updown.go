@@ -30,6 +30,10 @@ type upDown struct {
 	// torUp[t*width+j] is ToR t -> aggr j of its pod; aggrUp[a*fan+m] is
 	// aggrs[a] -> its m-th top switch, top(a%width, m).
 	torUp, aggrUp []LinkID
+	// topPorts sums the top switches' exit ports and podPorts[pod] the
+	// pod's aggrs', for switchPorts.
+	topPorts int
+	podPorts []int
 }
 
 // newUpDown builds the uplink tables of a tree whose graph b holds.
@@ -62,6 +66,13 @@ func newUpDown(b *base, tops, aggrs, tors []NodeID, grouped bool) upDown {
 		for m := 0; m < fan; m++ {
 			u.aggrUp = append(u.aggrUp, mustLink(g, aggr, u.top(a%width, m)))
 		}
+	}
+	for _, top := range tops {
+		u.topPorts += len(g.Out(top))
+	}
+	u.podPorts = make([]int, len(aggrs)/width)
+	for a, aggr := range aggrs {
+		u.podPorts[a/width] += len(g.Out(aggr))
 	}
 	return u
 }
@@ -145,6 +156,19 @@ func (u *upDown) appendSwitches(src, dst NodeID, buf []NodeID) []NodeID {
 	}
 	at, _ := slices.BinarySearch(buf[start:], src)
 	return slices.Insert(buf, start+at, src)
+}
+
+// switchPorts implements PathProvider over appendSwitches' groups in
+// closed form: the source ToR and its pod's aggrs, plus every top
+// switch and the destination pod's aggrs across pods.
+func (u *upDown) switchPorts(src, dst NodeID) (switches, ports int) {
+	sp, dp := u.g.node(src).Pod, u.g.node(dst).Pod
+	switches, ports = 1+u.width, len(u.g.Out(src))+u.podPorts[sp]
+	if sp != dp {
+		switches += len(u.tops) + u.width
+		ports += u.topPorts + u.podPorts[dp]
+	}
+	return switches, ports
 }
 
 // pathVia implements PathProvider. Intra-pod paths are labeled by their
