@@ -115,3 +115,51 @@ func recomputeAllocs(t *testing.T, ft *topology.FatTree, nFlows int) (allocs flo
 	})
 	return allocs, s.diffFills - diff, s.fullFills - full
 }
+
+// unsized hides a source's size hint.
+type unsized struct{ workload.Source }
+
+// TestGrowFlowsAllocs pins how often a 1,000-flow run allocates its
+// per-flow arrays (growFlows). With a Sized source the arrays start at
+// its hint, so the arrivals allocate each of the eleven once. Without
+// one their shared capacity doubles from minFlowCap, five moves to
+// reach 1,000; growing each by append one arrival at a time took
+// about twelve.
+func TestGrowFlowsAllocs(t *testing.T) {
+	const n, arrays = 1000, 11
+	for _, c := range []struct {
+		name  string
+		hint  int
+		moves float64
+	}{{"sized", n, 1}, {"unsized", 0, 5}} {
+		allocs := testing.AllocsPerRun(5, func() {
+			s := &Sim{flowHint: c.hint}
+			for i := 1; i <= n; i++ {
+				s.growFlows(i)
+			}
+		})
+		// Beyond the arrays: the Sim, the slab list and its one chunk.
+		if want := c.moves*arrays + 3; allocs > want {
+			t.Errorf("%s: growing to %d flows one arrival at a time allocates %.0f times, want at most %.0f", c.name, n, allocs, want)
+		}
+	}
+
+	ft := testFatTree(t)
+	flows := randomFlows(rand.New(rand.NewSource(1)), n, len(ft.Hosts()), 1e6)
+	for _, c := range []struct {
+		src     workload.Source
+		wantCap int
+	}{{workload.List(flows), n}, {unsized{workload.List(flows)}, 1024}} {
+		s, err := New(Config{Net: ft, Controller: &staticController{}, Arrivals: c.src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Flows) != n || cap(s.flows) != c.wantCap {
+			t.Errorf("%T source: %d flows ran on arrays of capacity %d, want %d on %d", c.src, len(r.Flows), cap(s.flows), n, c.wantCap)
+		}
+	}
+}

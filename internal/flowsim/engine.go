@@ -87,6 +87,9 @@ type Sim struct {
 	// reallocated, only new chunks are appended.
 	slabs    [][]Flow
 	flows    []*Flow //dardlint:snapfield by-workload-ID index into slabs, one entry per arrived flow; restore rebuilds it flow by flow
+	// flowHint is the capacity the per-flow arrays start at: a Sized
+	// source's hint, capped at maxFlowHint.
+	flowHint int //dardlint:snapfield derived from Config.Arrivals by New
 	active   []*Flow
 	arrived  int // flows consumed from Config.Arrivals == next expected ID
 	timers   evq.Queue[timer]
@@ -199,6 +202,9 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.Core = sched.NewCore(cfg.Net, cfg.Seed, cfg.Tracer, s.Now)
 	s.obs, _ = cfg.Controller.(sched.Observer)
+	if src, ok := cfg.Arrivals.(workload.Sized); ok {
+		s.flowHint = min(src.SizeHint(), maxFlowHint)
+	}
 	if cfg.Reference {
 		s.refFlows = make([][]int32, g.NumLinks())
 		s.refStamp = make([]uint64, g.NumLinks())
@@ -224,29 +230,59 @@ const (
 // population).
 func (s *Sim) flowAt(id int) *Flow { return &s.slabs[id>>slabShift][id&slabMask] }
 
+// minFlowCap is the least capacity of the per-flow arrays, and
+// maxFlowHint the most a source's size hint sets them to.
+const (
+	minFlowCap  = 64
+	maxFlowHint = 1 << 16
+)
+
 // growFlows extends the slab and the struct-of-arrays state to hold at
-// least n flows. The slab grows by whole chunks; the arrays grow to n,
-// so a small run does not pay for a chunk's worth of per-flow state.
+// least n flows. The slab grows by whole chunks. The arrays share one
+// capacity, decided here: it starts at the source's size hint, so a run
+// of a Sized source usually allocates them once, and when n outgrows it
+// it at least doubles, so a run that pulls its flows one arrival at a
+// time moves them O(log n) times in all.
 func (s *Sim) growFlows(n int) {
 	for len(s.slabs)*slabChunk < n {
 		s.slabs = append(s.slabs, make([]Flow, slabChunk))
 	}
-	if grow := n - len(s.flows); grow > 0 {
-		s.flows = append(s.flows, make([]*Flow, grow)...)
-		s.rate = append(s.rate, make([]float64, grow)...)
-		s.remaining = append(s.remaining, make([]float64, grow)...)
-		s.syncAt = append(s.syncAt, make([]float64, grow)...)
-		s.finishAt = append(s.finishAt, make([]float64, grow)...)
-		s.newRate = append(s.newRate, make([]float64, grow)...)
-		s.recAt = append(s.recAt, make([]recKey, grow)...)
-		s.recLink = append(s.recLink, make([]topology.LinkID, grow)...)
-		for i := len(s.recLink) - grow; i < len(s.recLink); i++ {
-			s.recLink[i] = -1 // no record
-		}
-		s.seen = append(s.seen, make([]uint64, grow)...)
-		s.activeIdx = append(s.activeIdx, make([]int32, grow)...)
-		s.doneH = append(s.doneH, make([]evq.Handle, grow)...)
+	old := len(s.flows)
+	if n <= old {
+		return
 	}
+	c := cap(s.flows)
+	if n > c {
+		c = max(n, 2*c, minFlowCap, s.flowHint)
+	}
+	s.flows = extend(s.flows, n, c)
+	s.rate = extend(s.rate, n, c)
+	s.remaining = extend(s.remaining, n, c)
+	s.syncAt = extend(s.syncAt, n, c)
+	s.finishAt = extend(s.finishAt, n, c)
+	s.newRate = extend(s.newRate, n, c)
+	s.recAt = extend(s.recAt, n, c)
+	s.recLink = extend(s.recLink, n, c)
+	for i := old; i < n; i++ {
+		s.recLink[i] = -1 // no record
+	}
+	s.seen = extend(s.seen, n, c)
+	s.activeIdx = extend(s.activeIdx, n, c)
+	s.doneH = extend(s.doneH, n, c)
+}
+
+// extend returns x lengthened to n with zeroed new entries, moved to a
+// new array of capacity c when n exceeds its own.
+func extend[T any](x []T, n, c int) []T {
+	if n > cap(x) {
+		y := make([]T, n, c)
+		copy(y, x)
+		return y
+	}
+	old := len(x)
+	x = x[:n]
+	clear(x[old:])
+	return x
 }
 
 // Now returns the current simulation time in seconds.

@@ -28,6 +28,7 @@ type OpenPoisson struct {
 	rate     float64
 	sizeBits float64
 	duration float64 // <= 0 means unbounded
+	hosts    int
 
 	// seeded is the stream of the host being advanced and rng draws
 	// from it: rand.Rand keeps no state of its own for the draws a
@@ -77,6 +78,7 @@ func NewOpenPoisson(l *Layout, cfg Config) (*OpenPoisson, error) {
 		rate:     cfg.RatePerHost,
 		sizeBits: cfg.SizeBytes * 8,
 		duration: cfg.Duration,
+		hosts:    l.NumHosts,
 	}
 	op.rng = rand.New(&op.seeded)
 	for h := 0; h < l.NumHosts; h++ {
@@ -128,6 +130,19 @@ func (op *OpenPoisson) advance(h int, t float64) error {
 		op.heap.Push(t, int64(h), openHost{src: op.seeded, dst: dst})
 		return nil
 	}
+}
+
+// SizeHint implements Sized. A bounded stream's flow count is Poisson
+// with mean rate × hosts × window, so the hint is that mean plus four
+// standard deviations, which the count exceeds with probability about
+// 3e-5 (less where self-draws retire a host). An unbounded stream has
+// none: 0.
+func (op *OpenPoisson) SizeHint() int {
+	if op.duration <= 0 {
+		return 0
+	}
+	mean := op.rate * float64(op.hosts) * op.duration
+	return int(min(math.Ceil(mean+4*math.Sqrt(mean)), math.MaxInt32))
 }
 
 // Peek implements Source.

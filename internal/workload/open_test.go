@@ -104,6 +104,38 @@ func TestOpenPoissonBoundedHorizon(t *testing.T) {
 	}
 }
 
+// TestSizeHint checks the Sized sources: a List's hint is its length
+// however far it has been read, an unbounded stream gives none, and a
+// bounded one's hint covers its flow count, mean 80 here, on every seed
+// tried while staying within twice the mean.
+func TestSizeHint(t *testing.T) {
+	l := List(make([]Flow, 5)).(Sized)
+	l.Next()
+	l.Next()
+	if got := l.SizeHint(); got != 5 {
+		t.Errorf("List hint %d after two flows, want 5", got)
+	}
+	lay, cfg := openTestConfig(1, 0)
+	op, err := NewOpenPoisson(lay, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := op.SizeHint(); got != 0 {
+		t.Errorf("unbounded stream hints %d flows, want 0", got)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		lay, cfg := openTestConfig(seed, 2.0)
+		op, err := NewOpenPoisson(lay, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hint := op.SizeHint()
+		if n := len(drain(t, op, 1000)); n > hint || hint > 2*80 {
+			t.Fatalf("seed %d: %d flows, hint %d", seed, n, hint)
+		}
+	}
+}
+
 // TestOpenPoissonMergeOrder pins the stream's merge order: replaying
 // every host's substream by hand and stable-sorting the union by
 // arrival (hosts appended in index order, so ties go to the lower host)

@@ -23,10 +23,27 @@ type Source interface {
 	Next() (wf Flow, ok bool)
 }
 
+// Sized is a Source that knows about how many flows it yields in all,
+// those already taken included: exactly for a List, and for a bounded
+// OpenPoisson a count its random total all but never exceeds. An engine
+// sizes its per-flow state from the hint once instead of growing it as
+// flows arrive; a wrong hint costs memory or a regrowth, never a
+// different run.
+type Sized interface {
+	Source
+	SizeHint() int
+}
+
 // List returns a Source that yields flows in order.
 func List(flows []Flow) Source { return &list{flows: flows} }
 
-type list struct{ flows []Flow }
+type list struct {
+	flows []Flow
+	taken int
+}
+
+// SizeHint implements Sized.
+func (l *list) SizeHint() int { return l.taken + len(l.flows) }
 
 func (l *list) Peek() (Flow, bool) {
 	if len(l.flows) == 0 {
@@ -39,6 +56,7 @@ func (l *list) Next() (Flow, bool) {
 	wf, ok := l.Peek()
 	if ok {
 		l.flows = l.flows[1:]
+		l.taken++
 	}
 	return wf, ok
 }
