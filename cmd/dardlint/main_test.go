@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -108,12 +109,23 @@ func TestSnapfieldCatchesNewField(t *testing.T) {
 	}
 	tmp := t.TempDir()
 	copyFile(t, filepath.Join(root, "go.mod"), filepath.Join(tmp, "go.mod"))
-	for _, dir := range []string{
-		"internal/sched", "internal/ctlmsg", "internal/detrand", "internal/evq",
-		"internal/fpcmp", "internal/snap", "internal/topology", "internal/trace",
-		"internal/workload",
-	} {
-		copyDir(t, filepath.Join(root, dir), filepath.Join(tmp, dir))
+	// Copy internal/sched and every module package it imports, as the
+	// go command lists them.
+	cmd := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}", "./internal/sched")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, dir := range strings.Split(string(out), "\n") {
+		if dir == "" {
+			continue // a standard package
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyDir(t, dir, filepath.Join(tmp, rel))
 	}
 
 	corePath := filepath.Join(tmp, "internal", "sched", "core.go")
