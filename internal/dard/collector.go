@@ -26,9 +26,11 @@ type PathState struct {
 // Collector assembles one monitor's per-link switch state (§2.4.2). With
 // a reliable control plane it resolves synchronously from the
 // controller's port view, which carries what every exchange would
-// deliver, and the monitor counts the bytes those exchanges take; the
-// fold into the path state vector waits until something reads it
-// (foldPending). With ctlmsg faults enabled it becomes a small
+// deliver, and the monitor counts the bytes those exchanges take. The
+// round only pins the view: the scheduling round reads the paths it
+// needs from the view at the pin (pathReader), and the whole path
+// state vector is folded only for a reader of all of it (foldPending).
+// With ctlmsg faults enabled it becomes a small
 // asynchronous protocol: every switch exchange that loses a message is
 // retried with exponential backoff up to CtlRetryMax times; a switch
 // that still answers nothing is served from the last round's cached
@@ -45,7 +47,8 @@ type Collector struct {
 	wireBytes int
 	shared    *roundScratch
 	// epoch is the view epoch of the last fault-free round, and pending
-	// says its fold has not run yet (foldPending).
+	// says its vector has not been folded yet (foldPending). A
+	// scheduling round reads from the pin and leaves it pending.
 	epoch   uint64
 	pending bool
 
@@ -82,8 +85,8 @@ type faultPeer struct {
 // host: the port view fault-free rounds fold from. One view serves every
 // monitor because a fault-free round runs start to finish inside one
 // tick and only ever brings the view up to date with the host; the
-// view's undo log lets each monitor's fold wait for the scheduling round
-// that reads it.
+// view's undo log lets each monitor read the view as it stood at its
+// last round, until the next round or its release.
 type roundScratch struct {
 	env sched.Host
 	// view holds every port's state as the host's change feed last
@@ -222,8 +225,8 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 // assembleView is the fault-free round. On a reliable channel every
 // exchange delivers the switch's current port state, so the round drains
 // the host's changed ports into the controller's port view and pins the
-// collector to the view's epoch; foldPending later folds the view as it
-// stood then. A round carries wireBytes on the wire. Only ports that
+// collector to the view's epoch; readers later see the view as it stood
+// then, a path at a time (pathReader) or whole (foldPending). A round carries wireBytes on the wire. Only ports that
 // changed are read; a warm round allocates nothing.
 func (c *Collector) assembleView() error {
 	c.seqNo++
@@ -402,34 +405,15 @@ func MarkDeadPaths(tr trace.Tracer, now float64, entity int64, pv []PathState, d
 	if dead == nil {
 		dead = make([]bool, len(pv))
 	}
-	dead, _ = markDeadPaths(tr, now, entity, pv, dead)
-	return dead
-}
-
-// markDeadPaths is MarkDeadPaths for a monitor: a nil mask stays nil
-// while no path is dead, so a monitor whose paths all live never
-// allocates one, and it also returns how many paths are dead, so a
-// tick learns whether any is without scanning the mask.
-func markDeadPaths(tr trace.Tracer, now float64, entity int64, pv []PathState, dead []bool) ([]bool, int) {
-	n := 0
 	for i, st := range pv {
-		if !fpcmp.IsZero(st.BoNF) {
-			if dead != nil {
-				dead[i] = false
-			}
-			continue
-		}
-		n++
-		if dead == nil {
-			dead = make([]bool, len(pv))
-		}
-		if !dead[i] && tr.Enabled() {
+		isDead := fpcmp.IsZero(st.BoNF)
+		if isDead && !dead[i] && tr.Enabled() {
 			tr.Emit(trace.Event{
 				T: now, Kind: trace.KindPathDead, Flow: -1, Link: -1,
 				A: int64(i), B: entity,
 			})
 		}
-		dead[i] = true
+		dead[i] = isDead
 	}
-	return dead, n
+	return dead
 }

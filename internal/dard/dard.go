@@ -307,7 +307,10 @@ func (c *Controller) runRound(env sched.Host, h *hostState) {
 // transcription fix documented in DESIGN.md): find the monitor's active
 // path with the smallest BoNF and the globally largest-BoNF path; shift
 // one flow between them if the estimated post-shift BoNF of the target
-// still exceeds the current minimum by more than δ.
+// still exceeds the current minimum by more than δ. The round reads
+// only the paths the rule can pick (monitor.decide); only a host that
+// offers FlowProgress folds the whole vector first, for its stall
+// marks.
 func (c *Controller) selfishSchedule(env sched.Host, m *monitor) {
 	if prog, ok := env.(FlowProgress); ok {
 		m.materialize() // stall marks write into the vector

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dard/internal/fpcmp"
 	"dard/internal/sched"
 	"dard/internal/topology"
 	"dard/internal/trace"
@@ -175,9 +176,18 @@ func (m *monitor) folded(env sched.Host) {
 	m.ctl.evacuate(env, m)
 }
 
-// markDead marks the paths of pv that are dead (markDeadPaths).
+// markDead counts pv's dead paths and marks them (MarkDeadPaths). A
+// monitor none of whose paths has died has no mask to update.
 func (m *monitor) markDead(env sched.Host) {
-	m.dead, m.nDead = markDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
+	m.nDead = 0
+	for _, st := range m.pv {
+		if fpcmp.IsZero(st.BoNF) {
+			m.nDead++
+		}
+	}
+	if m.nDead > 0 || m.dead != nil {
+		m.dead = MarkDeadPaths(env.Tracer(), env.Now(), int64(m.entity()), m.pv, m.dead)
+	}
 }
 
 // victimOn picks the monitor's lowest-ID active flow on a path.

@@ -9,8 +9,8 @@ import (
 
 // portView is the controller's decoded port view: every exit port's
 // state as its switch last reported it, versioned so that a fold
-// deferred to when Algorithm 1 reads it sees the view exactly as it
-// stood at the query tick that took it.
+// deferred to when Algorithm 1 reads it, of one path or of all, sees
+// the view exactly as it stood at the query tick that took it.
 //
 // Every write that changes a port already in the view advances the
 // epoch by one and appends the state it overwrote to the undo log, so

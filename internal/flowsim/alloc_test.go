@@ -120,7 +120,7 @@ func recomputeAllocs(t *testing.T, ft *topology.FatTree, nFlows int) (allocs flo
 type unsized struct{ workload.Source }
 
 // TestGrowFlowsAllocs pins how often a 1,000-flow run allocates its
-// per-flow arrays (growFlows). With a Sized source the arrays start at
+// per-flow arrays (growFlows). With a sized source the arrays start at
 // its hint, so the arrivals allocate each of the eleven once. Without
 // one their shared capacity doubles from minFlowCap, five moves to
 // reach 1,000; growing each by append one arrival at a time took

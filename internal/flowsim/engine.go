@@ -87,13 +87,14 @@ type Sim struct {
 	// reallocated, only new chunks are appended.
 	slabs    [][]Flow
 	flows    []*Flow //dardlint:snapfield by-workload-ID index into slabs, one entry per arrived flow; restore rebuilds it flow by flow
-	// flowHint is the capacity the per-flow arrays start at: a Sized
-	// source's hint, capped at maxFlowHint.
-	flowHint int //dardlint:snapfield derived from Config.Arrivals by New
 	active   []*Flow
 	arrived  int // flows consumed from Config.Arrivals == next expected ID
 	timers   evq.Queue[timer]
 	timerSeq int64
+
+	// flowHint is the capacity the per-flow arrays start at: the
+	// source's size hint, if it has one, capped at maxFlowHint.
+	flowHint int //dardlint:snapfield derived from Config.Arrivals by New
 
 	// started latches the one-time Run setup (link-event timers,
 	// Starter.Start) so a paused run can re-enter Run without
@@ -202,7 +203,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.Core = sched.NewCore(cfg.Net, cfg.Seed, cfg.Tracer, s.Now)
 	s.obs, _ = cfg.Controller.(sched.Observer)
-	if src, ok := cfg.Arrivals.(workload.Sized); ok {
+	if src, ok := cfg.Arrivals.(sizedSource); ok {
 		s.flowHint = min(src.SizeHint(), maxFlowHint)
 	}
 	if cfg.Reference {
@@ -230,6 +231,13 @@ const (
 // population).
 func (s *Sim) flowAt(id int) *Flow { return &s.slabs[id>>slabShift][id&slabMask] }
 
+// sizedSource is a workload source that knows about how many flows it
+// yields in all (workload.List, a bounded workload.OpenPoisson). A
+// wrong hint costs memory or a regrowth, never a different run.
+type sizedSource interface {
+	SizeHint() int
+}
+
 // minFlowCap is the least capacity of the per-flow arrays, and
 // maxFlowHint the most a source's size hint sets them to.
 const (
@@ -240,7 +248,7 @@ const (
 // growFlows extends the slab and the struct-of-arrays state to hold at
 // least n flows. The slab grows by whole chunks. The arrays share one
 // capacity, decided here: it starts at the source's size hint, so a run
-// of a Sized source usually allocates them once, and when n outgrows it
+// of a sized source usually allocates them once, and when n outgrows it
 // it at least doubles, so a run that pulls its flows one arrival at a
 // time moves them O(log n) times in all.
 func (s *Sim) growFlows(n int) {

@@ -132,11 +132,12 @@ func (op *OpenPoisson) advance(h int, t float64) error {
 	}
 }
 
-// SizeHint implements Sized. A bounded stream's flow count is Poisson
-// with mean rate × hosts × window, so the hint is that mean plus four
-// standard deviations, which the count exceeds with probability about
-// 3e-5 (less where self-draws retire a host). An unbounded stream has
-// none: 0.
+// SizeHint returns a flow count a bounded stream all but never
+// exceeds, so an engine can size its per-flow state once. The count is
+// Poisson with mean rate × hosts × window, so the hint is that mean
+// plus four standard deviations, which the count exceeds with
+// probability about 3e-5 (less where self-draws retire a host). An
+// unbounded stream has none: 0.
 func (op *OpenPoisson) SizeHint() int {
 	if op.duration <= 0 {
 		return 0

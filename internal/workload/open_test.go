@@ -104,12 +104,15 @@ func TestOpenPoissonBoundedHorizon(t *testing.T) {
 	}
 }
 
-// TestSizeHint checks the Sized sources: a List's hint is its length
+// TestSizeHint checks the sources' size hints: a List's hint is its length
 // however far it has been read, an unbounded stream gives none, and a
 // bounded one's hint covers its flow count, mean 80 here, on every seed
 // tried while staying within twice the mean.
 func TestSizeHint(t *testing.T) {
-	l := List(make([]Flow, 5)).(Sized)
+	l := List(make([]Flow, 5)).(interface {
+		Source
+		SizeHint() int
+	})
 	l.Next()
 	l.Next()
 	if got := l.SizeHint(); got != 5 {

@@ -23,17 +23,6 @@ type Source interface {
 	Next() (wf Flow, ok bool)
 }
 
-// Sized is a Source that knows about how many flows it yields in all,
-// those already taken included: exactly for a List, and for a bounded
-// OpenPoisson a count its random total all but never exceeds. An engine
-// sizes its per-flow state from the hint once instead of growing it as
-// flows arrive; a wrong hint costs memory or a regrowth, never a
-// different run.
-type Sized interface {
-	Source
-	SizeHint() int
-}
-
 // List returns a Source that yields flows in order.
 func List(flows []Flow) Source { return &list{flows: flows} }
 
@@ -42,7 +31,8 @@ type list struct {
 	taken int
 }
 
-// SizeHint implements Sized.
+// SizeHint returns how many flows the list yields in all, those already
+// taken included, so an engine can size its per-flow state once.
 func (l *list) SizeHint() int { return l.taken + len(l.flows) }
 
 func (l *list) Peek() (Flow, bool) {
