@@ -159,7 +159,7 @@ func TestGrowFlowsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(r.Flows) != n || cap(s.flows) != c.wantCap {
-			t.Errorf("%T source: %d flows ran on arrays of capacity %d, want %d on %d", c.src, len(r.Flows), cap(s.flows), n, c.wantCap)
+			t.Errorf("%T source: %d flows ran on arrays of capacity %d, want %d flows on capacity %d", c.src, len(r.Flows), cap(s.flows), n, c.wantCap)
 		}
 	}
 }
