@@ -226,8 +226,9 @@ func (c *Collector) Assemble(done func(linkState *LinkState, wireBytes int, comp
 // exchange delivers the switch's current port state, so the round drains
 // the host's changed ports into the controller's port view and pins the
 // collector to the view's epoch; readers later see the view as it stood
-// then, a path at a time (pathReader) or whole (foldPending). A round carries wireBytes on the wire. Only ports that
-// changed are read; a warm round allocates nothing.
+// then, a path at a time (pathReader) or whole (foldPending). A round
+// carries wireBytes on the wire. Only ports that changed are read; a
+// warm round allocates nothing.
 func (c *Collector) assembleView() error {
 	c.seqNo++
 	if err := c.shared.drain(); err != nil {

@@ -93,8 +93,8 @@ func (ps PathSet) AppendSwitches(buf []NodeID) []NodeID {
 // SwitchPorts reports how many switches AppendSwitches lists and the
 // sum of their exit-port counts (Graph.Out, host ports included): the
 // two numbers that size a DARD monitor's query round, since a switch's
-// reply carries one record per exit port. Neither lists the switches;
-// the direct same-ToR path has none.
+// reply carries one record per exit port. It lists no switch; the
+// direct same-ToR path has none.
 func (ps PathSet) SwitchPorts() (switches, ports int) {
 	if ps.src == ps.dst {
 		return 0, 0
